@@ -31,6 +31,16 @@ A_j = {m_0 + B (2^j k + 2^{j-1})}: exact nominal densities 1/(B 2^j),
 pairwise disjointness by 2-adic valuation, O(1) membership.  The start
 offset m_0 is the smallest making the total weighted-norm bound of all
 scheduled blocks fit the configured budget.
+
+Both builders bound weighted norms with one float64 log-domain kernel built
+once per (weights, envelope, exponent, grid, truncation): the frequently
+hypercyclic side reads its per-degree factor table, and the hypercyclic scan,
+which cannot bisect because the bound is not monotone in m, scores chunks of
+candidate m in increasing order, one log-sum-exp per chunk.  The logs involved
+stay below a few times 10^4, so a float64 log bound is off by at most ~1e-11
+(1e-12 against a working-precision reference).  Test (b) keeps a factor
+budget_tighten of headroom, and over the shipped K = 12 builds no scanned log
+bound comes within 5e-4 of its threshold, so no placement can move.
 """
 
 from __future__ import annotations
@@ -245,44 +255,48 @@ class FhcSchedule:
 
 
 # ---------------------------------------------------------------------------
-# weighted-norm machinery (upper bounds via coefficient sums)
+# weighted-norm kernel (upper bounds via coefficient sums)
+
+_PROBE_CHUNK = 64  # candidate positions scored per batched norm probe
 
 
 def _phi_at(env: RateEnvelope, w: DunklWeights, r) -> mpf:
     return env(r) * mpmath.exp(r) / r ** (w.alpha + 1)
 
 
-class _GridNorm:
-    """Grid evaluation of sup_r [sum_i |c_i| r^{n_i}] r^a / (env(r) e^r)."""
+class _NormKernel:
+    """Weighted norm sup_r [sum_n |y_n| r^n] r^a / (env(r) e^r) over a radius grid.
 
-    def __init__(self, w: DunklWeights, env: RateEnvelope, a, r_grid):
-        self.w = w
-        self.a = mpf(a)
-        self.r_grid = tuple(mpf(r) for r in r_grid)
-        self.ln_r = [mpmath.ln(r) for r in self.r_grid]
-        # log of r^a / (env(r) e^r) per grid point
-        self.penalty = [
-            self.a * lr - mpmath.ln(env(r)) - r
-            for r, lr in zip(self.r_grid, self.ln_r)
-        ]
+    Holds ln r, the penalty a ln r - ln env(r) - r and ln d_n (n <= n_max) as
+    float64 arrays; all work stays in the log domain, so nothing overflows.
+    """
 
-    def block_norm_ub(self, poly: Polynomial, m: int) -> mpf:
-        """Upper bound for the weighted norm of S^m poly over the grid."""
-        if poly_is_zero(poly):
-            return mpf(0)
-        logc = [
-            (m + i, mpmath.ln(abs(mpf(c.numerator)) / c.denominator)
-             + self.w.log_weight(i) - self.w.log_weight(m + i))
-            for i, c in enumerate(poly)
-            if c != 0
-        ]
-        best = mpf("-inf")
-        for lr, pen in zip(self.ln_r, self.penalty):
-            terms = [mpmath.exp(lc + deg * lr) for deg, lc in logc]
-            v = mpmath.ln(mpmath.fsum(terms)) + pen
-            if v > best:
-                best = v
-        return mpmath.exp(best)
+    def __init__(self, w: DunklWeights, env: RateEnvelope, a, r_grid, n_max: int):
+        self.ln_r = np.array([float(mpmath.ln(r)) for r in r_grid])
+        log_env = np.array([float(mpmath.ln(env(r))) for r in r_grid])
+        r_vals = np.array([float(r) for r in r_grid])
+        self.pen = float(a) * self.ln_r - log_env - r_vals
+        self.logd = np.array([float(w.log_weight(n)) for n in range(n_max + 1)])
+
+    def factor_table(self) -> np.ndarray:
+        """g[nu] = max_r r^{nu+a} / (d_nu env(r) e^r), flushed to 0 below e^-745.
+
+        The norm bound of S^n y is then sum_i |y_i| d_i g[n+i].
+        """
+        nu = np.arange(self.logd.size)
+        logs = nu[:, None] * self.ln_r[None, :] + self.pen[None, :] - self.logd[:, None]
+        log_g = np.max(logs, axis=1)
+        return np.where(log_g > -745.0, np.exp(np.maximum(log_g, -745.0)), 0.0)
+
+    def block_log_norms(self, poly: Polynomial, ms: np.ndarray) -> np.ndarray:
+        """ln of the bound for S^m poly (q_i d_i / d_{m+i} at degree m + i), per m in ms."""
+        idx = np.array([i for i, c in enumerate(poly) if c != 0])
+        log_c = np.array([math.log(abs(c)) for c in poly if c != 0]) + self.logd[idx]
+        deg = ms[None, :] + idx[:, None]
+        logs = (log_c[:, None] - self.logd[deg])[:, :, None] + deg[:, :, None] * self.ln_r
+        top = logs.max(axis=0)
+        lse = top + np.log(np.exp(logs - top).sum(axis=0))
+        return (lse + self.pen).max(axis=1)
 
 
 def _shadow_ub(poly: Polynomial, gap: int, w: DunklWeights, r) -> mpf:
@@ -388,7 +402,7 @@ def build_hypercyclic(
     else:
         filler_degrees, filler_coeffs = (), ()
 
-    norm = _GridNorm(w, env, w.alpha + 1, cfg.grid())
+    kernel = _NormKernel(w, env, w.alpha + 1, cfg.grid(), trunc_degree)
     r_build = mpf(cfg.r_build)
     phi_R = _phi_at(env, w, r_build)
 
@@ -410,23 +424,24 @@ def build_hypercyclic(
                 )
             positions.append(m)
             continue
-        threshold = eps / cfg.budget_tighten
+        log_threshold = float(mpmath.ln(eps / cfg.budget_tighten))
         shadow_cap = eps * phi_R / cfg.shadow_safety
-        m = lo
-        while True:
-            if m + poly_degree(q) > trunc_degree:
+        # the norm bound is not monotone in m: scan every m upward, a chunk
+        # per batched probe, and take the first passing (b) and then (c)
+        start, m = lo, None
+        while m is None:
+            ms = np.arange(start, min(start + _PROBE_CHUNK, trunc_degree - poly_degree(q) + 1))
+            if ms.size == 0:
                 raise InfeasibleConstruction(
                     f"truncation {trunc_degree} exhausted at block {k} "
                     f"(searched from {lo})",
                     achieved=k - 1,
                 )
-            ok = norm.block_norm_ub(q, m) <= threshold
-            if ok and positions:
-                # nearest earlier block casts the largest shadow
-                ok = _shadow_ub(q, m - positions[-1], w, r_build) <= shadow_cap
-            if ok:
-                break
-            m += 1
+            fits = ms[kernel.block_log_norms(q, ms) <= log_threshold].tolist()
+            # nearest earlier block casts the largest shadow
+            m = next((c for c in fits if not positions
+                      or _shadow_ub(q, c - positions[-1], w, r_build) <= shadow_cap), None)
+            start += _PROBE_CHUNK
         positions.append(m)
 
     coeffs: dict[int, mpc] = {}
@@ -514,25 +529,6 @@ def verify_orbit_hits(
 # frequently hypercyclic side
 
 
-def _log_phi_grid(env: RateEnvelope, r_grid):
-    return np.array([float(mpmath.ln(env(r))) for r in r_grid])
-
-
-def _norm_factor_table(w: DunklWeights, env: RateEnvelope, a, r_grid, n_max: int):
-    """g[nu] = max_r r^{nu+a} / (d_nu env(r) e^r) over the grid, as float64 logs.
-
-    Shared kernel for tail norms and schedule budgeting: the weighted-norm
-    upper bound of S^n y is sum_i |y_i| d_i g[n+i].
-    """
-    ln_r = np.array([float(mpmath.ln(r)) for r in r_grid])
-    r_vals = np.array([float(r) for r in r_grid])
-    pen = float(a) * ln_r - _log_phi_grid(env, r_grid) - r_vals
-    logd = np.array([float(w.log_weight(n)) for n in range(n_max + 1)])
-    nu = np.arange(n_max + 1)
-    logs = nu[:, None] * ln_r[None, :] + pen[None, :] - logd[:, None]
-    return np.max(logs, axis=1)
-
-
 def _poly_weight_factors(poly: Polynomial, w: DunklWeights):
     return [
         (i, float(abs(mpf(c.numerator)) / c.denominator) * math.exp(float(w.log_weight(i))))
@@ -567,8 +563,7 @@ def fuc_tail_norms(
     deg = poly_degree(poly)
     if w.n_max < trunc_degree:
         raise ValueError(f"weight table n_max={w.n_max} < trunc_degree={trunc_degree}")
-    log_g = _norm_factor_table(w, env, a, standard_r_grid(), trunc_degree)
-    g = np.where(log_g > -745.0, np.exp(np.maximum(log_g, -745.0)), 0.0)
+    g = _NormKernel(w, env, a, standard_r_grid(), trunc_degree).factor_table()
     suffix = np.concatenate([np.cumsum(g[::-1])[::-1], [0.0]])
     total = 0.0
     last = trunc_degree - deg
@@ -619,9 +614,7 @@ def build_frequently_hypercyclic(
         raise ValueError(f"weight table n_max={w.n_max} < trunc_degree={trunc_degree}")
 
     a = rate_exponent(p, w.alpha, "fhc_upper")
-    grid = cfg.grid()
-    log_g = _norm_factor_table(w, env, a, grid, trunc_degree)
-    g = np.where(log_g > -745.0, np.exp(np.maximum(log_g, -745.0)), 0.0)
+    g = _NormKernel(w, env, a, cfg.grid(), trunc_degree).factor_table()
     factors = [_poly_weight_factors(q, w) for q in targets]
 
     def total_norm(m_0: int) -> float:

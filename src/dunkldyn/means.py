@@ -158,9 +158,11 @@ def _quadrature_mean(f: TruncatedSeries, r, p, m: int) -> MeanResult:
     """Trapezoid value of M_p on m points with the m-vs-m/2 discrepancy."""
     shift, samples = _scaled_circle(f, r, m)
     mags = np.abs(samples)
+    top = float(np.max(mags))
+    mags /= top  # keeps mags**p in [0, 1] however large p is
     p_f = float(p)
-    fine = float(np.mean(mags**p_f) ** (1.0 / p_f))
-    coarse = float(np.mean(mags[::2] ** p_f) ** (1.0 / p_f))
+    fine = top * float(np.mean(mags**p_f) ** (1.0 / p_f))
+    coarse = top * float(np.mean(mags[::2] ** p_f) ** (1.0 / p_f))
     scale = mpmath.exp(shift)
     return MeanResult(mpf(fine) * scale, abs(mpf(fine - coarse)) * scale)
 

@@ -14,6 +14,7 @@ from dunkldyn.cli import (
     PRECISION_ENV_VAR,
     ConfigError,
     ExperimentConfig,
+    _roundtrip_check,
     load_config,
     main,
     read_config_file,
@@ -35,6 +36,15 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(alpha="-0.75").validate()
         assert "alpha" in str(exc.value)
+
+    def test_alpha_inside_boundary_gap_exits_one(self, tmp_path, capsys):
+        # passes alpha > -1/2 but not the weight table's gap: no traceback
+        out = tmp_path / "w.csv"
+        rc = main(["weights", "--alpha", "-0.49999999999999", "--n", "4", "-o", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "alpha" in err
+        assert not out.exists()
 
     def test_p_inf_accepted(self):
         cfg = ExperimentConfig(p="inf")
@@ -160,6 +170,18 @@ class TestSeriesCommands:
         assert header == "r,M_p,richardson_err"
         for r_s, m_s, _ in rows:
             assert abs(float(m_s) - float(r_s) ** 2) < 1e-12
+
+    def test_roundtrip_check_catches_edited_coefficient(self, tmp_path):
+        f = TruncatedSeries({0: 1, 3: mpf("0.25"), 7: -2}, trunc_degree=16)
+        path = tmp_path / "f.series"
+        write_series(f, str(path), mpf(0), precision_bits=256)
+        _roundtrip_check(f, str(path))
+        lines = path.read_text().splitlines()
+        row = next(i for i, ln in enumerate(lines) if ln.startswith("3 "))
+        lines[row] = "3 0.25000000000000000001 0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RuntimeError):
+            _roundtrip_check(f, str(path))
 
     def test_missing_input_is_config_error(self, tmp_path):
         out = tmp_path / "a.csv"

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
@@ -12,6 +13,9 @@ from dunkldyn.construct import (
     FhcSchedule,
     InfeasibleConstruction,
     TargetEnumeration,
+    _NormKernel,
+    _phi_at,
+    _shadow_ub,
     build_frequently_hypercyclic,
     build_hypercyclic,
     density_decay_check,
@@ -99,6 +103,81 @@ class TestPolyHelpers:
         assert f.trunc_degree == 16
         assert abs(f.coeff(0) - mpf("0.5")) < mpf(2) ** -250
         assert abs(f.coeff(1) + 3) < mpf(2) ** -250
+
+
+def _block_log_norm_mpf(w, env, a, r_grid, poly, m):
+    """Working-precision reference: ln sup_r [sum_i |c_i| r^{m+i}] r^a / (env(r) e^r).
+
+    c_i = q_i d_i / d_{m+i} are the coefficients of S^m poly; every step is
+    an mpf operation, one radius at a time.
+    """
+    logc = [
+        (m + i, mpmath.ln(abs(mpf(c.numerator)) / c.denominator)
+         + w.log_weight(i) - w.log_weight(m + i))
+        for i, c in enumerate(poly)
+        if c != 0
+    ]
+    best = mpf("-inf")
+    for r in r_grid:
+        lr = mpmath.ln(r)
+        total = mpmath.fsum(mpmath.exp(lc + deg * lr) for deg, lc in logc)
+        best = max(best, mpmath.ln(total) + mpf(a) * lr - mpmath.ln(env(r)) - r)
+    return best
+
+
+class TestNormKernel:
+    TARGETS = [(F(1),), (F(0), F(-1)), (F(-1), F(0), F(1)), (F(1), F(-1), F(0), F(2, 3))]
+
+    @pytest.mark.parametrize("alpha_s", ["-0.49", "0", "0.5", "1", "3"])
+    def test_block_norms_match_mpf_reference(self, alpha_s):
+        w = DunklWeights(mpf(alpha_s), 1024)
+        env = RateEnvelope.log_growth()
+        grid = standard_r_grid()
+        kernel = _NormKernel(w, env, w.alpha + 1, grid, 1024)
+        ms = [1, 57, 144, 431, 1000]
+        for q in self.TARGETS:
+            got = kernel.block_log_norms(q, np.array(ms))
+            for m, g in zip(ms, got):
+                want = _block_log_norm_mpf(w, env, w.alpha + 1, grid, q, m)
+                assert abs(g - float(want)) <= 1e-10
+
+    def test_factor_table_is_monomial_block_norm(self):
+        # g[nu] is the grid bound of the monomial S^nu 1 = z^nu / d_nu
+        w = DunklWeights(mpf("0.5"), 512)
+        kernel = _NormKernel(w, RateEnvelope.log_growth(), 2, standard_r_grid(), 512)
+        nus = np.arange(1, 513, 37)
+        got = np.log(kernel.factor_table()[nus])
+        assert np.allclose(got, kernel.block_log_norms((F(1),), nus), rtol=0, atol=1e-12)
+
+    def test_scan_returns_smallest_admissible_m(self):
+        # brute force with the mpf reference: every block sits at the first m
+        # past its predecessor whose norm bound fits eps_k / budget_tighten and
+        # whose shadow on the previous block fits eps_k Phi(R) / shadow_safety
+        w = DunklWeights(mpf(0), 512)
+        env = RateEnvelope.log_growth()
+        cfg = BuilderConfig(r_grid=standard_r_grid(points=24), saturate_envelope=False)
+        f, plan = build_hypercyclic(w, env, 6, cfg, trunc_degree=512)
+        r_build = mpf(cfg.r_build)
+        shadow_cap = _phi_at(env, w, r_build) / cfg.shadow_safety
+        lo, shadow_rejections = 1, 0
+        for k, q in enumerate(plan.targets, start=1):
+            eps = mpf(2) ** -k
+            m = lo
+            while q:
+                fits = (_block_log_norm_mpf(w, env, w.alpha + 1, cfg.grid(), q, m)
+                        <= mpmath.ln(eps / cfg.budget_tighten))
+                if fits and k > 1:
+                    gap = m - plan.positions[k - 2]
+                    fits = _shadow_ub(q, gap, w, r_build) <= eps * shadow_cap
+                    shadow_rejections += not fits
+                if fits:
+                    break
+                m += 1
+            assert plan.positions[k - 1] == m
+            lo = m + max(len(q), 1)
+        # both tests bind somewhere, and one search spans more than one chunk
+        assert shadow_rejections > 0
+        assert max(b - a for a, b in zip(plan.positions, plan.positions[1:])) > 64
 
 
 class TestHypercyclicBuilder:

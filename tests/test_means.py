@@ -1,5 +1,7 @@
 """Integral means: route agreement, monotonicity, Hausdorff-Young margins."""
 
+import warnings
+
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +101,18 @@ def test_mean_dominates_coefficient_bound(coeffs, r_s):
     bound = max(abs(c) * r**n for n, c in f.items())
     got = mean_p(f, r, MeanParams(mpf("1.5"))).value
     assert got >= bound * (1 - mpf("1e-9"))
+
+
+def test_large_p_quadrature_stays_finite():
+    # |f|^400 of the raw samples overflows float64; M_2 <= M_400 <= M_inf
+    f = exp_truncation(40, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = mean_p(f, 30, MeanParams(400))
+    assert mpmath.isfinite(res.value) and mpmath.isfinite(res.richardson_err)
+    m2 = mean_p(f, 30, MeanParams(2)).value
+    m_inf = mean_p(f, 30, MeanParams(P_INF)).value
+    assert m2 <= res.value <= m_inf * (1 + mpf("1e-12"))
 
 
 def test_richardson_error_small_for_smooth_integrand():
