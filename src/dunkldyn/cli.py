@@ -37,7 +37,7 @@ from .construct import (
     verify_orbit_hits,
     write_plan,
 )
-from .dunkl import ALPHA_BOUNDARY_GAP, DunklWeights, apply_dunkl
+from .dunkl import ALPHA_BOUNDARY_GAP, DunklWeights, _check_alpha, apply_dunkl
 from .dynamics import orbit_at_zero, windowed_c_star
 from .growth import (
     RateEnvelope,
@@ -48,7 +48,7 @@ from .growth import (
     rate_exponent,
     standard_r_grid,
 )
-from .means import P_INF, MeanParams, hausdorff_young_check, mean_p
+from .means import P_INF, MeanParams, hausdorff_young_check, means_on_grid
 from .numeric import set_precision, to_decimal
 from .series import TruncatedSeries, read_series, write_series
 
@@ -232,14 +232,23 @@ def _sibling(output: str, new_ext: str) -> str:
     return (base if ext.lower() == ".csv" else output) + new_ext
 
 
-def _load_series(path: str):
-    """Series file plus a weight table sized to its truncation order."""
+def _read_series_file(path: str):
+    """(series, alpha, precision bits) of a series file whose alpha is valid."""
     try:
         f, alpha, bits = read_series(path)
     except OSError as e:
         raise ConfigError(f"cannot read series file {path}: {e.strerror}", field="input")
-    w = DunklWeights(alpha, f.trunc_degree)
-    return f, w, bits
+    try:
+        alpha = _check_alpha(alpha)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}", field="input")
+    return f, alpha, bits
+
+
+def _load_series(path: str):
+    """Series file plus a weight table sized to its truncation order."""
+    f, alpha, bits = _read_series_file(path)
+    return f, DunklWeights(alpha, f.trunc_degree), bits
 
 
 def _roundtrip_check(f: TruncatedSeries, path: str) -> None:
@@ -282,13 +291,11 @@ def _cmd_apply(config: ExperimentConfig, opt: dict) -> int:
 
 
 def _cmd_means(config: ExperimentConfig, opt: dict) -> int:
-    f, w, _ = _load_series(opt["input"])
-    params = MeanParams(config.p_mp())
-    rows = []
-    for r in config.r_grid():
-        res = mean_p(f, r, params)
-        rows.append((r, res.value, res.richardson_err))
-    extras = {"input": opt["input"], "alpha": to_decimal(w.alpha)}
+    f, alpha, _ = _read_series_file(opt["input"])
+    radii = config.r_grid()
+    results = means_on_grid(f, radii, MeanParams(config.p_mp()))
+    rows = [(r, res.value, res.richardson_err) for r, res in zip(radii, results)]
+    extras = {"input": opt["input"], "alpha": to_decimal(alpha)}
     _write_csv(config.output, _banner(config, extras),
                "r,M_p,richardson_err", rows)
     return EXIT_OK

@@ -24,7 +24,7 @@ from mpmath import mp, mpf
 
 from .dunkl import DunklWeights, WeightedShift, apply_dunkl
 from .growth import lemma1_ratio
-from .means import MeanParams, mean_p
+from .means import MeanParams, means_on_grid
 from .numeric import LogScaled
 from .series import TruncatedSeries
 
@@ -116,6 +116,20 @@ class Thm3bReport:
         return iter((self.c_star, self.orbit_sup, self.consistent))
 
 
+def _augmented_radii(r_grid, alpha, N: int) -> list:
+    """Sorted grid plus every optimizing radius n + alpha + 1, n <= N."""
+    radii = sorted({mpf(r) for r in r_grid} | {n + alpha + 1 for n in range(N + 1)})
+    if not radii or radii[0] <= 0:
+        raise ValueError("radius grid must be positive")
+    return radii
+
+
+def _c_star_terms(f: TruncatedSeries, alpha, radii) -> list:
+    """M_1(f, r) r^(alpha+1) / e^r at each radius, from one M_1 sweep."""
+    results = means_on_grid(f, radii, MeanParams(1))
+    return [res.value * r ** (alpha + 1) / mpmath.exp(r) for r, res in zip(radii, results)]
+
+
 def thm3b_bound_check(
     f: TruncatedSeries, w: DunklWeights, r_grid, N: int
 ) -> Thm3bReport:
@@ -128,20 +142,10 @@ def thm3b_bound_check(
     """
     if N > f.trunc_degree:
         raise ValueError(f"N={N} exceeds trunc_degree {f.trunc_degree}")
-    alpha = w.alpha
-    radii = sorted(
-        {mpf(r) for r in r_grid} | {n + alpha + 1 for n in range(N + 1)}
-    )
-    if not radii or radii[0] <= 0:
-        raise ValueError("radius grid must be positive")
-    params = MeanParams(1)
-    c_star = mpf("-inf")
-    r_peak = radii[0]
-    for r in radii:
-        v = mean_p(f, r, params).value * r ** (alpha + 1) / mpmath.exp(r)
-        if v > c_star:
-            c_star = v
-            r_peak = r
+    radii = _augmented_radii(r_grid, w.alpha, N)
+    terms = _c_star_terms(f, w.alpha, radii)
+    peak = max(range(len(radii)), key=terms.__getitem__)  # first maximum
+    c_star, r_peak = terms[peak], radii[peak]
     orbit = orbit_at_zero(f, w, N)
     values = orbit.values
     sup_val = orbit.orbit_sup()
@@ -164,12 +168,16 @@ def windowed_c_star(
 
     Each window uses the sub-grid r <= r_max and the orbit horizon
     N = floor(r_max - alpha - 1), so the augmented optimizing radii stay
-    inside the window and the values are comparable across windows.  For a
-    function that keeps filling its growth envelope the sequence must
-    strictly increase; a plateau certifies that the horizon saw the whole
-    function.
+    inside the window and the values are comparable across windows.  M_1 is
+    measured once on the union of the windows' radii, and each window takes
+    its maximum over its own radii, which equals thm3b_bound_check(...).c_star
+    for that window; the operator cross-check of orbit_at_zero runs once, at
+    the largest horizon.  For a function that keeps filling its growth
+    envelope the sequence must strictly increase; a plateau certifies that
+    the horizon saw the whole function.
     """
-    out = []
+    windows = []
+    N_max = 0
     for r_max in r_maxes:
         r_max = mpf(r_max)
         sub = [r for r in r_grid if mpf(r) <= r_max]
@@ -177,5 +185,9 @@ def windowed_c_star(
             raise ValueError(f"no grid points at or below r_max={r_max}")
         N = max(0, int(mpmath.floor(r_max - w.alpha - 1)))
         N = min(N, f.trunc_degree)
-        out.append(thm3b_bound_check(f, w, sub, N).c_star)
-    return tuple(out)
+        N_max = max(N_max, N)
+        windows.append(_augmented_radii(sub, w.alpha, N))
+    radii = sorted(set().union(*windows))
+    terms = dict(zip(radii, _c_star_terms(f, w.alpha, radii)))
+    orbit_at_zero(f, w, N_max)  # operator cross-check; raises on a mismatch
+    return tuple(max(terms[r] for r in window) for window in windows)

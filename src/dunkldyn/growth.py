@@ -23,7 +23,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .dunkl import DunklWeights, _check_alpha
-from .means import MeanParams, P_INF, conjugate_exponent, mean_p
+from .means import MeanParams, P_INF, conjugate_exponent, means_on_grid
 from .series import TruncatedSeries
 
 ENVELOPE_KINDS = ("to_infinity", "to_zero", "constant")
@@ -290,10 +290,8 @@ def growth_profile(f: TruncatedSeries, p, a, env: RateEnvelope, r_grid) -> Growt
         raise ValueError("r_grid must be strictly increasing")
     a = mpf(a)
     params = MeanParams(p)
-    ratios = []
-    for r in r_grid:
-        m_val = mean_p(f, r, params).value
-        ratios.append(m_val * r**a / (env(r) * mpmath.exp(r)))
+    ratios = [res.value * r**a / (env(r) * mpmath.exp(r))
+              for r, res in zip(r_grid, means_on_grid(f, r_grid, params))]
     satisfied_from = None
     for i in range(len(ratios) - 1, -1, -1):
         if ratios[i] > 1:

@@ -18,6 +18,20 @@ every p >= 1 (the coefficient integral bound), so terms that underflow the
 shifted window are smaller than the top term by hundreds of orders and
 cannot move the mean at the float64 noise level, which is what the reported
 discrepancy tracks.
+
+Every entry point goes through ``means_on_grid``, which builds one table per
+call and then evaluates each radius of the grid from it; ``mean_p`` is its
+one-radius case.  The table holds the nonzero degrees n and ln|c_n| in
+float64, plus |c_n|^2 for Parseval, or ln|c_n| at working precision and the
+complex128 unit phases for the sampled routes.  Nothing outlives the call.
+At each radius a float64 pass over ln|c_n| + n ln r picks the terms within
+the 700-nat window plus a 1-nat margin, which dwarfs the ~1e-11 rounding of
+the float64 pass.  Only those candidates get the exact mpf shift and scaled
+logs, so the samples are bit-identical to evaluating every coefficient.
+Parseval likewise drops terms more than (precision + 64) bits below the top
+term.  The p = infinity refine evaluates only the terms that survive the
+window, rotated to the best sample's angle through the exact residue
+(j n) mod m, so its phases stay accurate to float64 at any degree.
 """
 
 from __future__ import annotations
@@ -35,6 +49,8 @@ P_INF = mpmath.inf
 
 _CONJUGACY_TOL = mpf("1e-12")
 _UNDERFLOW_LOG = -700.0  # scaled log below which a float64 term is pure noise
+_WINDOW_MARGIN = 1.0  # nats added to a float64 window; its rounding is ~1e-11
+_LN2 = math.log(2.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -101,62 +117,95 @@ class HausdorffYoungResult(NamedTuple):
     margin: mpf
 
 
-def _scaled_circle(f: TruncatedSeries, r, m: int):
-    """(shift, samples) with samples[j] = f(r e^{2 pi i j / m}) * e^{-shift}.
+def _float_ln(x: mpf) -> float:
+    """ln x in float64 for x > 0, without forming x as a float."""
+    man, exp = x.man_exp
+    return math.log(man) + exp * _LN2
 
-    shift is an exact mpf; samples are float64 complex with relative accuracy
-    near machine epsilon for the dominant terms.
+
+class _CircleTable:
+    """Per-coefficient data of one series, shared by every radius of a call.
+
+    n lists the nonzero degrees as ints for mpf arithmetic and degrees as an
+    int64 array; log_abs_f holds ln|c_n| in float64, which only selects
+    candidate terms.  The Parseval route also keeps |c_n|^2, the sampling
+    routes ln|c_n| at working precision and the unit phase c_n/|c_n| in
+    complex128.
     """
-    ln_r = mpmath.ln(r)
-    logs = []
-    for n, c in f.items():
-        logs.append((n, c, mpmath.ln(abs(c)) + n * ln_r))
-    shift = max(lv for _, _, lv in logs)
-    coeffs = np.zeros(m, dtype=np.complex128)
-    for n, c, lv in logs:
-        rel = float(lv - shift)
-        if rel < _UNDERFLOW_LOG:
-            continue
-        phase = complex(c / abs(c))
-        coeffs[n] = math.exp(rel) * phase
-    samples = np.fft.ifft(coeffs) * m
-    return shift, samples
+
+    __slots__ = ("n", "degrees", "log_abs_f", "abs2", "log_abs", "phase")
+
+    def __init__(self, f: TruncatedSeries, parseval: bool):
+        items = list(f.items())
+        mags = [abs(c) for _, c in items]
+        self.n = [n for n, _ in items]
+        self.degrees = np.array(self.n, dtype=np.int64)
+        self.log_abs_f = np.array([_float_ln(a) for a in mags])
+        if parseval:
+            self.abs2 = [a**2 for a in mags]
+        else:
+            self.log_abs = [mpmath.ln(a) for a in mags]
+            self.phase = np.array([complex(c / a) for (_, c), a in zip(items, mags)])
+
+    def window(self, ln_r: float, width: float) -> np.ndarray:
+        """Indices of the terms within width nats of the largest |c_n| r^n."""
+        approx = self.log_abs_f + self.degrees * ln_r
+        return np.flatnonzero(approx >= approx.max() - width)
+
+    def parseval(self, r: mpf) -> mpf:
+        """M_2 = (sum |c_n|^2 r^(2n))^(1/2), without terms below the working precision."""
+        width = (mp.prec + 64) * _LN2 / 2 + _WINDOW_MARGIN
+        idx = self.window(_float_ln(r), width)
+        return mpmath.sqrt(mpmath.fsum(self.abs2[i] * r ** (2 * self.n[i]) for i in idx))
+
+    def scaled_circle(self, r: mpf, m: int):
+        """(shift, samples, band) with samples[j] = f(r e^{2 pi i j / m}) e^{-shift}.
+
+        shift is the exact mpf max of ln|c_n| + n ln r; samples are float64
+        complex with relative accuracy near machine epsilon for the dominant
+        terms.  band = (degrees, scaled coefficients) lists the surviving
+        terms, the only ones the p = inf refine evaluates.
+        """
+        ln_r = mpmath.ln(r)
+        idx = self.window(float(ln_r), _WINDOW_MARGIN - _UNDERFLOW_LOG)
+        logs = [self.log_abs[i] + self.n[i] * ln_r for i in idx]
+        shift = max(logs)
+        rels = [float(lv - shift) for lv in logs]
+        keep = [j for j, rel in enumerate(rels) if rel >= _UNDERFLOW_LOG]
+        sel = idx[keep]
+        degrees = self.degrees[sel]
+        scaled = np.array([math.exp(rels[j]) for j in keep]) * self.phase[sel]
+        coeffs = np.zeros(m, dtype=np.complex128)
+        coeffs[degrees] = scaled
+        samples = np.fft.ifft(coeffs) * m
+        return shift, samples, (degrees, scaled)
 
 
-def _poly_abs_at_angle(coeffs: np.ndarray, theta: float) -> float:
-    u = complex(math.cos(theta), math.sin(theta))
-    powers = u ** np.arange(len(coeffs))
-    return abs(np.dot(coeffs, powers))
+def _refine_max(degrees: np.ndarray, coeffs: np.ndarray, half_width: float) -> float:
+    """Golden-section maximization of |sum_n coeffs_n e^{i n t}| over |t| <= half_width."""
 
+    def value(t: float) -> float:
+        return abs(np.dot(coeffs, np.exp(1j * t * degrees)))
 
-def _refine_max(coeffs: np.ndarray, theta0: float, half_width: float) -> float:
-    """Golden-section maximization of |f| over [theta0 - hw, theta0 + hw]."""
-    a = theta0 - half_width
-    b = theta0 + half_width
+    a, b = -half_width, half_width
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1 = _poly_abs_at_angle(coeffs, x1)
-    f2 = _poly_abs_at_angle(coeffs, x2)
+    f1 = value(x1)
+    f2 = value(x2)
     for _ in range(48):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = _poly_abs_at_angle(coeffs, x2)
+            f2 = value(x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = _poly_abs_at_angle(coeffs, x1)
+            f1 = value(x1)
     return max(f1, f2)
 
 
-def _parseval_m2(f: TruncatedSeries, r) -> mpf:
-    terms = [abs(c) ** 2 * mpf(r) ** (2 * n) for n, c in f.items()]
-    return mpmath.sqrt(mpmath.fsum(terms))
-
-
-def _quadrature_mean(f: TruncatedSeries, r, p, m: int) -> MeanResult:
-    """Trapezoid value of M_p on m points with the m-vs-m/2 discrepancy."""
-    shift, samples = _scaled_circle(f, r, m)
+def _quadrature_mean(shift: mpf, samples: np.ndarray, p) -> MeanResult:
+    """Trapezoid value of M_p on the samples with the m-vs-m/2 discrepancy."""
     mags = np.abs(samples)
     top = float(np.max(mags))
     mags /= top  # keeps mags**p in [0, 1] however large p is
@@ -167,38 +216,60 @@ def _quadrature_mean(f: TruncatedSeries, r, p, m: int) -> MeanResult:
     return MeanResult(mpf(fine) * scale, abs(mpf(fine - coarse)) * scale)
 
 
-def _max_mean(f: TruncatedSeries, r, m: int) -> MeanResult:
-    shift, samples = _scaled_circle(f, r, m)
+def _max_mean(shift: mpf, samples: np.ndarray, band) -> MeanResult:
+    """Largest sample sharpened by a golden-section pass over its two cells.
+
+    The band's terms are first rotated to the best sample's angle 2 pi j / m
+    through the exact residue (j n) mod m, so the refine only forms e^{i n t}
+    for |t| <= 2 pi / m and its phases keep full float64 accuracy at any degree.
+    """
+    m = len(samples)
     mags = np.abs(samples)
     j = int(np.argmax(mags))
     coarse_half = float(np.max(mags[::2]))
-    deg = f.degree()
-    coeffs = np.zeros(deg + 1, dtype=np.complex128)
-    ln_r = mpmath.ln(r)
-    for n, c in f.items():
-        rel = float(mpmath.ln(abs(c)) + n * ln_r - shift)
-        if rel >= _UNDERFLOW_LOG:
-            coeffs[n] = math.exp(rel) * complex(c / abs(c))
-    refined = _refine_max(coeffs, 2.0 * math.pi * j / m, 2.0 * math.pi / m)
+    degrees, scaled = band
+    rotated = scaled * np.exp(2j * np.pi * ((j * degrees) % m) / m)
+    refined = _refine_max(degrees, rotated, 2.0 * math.pi / m)
     best = max(refined, float(mags[j]))
     scale = mpmath.exp(shift)
     err = (abs(mpf(best - float(mags[j]))) + abs(mpf(best - coarse_half))) * scale
     return MeanResult(mpf(best) * scale, err)
 
 
+def means_on_grid(f: TruncatedSeries, radii, params: MeanParams) -> list[MeanResult]:
+    """M_p(f, r) with its quadrature discrepancy at every radius of the grid.
+
+    The coefficient table is built once per call and read at each radius;
+    nothing is cached beyond the call.
+    """
+    radii = [mpf(r) for r in radii]
+    for r in radii:
+        if r < 0:
+            raise ValueError(f"r must be >= 0, got {r}")
+    constant = MeanResult(abs(f.coeff(0)), mpf(0))
+    if f.degree() <= 0 or not any(radii):
+        return [constant] * len(radii)
+    parseval = params.p == 2
+    table = _CircleTable(f, parseval)
+    m = None if parseval else params.points_for(f)
+    out = []
+    for r in radii:
+        if r == 0:
+            out.append(constant)
+        elif parseval:
+            out.append(MeanResult(table.parseval(r), mpf(0)))
+        else:
+            shift, samples, band = table.scaled_circle(r, m)
+            if params.p == P_INF:
+                out.append(_max_mean(shift, samples, band))
+            else:
+                out.append(_quadrature_mean(shift, samples, params.p))
+    return out
+
+
 def mean_p(f: TruncatedSeries, r, params: MeanParams) -> MeanResult:
     """M_p(f, r) together with a quadrature discrepancy estimate."""
-    r = mpf(r)
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    if f.degree() <= 0 or r == 0:
-        return MeanResult(abs(f.coeff(0)), mpf(0))
-    if params.p == 2:
-        return MeanResult(_parseval_m2(f, r), mpf(0))
-    m = params.points_for(f)
-    if params.p == P_INF:
-        return _max_mean(f, r, m)
-    return _quadrature_mean(f, r, params.p, m)
+    return means_on_grid(f, [r], params)[0]
 
 
 def hausdorff_young_check(f: TruncatedSeries, r, params: MeanParams) -> HausdorffYoungResult:

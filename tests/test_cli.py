@@ -189,6 +189,17 @@ class TestSeriesCommands:
                    "-o", str(out)])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("subcommand", ["means", "orbit"])
+    def test_series_alpha_inside_boundary_gap_exits_one(self, tmp_path, capsys, subcommand):
+        # the file header passes alpha > -1/2 but not the weight table's gap
+        inp = self._write_input(tmp_path, {0: 1, 2: 1}, alpha="-0.4999999999999999")
+        out = tmp_path / "x.csv"
+        rc = main([subcommand, "--input", inp, "-o", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "alpha" in err and "'input'" in err
+        assert not out.exists()
+
 
 class TestVerifyCommands:
     def test_lemma1_band(self, tmp_path):

@@ -1,18 +1,26 @@
 """Integral means: route agreement, monotonicity, Hausdorff-Young margins."""
 
+import math
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
+from dunkldyn.dunkl import DunklWeights
+from dunkldyn.dynamics import thm3b_bound_check, windowed_c_star
+from dunkldyn.growth import standard_r_grid
 from dunkldyn.means import (
     P_INF,
     MeanParams,
+    _CircleTable,
+    _quadrature_mean,
     conjugate_exponent,
     hausdorff_young_check,
     mean_p,
+    means_on_grid,
 )
 from dunkldyn.series import TruncatedSeries, exp_truncation
 
@@ -53,9 +61,8 @@ def test_quadrature_agrees_with_parseval_at_p2():
 
 
 def _quadrature_p2(f, r, m=4096):
-    from dunkldyn.means import _quadrature_mean
-
-    return _quadrature_mean(f, r, mpf(2), m).value
+    shift, samples, _ = _CircleTable(f, parseval=False).scaled_circle(mpf(r), m)
+    return _quadrature_mean(shift, samples, mpf(2)).value
 
 
 def test_max_route_on_positive_coefficients():
@@ -146,3 +153,144 @@ class TestHausdorffYoung:
         for p in (mpf("1.25"), mpf(2)):
             res = hausdorff_young_check(f, mpf(2), MeanParams(p))
             assert abs(res.margin) <= res.rhs * mpf("1e-9")
+
+
+# ---------------------------------------------------------------------------
+# the per-series circle kernel against independent references
+
+
+def _scaled_circle_per_coefficient(f, r, m):
+    """Circle samples with ln|c_n| recomputed for every coefficient at this r."""
+    ln_r = mpmath.ln(r)
+    logs = [(n, c, mpmath.ln(abs(c)) + n * ln_r) for n, c in f.items()]
+    shift = max(lv for _, _, lv in logs)
+    coeffs = np.zeros(m, dtype=np.complex128)
+    for n, c, lv in logs:
+        rel = float(lv - shift)
+        if rel >= -700.0:
+            coeffs[n] = math.exp(rel) * complex(c / abs(c))
+    return shift, np.fft.ifft(coeffs) * m
+
+
+def _sparse_high_degree():
+    # magnitudes spread over thousands of nats, so the 700-nat cut is active
+    degrees = (0, 3, 17, 64, 301, 777, 1024, 1500, 1999, 2047)
+    coeffs = {}
+    for i, n in enumerate(degrees):
+        phase = mpmath.expj(mpf(i) * 7 / 5)
+        coeffs[n] = phase * mpmath.exp(-mpmath.loggamma(n + 1) * mpf(i + 2) / 10)
+    return TruncatedSeries(coeffs, trunc_degree=2048)
+
+
+_ORACLE_RADII = [mpf(10) ** (mpf(k) / 2) for k in range(-4, 11)]  # 0.01 .. 1e5
+
+
+@pytest.mark.parametrize("name", ["sparse", "exp"])
+def test_kernel_samples_equal_per_coefficient_reference(name):
+    f = _sparse_high_degree() if name == "sparse" else exp_truncation(256)
+    table = _CircleTable(f, parseval=False)
+    for p in (mpf(1), mpf("1.5"), mpf(3)):
+        params = MeanParams(p)
+        m = params.points_for(f)
+        got = means_on_grid(f, _ORACLE_RADII, params)
+        for r, res in zip(_ORACLE_RADII, got):
+            shift, samples = _scaled_circle_per_coefficient(f, r, m)
+            k_shift, k_samples, _ = table.scaled_circle(r, m)
+            assert k_shift == shift
+            assert np.array_equal(k_samples, samples)
+            assert res == _quadrature_mean(shift, samples, p)
+
+
+def _mpf_peak(f, r, theta, half_width):
+    """max |f(r e^{it})| over |t - theta| <= half_width by golden section in mpf."""
+    items = list(f.items())
+
+    def value(t):
+        z = r * mpmath.expj(t)
+        return abs(mpmath.fsum(c * z**n for n, c in items))
+
+    a, b = theta - half_width, theta + half_width
+    g = (mpmath.sqrt(5) - 1) / 2
+    x1, x2 = b - g * (b - a), a + g * (b - a)
+    f1, f2 = value(x1), value(x2)
+    for _ in range(60):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + g * (b - a)
+            f2 = value(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - g * (b - a)
+            f1 = value(x1)
+    return max(f1, f2)
+
+
+def test_max_route_matches_mpf_maximum():
+    # the kernel refines the peak of its best sample: within 1e-14 of that
+    # peak's mpf maximum, and the global maximum (located on a 16x finer
+    # scan) exceeds it by no more than the reported discrepancy
+    rng = np.random.default_rng(5)
+    poly = TruncatedSeries(
+        {n: mpc(*rng.uniform(-1, 1, 2)) for n in range(0, 40, 3)}, trunc_degree=64)
+    # comparable terms near degree 2048: |f| hinges on phases n t with n t ~ 1e4
+    high = TruncatedSeries({n: mpc(*rng.uniform(-1, 1, 2)) for n in range(2000, 2048, 4)},
+                           trunc_degree=2048)
+    cases = [(poly, (mpf("0.3"), mpf(1), mpf(7))),
+             (_sparse_high_degree(), (mpf("0.5"), mpf(30), mpf(1000), mpf(100000))),
+             (high, (mpf(1), mpf(2)))]
+    for f, radii in cases:
+        params = MeanParams(P_INF)
+        m = params.points_for(f)
+        for r, res in zip(radii, means_on_grid(f, radii, params)):
+            _, samples = _scaled_circle_per_coefficient(f, r, m)
+            j = int(np.argmax(np.abs(samples)))
+            local = _mpf_peak(f, r, 2 * mp.pi * j / m, 2 * mp.pi / m)
+            assert abs(res.value - local) <= local * mpf("1e-14")
+            _, fine = _scaled_circle_per_coefficient(f, r, 16 * m)
+            j = int(np.argmax(np.abs(fine)))
+            peak = _mpf_peak(f, r, 2 * mp.pi * j / (16 * m), 2 * mp.pi / (16 * m))
+            assert res.value >= peak * (1 - mpf("1e-13")) - res.richardson_err
+
+
+def test_grid_equals_per_radius_mean_p():
+    f = _sparse_high_degree()
+    radii = [mpf(0), mpf("0.02"), mpf(1), mpf(45), mpf(3000)]
+    for p in (mpf(1), mpf("1.5"), mpf(2), mpf(64), P_INF):
+        params = MeanParams(p)
+        assert means_on_grid(f, radii, params) == [mean_p(f, r, params) for r in radii]
+
+
+@pytest.mark.parametrize("alpha_s", ["0", "0.5"])
+def test_windowed_ladder_equals_per_window_check(alpha_s):
+    w = DunklWeights(mpf(alpha_s), 128)
+    f = exp_truncation(96, trunc_degree=128)
+    grid = standard_r_grid(mpf("0.1"), mpf(60), 24)
+    r_maxes = (mpf(8), mpf(20), mpf(40), mpf(60))
+    ladder = windowed_c_star(f, w, grid, r_maxes)
+    want = []
+    for r_max in r_maxes:
+        N = min(max(0, int(mpmath.floor(r_max - w.alpha - 1))), f.trunc_degree)
+        want.append(thm3b_bound_check(f, w, [r for r in grid if r <= r_max], N).c_star)
+    assert ladder == tuple(want)
+
+
+_P_LADDER = (mpf(1), mpf("1.5"), mpf(2), mpf(8), mpf(64), mpf(1000), P_INF)
+
+
+@given(
+    st.dictionaries(st.integers(0, 20),
+                    st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                    min_size=1, max_size=6),
+    st.sampled_from(["0.05", "0.4", "1", "2.5", "9", "40"]),
+)
+@settings(deadline=None, max_examples=40)
+def test_means_nondecreasing_in_p(coeffs, r_s):
+    f = TruncatedSeries({n: mpc(a, b) for n, (a, b) in coeffs.items()}, trunc_degree=24)
+    assume(f.degree() > 0)
+    r = mpf(r_s)
+    vals = [mean_p(f, r, MeanParams(p)).value for p in _P_LADDER]
+    slack = 1 + mpf("1e-12")
+    for a, b in zip(vals, vals[1:]):
+        assert a <= b * slack
+    assert vals[5] <= vals[6] * slack  # M_1000 <= M_inf
+    assert abs(_quadrature_p2(f, r) - vals[2]) <= vals[2] * mpf("1e-12")
