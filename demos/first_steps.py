@@ -26,7 +26,7 @@ w = DunklWeights(alpha, n_max=64)
 print(f"alpha = {alpha}")
 print("first weights d_0..d_6:")
 for n in range(7):
-    print(f"  d_{n} = {mpmath.nstr(w.weight(n).to_real(), 12)}")
+    print(f"  d_{n} = {mpmath.nstr(w.weight(n), 12)}")
 
 # One application maps z^n to (d_n / d_{n-1}) z^(n-1). Applied to z^2 the
 # result is a_2 z = 2 z regardless of alpha, since a_2 = 2 is an even step.
@@ -47,5 +47,5 @@ spike = TruncatedSeries({10: mpmath.exp(-w.log_weight(10))}, trunc_degree=64)
 report = orbit_at_zero(spike, w, 40)
 print("\norbit of the normalized degree-10 spike:")
 print(f"  largest value at step {report.sup_index}")
-print(f"  value there: {mpmath.nstr(report.orbit_sup().to_real(), 8)}")
+print(f"  value there: {mpmath.nstr(report.orbit_sup(), 8)}")
 print(f"  orbit flagged bounded: {report.bounded}")

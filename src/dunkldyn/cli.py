@@ -184,9 +184,18 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def load_config(config_path: str | None, flag_values: dict) -> ExperimentConfig:
-    """Defaults, then environment precision, then file, then flags."""
-    cfg = ExperimentConfig(precision_bits=_default_precision())
+# subcommands whose natural radius range differs from the global default
+_SUBCOMMAND_GRID_DEFAULTS = {
+    "verify-barnes": {"r_min": "10000", "r_max": "100000", "r_points": 8},
+}
+
+
+def load_config(config_path: str | None, flag_values: dict,
+                subcommand: str | None = None) -> ExperimentConfig:
+    """Defaults (with the subcommand's own radius grid), then environment
+    precision, then file, then flags."""
+    cfg = ExperimentConfig(precision_bits=_default_precision(),
+                           **_SUBCOMMAND_GRID_DEFAULTS.get(subcommand, {}))
     if config_path:
         cfg = replace(cfg, **read_config_file(config_path))
     overrides = {}
@@ -238,6 +247,8 @@ def _read_series_file(path: str):
         f, alpha, bits = read_series(path)
     except OSError as e:
         raise ConfigError(f"cannot read series file {path}: {e.strerror}", field="input")
+    except ValueError as e:
+        raise ConfigError(str(e), field="input")
     try:
         alpha = _check_alpha(alpha)
     except ValueError as e:
@@ -249,6 +260,19 @@ def _load_series(path: str):
     """Series file plus a weight table sized to its truncation order."""
     f, alpha, bits = _read_series_file(path)
     return f, DunklWeights(alpha, f.trunc_degree), bits
+
+
+def _read_plan_file(path: str, kind: type, what: str):
+    """The plan in a plan file, which must hold a ``kind`` plan."""
+    try:
+        plan = read_plan(path)
+    except OSError as e:
+        raise ConfigError(f"cannot read plan file {path}: {e.strerror}", field="plan")
+    except ValueError as e:
+        raise ConfigError(str(e), field="plan")
+    if not isinstance(plan, kind):
+        raise ConfigError(f"{path} is not a {what} plan", field="plan")
+    return plan
 
 
 def _roundtrip_check(f: TruncatedSeries, path: str) -> None:
@@ -269,7 +293,7 @@ def _cmd_weights(config: ExperimentConfig, opt: dict) -> int:
     if n < 0 or n > config.trunc_degree:
         raise ConfigError(f"--n must lie in [0, trunc_degree], got {n}", field="n")
     w = DunklWeights(config.alpha_mp(), n)
-    rows = [(k, w.weight(k).to_real(), w.log_weight(k)) for k in range(n + 1)]
+    rows = [(k, w.weight(k), w.log_weight(k)) for k in range(n + 1)]
     _write_csv(config.output, _banner(config, {"n": n}), "n,d_n,log_d_n", rows)
     return EXIT_OK
 
@@ -492,17 +516,15 @@ def _cmd_orbit(config: ExperimentConfig, opt: dict) -> int:
     if not 0 <= N <= f.trunc_degree:
         raise ConfigError(f"--n must lie in [0, {f.trunc_degree}], got {N}", field="n")
     report = orbit_at_zero(f, w, N)
-    rows = [(n, v.abs().log_mag if not v.is_zero() else mpf("-inf"))
-            for n, v in enumerate(report.values)]
+    # ln|v_n|; mpmath gives ln 0 = -inf for a zero orbit value
+    rows = [(n, mpmath.ln(abs(v))) for n, v in enumerate(report.values)]
     extras.update({"n": N, "sup_index": report.sup_index,
                    "bounded": int(report.bounded)})
     _write_csv(config.output, _banner(config, extras), "n,log_abs_orbit", rows)
 
     plan_path = opt.get("plan")
     if plan_path:
-        plan = read_plan(plan_path)
-        if not isinstance(plan, ConstructionPlan):
-            raise ConfigError(f"{plan_path} is not a hypercyclic plan", field="plan")
+        plan = _read_plan_file(plan_path, ConstructionPlan, "hypercyclic")
         hit = verify_orbit_hits(f, plan, w)
         for k, (delta, budget, floor) in enumerate(
                 zip(hit.deltas, hit.budgets, hit.noise_floors), start=1):
@@ -515,10 +537,7 @@ def _cmd_orbit(config: ExperimentConfig, opt: dict) -> int:
 
 def _cmd_frequency(config: ExperimentConfig, opt: dict) -> int:
     f, w, _ = _load_series(opt["input"])
-    schedule = read_plan(opt["plan"])
-    if not isinstance(schedule, FhcSchedule):
-        raise ConfigError(f"{opt['plan']} is not a frequent-hypercyclicity plan",
-                          field="plan")
+    schedule = _read_plan_file(opt["plan"], FhcSchedule, "frequent-hypercyclicity")
     eps = mpf(opt.get("eps", "0.1"))
     R = mpf(opt.get("r", "1"))
     n_window = opt.get("n_window", 2048)
@@ -576,11 +595,6 @@ _COMMANDS = {
     "orbit": _cmd_orbit,
     "frequency": _cmd_frequency,
     "decay": _cmd_decay,
-}
-
-# subcommands whose natural radius range differs from the global default
-_SUBCOMMAND_GRID_DEFAULTS = {
-    "verify-barnes": {"r_min": "10000", "r_max": "100000", "r_points": 8},
 }
 
 
@@ -689,13 +703,10 @@ _CONFIG_FLAGS = ("alpha", "p", "precision_bits", "trunc_degree", "r_min",
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     flag_values = {k: getattr(args, k) for k in _CONFIG_FLAGS}
-    for key, value in _SUBCOMMAND_GRID_DEFAULTS.get(args.subcommand, {}).items():
-        if flag_values.get(key) is None:
-            flag_values[key] = value
     options = {k: v for k, v in vars(args).items()
                if k not in _CONFIG_FLAGS and k not in ("config", "subcommand")}
     try:
-        config = load_config(args.config, flag_values)
+        config = load_config(args.config, flag_values, args.subcommand)
         return run(args.subcommand, config, options)
     except ConfigError as e:
         print(str(e), file=sys.stderr)

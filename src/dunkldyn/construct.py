@@ -837,20 +837,32 @@ def _parse_header(lines, keys):
         line = lines.pop(0)
         name, _, value = line.partition("=")
         if name != key:
-            raise ValueError(f"plan header: expected {key}=..., got {line!r}")
+            raise ValueError(f"expected {key}=..., got {line!r}")
         out[key] = value
     return out
 
 
 def read_plan(path):
-    """Read a dunklplan v1 file back into its plan object."""
+    """Read a dunklplan v1 file back into its plan object.
+
+    A malformed or truncated file raises ValueError("<path>: ...").
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    try:
+        return _parse_plan(lines)
+    except IndexError:
+        raise ValueError(f"{path}: file or line ends early") from None
+    except (ValueError, ZeroDivisionError) as e:  # a target coefficient n/0
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _parse_plan(lines):
     if not lines or lines.pop(0) != "dunklplan v1":
-        raise ValueError(f"{path}: not a dunklplan v1 file")
+        raise ValueError("not a dunklplan v1 file")
     kind_line = lines.pop(0)
     if not kind_line.startswith("kind="):
-        raise ValueError(f"{path}: missing kind= line")
+        raise ValueError("missing kind= line")
     kind = kind_line[5:]
 
     if kind == "hc":
@@ -864,7 +876,7 @@ def read_plan(path):
             for _ in range(n_targets):
                 parts = lines.pop(0).split()
                 if parts[0] != "target":
-                    raise ValueError(f"{path}: expected target line")
+                    raise ValueError("expected target line")
                 idx = int(parts[1])
                 indices.append(None if idx < 0 else idx)
                 positions.append(int(parts[2]))
@@ -872,12 +884,12 @@ def read_plan(path):
                 targets.append(poly_normalize([Fraction(s) for s in parts[4:]]))
             nf_line = lines.pop(0)
             if not nf_line.startswith("n_fillers="):
-                raise ValueError(f"{path}: missing n_fillers=")
+                raise ValueError("missing n_fillers=")
             fd, fc = [], []
             for _ in range(int(nf_line.split("=")[1])):
                 parts = lines.pop(0).split()
                 if parts[0] != "filler":
-                    raise ValueError(f"{path}: expected filler line")
+                    raise ValueError("expected filler line")
                 fd.append(int(parts[1]))
                 fc.append(from_decimal(parts[2]))
             return ConstructionPlan(
@@ -912,7 +924,7 @@ def read_plan(path):
             for _ in range(int(head["n_targets"])):
                 parts = lines.pop(0).split()
                 if parts[0] != "target":
-                    raise ValueError(f"{path}: expected target line")
+                    raise ValueError("expected target line")
                 idx = int(parts[1])
                 indices.append(None if idx < 0 else idx)
                 targets.append(poly_normalize([Fraction(s) for s in parts[2:]]))
@@ -926,4 +938,4 @@ def read_plan(path):
                 p,
                 float(head["norm_budget"]),
             )
-    raise ValueError(f"{path}: unknown plan kind {kind!r}")
+    raise ValueError(f"unknown plan kind {kind!r}")

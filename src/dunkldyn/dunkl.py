@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp, mpf, mpc
 
-from .numeric import LogScaled, log_gamma
 from .series import TruncatedSeries
 
 ALPHA_BOUNDARY_GAP = 1e-12
@@ -74,11 +73,11 @@ class DunklWeights:
             raise IndexError(f"weight index {n} outside [0, {self.n_max}]")
         return self._log_d[n]
 
-    def weight(self, n: int) -> LogScaled:
-        """d_n as a LogScaled value; identically zero for n < 0."""
+    def weight(self, n: int) -> mpf:
+        """d_n = exp(ln d_n); identically zero for n < 0."""
         if n < 0:
-            return LogScaled.zero()
-        return LogScaled(1, self.log_weight(n))
+            return mpf(0)
+        return mpmath.exp(self.log_weight(n))
 
     def gamma_form_log_weight(self, n: int) -> mpf:
         """Closed form ln d_n = n ln2 + ln G(floor(n/2)+1) + ln G(floor((n+1)/2)+alpha+1) - ln G(alpha+1)."""
@@ -86,9 +85,9 @@ class DunklWeights:
             raise IndexError(f"weight index {n} outside [0, {self.n_max}]")
         return (
             n * mpmath.ln(mpf(2))
-            + log_gamma(mpf(n // 2) + 1)
-            + log_gamma(mpf((n + 1) // 2) + self.alpha + 1)
-            - log_gamma(self.alpha + 1)
+            + mpmath.loggamma(mpf(n // 2) + 1)
+            + mpmath.loggamma(mpf((n + 1) // 2) + self.alpha + 1)
+            - mpmath.loggamma(self.alpha + 1)
         )
 
     def __repr__(self) -> str:
@@ -158,13 +157,13 @@ def shift_hypercyclicity_diagnostic(s: WeightedShift) -> ShiftDiagnostic:
     return ShiftDiagnostic(tuple(g), tuple(sup))
 
 
-def critical_rate_mu(s: WeightedShift, r) -> tuple[LogScaled, int]:
+def critical_rate_mu(s: WeightedShift, r) -> tuple[mpf, int]:
     """mu(r) = max_{0<=n<=n_max} r^n / |a_1 ... a_n| and its smallest argmax."""
     r = mpf(r)
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     if r == 0:
-        return LogScaled.one(), 0
+        return mpf(1), 0
     ln_r = mpmath.ln(r)
     best_log = mpf(0)  # n = 0 term: empty product, value 1
     best_n = 0
@@ -173,7 +172,7 @@ def critical_rate_mu(s: WeightedShift, r) -> tuple[LogScaled, int]:
         if lv > best_log:
             best_log = lv
             best_n = n
-    return LogScaled(1, best_log), best_n
+    return mpmath.exp(best_log), best_n
 
 
 def _require_table(f: TruncatedSeries, w: DunklWeights) -> None:

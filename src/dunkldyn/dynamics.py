@@ -2,8 +2,8 @@
 
 The orbit of f under the operator, evaluated at 0, is v_n = c_n d_n: applying
 the operator n times brings coefficient n down to the constant term with the
-weight ratio d_n/d_0.  That identity makes orbit values computable in the log
-domain without ever forming the iterates.
+weight ratio d_n/d_0.  That identity makes orbit values computable from the
+weight table without ever forming the iterates.
 
 The obstruction checker measures C_star = sup_r M_1(f, r) r^{alpha+1}/e^r and
 tests the unconditional chain |v_n| <= C_star d_n e^x / x^x at x = n+alpha+1:
@@ -25,29 +25,25 @@ from mpmath import mp, mpf
 from .dunkl import DunklWeights, WeightedShift, apply_dunkl
 from .growth import lemma1_ratio
 from .means import MeanParams, means_on_grid
-from .numeric import LogScaled
 from .series import TruncatedSeries
 
 
-def _coeff_orbit_value(c, log_d) -> LogScaled:
-    """LogScaled v = c * d; complex coefficients are reported by modulus."""
+def _coeff_orbit_value(c, log_d) -> mpf:
+    """v = c * d with d = exp(log_d); complex coefficients are reported by modulus."""
     if c == 0:
-        return LogScaled.zero()
-    if mpmath.im(c) == 0:
-        sign = 1 if mpmath.re(c) > 0 else -1
-    else:
-        sign = 1
-    return LogScaled(sign, mpmath.ln(abs(c)) + log_d)
+        return mpf(0)
+    c = mpmath.re(c) if mpmath.im(c) == 0 else abs(c)
+    return c * mpmath.exp(log_d)
 
 
 @dataclass(frozen=True)
 class OrbitReport:
-    values: tuple  # LogScaled v_n, n = 0..N
+    values: tuple  # mpf v_n, n = 0..N
     sup_index: int  # smallest n attaining max |v_n|
     bounded: bool  # no new running supremum in the last quarter of the horizon
 
-    def orbit_sup(self) -> LogScaled:
-        return self.values[self.sup_index].abs()
+    def orbit_sup(self) -> mpf:
+        return abs(self.values[self.sup_index])
 
 
 def orbit_at_zero(f: TruncatedSeries, w, N: int) -> OrbitReport:
@@ -75,28 +71,27 @@ def orbit_at_zero(f: TruncatedSeries, w, N: int) -> OrbitReport:
         tol = mpf(2) ** (32 - mp.prec)
         for n in range(min(N, 64) + 1):
             direct = apply_dunkl(f, w, n).coeff(0) if n else f.coeff(0)
-            expected = values[n]
-            if expected.is_zero():
+            expected = abs(values[n])
+            if expected == 0:
                 ok = direct == 0 or abs(direct) <= tol
             else:
-                ok = abs(abs(direct) - expected.abs().to_real()) <= expected.abs().to_real() * tol
+                ok = abs(abs(direct) - expected) <= expected * tol
             if not ok:
                 raise RuntimeError(
                     f"orbit cross-check failed at n={n}: coefficient identity "
-                    f"{expected.to_real()} vs operator route {direct}"
+                    f"{values[n]} vs operator route {direct}"
                 )
 
     # a strict increase smaller than the arithmetic noise is a tie, not a
-    # new supremum; without the guard a constant orbit's sup index wanders
-    tol_log = mpf(2) ** (20 - mp.prec)
+    # new supremum; without the guard a constant orbit's sup index wanders.
+    # The guard is ln|v| > ln(running) + 2^(20-prec).
+    tie = mpmath.exp(mpf(2) ** (20 - mp.prec))
     sup_index = 0
-    running = values[0].abs()
+    running = abs(values[0])
     last_new_sup = 0
     for n in range(1, N + 1):
-        v = values[n].abs()
-        if v.is_zero():
-            continue
-        if running.is_zero() or v.log_mag > running.log_mag + tol_log:
+        v = abs(values[n])
+        if v > running * tie:
             running = v
             sup_index = n
             last_new_sup = n
@@ -107,13 +102,10 @@ def orbit_at_zero(f: TruncatedSeries, w, N: int) -> OrbitReport:
 @dataclass(frozen=True)
 class Thm3bReport:
     c_star: mpf
-    orbit_sup: LogScaled
+    orbit_sup: mpf
     consistent: bool
     n_checked: int
     r_peak: mpf  # radius where C_star was attained
-
-    def __iter__(self):  # (C_star, orbit_sup, consistent) unpacking
-        return iter((self.c_star, self.orbit_sup, self.consistent))
 
 
 def _augmented_radii(r_grid, alpha, N: int) -> list:
@@ -147,18 +139,11 @@ def thm3b_bound_check(
     peak = max(range(len(radii)), key=terms.__getitem__)  # first maximum
     c_star, r_peak = terms[peak], radii[peak]
     orbit = orbit_at_zero(f, w, N)
-    values = orbit.values
-    sup_val = orbit.orbit_sup()
-    log_c_star = mpmath.ln(c_star) if c_star > 0 else mpf("-inf")
-    consistent = True
-    for n, v in enumerate(values):
-        if v.is_zero():
-            continue
-        bound = log_c_star + mpmath.ln(lemma1_ratio(n, w))
-        if v.abs().log_mag > bound + mpf(2) ** (40 - mp.prec):
-            consistent = False
-            break
-    return Thm3bReport(c_star, sup_val, consistent, N, r_peak)
+    # ln|v_n| <= ln C_star + ln lemma1_ratio + 2^(40-prec)
+    margin = mpmath.exp(mpf(2) ** (40 - mp.prec))
+    consistent = all(abs(v) <= c_star * lemma1_ratio(n, w) * margin
+                     for n, v in enumerate(orbit.values) if v != 0)
+    return Thm3bReport(c_star, orbit.orbit_sup(), consistent, N, r_peak)
 
 
 def windowed_c_star(

@@ -1,20 +1,20 @@
-"""Scalar plumbing for the package: precision control, sign/log-magnitude
-scalars, a Stirling log-gamma, and stable log-domain summation.
+"""Precision control and exact decimal round trips for mpf values.
 
 All high-precision arithmetic is delegated to mpmath (binary, round-to-nearest,
-arbitrary exponent range).  The working precision is the ambient mpmath
-precision; ``set_precision`` / ``precision`` manage it explicitly so results
-are deterministic for a fixed precision setting.
+arbitrary exponent range).  Its exponents are unbounded Python ints, so weights
+such as d_n and orbit values are held as plain mpf however large they grow.
+The working precision is the ambient mpmath precision; ``set_precision`` /
+``precision`` manage it explicitly so results are deterministic for a fixed
+precision setting.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import mpmath
-from mpmath import mp, mpf, mpc
+from mpmath import mp, mpf
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -58,171 +58,3 @@ def to_decimal(x) -> str:
 
 def from_decimal(s: str) -> mpf:
     return mpf(s)
-
-
-def log_abs(z) -> mpf:
-    """ln|z| for real or complex z; raises on zero."""
-    a = abs(mpc(z)) if isinstance(z, (complex, mpc)) else abs(mpf(z))
-    if a == 0:
-        raise ValueError("log_abs of zero")
-    return mpmath.ln(a)
-
-
-@dataclass(frozen=True)
-class LogScaled:
-    """A real number held as (sign, ln|value|) so magnitudes far outside any
-    fixed exponent range stay exactly representable.
-
-    sign is -1, 0, or +1; log_mag is meaningless when sign == 0.
-    """
-
-    sign: int
-    log_mag: mpf
-
-    ZERO_LOG = mpf("-inf")
-
-    @classmethod
-    def zero(cls) -> "LogScaled":
-        return cls(0, cls.ZERO_LOG)
-
-    @classmethod
-    def one(cls) -> "LogScaled":
-        return cls(1, mpf(0))
-
-    @classmethod
-    def from_real(cls, x) -> "LogScaled":
-        x = mpf(x)
-        if x == 0:
-            return cls.zero()
-        return cls(1 if x > 0 else -1, mpmath.ln(abs(x)))
-
-    @classmethod
-    def from_log(cls, sign: int, log_mag) -> "LogScaled":
-        if sign == 0:
-            return cls.zero()
-        if sign not in (-1, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
-        return cls(sign, mpf(log_mag))
-
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-    def to_real(self) -> mpf:
-        if self.sign == 0:
-            return mpf(0)
-        return self.sign * mpmath.exp(self.log_mag)
-
-    def mul(self, other: "LogScaled") -> "LogScaled":
-        s = self.sign * other.sign
-        if s == 0:
-            return LogScaled.zero()
-        return LogScaled(s, self.log_mag + other.log_mag)
-
-    def div(self, other: "LogScaled") -> "LogScaled":
-        if other.sign == 0:
-            raise ZeroDivisionError("LogScaled division by zero")
-        if self.sign == 0:
-            return LogScaled.zero()
-        return LogScaled(self.sign * other.sign, self.log_mag - other.log_mag)
-
-    def pow_int(self, k: int) -> "LogScaled":
-        if self.sign == 0:
-            if k == 0:
-                return LogScaled.one()
-            if k < 0:
-                raise ZeroDivisionError("0 to a negative power")
-            return LogScaled.zero()
-        s = self.sign if k % 2 else 1
-        return LogScaled(s, self.log_mag * k)
-
-    def neg(self) -> "LogScaled":
-        return LogScaled(-self.sign, self.log_mag)
-
-    def abs(self) -> "LogScaled":
-        return LogScaled(abs(self.sign), self.log_mag)
-
-    def cmp_abs(self, other: "LogScaled") -> int:
-        """-1, 0, +1 comparing |self| against |other|."""
-        if self.sign == 0 and other.sign == 0:
-            return 0
-        if self.sign == 0:
-            return -1
-        if other.sign == 0:
-            return 1
-        if self.log_mag < other.log_mag:
-            return -1
-        if self.log_mag > other.log_mag:
-            return 1
-        return 0
-
-    def __repr__(self) -> str:
-        if self.sign == 0:
-            return "LogScaled(0)"
-        return f"LogScaled(sign={self.sign}, log_mag={mpmath.nstr(self.log_mag, 12)})"
-
-
-def log_scaled_sum(terms) -> LogScaled:
-    """Sum LogScaled terms stably: shift by the maximum log magnitude, sum the
-    rescaled signed mantissas (all <= 1 in modulus), and restore the shift.
-
-    An empty or all-zero input gives the zero element; exact cancellation gives
-    a genuine zero, matching plain summation semantics.
-    """
-    live = [t for t in terms if t.sign != 0]
-    if not live:
-        return LogScaled.zero()
-    shift = max(t.log_mag for t in live)
-    with mp.extraprec(32):
-        total = mpmath.fsum(t.sign * mpmath.exp(t.log_mag - shift) for t in live)
-        if total == 0:
-            return LogScaled.zero()
-        return LogScaled(1 if total > 0 else -1, shift + mpmath.ln(abs(total)))
-
-
-_LN_2PI_CACHE: dict[int, mpf] = {}
-
-
-def _ln_2pi() -> mpf:
-    v = _LN_2PI_CACHE.get(mp.prec)
-    if v is None:
-        v = mpmath.ln(2 * mp.pi)
-        _LN_2PI_CACHE[mp.prec] = v
-    return v
-
-
-def log_gamma(x) -> mpf:
-    """ln Gamma(x) for real x > 0 via the Stirling series with argument shift.
-
-    The argument is shifted upward until the asymptotic series reaches the
-    target precision, then the shift is removed with the recurrence
-    ln Gamma(x) = ln Gamma(x + n) - sum ln(x + k).  Work happens with guard
-    bits so the returned value is correctly rounded well within the
-    2**(16 - precision) relative-error contract.
-    """
-    x = mpf(x)
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x == 1 or x == 2:
-        return mpf(0)
-    prec = mp.prec
-    with mp.extraprec(48):
-        # e^(-2*pi*x0) below the guarded target makes the series sufficient.
-        cutoff = max(16, int(0.27 * (prec + 16)) + 4)
-        shift = mpf(0)
-        y = x
-        while y < cutoff:
-            shift += mpmath.ln(y)
-            y += 1
-        main = (y - mpf(1) / 2) * mpmath.ln(y) - y + _ln_2pi() / 2
-        y2 = y * y
-        p = 1 / y
-        acc = mpf(0)
-        tiny = mpmath.ldexp(mpf(1), -(prec + 40))
-        for j in range(1, 4 * prec):
-            t = mpmath.bernoulli(2 * j) / ((2 * j) * (2 * j - 1)) * p
-            acc += t
-            if abs(t) < tiny * max(mpf(1), abs(main)):
-                break
-            p = p / y2
-        result = main + acc - shift
-    return +result

@@ -201,23 +201,31 @@ def read_series(path: str) -> tuple[TruncatedSeries, mpf, int]:
     """Read a ``dunklseries v1`` file; returns (series, alpha, precision_bits).
 
     Decimals are parsed at the precision recorded in the header so values
-    round-trip exactly; the returned objects keep that precision.
+    round-trip exactly; the returned objects keep that precision.  A malformed
+    file raises ValueError("<path>: ...").
     """
     with open(path) as fh:
         raw = [line.rstrip("\n") for line in fh]
+    try:
+        return _parse_series(raw)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _parse_series(raw: list) -> tuple[TruncatedSeries, mpf, int]:
     if not raw or raw[0].strip() != "dunklseries v1":
-        raise ValueError(f"{path}: not a dunklseries v1 file")
+        raise ValueError("not a dunklseries v1 file")
 
     def header(idx: int, key: str) -> str:
         if idx >= len(raw) or not raw[idx].startswith(key + "="):
-            raise ValueError(f"{path}: expected '{key}=' on line {idx + 1}")
+            raise ValueError(f"expected '{key}=' on line {idx + 1}")
         return raw[idx].split("=", 1)[1]
 
     bits = int(header(2, "precision_bits"))
     n_coeffs = int(header(3, "n_coeffs"))
     body = [line for line in raw[4:] if line.strip()]
     if len(body) != n_coeffs:
-        raise ValueError(f"{path}: n_coeffs={n_coeffs} but {len(body)} coefficient lines")
+        raise ValueError(f"n_coeffs={n_coeffs} but {len(body)} coefficient lines")
     with precision(bits):
         alpha = from_decimal(header(1, "alpha"))
         table: dict[int, mpc] = {}
@@ -225,10 +233,10 @@ def read_series(path: str) -> tuple[TruncatedSeries, mpf, int]:
         for line in body:
             parts = line.split()
             if len(parts) != 3:
-                raise ValueError(f"{path}: bad coefficient line {line!r}")
+                raise ValueError(f"bad coefficient line {line!r}")
             n = int(parts[0])
             if n <= last_n:
-                raise ValueError(f"{path}: coefficient indices must increase")
+                raise ValueError("coefficient indices must increase")
             last_n = n
             table[n] = mpc(from_decimal(parts[1]), from_decimal(parts[2]))
         series = TruncatedSeries(table, trunc_degree=last_n)

@@ -101,6 +101,29 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, {})
 
+    def test_subcommand_grid_is_the_default_layer(self, tmp_path):
+        # verify-barnes has its own radius grid, below the file and the flags
+        def grid(cfg):
+            return cfg.r_min, cfg.r_max, cfg.r_points
+
+        assert grid(load_config(None, {}, "verify-barnes")) == ("10000", "100000", 8)
+        assert grid(load_config(None, {}, "means")) == ("0.01", "400", 256)
+        path = tmp_path / "c.cfg"
+        path.write_text("r_min=20\nr_max=40\nr_points=4\n")
+        assert grid(load_config(str(path), {}, "verify-barnes")) == ("20", "40", 4)
+        assert grid(load_config(str(path), {"r_max": "50"}, "verify-barnes")) == ("20", "50", 4)
+        assert grid(load_config(None, {"r_points": 3}, "verify-barnes")) == ("10000", "100000", 3)
+
+    def test_config_file_beats_subcommand_grid(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("r_min=20\nr_max=40\nr_points=4\n")
+        out = tmp_path / "b.csv"
+        assert main(["verify-barnes", "--config", str(path), "-o", str(out)]) == EXIT_OK
+        banner, _, rows = _read_csv(out)
+        assert " r_max=40 " in banner and " r_min=20 " in banner
+        assert " r_points=4 " in banner
+        assert len(rows) == 4 and (float(rows[0][0]), float(rows[-1][0])) == (20.0, 40.0)
+
 
 class TestWeightsCommand:
     def test_golden_table(self, tmp_path):
@@ -200,6 +223,21 @@ class TestSeriesCommands:
         assert err.count("\n") == 1 and "alpha" in err and "'input'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["means", "orbit"])
+    def test_malformed_series_exits_one(self, tmp_path, capsys, subcommand):
+        inp = self._write_input(tmp_path, {0: 1, 2: 1})
+        lines = Path(inp).read_text().splitlines()
+        assert lines[3].startswith("n_coeffs=")
+        lines[3] = "n_coeffs=99"
+        Path(inp).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.csv"
+        rc = main([subcommand, "--input", inp, "-o", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'input'" in err
+        assert f"{inp}: n_coeffs=99 but 3 coefficient lines" in err
+        assert not out.exists()
+
 
 class TestVerifyCommands:
     def test_lemma1_band(self, tmp_path):
@@ -291,6 +329,30 @@ class TestBuildAndDiagnose:
         assert header == "rmax,C_star"
         vals = [float(r[1]) for r in rows]
         assert len(vals) == 2 and vals[1] > vals[0] > 0
+
+    @pytest.mark.parametrize("damage", ["truncated", "missing key", "short target line",
+                                        "zero denominator", "missing file"])
+    @pytest.mark.parametrize("subcommand", ["orbit", "frequency"])
+    def test_malformed_plan_exits_one(self, hc_artifacts, fhc_artifacts, tmp_path,
+                                      capsys, subcommand, damage):
+        base = hc_artifacts if subcommand == "orbit" else fhc_artifacts
+        lines = (base / "build.plan").read_text().splitlines()
+        if damage == "truncated":
+            lines = lines[:2]
+        elif damage == "missing key":
+            lines = [ln for ln in lines if not ln.startswith("trunc_degree=")]
+        elif damage in ("short target line", "zero denominator"):
+            row = next(i for i, ln in enumerate(lines) if ln.startswith("target "))
+            lines[row] = "target" if damage == "short target line" else lines[row] + " 1/0"
+        plan = tmp_path / "bad.plan"
+        if damage != "missing file":
+            plan.write_text("\n".join(lines) + "\n")
+        short = ["--n", "64"] if subcommand == "orbit" else ["--n-window", "64"]
+        rc = main([subcommand, "--input", str(base / "build.series"), "--plan", str(plan),
+                   *short, "-o", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'plan'" in err and str(plan) in err
 
     def test_fhc_schedule_rows(self, fhc_artifacts):
         _, header, rows = _read_csv(fhc_artifacts / "build.csv")

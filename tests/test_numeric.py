@@ -1,18 +1,12 @@
-"""Scalar layer: LogScaled arithmetic, stable log-domain sums, log-gamma."""
-
-from fractions import Fraction
+"""Precision control and exact decimal round trips."""
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from dunkldyn.numeric import (
-    LogScaled,
     from_decimal,
     get_precision,
-    log_gamma,
-    log_scaled_sum,
     precision,
     set_precision,
     to_decimal,
@@ -33,97 +27,3 @@ def test_decimal_round_trip_exact():
               mpmath.exp(mpf(12345)), mpf(0)]
     for x in values:
         assert from_decimal(to_decimal(x)) == x
-
-
-class TestLogScaled:
-    def test_zero_and_one(self):
-        assert LogScaled.zero().is_zero()
-        assert LogScaled.one().to_real() == 1
-        assert LogScaled.from_real(0).is_zero()
-
-    def test_from_real_round_trip(self):
-        # exp(ln x) amplifies one rounding by |ln x|, so allow a few extra bits
-        for x in [mpf(3), mpf("-2.5"), mpf(2) ** -200]:
-            back = LogScaled.from_real(x).to_real()
-            assert abs(back - x) <= abs(x) * mpf(2) ** -245
-
-    def test_mul_div_pow(self):
-        a = LogScaled.from_real(-3)
-        b = LogScaled.from_real(mpf(1) / 7)
-        assert abs(a.mul(b).to_real() + mpf(3) / 7) < mpf(2) ** -250
-        assert abs(a.div(b).to_real() + 21) < mpf(2) ** -240
-        assert a.pow_int(3).sign == -1
-        assert a.pow_int(2).sign == 1
-        assert a.pow_int(0).to_real() == 1
-        with pytest.raises(ZeroDivisionError):
-            a.div(LogScaled.zero())
-        with pytest.raises(ZeroDivisionError):
-            LogScaled.zero().pow_int(-1)
-
-    def test_cmp_abs(self):
-        small = LogScaled.from_real(mpf(2) ** -5000)
-        large = LogScaled.from_real(-(mpf(2) ** 5000))
-        assert small.cmp_abs(large) == -1
-        assert large.cmp_abs(small) == 1
-        assert small.cmp_abs(small) == 0
-        assert LogScaled.zero().cmp_abs(small) == -1
-
-    def test_extreme_magnitudes_survive(self):
-        # magnitudes far beyond any fixed exponent range
-        huge = LogScaled.from_log(1, mpf(10) ** 9)
-        prod = huge.mul(huge)
-        assert prod.log_mag == 2 * mpf(10) ** 9
-
-
-@given(st.lists(st.fractions(min_value=-100, max_value=100), max_size=12))
-@settings(deadline=None, max_examples=60)
-def test_log_scaled_sum_matches_rational_oracle(fracs):
-    set_precision(256)
-    exact = sum(fracs, Fraction(0))
-    terms = [LogScaled.from_real(mpf(f.numerator) / f.denominator) for f in fracs]
-    got = log_scaled_sum(terms)
-    if exact == 0:
-        # stable summation may keep a residue at the cancellation noise floor
-        assert got.is_zero() or got.log_mag < mpf(-200)
-    else:
-        want = mpf(exact.numerator) / exact.denominator
-        assert abs(got.to_real() - want) <= abs(want) * mpf(2) ** -220
-
-
-def test_log_scaled_sum_empty_and_exact_cancellation():
-    assert log_scaled_sum([]).is_zero()
-    a = LogScaled.from_real(mpf(5))
-    assert log_scaled_sum([a, a.neg()]).is_zero()
-
-
-def test_log_scaled_sum_spread_magnitudes():
-    # the small term must not be absorbed: check against a shift-free identity
-    big = LogScaled.from_log(1, mpf(1000))
-    small = LogScaled.from_log(1, mpf(990))
-    got = log_scaled_sum([big, small])
-    want = mpf(1000) + mpmath.ln(1 + mpmath.exp(mpf(-10)))
-    assert abs(got.log_mag - want) < mpf(2) ** -240
-
-
-@pytest.mark.parametrize("x", ["0.51", "1", "2", "3.25", "10", "517.75", "4097.5"])
-def test_log_gamma_against_library_oracle(x):
-    x = mpf(x)
-    want = mpmath.loggamma(x)
-    got = log_gamma(x)
-    scale = max(mpf(1), abs(want))
-    assert abs(got - want) <= scale * mpf(2) ** (16 - mp.prec)
-
-
-def test_log_gamma_factorial_values():
-    # Gamma(n+1) = n!
-    fact = 1
-    for n in range(1, 40):
-        fact *= n
-        assert abs(log_gamma(n + 1) - mpmath.ln(fact)) < mpf(2) ** -240
-
-
-def test_log_gamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        log_gamma(0)
-    with pytest.raises(ValueError):
-        log_gamma(-3)
