@@ -15,7 +15,7 @@ from dunkldyn import (
     DunklWeights,
     barnes_asymptotic,
     lemma1_ratio,
-    lemma3_ratio,
+    lemma3_on_grid,
     mittag_leffler,
     set_precision,
     standard_r_grid,
@@ -34,7 +34,7 @@ print("\nkernel mean ratio, sup over 64 radii in [0.1, 200]:")
 grid = standard_r_grid(mpf("0.1"), mpf(200), 64)
 for q_s in ("1", "2"):
     w = DunklWeights(mpf(0), 1024)
-    sup = max(lemma3_ratio(r, mpf(q_s), w) for r in grid)
+    sup = max(lemma3_on_grid(grid, mpf(q_s), w))
     print(f"  q = {q_s}: sup = {mpmath.nstr(sup, 8)}")
 
 print("\ngeneralized exponential kernel against its leading asymptotic:")

@@ -43,7 +43,7 @@ from .growth import (
     RateEnvelope,
     barnes_asymptotic,
     lemma1_ratio,
-    lemma3_ratio,
+    lemma3_on_grid,
     mittag_leffler,
     rate_exponent,
     standard_r_grid,
@@ -360,12 +360,9 @@ def _cmd_verify_lemma3(config: ExperimentConfig, opt: dict) -> int:
     # the table from the top of the sweep, not from the series truncation
     n_table = max(config.trunc_degree, int(2 * float(config.r_max)) + 256)
     w = DunklWeights(config.alpha_mp(), n_table)
-    rows = []
-    ok = True
-    for r in config.r_grid():
-        ratio = lemma3_ratio(r, q, w)
-        rows.append((r, ratio))
-        ok = ok and mpmath.isfinite(ratio) and ratio >= 0
+    grid = config.r_grid()
+    rows = list(zip(grid, lemma3_on_grid(grid, q, w)))
+    ok = all(mpmath.isfinite(ratio) and ratio >= 0 for _, ratio in rows)
     extras = {"q": opt.get("q", "1")}
     _write_csv(config.output, _banner(config, extras), "r,ratio", rows)
     if not ok:
@@ -499,6 +496,8 @@ def _cmd_build_fhc(config: ExperimentConfig, opt: dict) -> int:
 
 def _cmd_orbit(config: ExperimentConfig, opt: dict) -> int:
     f, w, _ = _load_series(opt["input"])
+    plan_path = opt.get("plan")
+    plan = _read_plan_file(plan_path, ConstructionPlan, "hypercyclic") if plan_path else None
     windows = opt.get("windows")
     extras = {"input": opt["input"], "alpha": to_decimal(w.alpha)}
 
@@ -522,9 +521,7 @@ def _cmd_orbit(config: ExperimentConfig, opt: dict) -> int:
                    "bounded": int(report.bounded)})
     _write_csv(config.output, _banner(config, extras), "n,log_abs_orbit", rows)
 
-    plan_path = opt.get("plan")
-    if plan_path:
-        plan = _read_plan_file(plan_path, ConstructionPlan, "hypercyclic")
+    if plan is not None:
         hit = verify_orbit_hits(f, plan, w)
         for k, (delta, budget, floor) in enumerate(
                 zip(hit.deltas, hit.budgets, hit.noise_floors), start=1):

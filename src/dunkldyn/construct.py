@@ -56,7 +56,7 @@ from mpmath import mp, mpf, mpc
 
 from .dunkl import DunklWeights, apply_dunkl
 from .growth import RateEnvelope, rate_exponent, standard_r_grid
-from .numeric import from_decimal, to_decimal
+from .numeric import from_decimal, precision, to_decimal
 from .series import TruncatedSeries
 
 Polynomial = tuple  # of Fraction, low degree first, no trailing zeros
@@ -869,7 +869,7 @@ def _parse_plan(lines):
         head = _parse_header(
             lines, ["alpha", "precision_bits", "trunc_degree", "r_build", "n_targets"]
         )
-        with mp.workprec(int(head["precision_bits"])):
+        with precision(int(head["precision_bits"])):
             alpha = from_decimal(head["alpha"])
             n_targets = int(head["n_targets"])
             targets, indices, positions, budgets = [], [], [], []
@@ -917,7 +917,7 @@ def _parse_plan(lines):
                 "n_targets",
             ],
         )
-        with mp.workprec(int(head["precision_bits"])):
+        with precision(int(head["precision_bits"])):
             alpha = from_decimal(head["alpha"])
             p = mpmath.inf if head["p"] == "inf" else from_decimal(head["p"])
             targets, indices = [], []

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp, mpf
 
-from .dunkl import DunklWeights, WeightedShift, apply_dunkl
+from .dunkl import DunklWeights, WeightedShift, apply_dunkl_direct
 from .growth import lemma1_ratio
 from .means import MeanParams, means_on_grid
 from .series import TruncatedSeries
@@ -51,11 +51,13 @@ def orbit_at_zero(f: TruncatedSeries, w, N: int) -> OrbitReport:
 
     Accepts either a DunklWeights table (d_n from the ratio recurrence) or a
     plain WeightedShift (d_n = a_1 ... a_n).  For the Dunkl table the first
-    values (n <= 64) are recomputed through the operator route, reading the
-    constant coefficient of the n-fold application; a mismatch beyond
-    rounding means the weight table and the series disagree and raises
-    RuntimeError.  A plain shift has no operator form here, so only the
-    coefficient identity is used.
+    values (n <= 64) are recomputed through the operator route: the part of
+    f up to degree 64 is stepped with ``apply_dunkl_direct``, whose factors
+    n and n + 2 alpha + 1 never touch the d_n table, and the constant
+    coefficient is read after each step.  A mismatch beyond rounding means
+    the weight table and the operator disagree and raises RuntimeError.  A
+    plain shift has no operator form here, so only the coefficient identity
+    is used.
     """
     if N > f.trunc_degree:
         raise ValueError(f"N={N} exceeds trunc_degree {f.trunc_degree}")
@@ -69,8 +71,12 @@ def orbit_at_zero(f: TruncatedSeries, w, N: int) -> OrbitReport:
 
     if isinstance(w, DunklWeights):
         tol = mpf(2) ** (32 - mp.prec)
-        for n in range(min(N, 64) + 1):
-            direct = apply_dunkl(f, w, n).coeff(0) if n else f.coeff(0)
+        top = min(N, 64)
+        iterate = TruncatedSeries({n: c for n, c in f.items() if n <= top}, f.trunc_degree)
+        for n in range(top + 1):
+            if n:
+                iterate = apply_dunkl_direct(iterate, w, 1)
+            direct = iterate.coeff(0)
             expected = abs(values[n])
             if expected == 0:
                 ok = direct == 0 or abs(direct) <= tol

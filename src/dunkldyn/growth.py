@@ -34,6 +34,7 @@ R_GRID_POINTS = 256
 
 ML_MAX_TERMS = 10**6
 ML_QUIET_STREAK = 8
+ML_GUARD_BITS = 32
 
 
 def standard_r_grid(r_min=R_GRID_MIN, r_max=R_GRID_MAX, points=R_GRID_POINTS):
@@ -167,9 +168,19 @@ def lemma1_ratio(n: int, w: DunklWeights) -> mpf:
 def mittag_leffler(z, ml_alpha, theta, beta, tol=None):
     """E(z) = sum_n z^n / ((n+theta)^beta Gamma(ml_alpha n + 1)).
 
-    Terms are accumulated until the upcoming term stays below tol times the
-    running sum for 8 consecutive indices; integer ml_alpha uses an exact
-    term recurrence, general ml_alpha recomputes each Gamma factor.
+    Two routes, each accurate to about tol (default 2^(16-prec)) relative:
+
+    * integer ml_alpha with z real and > 0, where every term is positive,
+      takes the peak walk (``_ml_peak_walk``): the sum starts at the largest
+      term n0 = floor(z^(1/ml_alpha)/ml_alpha) and walks both ways with the
+      exact term recurrence.  Each side stops once a geometric bound on
+      everything it has not summed falls below tol/2 of the running total,
+      so the two truncated tails together are below tol of the sum;
+    * non-integer ml_alpha, and any z off the positive real axis, where
+      terms can cancel, sum from n = 0 until the upcoming term stays below
+      tol times the running sum for 8 consecutive indices.  Integer
+      ml_alpha uses the exact term recurrence there too, general ml_alpha
+      recomputes each Gamma factor.
     """
     ml_alpha = mpf(ml_alpha)
     if not 0 < ml_alpha <= 2:
@@ -183,6 +194,8 @@ def mittag_leffler(z, ml_alpha, theta, beta, tol=None):
     z = mpmath.mpmathify(z)
 
     int_alpha = int(ml_alpha) if ml_alpha == int(ml_alpha) else None
+    if int_alpha is not None and mpmath.im(z) == 0 and mpmath.re(z) > 0:
+        return _ml_peak_walk(mpmath.re(z), int_alpha, theta, beta, mpf(tol))
     total = mpmath.mpc(0)
     power_over_gamma = mpf(1)  # z^n / Gamma(ml_alpha n + 1) along the loop
     streak = 0
@@ -219,6 +232,61 @@ def mittag_leffler(z, ml_alpha, theta, beta, tol=None):
     return total
 
 
+def _ml_peak_walk(x, m: int, theta, beta, tol) -> mpf:
+    """sum_n x^n / ((n+theta)^beta (mn)!) for x > 0 and integer m, from its peak.
+
+    With g_n = x^n/(mn)! the terms are t_n = g_n (n+theta)^(-beta).  g's ratio
+    rho_n = g_(n+1)/g_n = x/((mn+1)...(mn+m)) falls with n, so g_(n+k) <=
+    g_n rho_n^k above n and g_(n-k) <= g_n (1/rho_(n-1))^k below it.  Each
+    side bounds what it has not summed by s rho/(1 - rho), rho < 1:
+
+    * upward, s = t_n; rho is g's ratio for beta >= 0, where the weight only
+      shrinks, and the actual term ratio for beta < 0, which then falls too;
+    * downward, rho is g's ratio; s = t_n for beta <= 0, where the weight
+      only shrinks, and g_n theta^(-beta), the weight's maximum, for beta > 0.
+
+    The peak term takes one exp and one loggamma; the walk and the sum run
+    with ML_GUARD_BITS extra bits, so rounding stays far below tol.
+    """
+    half_tol = tol / 2
+    with mp.workprec(mp.prec + ML_GUARD_BITS):
+        n0 = int(mpmath.floor(mpmath.root(x, m) / m))
+        g0 = mpmath.exp(n0 * mpmath.ln(x) - mpmath.loggamma(m * n0 + 1))
+        weighted = beta != 0
+        t0 = g0 / (n0 + theta) ** beta if weighted else g0
+        weight_max = theta ** -beta if beta > 0 else None
+        total = t0
+        walked = 1
+        for up in (True, False):
+            n, g, t = n0, g0, t0
+            while up or n > 0:
+                # g's ratio for the step away from the peak
+                falling = 1
+                for i in range(1, m + 1):
+                    falling *= m * (n if up else n - 1) + i
+                rho = x / falling if up else falling / x
+                g_next = g * rho
+                n += 1 if up else -1
+                t_next = g_next / (n + theta) ** beta if weighted else g_next
+                if up and beta < 0:
+                    rho = t_next / t
+                # the tail bound is at least t_next, so it is tried only once
+                # t_next itself is below tol/2 of the total
+                cap = half_tol * total
+                if rho < 1 and t_next < cap:
+                    s = g * weight_max if not up and weight_max is not None else t
+                    if s * rho < cap * (1 - rho):
+                        break
+                total += t_next
+                g, t = g_next, t_next
+                walked += 1
+                if walked > ML_MAX_TERMS:
+                    raise RuntimeError(
+                        f"Mittag-Leffler sum not converged within {ML_MAX_TERMS} terms"
+                    )
+    return +total
+
+
 def barnes_asymptotic(r, ml_alpha, theta, beta) -> mpf:
     """Leading asymptotic term ml_alpha^{beta-1} r^{-beta/ml_alpha} e^{r^{1/ml_alpha}}."""
     r = mpf(r)
@@ -234,33 +302,53 @@ def barnes_asymptotic(r, ml_alpha, theta, beta) -> mpf:
 def lemma3_ratio(r, q, w: DunklWeights, n_terms=None) -> mpf:
     """[sum_n r^{qn}/d_n^q] / [e^r / r^{alpha+1/2+1/(2p)}]^q with p conjugate to q.
 
-    With n_terms omitted the sum runs until terms drop below 2^-prec of the
-    running total; exhausting the weight table first is an error.
+    The one-radius case of ``lemma3_on_grid``, which documents the sum.
     """
-    r = mpf(r)
-    if not r > 0:
-        raise ValueError(f"r must be > 0, got {r}")
+    return lemma3_on_grid([r], q, w, n_terms)[0]
+
+
+def lemma3_on_grid(radii, q, w: DunklWeights, n_terms=None) -> list:
+    """``lemma3_ratio`` at each radius, from one a_n^(-q) table for the sweep.
+
+    The terms r^{qn}/d_n^q run t_0 = 1, t_n = t_(n-1) r^q a_n^(-q) with the
+    weight ratios a_n = d_n/d_(n-1), so no term costs an exp; the table of
+    a_n^(-q) is built once per call and extended as far as the radii need.
+    With n_terms omitted a sum stops at the first n > r whose term is below
+    2^-prec of the running total; exhausting the weight table first is an
+    error.  With n_terms given it runs over n <= min(n_terms, n_max).
+    """
+    radii = [mpf(r) for r in radii]
+    for r in radii:
+        if not r > 0:
+            raise ValueError(f"r must be > 0, got {r}")
     q = mpf(q)
     if not 1 <= q <= 2:
         raise ValueError(f"q must lie in [1, 2], got {q}")
     p = conjugate_exponent(q)
     a = rate_exponent(p, w.alpha, "fhc_upper")
-    ln_r = mpmath.ln(r)
     cutoff = mpf(2) ** (-mp.prec)
-    total = mpf(0)
     limit = w.n_max if n_terms is None else min(int(n_terms), w.n_max)
-    for n in range(limit + 1):
-        term = mpmath.exp(q * (n * ln_r - w.log_weight(n)))
-        total += term
-        if n_terms is None and term < cutoff * total and n > r:
-            break
-    else:
-        if n_terms is None:
-            raise ValueError(
-                f"weight table (n_max={w.n_max}) exhausted before the sum settled at r={mpmath.nstr(r, 8)}"
-            )
-    log_den = q * (r - a * ln_r)
-    return mpmath.exp(mpmath.ln(total) - log_den)
+    inv_aq = [None]  # a_n^(-q) for n >= 1, extended lazily
+    ratios = []
+    for r in radii:
+        r_q = r**q
+        settle_from = int(mpmath.floor(r))  # the cutoff applies for n > r
+        term = total = mpf(1)  # n = 0: r^0 / d_0^q
+        for n in range(1, limit + 1):
+            if n == len(inv_aq):
+                inv_aq.append(w.ratio(n) ** -q)
+            term = term * r_q * inv_aq[n]
+            total += term
+            if n_terms is None and n > settle_from and term < cutoff * total:
+                break
+        else:
+            if n_terms is None:
+                raise ValueError(
+                    f"weight table (n_max={w.n_max}) exhausted before the sum settled at r={mpmath.nstr(r, 8)}"
+                )
+        ln_r = mpmath.ln(r)
+        ratios.append(mpmath.exp(mpmath.ln(total) - q * (r - a * ln_r)))
+    return ratios
 
 
 @dataclass(frozen=True)

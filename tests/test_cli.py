@@ -331,7 +331,8 @@ class TestBuildAndDiagnose:
         assert len(vals) == 2 and vals[1] > vals[0] > 0
 
     @pytest.mark.parametrize("damage", ["truncated", "missing key", "short target line",
-                                        "zero denominator", "missing file"])
+                                        "zero denominator", "missing file",
+                                        "precision_bits=0", "precision_bits=-5"])
     @pytest.mark.parametrize("subcommand", ["orbit", "frequency"])
     def test_malformed_plan_exits_one(self, hc_artifacts, fhc_artifacts, tmp_path,
                                       capsys, subcommand, damage):
@@ -344,15 +345,21 @@ class TestBuildAndDiagnose:
         elif damage in ("short target line", "zero denominator"):
             row = next(i for i, ln in enumerate(lines) if ln.startswith("target "))
             lines[row] = "target" if damage == "short target line" else lines[row] + " 1/0"
+        elif damage.startswith("precision_bits="):
+            lines = [damage if ln.startswith("precision_bits=") else ln for ln in lines]
         plan = tmp_path / "bad.plan"
         if damage != "missing file":
             plan.write_text("\n".join(lines) + "\n")
         short = ["--n", "64"] if subcommand == "orbit" else ["--n-window", "64"]
+        out = tmp_path / "x.csv"
         rc = main([subcommand, "--input", str(base / "build.series"), "--plan", str(plan),
-                   *short, "-o", str(tmp_path / "x.csv")])
+                   *short, "-o", str(out)])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'plan'" in err and str(plan) in err
+        if damage.startswith("precision_bits="):
+            assert "precision_bits must be >= 8" in err
+        assert not out.exists()
 
     def test_fhc_schedule_rows(self, fhc_artifacts):
         _, header, rows = _read_csv(fhc_artifacts / "build.csv")

@@ -82,6 +82,17 @@ class TestOrbitAtZero:
         f = TruncatedSeries({0: mpf(1), 2: 1 + tol / 2, 5: -(1 + 3 * tol)}, trunc_degree=8)
         assert orbit_at_zero(f, shift, 8).sup_index == 5
 
+    @pytest.mark.parametrize("n", [1, 17, 64])
+    def test_cross_check_catches_corrupted_weight(self, n):
+        # the operator route steps f with the recurrence factors, not the
+        # d_n table, so one bad ln d_n entry must show up at step n
+        w = DunklWeights(mpf("0.5"), 128)
+        f = exp_truncation(128, 128)
+        orbit_at_zero(f, w, 100)
+        w._log_d[n] += mpf(2) ** -180
+        with pytest.raises(RuntimeError, match=f"orbit cross-check failed at n={n}:"):
+            orbit_at_zero(f, w, 100)
+
     def test_horizon_validation(self):
         w = DunklWeights(0, 32)
         f = TruncatedSeries({0: mpf(1)}, trunc_degree=16)

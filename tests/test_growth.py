@@ -14,12 +14,13 @@ from dunkldyn.growth import (
     barnes_asymptotic,
     growth_profile,
     lemma1_ratio,
+    lemma3_on_grid,
     lemma3_ratio,
     mittag_leffler,
     rate_exponent,
     standard_r_grid,
 )
-from dunkldyn.means import P_INF
+from dunkldyn.means import P_INF, conjugate_exponent
 from dunkldyn.series import TruncatedSeries
 
 # golden band endpoints (min, max) of lemma1_ratio over n <= 5000
@@ -164,15 +165,110 @@ class TestMittagLeffler:
         assert abs(log_v - log_want) < mpf("1e-40") + abs(log_want) * mpf("1e-30")
 
 
+def _ml_from_zero(x, ml, theta, beta):
+    """sum_n x^n / ((n+theta)^beta (ml n)!) at 512 bits, every term from n = 0."""
+    with mp.workprec(512):
+        x, theta, beta = mpf(x), mpf(theta), mpf(beta)
+        past_peak = int(mpmath.root(x, ml) / ml) + 1
+        g = mpf(1)  # x^n / (ml n)!
+        total = mpf(0)
+        n = 0
+        while True:
+            term = g / (n + theta) ** beta
+            total += term
+            # beyond the peak the terms fall geometrically at rate < 1
+            if n > past_peak and term < total * mpf(2) ** -540:
+                return total
+            for i in range(1, ml + 1):
+                g /= ml * n + i
+            g *= x
+            n += 1
+
+
+def _lemma3_exp_loop(r, q, w):
+    """The per-term exp(q(n ln r - ln d_n)) sum of Lemma 3, cut off at 2^-prec."""
+    p = conjugate_exponent(q)
+    a = rate_exponent(p, w.alpha, "fhc_upper")
+    ln_r = mpmath.ln(r)
+    total = mpf(0)
+    for n in range(w.n_max + 1):
+        term = mpmath.exp(q * (n * ln_r - w.log_weight(n)))
+        total += term
+        if term < mpf(2) ** (-mp.prec) * total and n > r:
+            return mpmath.exp(mpmath.ln(total) - q * (r - a * ln_r))
+    raise AssertionError("reference weight table too short")
+
+
+class TestPeakWalk:
+    """The integer-order Mittag-Leffler sum on z > 0, summed from its peak."""
+
+    @pytest.mark.parametrize("r_s", ["1e4", "4e4", "1e5"])
+    @pytest.mark.parametrize("ml", [1, 2])
+    def test_closed_forms(self, ml, r_s):
+        # beta = 0, theta = 1: ml = 1 is e^r, ml = 2 is cosh(sqrt(r))
+        r = mpf(r_s)
+        got = mittag_leffler(r, ml, 1, 0)
+        with mp.workprec(512):
+            want = mpmath.exp(r) if ml == 1 else mpmath.cosh(mpmath.sqrt(r))
+            assert abs(got - want) <= want * mpf(2) ** (16 - 256)
+
+    @pytest.mark.parametrize("ml,theta_s,beta_s,r_s", [
+        (1, "1", "1", "1e4"),
+        (2, "1", "1", "1e5"),
+        (2, "0.5", "2", "3e4"),
+        (1, "1", "-1.5", "2000"),
+        (1, "1", "-3000", "1000"),  # upward tail must use the actual term ratio
+        (1, "1e-30", "1", "100"),
+        (1, "1e-400", "1", "1000"),  # 1/theta at n = 0 matters below the peak
+        (1, "1", "1", "0.25"),  # peak at n = 0: only the upward side walks
+    ])
+    def test_against_512_bit_sum_from_zero(self, ml, theta_s, beta_s, r_s):
+        got = mittag_leffler(mpf(r_s), ml, mpf(theta_s), mpf(beta_s))
+        want = _ml_from_zero(mpf(r_s), ml, mpf(theta_s), mpf(beta_s))
+        assert abs(got - want) <= want * mpf(2) ** (16 - mp.prec)
+
+    def test_off_axis_and_fractional_order_keep_the_from_zero_loop(self):
+        # z = -x alternates; ml = 1, beta = 0 is e^(-x) either way
+        z = mpf(-30)
+        assert abs(mittag_leffler(z, 1, 1, 0) - mpmath.exp(z)) <= mpf(2) ** -200
+        # ml = 1/2: E(x) = e^(x^2) erfc(-x)
+        x = mpf(3)
+        want = mpmath.exp(x**2) * mpmath.erfc(-x)
+        got = mittag_leffler(x, mpf("0.5"), 1, 0)
+        assert abs(got - want) <= want * mpf(2) ** -200
+
+
 class TestLemma3:
     @pytest.mark.parametrize("q_s,alpha_s", sorted(LEMMA3_SUP))
     def test_sup_golden_with_drift_tolerance(self, q_s, alpha_s):
         w = DunklWeights(mpf(alpha_s), 1024)
         grid = standard_r_grid(mpf("0.1"), mpf(200), 64)  # subsample of the full sweep
-        sup = max(lemma3_ratio(r, mpf(q_s), w) for r in grid)
+        sup = max(lemma3_on_grid(grid, mpf(q_s), w))
         golden = mpf(LEMMA3_SUP[(q_s, alpha_s)])
         assert sup <= golden * mpf("1.01")
         assert sup >= golden * mpf("0.2")  # subsampled sup stays commensurate
+
+    def test_grid_equals_per_radius_ratio(self):
+        # one table serves the sweep; descending radii extend it first for
+        # the largest radius, and every value still matches its own call
+        w = DunklWeights(mpf("0.5"), 700)
+        radii = list(reversed(standard_r_grid(mpf("0.1"), mpf(200), 12)))
+        for q in (mpf(1), mpf("1.5"), mpf(2)):
+            assert lemma3_on_grid(radii, q, w) == [lemma3_ratio(r, q, w) for r in radii]
+            assert lemma3_on_grid(radii, q, w, n_terms=40) == [
+                lemma3_ratio(r, q, w, n_terms=40) for r in radii]
+
+    @pytest.mark.parametrize("alpha_s", ["-0.49", "0", "3"])
+    @pytest.mark.parametrize("q_s", ["1", "1.5", "2"])
+    def test_against_512_bit_exp_loop(self, q_s, alpha_s):
+        radii = standard_r_grid(mpf("0.1"), mpf(400), 6)
+        w = DunklWeights(mpf(alpha_s), 1100)
+        got = lemma3_on_grid(radii, mpf(q_s), w)
+        with mp.workprec(512):
+            w512 = DunklWeights(mpf(alpha_s), 1100)
+            want = [_lemma3_exp_loop(r, mpf(q_s), w512) for r in radii]
+        for g, v in zip(got, want):
+            assert abs(g - v) <= v * mpf(2) ** (16 - 256)
 
     def test_table_exhaustion_raises(self):
         w = DunklWeights(0, 64)
