@@ -539,6 +539,14 @@ def _cmd_frequency(config: ExperimentConfig, opt: dict) -> int:
     R = mpf(opt.get("r", "1"))
     n_window = opt.get("n_window", 2048)
     samples = opt.get("samples", 64)
+    if R < 0:
+        raise ConfigError(f"--r must be >= 0, got {R}", field="r")
+    top = schedule.trunc_degree - schedule.block_width
+    if not 1 <= n_window <= top:
+        raise ConfigError(f"--n-window must lie in [1, {top}], got {n_window}",
+                          field="n_window")
+    if samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {samples}", field="samples")
     report = frequency_report(f, schedule, w, n_window, eps, R, m=samples)
     rows = []
     ok = True

@@ -35,6 +35,7 @@ R_GRID_POINTS = 256
 ML_MAX_TERMS = 10**6
 ML_QUIET_STREAK = 8
 ML_GUARD_BITS = 32
+ML_MAX_PASSES = 6  # precision raises of the from-zero loop before it gives up
 
 
 def standard_r_grid(r_min=R_GRID_MIN, r_max=R_GRID_MAX, points=R_GRID_POINTS):
@@ -180,7 +181,10 @@ def mittag_leffler(z, ml_alpha, theta, beta, tol=None):
       terms can cancel, sum from n = 0 until the upcoming term stays below
       tol times the running sum for 8 consecutive indices.  Integer
       ml_alpha uses the exact term recurrence there too, general ml_alpha
-      recomputes each Gamma factor.
+      recomputes each Gamma factor.  The loop also sums S = sum |t_n|; when
+      its rounding S 2^-wp exceeds tol |sum|, as on the negative axis where
+      e^-200 is summed from terms near e^200, it reruns with the missing
+      bits plus ML_GUARD_BITS, at most ML_MAX_PASSES times.
     """
     ml_alpha = mpf(ml_alpha)
     if not 0 < ml_alpha <= 2:
@@ -196,7 +200,31 @@ def mittag_leffler(z, ml_alpha, theta, beta, tol=None):
     int_alpha = int(ml_alpha) if ml_alpha == int(ml_alpha) else None
     if int_alpha is not None and mpmath.im(z) == 0 and mpmath.re(z) > 0:
         return _ml_peak_walk(mpmath.re(z), int_alpha, theta, beta, mpf(tol))
+    # terms of opposite sign cancel: the loop's rounding is about mass 2^-wp,
+    # where mass = sum |t_n|, so rerun it with the bits the cancellation ate
+    wp = mp.prec
+    for _ in range(ML_MAX_PASSES):
+        with mp.workprec(wp):
+            total, mass = _ml_from_zero(z, ml_alpha, int_alpha, theta, beta, tol)
+            noise = mass * mpf(2) ** -wp
+            if noise <= tol * abs(total):
+                break
+            shortfall = noise / (tol * abs(total)) if total else mpf(2) ** wp
+            wp += int(mpmath.ceil(mpmath.log(shortfall, 2))) + ML_GUARD_BITS
+    else:
+        raise RuntimeError(
+            f"Mittag-Leffler sum at z={mpmath.nstr(z, 8)} lost to cancellation "
+            f"after {ML_MAX_PASSES} passes"
+        )
+    if mpmath.im(z) == 0 and mpmath.re(z) >= 0:
+        return mpmath.re(+total)
+    return +total
+
+
+def _ml_from_zero(z, ml_alpha, int_alpha, theta, beta, tol):
+    """(sum, sum of |terms|) of the series from n = 0, stopped as in mittag_leffler."""
     total = mpmath.mpc(0)
+    mass = mpf(0)
     power_over_gamma = mpf(1)  # z^n / Gamma(ml_alpha n + 1) along the loop
     streak = 0
     for n in range(ML_MAX_TERMS):
@@ -211,6 +239,7 @@ def mittag_leffler(z, ml_alpha, theta, beta, tol=None):
         if beta != 0:
             term = term / (n + theta) ** beta
         total += term
+        mass += abs(term)
         upcoming = abs(z) ** (n + 1) / mpmath.gamma(ml_alpha * (n + 1) + 1) \
             if int_alpha is None else abs(power_over_gamma)
         if beta > 0:
@@ -220,16 +249,12 @@ def mittag_leffler(z, ml_alpha, theta, beta, tol=None):
         if upcoming < tol * abs(total):
             streak += 1
             if streak >= ML_QUIET_STREAK:
-                break
+                return total, mass
         else:
             streak = 0
-    else:
-        raise RuntimeError(
-            f"Mittag-Leffler sum not converged within {ML_MAX_TERMS} terms"
-        )
-    if mpmath.im(z) == 0 and mpmath.re(z) >= 0:
-        return mpmath.re(total)
-    return total
+    raise RuntimeError(
+        f"Mittag-Leffler sum not converged within {ML_MAX_TERMS} terms"
+    )
 
 
 def _ml_peak_walk(x, m: int, theta, beta, tol) -> mpf:

@@ -19,7 +19,10 @@ shifted window are smaller than the top term by hundreds of orders and
 cannot move the mean at the float64 noise level, which is what the reported
 discrepancy tracks.
 
-Every entry point goes through ``means_on_grid``, which builds one table per
+``circle_max`` reads the same samples for the orbit verifier: the sampled
+maximum of |f| on one circle, with no refine.
+
+Every mean goes through ``means_on_grid``, which builds one table per
 call and then evaluates each radius of the grid from it; ``mean_p`` is its
 one-radius case.  The table holds the nonzero degrees n and ln|c_n| in
 float64, plus |c_n|^2 for Parseval, or ln|c_n| at working precision and the
@@ -163,8 +166,10 @@ class _CircleTable:
 
         shift is the exact mpf max of ln|c_n| + n ln r; samples are float64
         complex with relative accuracy near machine epsilon for the dominant
-        terms.  band = (degrees, scaled coefficients) lists the surviving
-        terms, the only ones the p = inf refine evaluates.
+        terms.  Degrees are folded mod m, so any m >= 1 is sampled exactly;
+        for m above the degree the fold is a plain placement.  band =
+        (degrees, scaled coefficients) lists the surviving terms, the only
+        ones the p = inf refine evaluates.
         """
         ln_r = mpmath.ln(r)
         idx = self.window(float(ln_r), _WINDOW_MARGIN - _UNDERFLOW_LOG)
@@ -176,7 +181,7 @@ class _CircleTable:
         degrees = self.degrees[sel]
         scaled = np.array([math.exp(rels[j]) for j in keep]) * self.phase[sel]
         coeffs = np.zeros(m, dtype=np.complex128)
-        coeffs[degrees] = scaled
+        np.add.at(coeffs, degrees % m, scaled)  # e^{2 pi i j n / m} depends on n mod m
         samples = np.fft.ifft(coeffs) * m
         return shift, samples, (degrees, scaled)
 
@@ -270,6 +275,26 @@ def means_on_grid(f: TruncatedSeries, radii, params: MeanParams) -> list[MeanRes
 def mean_p(f: TruncatedSeries, r, params: MeanParams) -> MeanResult:
     """M_p(f, r) together with a quadrature discrepancy estimate."""
     return means_on_grid(f, [r], params)[0]
+
+
+def circle_max(f: TruncatedSeries, r, m: int) -> mpf:
+    """max_j |f(r e^{2 pi i j / m})| over m circle samples, with no refine.
+
+    The samples come from the same scaled float64 FFT as the sampled means,
+    with degrees folded mod m, so m may lie below the degree.  The result is
+    e^shift times the float64 sampled maximum.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    r = mpf(r)
+    if r < 0:
+        raise ValueError(f"r must be >= 0, got {r}")
+    if f.is_zero():
+        return mpf(0)
+    if r == 0:
+        return abs(f.coeff(0))
+    shift, samples, _ = _CircleTable(f, parseval=False).scaled_circle(r, m)
+    return mpmath.exp(shift) * float(np.max(np.abs(samples)))
 
 
 def hausdorff_young_check(f: TruncatedSeries, r, params: MeanParams) -> HausdorffYoungResult:

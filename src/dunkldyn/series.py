@@ -117,6 +117,8 @@ class TruncatedSeries:
 
         Computed per nonzero coefficient with an incremental rotation, so the
         cost is (number of nonzero coefficients) x m regardless of degree.
+        This is the working-precision reference that the tests hold the
+        float64 circle sampler (``means.circle_max``) against.
         """
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
@@ -134,7 +136,10 @@ class TruncatedSeries:
         return vals
 
     def sup_on_disk(self, r, m: int) -> mpf:
-        """max_j |f(r e^(2 pi i j/m))| over m circle samples.
+        """max_j |f(r e^(2 pi i j/m))| over m circle samples, at working precision.
+
+        The working-precision reference for ``means.circle_max``, which the
+        verifiers use.
 
         Coefficients whose contribution |c_n| r^n sits more than prec+48 bits
         below the largest are skipped; with m > degree the sampled maximum

@@ -330,10 +330,14 @@ class TestBuildAndDiagnose:
         vals = [float(r[1]) for r in rows]
         assert len(vals) == 2 and vals[1] > vals[0] > 0
 
-    @pytest.mark.parametrize("damage", ["truncated", "missing key", "short target line",
-                                        "zero denominator", "missing file",
-                                        "precision_bits=0", "precision_bits=-5"])
-    @pytest.mark.parametrize("subcommand", ["orbit", "frequency"])
+    @pytest.mark.parametrize("subcommand,damage", [
+        *((sub, damage) for sub in ("orbit", "frequency")
+          for damage in ("truncated", "missing key", "short target line", "zero denominator",
+                         "missing file", "precision_bits=0", "precision_bits=-5")),
+        # an intact plan with an empty circle or window
+        ("frequency", "--samples 0"), ("frequency", "--samples -3"),
+        ("frequency", "--n-window 0"),
+    ])
     def test_malformed_plan_exits_one(self, hc_artifacts, fhc_artifacts, tmp_path,
                                       capsys, subcommand, damage):
         base = hc_artifacts if subcommand == "orbit" else fhc_artifacts
@@ -351,12 +355,17 @@ class TestBuildAndDiagnose:
         if damage != "missing file":
             plan.write_text("\n".join(lines) + "\n")
         short = ["--n", "64"] if subcommand == "orbit" else ["--n-window", "64"]
+        bad_option = damage.split() if damage.startswith("--") else []
         out = tmp_path / "x.csv"
         rc = main([subcommand, "--input", str(base / "build.series"), "--plan", str(plan),
-                   *short, "-o", str(out)])
+                   *short, *bad_option, "-o", str(out)])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "'plan'" in err and str(plan) in err
+        assert err.count("\n") == 1
+        if bad_option:
+            assert f"'{bad_option[0][2:].replace('-', '_')}'" in err
+        else:
+            assert "'plan'" in err and str(plan) in err
         if damage.startswith("precision_bits="):
             assert "precision_bits must be >= 8" in err
         assert not out.exists()

@@ -1,11 +1,13 @@
 """Builders and their verifiers: enumeration, placements, schedules, plans."""
 
+import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from dunkldyn.construct import (
     BuilderConfig,
@@ -397,6 +399,84 @@ class TestFrequencyReport:
         f, s = build_frequently_hypercyclic(w, 2, env, 1)
         with pytest.raises(ValueError):
             frequency_report(f, s, w, 5000, mpf("0.1"), mpf(1))
+
+
+def _dense_frequency_counts(f, schedule, w, N_window, eps, R, m):
+    """Hit counts by the dense (N_window + 1) x (trunc + 1) matrix times circle powers."""
+    width = f.trunc_degree + 1
+    entries = list(f.items())
+    is_real = all(mpmath.im(c) == 0 for _, c in entries)
+    mat = np.zeros((N_window + 1, width), dtype=np.float64 if is_real else np.complex128)
+    logd = np.array([float(w.log_weight(n)) for n in range(width)])
+    for s, c in entries:
+        rows = np.arange(1, min(N_window, s) + 1)
+        if rows.size == 0:
+            continue
+        logs = float(mpmath.ln(abs(c)) + w.log_weight(s)) - logd[s - rows]
+        vals = np.where(logs > -745.0, np.exp(np.maximum(logs, -745.0)), 0.0)
+        phase = (1.0 if mpmath.re(c) >= 0 else -1.0) if is_real else complex(c / abs(c))
+        mat[rows, s - rows] = phase * vals
+    zs = float(R) * np.exp(2j * np.pi * np.arange(m) / m)
+    powers = zs[None, :] ** np.arange(width)[:, None]
+    if is_real:
+        samples = (mat @ powers.real) + 1j * (mat @ powers.imag)
+    else:
+        samples = mat @ powers
+    counts = []
+    for q in schedule.targets:
+        tvals = sum(float(c) * zs**i for i, c in enumerate(q))
+        sup = np.max(np.abs(samples[1:] - tvals), axis=1)
+        counts.append(int(np.sum(sup < float(eps))))
+    return tuple(counts)
+
+
+class TestFrequencyScatter:
+    """The folded scatter of frequency_report against the dense matrix it replaced."""
+
+    @pytest.fixture(scope="class")
+    def small_build(self):
+        # alpha near -1/2 puts m_0 at 15, so the first 64 rows already hold hits;
+        # trunc 1024 keeps R^1024 finite at R = 1.5, and the schedule's horizon
+        # is widened so that N_window = 2048 passes its check (rows past the
+        # series degree are zero)
+        w = DunklWeights(mpf("-0.49"), 1024)
+        f, s = build_frequently_hypercyclic(w, 2, RateEnvelope.log_growth(), 3,
+                                            trunc_degree=1024)
+        return f, dataclasses.replace(s, trunc_degree=4096), w
+
+    @pytest.mark.parametrize("N_window", [64, 2048])
+    @pytest.mark.parametrize("m", [16, 64])
+    @pytest.mark.parametrize("R_s", ["0.5", "1", "1.5"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_counts_equal_dense_matmul(self, small_build, kind, R_s, m, N_window):
+        f, s, w = small_build
+        if kind == "complex":
+            f = f.scale(mpc(1, "0.05"))
+        R = mpf(R_s)
+        for eps_s in ("0.01", "0.1", "1"):
+            got = frequency_report(f, s, w, N_window, mpf(eps_s), R, m).counts
+            assert got == _dense_frequency_counts(f, s, w, N_window, mpf(eps_s), R, m)
+
+    def test_peak_memory_at_fhc_defaults(self):
+        w = DunklWeights(1, 4096)
+        f, s = build_frequently_hypercyclic(w, 2, RateEnvelope.log_growth(), 3)
+        tracemalloc.start()
+        try:
+            report = frequency_report(f, s, w, 2048, mpf("0.1"), mpf(1), 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.counts == (117, 58, 29)
+        assert peak < 24 * 2**20
+
+    @pytest.mark.parametrize("args", [(2048, 0), (2048, -3), (0, 64), (-1, 64)])
+    def test_rejects_empty_window_or_circle(self, args):
+        w = DunklWeights(1, 64)
+        f = TruncatedSeries({40: 1}, trunc_degree=64)
+        s = FhcSchedule(((F(1),),), (2,), 8, 1, 4096, mpf(1), 2, 1.0)
+        N_window, m = args
+        with pytest.raises(ValueError):
+            frequency_report(f, s, w, N_window, mpf("0.1"), mpf(1), m)
 
 
 class TestDensityDecay:

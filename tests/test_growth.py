@@ -146,6 +146,16 @@ class TestMittagLeffler:
         got = mittag_leffler(z, 1, 1, 0)
         assert abs(got - mpmath.exp(z)) < mpmath.exp(z) * mpf(2) ** -230
 
+    @pytest.mark.parametrize("ml,z_s", [(1, "-50"), (1, "-200"), (1, "-400"), (2, "-1e4")])
+    def test_negative_axis_survives_cancellation(self, ml, z_s):
+        # the terms reach e^|z| (ml = 1) or cosh(100) (ml = 2) while the sum
+        # is e^z or cos(sqrt(-z)); the from-zero loop must buy the lost bits
+        z = mpf(z_s)
+        got = mittag_leffler(z, ml, 1, 0)
+        with mp.workprec(2048):
+            want = mpmath.exp(z) if ml == 1 else mpmath.cos(mpmath.sqrt(-z))
+            assert abs(got - want) <= abs(want) * mpf(2) ** (16 - 256)
+
     def test_barnes_ratio_moderate_radius(self):
         # the asymptotic regime starts around r ~ 1e4
         for ml_alpha in (1, 2):

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from dunkldyn.dunkl import DunklWeights
+from dunkldyn.construct import build_hypercyclic, poly_to_series
+from dunkldyn.dunkl import DunklWeights, apply_dunkl
 from dunkldyn.dynamics import thm3b_bound_check, windowed_c_star
-from dunkldyn.growth import standard_r_grid
+from dunkldyn.growth import RateEnvelope, standard_r_grid
 from dunkldyn.means import (
     P_INF,
     MeanParams,
     _CircleTable,
     _quadrature_mean,
+    circle_max,
     conjugate_exponent,
     hausdorff_young_check,
     mean_p,
@@ -294,3 +296,53 @@ def test_means_nondecreasing_in_p(coeffs, r_s):
         assert a <= b * slack
     assert vals[5] <= vals[6] * slack  # M_1000 <= M_inf
     assert abs(_quadrature_p2(f, r) - vals[2]) <= vals[2] * mpf("1e-12")
+
+
+class TestCircleMax:
+    """circle_max against the working-precision sampled sup of the series module."""
+
+    @pytest.fixture(scope="class")
+    def hc_residuals(self):
+        # the residuals Lambda^{m_k} f - Q_k that verify_orbit_hits measures
+        w = DunklWeights(0, 4096)
+        f, plan = build_hypercyclic(w, RateEnvelope.log_growth(), 12)
+        return [
+            apply_dunkl(f, w, m_k).add(poly_to_series(q, f.trunc_degree).scale(-1))
+            for q, m_k in zip(plan.targets, plan.positions)
+        ]
+
+    def test_hc_residuals_match_sup_on_disk(self, hc_residuals):
+        assert len(hc_residuals) == 12
+        for res in hc_residuals:
+            want = res.sup_on_disk(mpf(2), 512)
+            assert abs(circle_max(res, 2, 512) - want) <= want * mpf("1e-14")
+
+    @pytest.mark.parametrize("m", [1, 5, 16])
+    def test_degrees_colliding_mod_m_are_summed(self, m):
+        # every sample of z^3 + z^(3+m) is r^3 (1 + r^m) times a unit
+        r = mpf("1.1")
+        f = TruncatedSeries({3: 1, 3 + m: 1}, trunc_degree=64)
+        want = r**3 + r ** (3 + m)
+        assert abs(circle_max(f, r, m) - want) <= want * mpf("1e-15")
+        assert abs(f.sup_on_disk(r, m) - want) <= want * mpf("1e-60")
+
+    def test_degree_above_m_matches_sup_on_disk(self):
+        f = TruncatedSeries(
+            {n: mpmath.expj(mpf(n) / 3) / mpmath.factorial(n % 7) for n in range(0, 41, 3)},
+            trunc_degree=64,
+        )
+        for r in (mpf("0.5"), mpf(1), mpf(3)):
+            want = f.sup_on_disk(r, 16)
+            assert abs(circle_max(f, r, 16) - want) <= want * mpf("1e-14")
+
+    def test_zero_series_and_zero_radius(self):
+        assert circle_max(TruncatedSeries.zero(16), 2, 8) == 0
+        f = TruncatedSeries({0: mpc(3, 4), 5: 1}, trunc_degree=16)
+        assert circle_max(f, 0, 8) == 5
+
+    def test_rejects_bad_arguments(self):
+        f = TruncatedSeries({1: 1}, trunc_degree=4)
+        with pytest.raises(ValueError):
+            circle_max(f, 1, 0)
+        with pytest.raises(ValueError):
+            circle_max(f, -1, 8)
