@@ -716,15 +716,10 @@ def frequency_report(
             f"N_window {N_window} exceeds trunc_degree - B = "
             f"{schedule.trunc_degree - schedule.block_width}"
         )
-    if R < 0:
-        raise ValueError(f"R must be >= 0, got {R}")
+    if not 0 <= R < mpmath.inf:
+        raise ValueError(f"R must be finite and >= 0, got {R}")
     # at R = 0 a slope far below -745 per degree keeps the degree-0 terms only
-    ln_R = math.log(float(R)) if R > 0 else -1e300
-    if (f.trunc_degree + 1) * ln_R > 700.0:
-        raise ValueError(
-            f"R={R} with trunc_degree={f.trunc_degree} overflows the float64 "
-            "sampling path; reduce R or the truncation"
-        )
+    ln_R = float(mpmath.ln(R)) if R > 0 else -1e300
     entries = list(f.items())
     is_real = all(mpmath.im(c) == 0 for _, c in entries)
     logd = np.array([float(w.log_weight(n)) for n in range(f.trunc_degree + 1)])
@@ -748,6 +743,9 @@ def frequency_report(
         row = t - starts[owner]  # n - 1
         deg = degrees[owner] - row - 1
         logs = log_top[owner] - logd[deg] + deg * ln_R
+        if logs.max() > 709.0:
+            raise ValueError(f"R={R}: a term of Lambda^n f reaches e^{logs.max():.1f}, "
+                             "which overflows float64; reduce R")
         keep = np.flatnonzero(logs > -745.0)
         owner, row, deg = owner[keep], row[keep], deg[keep]
         np.add.at(folded, row * m + deg % m, phase[owner] * np.exp(logs[keep]))

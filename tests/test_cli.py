@@ -3,10 +3,13 @@
 import math
 from pathlib import Path
 
+import mpmath
 import pytest
-from mpmath import mpf
+from hypothesis import HealthCheck, given, settings, strategies as st
+from mpmath import mp, mpf
 
 from dunkldyn.cli import (
+    _COMMANDS,
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -20,6 +23,7 @@ from dunkldyn.cli import (
     read_config_file,
     run,
 )
+from dunkldyn.dunkl import ALPHA_BOUNDARY_GAP
 from dunkldyn.series import TruncatedSeries, read_series, write_series
 
 
@@ -435,3 +439,139 @@ class TestRunApi:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == EXIT_CONFIG
+
+
+def _option_cases():
+    """A non-numeric value for each number-valued option of every subcommand,
+    and a value just outside its range where the option declares one."""
+    for sub, (_, _, table) in _COMMANDS.items():
+        for o in table:
+            if o.parse is str:
+                continue
+            yield sub, o.flag, "abc"
+            if o.lo is not None:
+                yield sub, o.flag, str(o.lo if o.open_lo else o.lo - 1)
+            elif o.hi is not None and not isinstance(o.hi, str):
+                yield sub, o.flag, str(o.hi + 1)
+
+
+class TestBadInputExitsOne:
+    """Every bad input exits 1 with one stderr line and writes nothing."""
+
+    @staticmethod
+    def _exits_one(capsys, argv, out):
+        assert main([*argv, "-o", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"{argv[0]}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub,flag,value", list(_option_cases()))
+    def test_option_from_the_table(self, tmp_path, capsys, sub, flag, value):
+        # required files need not exist: options are checked before any is read
+        required = [arg for o in _COMMANDS[sub][2] if o.required
+                    for arg in (o.flag, str(tmp_path / o.name))]
+        self._exits_one(capsys, [sub, *required, flag, value], tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-lemma3", "--q", "abc"],
+        ["verify-barnes", "--beta", "x"],
+        ["decay", "--input", "{fhc}", "--q", "abc"],
+        ["verify-hy", "--radii", "a,b"],
+        ["verify-hy", "--radii", "-1", "--count", "1"],
+        ["verify-hy", "--p", "3", "--count", "1"],
+        ["decay", "--input", "{small}", "--m", "0"],
+        ["decay", "--input", "{small}", "--m", "999999"],
+        ["frequency", "--input", "{fhc}", "--plan", "{fhc_plan}", "--r", "1000"],
+    ], ids=" ".join)
+    def test_inputs_that_raised_tracebacks(self, fhc_artifacts, tmp_path, capsys, argv):
+        small = tmp_path / "small.series"
+        write_series(TruncatedSeries({0: 1, 3: 2}, trunc_degree=64), str(small), mpf(0),
+                     precision_bits=256)
+        paths = {"fhc": fhc_artifacts / "build.series", "fhc_plan": fhc_artifacts / "build.plan",
+                 "small": small}
+        argv = [arg.format(**paths) for arg in argv]
+        self._exits_one(capsys, argv, tmp_path / "x.csv")
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        self._exits_one(capsys, ["weights", "--n", "4"], tmp_path / "missing" / "w.csv")
+
+    def test_run_reports_unknown_and_missing_options(self, tmp_path, capsys):
+        cfg = ExperimentConfig(output=str(tmp_path / "o.csv"))
+        assert run("weights", cfg, {"N": 4}) == EXIT_CONFIG
+        assert run("means", cfg, {}) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and "'N'" in err[0] and "--input is required" in err[1]
+        assert not (tmp_path / "o.csv").exists()
+
+
+class TestPrecisionScope:
+    @pytest.mark.parametrize("ambient", [53, 512])
+    def test_main_and_run_leave_precision_as_found(self, tmp_path, ambient):
+        out = str(tmp_path / "w.csv")
+        mp.prec = ambient
+        assert main(["weights", "--n", "4", "-o", out]) == EXIT_OK
+        assert mp.prec == ambient
+        assert main(["weights", "--n", "4", "--precision-bits", "512", "-o", out]) == EXIT_OK
+        assert mp.prec == ambient
+        assert run("weights", ExperimentConfig(output=out), {"n": 4}) == EXIT_OK
+        assert mp.prec == ambient
+        assert run("weights", ExperimentConfig(output=out), {"n": -1}) == EXIT_CONFIG
+        assert mp.prec == ambient
+
+    def test_outputs_do_not_depend_on_ambient_precision(self, tmp_path):
+        inp = tmp_path / "in.series"
+        write_series(TruncatedSeries({0: 1, 2: mpf("0.3"), 5: -2}, trunc_degree=16), str(inp),
+                     mpf("0.5"), precision_bits=256)
+        jobs = [["weights", "--n", "64"],
+                ["verify-lemma3", "--q", "1.5", "--r-min", "0.5", "--r-max", "20",
+                 "--r-points", "4", "--trunc-degree", "64"],
+                ["means", "--input", str(inp), "--p", "1", "--r-min", "0.5", "--r-max", "3",
+                 "--r-points", "4"]]
+        outputs = {}
+        for ambient in (53, 512):
+            mp.prec = ambient
+            for i, argv in enumerate(jobs):
+                out = tmp_path / f"{i}.csv"
+                assert main([*argv, "-o", str(out)]) == EXIT_OK
+                outputs[ambient, i] = out.read_bytes()
+        assert all(outputs[53, i] == outputs[512, i] for i in range(len(jobs)))
+
+
+# the smallest alpha the weight table accepts, and a little above it
+_NEAR_BOUNDARY = st.sampled_from([-0.5 + 2 * ALPHA_BOUNDARY_GAP, -0.5 + 1e-9, -0.49])
+
+
+class TestMeansBoundaryProperty:
+    """means at the edges of its domain: a finite nonnegative M_p or exit 1."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(alpha=_NEAR_BOUNDARY,
+           p=st.sampled_from(["1", "2", "1000", "inf"]),
+           r_min=st.sampled_from(["1e-300", "1e-12", "0.001"]),
+           r_max=st.sampled_from(["2", "1e6", "1e15"]),
+           full_degree=st.booleans(),
+           coeffs=st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=17))
+    def test_exit_zero_with_finite_means_or_one_line(self, tmp_path, capsys, alpha, p, r_min,
+                                                     r_max, full_degree, coeffs):
+        trunc = 16
+        # degree 0, or degree = trunc with the drawn coefficients below it
+        cs = dict(enumerate(coeffs[:trunc])) if full_degree else {0: coeffs[0] or 1.0}
+        if full_degree:
+            cs[trunc] = coeffs[-1] or 1.0
+        inp = tmp_path / "in.series"
+        write_series(TruncatedSeries({n: mpf(c) for n, c in cs.items()}, trunc_degree=trunc),
+                     str(inp), mpf(alpha), precision_bits=256)
+        out = tmp_path / "m.csv"
+        out.unlink(missing_ok=True)
+        rc = main(["means", "--input", str(inp), "--alpha", repr(alpha), "--p", p,
+                   "--r-min", r_min, "--r-max", r_max, "--r-points", "3",
+                   "--trunc-degree", str(trunc), "-o", str(out)])
+        err = capsys.readouterr().err
+        if rc == EXIT_OK:
+            _, _, rows = _read_csv(out)
+            values = [mpf(row[1]) for row in rows]
+            assert len(values) == 3
+            assert all(mpmath.isfinite(v) and v >= 0 for v in values), values
+        else:
+            assert rc == EXIT_CONFIG and err.count("\n") == 1, err

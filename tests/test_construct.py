@@ -457,9 +457,15 @@ class TestFrequencyScatter:
             got = frequency_report(f, s, w, N_window, mpf(eps_s), R, m).counts
             assert got == _dense_frequency_counts(f, s, w, N_window, mpf(eps_s), R, m)
 
-    def test_peak_memory_at_fhc_defaults(self):
+    @pytest.fixture(scope="class")
+    def fhc_build(self):
+        # the fhc command's defaults: alpha 1, p 2, trunc 4096, three targets
         w = DunklWeights(1, 4096)
         f, s = build_frequently_hypercyclic(w, 2, RateEnvelope.log_growth(), 3)
+        return f, s, w
+
+    def test_peak_memory_at_fhc_defaults(self, fhc_build):
+        f, s, w = fhc_build
         tracemalloc.start()
         try:
             report = frequency_report(f, s, w, 2048, mpf("0.1"), mpf(1), 64)
@@ -468,6 +474,28 @@ class TestFrequencyScatter:
             tracemalloc.stop()
         assert report.counts == (117, 58, 29)
         assert peak < 24 * 2**20
+
+    def test_r_above_one_at_full_truncation(self, fhc_build):
+        # (trunc + 1) ln R is 1661 at R = 1.5, yet no term formed exceeds e^1.4
+        f, s, w = fhc_build
+        R, eps, m = mpf("1.5"), mpf("0.1"), 64
+        assert frequency_report(f, s, w, 2048, eps, R, m).counts == (117, 58, 29)
+        # the hit flags of row n are the count steps from N_window = n - 1 to n
+        n = s.positions(1)[0]
+        before, after = (frequency_report(f, s, w, N, eps, R, m).counts for N in (n - 1, n))
+        g = apply_dunkl(f, w, n)
+        zs = [R * mpmath.expj(2 * mpmath.pi * k / m) for k in range(m)]
+        values = [g.evaluate(z) for z in zs]
+        want = [int(max(abs(v - sum(c * z**i for i, c in enumerate(q)))
+                        for v, z in zip(values, zs)) < eps) for q in s.targets]
+        assert [b - a for a, b in zip(before, after)] == want == [1, 0, 0]
+
+    @pytest.mark.parametrize("R_s", ["1000", "inf", "nan", "-1"])
+    def test_rejects_r_that_overflows_or_is_not_finite(self, fhc_build, R_s):
+        # at R = 1000 a term of Lambda^n f passes e^709; the threshold is R ~ 721
+        f, s, w = fhc_build
+        with pytest.raises(ValueError):
+            frequency_report(f, s, w, 2048, mpf("0.1"), mpf(R_s), 64)
 
     @pytest.mark.parametrize("args", [(2048, 0), (2048, -3), (0, 64), (-1, 64)])
     def test_rejects_empty_window_or_circle(self, args):
