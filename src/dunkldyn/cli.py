@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import os
 import random
 import sys
@@ -105,11 +106,7 @@ class ExperimentConfig:
     output: str = "dunkldyn.csv"
 
     def validate(self) -> None:
-        try:
-            a = float(self.alpha)
-        except ValueError:
-            raise ConfigError(f"not a number: {self.alpha!r}", field="alpha")
-        if not a > -0.5 + ALPHA_BOUNDARY_GAP:
+        if not self._finite("alpha") > -0.5 + ALPHA_BOUNDARY_GAP:
             raise ConfigError(f"alpha must exceed -1/2 + {ALPHA_BOUNDARY_GAP}, "
                               f"got {self.alpha}", field="alpha")
         try:  # float() also reads "inf"
@@ -123,16 +120,22 @@ class ExperimentConfig:
             if getattr(self, name) < lo:
                 raise ConfigError(f"{name} must be >= {lo}, got {getattr(self, name)}",
                                   field=name)
-        try:
-            lo, hi = float(self.r_min), float(self.r_max)
-        except ValueError:
-            raise ConfigError(f"not numbers: r_min={self.r_min!r} r_max={self.r_max!r}",
-                              field="r_min")
-        if not 0 < lo < hi:
+        if not 0 < self._finite("r_min") < self._finite("r_max"):
             raise ConfigError(f"need 0 < r_min < r_max, got {self.r_min}, {self.r_max}",
                               field="r_min")
         if not self.output:
             raise ConfigError("output path must not be empty", field="output")
+
+    def _finite(self, name: str) -> float:
+        """The value of a number field, which must be a finite float64."""
+        text = getattr(self, name)
+        try:
+            x = float(text)
+        except ValueError:
+            raise ConfigError(f"not a number: {text!r}", field=name)
+        if not math.isfinite(x):
+            raise ConfigError(f"{name} must be a finite float64 number, got {text}", field=name)
+        return x
 
     def alpha_mp(self) -> mpf:
         return mpf(self.alpha)
@@ -310,6 +313,9 @@ class _Option:
             value = self.parse(given)
         except (TypeError, ValueError):
             raise ConfigError(f"{self.flag}: not a number: {given!r}", field=self.name)
+        if not isinstance(value, str) and not all(
+                mpmath.isfinite(v) for v in (value if isinstance(value, list) else [value])):
+            raise ConfigError(f"{self.flag} must be finite, got {given}", field=self.name)
         hi = getattr(config, self.hi) if isinstance(self.hi, str) else self.hi
         above_lo = self.lo is None or (value > self.lo if self.open_lo else value >= self.lo)
         if not (above_lo and (hi is None or value <= hi)):

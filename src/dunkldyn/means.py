@@ -4,8 +4,8 @@ Routes by exponent:
 
 * p = 2 goes through the Parseval closed form, summed at working precision.
   This is the anchor the quadrature route is tested against.
-* p = infinity samples |f| on a uniform circle grid and sharpens the best
-  sample with a golden-section pass around it.
+* p = infinity samples |f| on a uniform circle grid and sharpens the three
+  highest local maxima of the samples with a golden-section pass each.
 * other p use trapezoidal quadrature of |f|^p on the same grid.  For a smooth
   periodic integrand the uniform trapezoid rule converges faster than any
   power of 1/m, so the m-versus-m/2 discrepancy reported next to each value
@@ -24,17 +24,25 @@ maximum of |f| on one circle, with no refine.
 
 Every mean goes through ``means_on_grid``, which builds one table per
 call and then evaluates each radius of the grid from it; ``mean_p`` is its
-one-radius case.  The table holds the nonzero degrees n and ln|c_n| in
-float64, plus |c_n|^2 for Parseval, or ln|c_n| at working precision and the
-complex128 unit phases for the sampled routes.  Nothing outlives the call.
-At each radius a float64 pass over ln|c_n| + n ln r picks the terms within
-the 700-nat window plus a 1-nat margin, which dwarfs the ~1e-11 rounding of
-the float64 pass.  Only those candidates get the exact mpf shift and scaled
-logs, so the samples are bit-identical to evaluating every coefficient.
+one-radius case.  The table holds the nonzero degrees n and ln|c_n|, plus
+|c_n|^2 for Parseval, or, for the sampled routes, ln|c_n| at working
+precision, the same logs as double-double (hi, lo) float64 pairs and the
+complex128 unit phases.  Nothing outlives the call.  At each radius a
+float64 pass over ln|c_n| + n ln r picks the terms within the 700-nat
+window plus a 1-nat margin, which dwarfs the ~1e-11 rounding of that pass.
+The candidates' exponents relative to the top term are then formed with
+exact two-sum arithmetic from the double-double logs and a hi/lo split of
+ln r; only the shift, ln|c_top| + n_top ln r, is an mpf operation.  The
+samples agree with evaluating every coefficient at working precision to
+within 1e-14 of the largest sample; plain float64 exponents would miss by
+up to ~2e-12 on degree-4000 series.  The sampled routes batch their
+inverse FFTs: the scaled terms of a block of radii fill the rows of one
+2-D array, about _BLOCK_ELEMENTS complex values (4 MB) per block, and one
+``ifft`` along the rows serves the whole block.
 Parseval likewise drops terms more than (precision + 64) bits below the top
 term.  The p = infinity refine evaluates only the terms that survive the
-window, rotated to the best sample's angle through the exact residue
-(j n) mod m, so its phases stay accurate to float64 at any degree.
+window, rotated to a peak's angle through the exact residue (j n) mod m, so
+its phases stay accurate to float64 at any degree.
 """
 
 from __future__ import annotations
@@ -55,6 +63,9 @@ _UNDERFLOW_LOG = -700.0  # scaled log below which a float64 term is pure noise
 _WINDOW_MARGIN = 1.0  # nats added to a float64 window; its rounding is ~1e-11
 _LN2 = math.log(2.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SPLIT = 2.0**27 + 1.0  # Veltkamp splitter: a float64 into two 26-bit halves
+_BLOCK_ELEMENTS = 1 << 18  # complex values per batched inverse FFT (4 MB)
+_REFINED_PEAKS = 3  # local maxima of the p = inf samples that get a refine
 
 
 def conjugate_exponent(p):
@@ -126,28 +137,39 @@ def _float_ln(x: mpf) -> float:
     return math.log(man) + exp * _LN2
 
 
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
 class _CircleTable:
     """Per-coefficient data of one series, shared by every radius of a call.
 
     n lists the nonzero degrees as ints for mpf arithmetic and degrees as an
-    int64 array; log_abs_f holds ln|c_n| in float64, which only selects
-    candidate terms.  The Parseval route also keeps |c_n|^2, the sampling
-    routes ln|c_n| at working precision and the unit phase c_n/|c_n| in
-    complex128.
+    int64 array; log_abs_f holds ln|c_n| rounded to float64, which selects
+    candidate terms.  The Parseval route also keeps |c_n|^2; the sampling
+    routes keep ln|c_n| at working precision, its float64 remainder
+    log_abs_lo (so log_abs_f + log_abs_lo is a double-double) and the unit
+    phase c_n/|c_n| in complex128.
     """
 
-    __slots__ = ("n", "degrees", "log_abs_f", "abs2", "log_abs", "phase")
+    __slots__ = ("n", "degrees", "log_abs_f", "abs2", "log_abs", "log_abs_lo", "phase")
 
     def __init__(self, f: TruncatedSeries, parseval: bool):
         items = list(f.items())
         mags = [abs(c) for _, c in items]
         self.n = [n for n, _ in items]
         self.degrees = np.array(self.n, dtype=np.int64)
-        self.log_abs_f = np.array([_float_ln(a) for a in mags])
         if parseval:
+            self.log_abs_f = np.array([_float_ln(a) for a in mags])
             self.abs2 = [a**2 for a in mags]
         else:
             self.log_abs = [mpmath.ln(a) for a in mags]
+            self.log_abs_f = np.array([float(v) for v in self.log_abs])
+            self.log_abs_lo = np.array([float(v - h)
+                                        for v, h in zip(self.log_abs, self.log_abs_f)])
             self.phase = np.array([complex(c / a) for (_, c), a in zip(items, mags)])
 
     def window(self, ln_r: float, width: float) -> np.ndarray:
@@ -161,29 +183,64 @@ class _CircleTable:
         idx = self.window(_float_ln(r), width)
         return mpmath.sqrt(mpmath.fsum(self.abs2[i] * r ** (2 * self.n[i]) for i in idx))
 
+    def terms(self, r: mpf):
+        """(shift, (degrees, scaled)): the terms c_n r^n e^{-shift} of the 700-nat window.
+
+        shift is the mpf ln|c_top| + n_top ln r of the largest term.  The
+        other exponents are formed relative to it in double-double:
+        (ln|c_n| - ln|c_top|) by two-sum of the (hi, lo) logs, and
+        (n - n_top) ln r from ln r split into two 26-bit halves, whose
+        products with an integer below 2^26 are exact, plus its float64
+        remainder.  Each exponent is thus within an ulp of its rounded exact
+        value, so the terms agree with a working-precision evaluation of
+        every coefficient to float64 accuracy.
+        """
+        ln_r = mpmath.ln(r)
+        l_hi = float(ln_r)
+        l_lo = float(ln_r - l_hi)
+        c = _SPLIT * l_hi
+        l_1 = c - (c - l_hi)
+        l_2 = l_hi - l_1
+        idx = self.window(l_hi, _WINDOW_MARGIN - _UNDERFLOW_LOG)
+        approx_top = idx[np.argmax(self.log_abs_f[idx] + self.degrees[idx] * l_hi)]
+        k = (self.degrees[idx] - self.degrees[approx_top]).astype(np.float64)
+        s, e_a = _two_sum(self.log_abs_f[idx], -self.log_abs_f[approx_top])
+        s, e_1 = _two_sum(s, k * l_1)
+        s, e_2 = _two_sum(s, k * l_2)
+        tail = e_a + e_1 + e_2 + (self.log_abs_lo[idx] - self.log_abs_lo[approx_top]) + k * l_lo
+        rel = s + tail
+        j = int(np.argmax(rel))
+        rel -= rel[j]  # zero unless the float64 pass misordered two terms within ~1e-11 nats
+        top = int(idx[j])
+        shift = self.log_abs[top] + self.n[top] * ln_r
+        keep = rel >= _UNDERFLOW_LOG
+        sel = idx[keep]
+        return shift, (self.degrees[sel], np.exp(rel[keep]) * self.phase[sel])
+
     def scaled_circle(self, r: mpf, m: int):
         """(shift, samples, band) with samples[j] = f(r e^{2 pi i j / m}) e^{-shift}.
 
-        shift is the exact mpf max of ln|c_n| + n ln r; samples are float64
-        complex with relative accuracy near machine epsilon for the dominant
-        terms.  Degrees are folded mod m, so any m >= 1 is sampled exactly;
-        for m above the degree the fold is a plain placement.  band =
-        (degrees, scaled coefficients) lists the surviving terms, the only
-        ones the p = inf refine evaluates.
+        shift and band = (degrees, scaled coefficients) come from ``terms``;
+        band lists the surviving terms, the only ones the p = inf refine
+        evaluates.  samples are float64 complex and agree with evaluating
+        every coefficient at working precision to within 1e-14 of the
+        largest sample.  This is the one-radius case of the row batches of
+        ``means_on_grid``.
         """
-        ln_r = mpmath.ln(r)
-        idx = self.window(float(ln_r), _WINDOW_MARGIN - _UNDERFLOW_LOG)
-        logs = [self.log_abs[i] + self.n[i] * ln_r for i in idx]
-        shift = max(logs)
-        rels = [float(lv - shift) for lv in logs]
-        keep = [j for j, rel in enumerate(rels) if rel >= _UNDERFLOW_LOG]
-        sel = idx[keep]
-        degrees = self.degrees[sel]
-        scaled = np.array([math.exp(rels[j]) for j in keep]) * self.phase[sel]
-        coeffs = np.zeros(m, dtype=np.complex128)
-        np.add.at(coeffs, degrees % m, scaled)  # e^{2 pi i j n / m} depends on n mod m
-        samples = np.fft.ifft(coeffs) * m
-        return shift, samples, (degrees, scaled)
+        shift, band = self.terms(r)
+        return shift, _circle_rows([band], m)[0], band
+
+
+def _circle_rows(bands, m: int) -> np.ndarray:
+    """samples[i, j] = sum_n scaled_n e^{2 pi i j n / m} for the i-th (degrees, scaled).
+
+    Degrees are folded mod m, so any m >= 1 is sampled exactly; for m above
+    the degree the fold is a plain placement.  One inverse FFT along the rows.
+    """
+    coeffs = np.zeros((len(bands), m), dtype=np.complex128)
+    for row, (degrees, scaled) in zip(coeffs, bands):
+        np.add.at(row, degrees % m, scaled)  # e^{2 pi i j n / m} depends on n mod m
+    return np.fft.ifft(coeffs, axis=-1, norm="forward", out=coeffs)
 
 
 def _refine_max(degrees: np.ndarray, coeffs: np.ndarray, half_width: float) -> float:
@@ -222,22 +279,36 @@ def _quadrature_mean(shift: mpf, samples: np.ndarray, p) -> MeanResult:
 
 
 def _max_mean(shift: mpf, samples: np.ndarray, band) -> MeanResult:
-    """Largest sample sharpened by a golden-section pass over its two cells.
+    """Largest sample sharpened by a golden-section pass at each of the highest peaks.
 
-    The band's terms are first rotated to the best sample's angle 2 pi j / m
-    through the exact residue (j n) mod m, so the refine only forms e^{i n t}
-    for |t| <= 2 pi / m and its phases keep full float64 accuracy at any degree.
+    The _REFINED_PEAKS highest cyclic local maxima of |samples| are refined
+    over their two cells each, highest first, and the largest result is
+    kept, so a nearly tied peak cannot hide the global maximum.  A peak is
+    skipped when |f| cannot climb above the best value within 2 pi / m of
+    it: |f| moves at most sum_n |n - n_top| |scaled_n| per radian.  The
+    band's terms are rotated to the peak's angle 2 pi j / m through the
+    exact residue (j n) mod m, so the refine only forms e^{i n t} for
+    |t| <= 2 pi / m and its phases keep full float64 accuracy at any degree.
     """
     m = len(samples)
     mags = np.abs(samples)
-    j = int(np.argmax(mags))
+    top = float(np.max(mags))
     coarse_half = float(np.max(mags[::2]))
+    peaks = np.flatnonzero((mags >= np.roll(mags, 1)) & (mags >= np.roll(mags, -1)))
+    if len(peaks) > _REFINED_PEAKS:
+        peaks = peaks[np.argpartition(mags[peaks], -_REFINED_PEAKS)[-_REFINED_PEAKS:]]
+    peaks = peaks[np.argsort(-mags[peaks], kind="stable")]
     degrees, scaled = band
-    rotated = scaled * np.exp(2j * np.pi * ((j * degrees) % m) / m)
-    refined = _refine_max(degrees, rotated, 2.0 * math.pi / m)
-    best = max(refined, float(mags[j]))
+    half_width = 2.0 * math.pi / m
+    size = np.abs(scaled)
+    climb = half_width * float(np.dot(np.abs(degrees - degrees[np.argmax(size)]), size))
+    best = top
+    for j in peaks:
+        if mags[j] + climb > best:
+            rotated = scaled * np.exp(2j * np.pi * ((int(j) * degrees) % m) / m)
+            best = max(best, _refine_max(degrees, rotated, half_width))
     scale = mpmath.exp(shift)
-    err = (abs(mpf(best - float(mags[j]))) + abs(mpf(best - coarse_half))) * scale
+    err = (abs(mpf(best - top)) + abs(mpf(best - coarse_half))) * scale
     return MeanResult(mpf(best) * scale, err)
 
 
@@ -245,7 +316,9 @@ def means_on_grid(f: TruncatedSeries, radii, params: MeanParams) -> list[MeanRes
     """M_p(f, r) with its quadrature discrepancy at every radius of the grid.
 
     The coefficient table is built once per call and read at each radius;
-    nothing is cached beyond the call.
+    nothing is cached beyond the call.  The sampled routes run one inverse
+    FFT per block of radii, about _BLOCK_ELEMENTS samples per block; a
+    row's samples do not depend on the block it shares.
     """
     radii = [mpf(r) for r in radii]
     for r in radii:
@@ -256,19 +329,21 @@ def means_on_grid(f: TruncatedSeries, radii, params: MeanParams) -> list[MeanRes
         return [constant] * len(radii)
     parseval = params.p == 2
     table = _CircleTable(f, parseval)
-    m = None if parseval else params.points_for(f)
-    out = []
-    for r in radii:
-        if r == 0:
-            out.append(constant)
-        elif parseval:
-            out.append(MeanResult(table.parseval(r), mpf(0)))
-        else:
-            shift, samples, band = table.scaled_circle(r, m)
+    if parseval:
+        return [MeanResult(table.parseval(r), mpf(0)) if r else constant for r in radii]
+    m = params.points_for(f)
+    out = [constant] * len(radii)
+    live = [i for i, r in enumerate(radii) if r]
+    per_block = max(1, _BLOCK_ELEMENTS // m)
+    for start in range(0, len(live), per_block):
+        block = live[start:start + per_block]
+        terms = [table.terms(radii[i]) for i in block]
+        samples = _circle_rows([band for _, band in terms], m)
+        for i, (shift, band), row in zip(block, terms, samples):
             if params.p == P_INF:
-                out.append(_max_mean(shift, samples, band))
+                out[i] = _max_mean(shift, row, band)
             else:
-                out.append(_quadrature_mean(shift, samples, params.p))
+                out[i] = _quadrature_mean(shift, row, params.p)
     return out
 
 

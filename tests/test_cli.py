@@ -59,6 +59,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(p="0.5").validate()
 
+    @pytest.mark.parametrize("field,value", [("alpha", "inf"), ("alpha", "nan"),
+                                             ("r_min", "nan"), ("r_max", "inf"),
+                                             ("r_max", "1e400")])
+    def test_non_finite_number_names_its_field(self, field, value):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**{field: value}).validate()
+        assert exc.value.field == field and "finite" in str(exc.value)
+
     def test_read_config_file(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("alpha = 1  # with a comment\n\ntrunc_degree=512\n")
@@ -482,6 +490,9 @@ class TestBadInputExitsOne:
         ["decay", "--input", "{small}", "--m", "0"],
         ["decay", "--input", "{small}", "--m", "999999"],
         ["frequency", "--input", "{fhc}", "--plan", "{fhc_plan}", "--r", "1000"],
+        ["means", "--input", "{small}", "--r-max", "inf"],
+        ["orbit", "--input", "{small}", "--windows", "inf"],
+        ["verify-barnes", "--beta", "nan"],
     ], ids=" ".join)
     def test_inputs_that_raised_tracebacks(self, fhc_artifacts, tmp_path, capsys, argv):
         small = tmp_path / "small.series"
@@ -491,6 +502,14 @@ class TestBadInputExitsOne:
                  "small": small}
         argv = [arg.format(**paths) for arg in argv]
         self._exits_one(capsys, argv, tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("option,value", [("windows", "50,inf"), ("beta", "nan"),
+                                              ("radii", "1,-inf"), ("eps", "inf")])
+    def test_non_finite_option_names_its_field(self, option, value):
+        o = next(o for _, _, table in _COMMANDS.values() for o in table if o.name == option)
+        with pytest.raises(ConfigError) as exc:
+            o.resolve(value, ExperimentConfig())
+        assert exc.value.field == option and "finite" in str(exc.value)
 
     def test_unwritable_output(self, tmp_path, capsys):
         self._exits_one(capsys, ["weights", "--n", "4"], tmp_path / "missing" / "w.csv")

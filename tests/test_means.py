@@ -14,6 +14,7 @@ from dunkldyn.dunkl import DunklWeights, apply_dunkl
 from dunkldyn.dynamics import thm3b_bound_check, windowed_c_star
 from dunkldyn.growth import RateEnvelope, standard_r_grid
 from dunkldyn.means import (
+    _BLOCK_ELEMENTS,
     P_INF,
     MeanParams,
     _CircleTable,
@@ -187,20 +188,35 @@ def _sparse_high_degree():
 _ORACLE_RADII = [mpf(10) ** (mpf(k) / 2) for k in range(-4, 11)]  # 0.01 .. 1e5
 
 
-@pytest.mark.parametrize("name", ["sparse", "exp"])
-def test_kernel_samples_equal_per_coefficient_reference(name):
-    f = _sparse_high_degree() if name == "sparse" else exp_truncation(256)
+def _dense_high_degree():
+    # every degree up to 2400 present, magnitudes ~ 1/sqrt(n!) and unit phases
+    coeffs = {n: mpmath.expj(mpf(n) / 7) * mpmath.exp(-mpmath.loggamma(n + 1) / 2)
+              for n in range(2401)}
+    return TruncatedSeries(coeffs, trunc_degree=2400)
+
+
+_SERIES = {"sparse": _sparse_high_degree, "exp": lambda: exp_truncation(256),
+           "dense": _dense_high_degree}
+
+
+@pytest.mark.parametrize("name", list(_SERIES))
+def test_kernel_samples_match_per_coefficient_reference(name):
+    # double-double exponents: the samples, rescaled to the reference shift,
+    # stay within 1e-14 of the largest sample (float64 exponents miss by
+    # ~4e-14 on exp(256)), and so do the means built on them
+    f = _SERIES[name]()
     table = _CircleTable(f, parseval=False)
-    for p in (mpf(1), mpf("1.5"), mpf(3)):
-        params = MeanParams(p)
-        m = params.points_for(f)
-        got = means_on_grid(f, _ORACLE_RADII, params)
-        for r, res in zip(_ORACLE_RADII, got):
-            shift, samples = _scaled_circle_per_coefficient(f, r, m)
-            k_shift, k_samples, _ = table.scaled_circle(r, m)
-            assert k_shift == shift
-            assert np.array_equal(k_samples, samples)
-            assert res == _quadrature_mean(shift, samples, p)
+    ps = (mpf(1), mpf("1.5"), mpf(3))
+    m = MeanParams(1).points_for(f)
+    got = {p: means_on_grid(f, _ORACLE_RADII, MeanParams(p)) for p in ps}
+    for i, r in enumerate(_ORACLE_RADII):
+        shift, samples = _scaled_circle_per_coefficient(f, r, m)
+        k_shift, k_samples, _ = table.scaled_circle(r, m)
+        rescaled = k_samples * float(mpmath.exp(k_shift - shift))
+        assert np.max(np.abs(rescaled - samples)) <= 1e-14 * np.max(np.abs(samples))
+        for p in ps:
+            want = _quadrature_mean(shift, samples, p).value
+            assert abs(got[p][i].value - want) <= want * mpf("1e-14")
 
 
 def _mpf_peak(f, r, theta, half_width):
@@ -227,10 +243,19 @@ def _mpf_peak(f, r, theta, half_width):
     return max(f1, f2)
 
 
+def _mpf_global_max(f, r, m):
+    """max |f| on |z| = r in mpf: the 4 highest local maxima of a 16m-point scan, refined."""
+    fine_m = 16 * m
+    _, fine = _scaled_circle_per_coefficient(f, r, fine_m)
+    mags = np.abs(fine)
+    peaks = np.flatnonzero((mags >= np.roll(mags, 1)) & (mags >= np.roll(mags, -1)))
+    peaks = peaks[np.argsort(mags[peaks])[-4:]]
+    return max(_mpf_peak(f, r, 2 * mp.pi * j / fine_m, 2 * mp.pi / fine_m) for j in peaks)
+
+
 def test_max_route_matches_mpf_maximum():
-    # the kernel refines the peak of its best sample: within 1e-14 of that
-    # peak's mpf maximum, and the global maximum (located on a 16x finer
-    # scan) exceeds it by no more than the reported discrepancy
+    # the kernel refines the highest peaks of its samples: within 1e-14 of
+    # the global mpf maximum
     rng = np.random.default_rng(5)
     poly = TruncatedSeries(
         {n: mpc(*rng.uniform(-1, 1, 2)) for n in range(0, 40, 3)}, trunc_degree=64)
@@ -244,14 +269,23 @@ def test_max_route_matches_mpf_maximum():
         params = MeanParams(P_INF)
         m = params.points_for(f)
         for r, res in zip(radii, means_on_grid(f, radii, params)):
-            _, samples = _scaled_circle_per_coefficient(f, r, m)
-            j = int(np.argmax(np.abs(samples)))
-            local = _mpf_peak(f, r, 2 * mp.pi * j / m, 2 * mp.pi / m)
-            assert abs(res.value - local) <= local * mpf("1e-14")
-            _, fine = _scaled_circle_per_coefficient(f, r, 16 * m)
-            j = int(np.argmax(np.abs(fine)))
-            peak = _mpf_peak(f, r, 2 * mp.pi * j / (16 * m), 2 * mp.pi / (16 * m))
-            assert res.value >= peak * (1 - mpf("1e-13")) - res.richardson_err
+            peak = _mpf_global_max(f, r, m)
+            assert abs(res.value - peak) <= peak * mpf("1e-14")
+
+
+def test_max_route_resolves_near_tied_peaks():
+    # at r = 0.5, c_0 + c_3 z^3 gives three peaks that only a ~1e-11 z^17
+    # term tells apart; the best sample's own peak is not the highest one
+    f = _sparse_high_degree()
+    r = mpf("0.5")
+    m = MeanParams(P_INF).points_for(f)
+    _, samples = _scaled_circle_per_coefficient(f, r, m)
+    j = int(np.argmax(np.abs(samples)))
+    best_sample_peak = _mpf_peak(f, r, 2 * mp.pi * j / m, 2 * mp.pi / m)
+    peak = _mpf_global_max(f, r, m)
+    assert best_sample_peak < peak * (1 - mpf("1e-12"))
+    got = mean_p(f, r, MeanParams(P_INF)).value
+    assert abs(got - peak) <= peak * mpf("1e-14")
 
 
 def test_grid_equals_per_radius_mean_p():
@@ -260,6 +294,22 @@ def test_grid_equals_per_radius_mean_p():
     for p in (mpf(1), mpf("1.5"), mpf(2), mpf(64), P_INF):
         params = MeanParams(p)
         assert means_on_grid(f, radii, params) == [mean_p(f, r, params) for r in radii]
+
+
+def test_batched_blocks_equal_per_radius_mean_p():
+    # a grid spanning two inverse-FFT blocks, with r = 0 inside the first
+    f = _sparse_high_degree()
+    m = MeanParams(1).points_for(f)
+    radii = [mpf(10) ** (mpf(k) / 4) for k in range(-8, 12)]
+    radii.insert(3, mpf(0))
+    assert _BLOCK_ELEMENTS // m < len(radii) - 1 < 2 * (_BLOCK_ELEMENTS // m)
+    for p in (mpf(1), mpf("1.5"), P_INF):
+        params = MeanParams(p)
+        assert means_on_grid(f, radii, params) == [mean_p(f, r, params) for r in radii]
+    for r in radii[4:]:
+        shift, samples = _scaled_circle_per_coefficient(f, r, m)
+        want = mpmath.exp(shift) * float(np.max(np.abs(samples)))
+        assert abs(circle_max(f, r, m) - want) <= want * mpf("1e-14")
 
 
 @pytest.mark.parametrize("alpha_s", ["0", "0.5"])
