@@ -24,25 +24,21 @@ maximum of |f| on one circle, with no refine.
 
 Every mean goes through ``means_on_grid``, which builds one table per
 call and then evaluates each radius of the grid from it; ``mean_p`` is its
-one-radius case.  The table holds the nonzero degrees n and ln|c_n|, plus
-|c_n|^2 for Parseval, or, for the sampled routes, ln|c_n| at working
-precision, the same logs as double-double (hi, lo) float64 pairs and the
-complex128 unit phases.  Nothing outlives the call.  At each radius a
-float64 pass over ln|c_n| + n ln r picks the terms within the 700-nat
-window plus a 1-nat margin, which dwarfs the ~1e-11 rounding of that pass.
-The candidates' exponents relative to the top term are then formed with
-exact two-sum arithmetic from the double-double logs and a hi/lo split of
-ln r; only the shift, ln|c_top| + n_top ln r, is an mpf operation.  The
-samples agree with evaluating every coefficient at working precision to
-within 1e-14 of the largest sample; plain float64 exponents would miss by
-up to ~2e-12 on degree-4000 series.  The sampled routes batch their
-inverse FFTs: the scaled terms of a block of radii fill the rows of one
-2-D array, about _BLOCK_ELEMENTS complex values (4 MB) per block, and one
-``ifft`` along the rows serves the whole block.
-Parseval likewise drops terms more than (precision + 64) bits below the top
-term.  The p = infinity refine evaluates only the terms that survive the
-window, rotated to a peak's angle through the exact residue (j n) mod m, so
-its phases stay accurate to float64 at any degree.
+one-radius case.  Nothing outlives the call.  At each radius a float64 pass
+over ln|c_n| + n ln r picks the terms within the 700-nat window plus a
+1-nat margin, which dwarfs the ~1e-11 rounding of that pass.  The sampled
+routes then form each candidate's exponent relative to the top term in
+double-double arithmetic (``_CircleTable.terms``); only the shift is an mpf
+operation.  Their samples agree with a working-precision evaluation of
+every coefficient to within 1e-14 of the largest sample, where plain
+float64 exponents miss by up to ~2e-12 on degree-4000 series.  The scaled
+terms of a block of radii fill the rows of one array of about
+_BLOCK_ELEMENTS = 2^18 complex values (4 MB), and one inverse FFT along the
+rows serves the block.  Parseval likewise drops terms more than
+(precision + 64) bits below the top term.  The p = infinity refine
+evaluates only the terms that survive the window, rotated to a peak's angle
+through the exact residue (j n) mod m, so its phases stay accurate to
+float64 at any degree.
 """
 
 from __future__ import annotations
@@ -186,14 +182,12 @@ class _CircleTable:
     def terms(self, r: mpf):
         """(shift, (degrees, scaled)): the terms c_n r^n e^{-shift} of the 700-nat window.
 
-        shift is the mpf ln|c_top| + n_top ln r of the largest term.  The
-        other exponents are formed relative to it in double-double:
-        (ln|c_n| - ln|c_top|) by two-sum of the (hi, lo) logs, and
-        (n - n_top) ln r from ln r split into two 26-bit halves, whose
-        products with an integer below 2^26 are exact, plus its float64
-        remainder.  Each exponent is thus within an ulp of its rounded exact
-        value, so the terms agree with a working-precision evaluation of
-        every coefficient to float64 accuracy.
+        shift = ln|c_top| + n_top ln r in mpf for the largest term.  Each
+        other exponent is (ln|c_n| - ln|c_top|) + (n - n_top) ln r, summed
+        exactly by two-sum from the (hi, lo) logs and from ln r split into
+        two 26-bit halves, whose products with an integer below 2^26 are
+        exact, plus its float64 remainder; it is then within an ulp of the
+        exact value.
         """
         ln_r = mpmath.ln(r)
         l_hi = float(ln_r)
@@ -281,14 +275,14 @@ def _quadrature_mean(shift: mpf, samples: np.ndarray, p) -> MeanResult:
 def _max_mean(shift: mpf, samples: np.ndarray, band) -> MeanResult:
     """Largest sample sharpened by a golden-section pass at each of the highest peaks.
 
-    The _REFINED_PEAKS highest cyclic local maxima of |samples| are refined
-    over their two cells each, highest first, and the largest result is
-    kept, so a nearly tied peak cannot hide the global maximum.  A peak is
-    skipped when |f| cannot climb above the best value within 2 pi / m of
-    it: |f| moves at most sum_n |n - n_top| |scaled_n| per radian.  The
-    band's terms are rotated to the peak's angle 2 pi j / m through the
-    exact residue (j n) mod m, so the refine only forms e^{i n t} for
-    |t| <= 2 pi / m and its phases keep full float64 accuracy at any degree.
+    The _REFINED_PEAKS highest cyclic local maxima of |samples| are refined,
+    highest first, over their two cells, so a nearly tied peak cannot hide
+    the global maximum.  A peak is skipped when |f|, which moves at most
+    sum_n |n - n_top| |scaled_n| per radian, cannot pass the best value
+    within 2 pi / m of it.  The band's terms are rotated to the peak's angle
+    2 pi j / m through the exact residue (j n) mod m, so the refine only
+    forms e^{i n t} for |t| <= 2 pi / m and its phases keep full float64
+    accuracy at any degree.
     """
     m = len(samples)
     mags = np.abs(samples)

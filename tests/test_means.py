@@ -200,10 +200,10 @@ _SERIES = {"sparse": _sparse_high_degree, "exp": lambda: exp_truncation(256),
 
 
 @pytest.mark.parametrize("name", list(_SERIES))
-def test_kernel_samples_match_per_coefficient_reference(name):
-    # double-double exponents: the samples, rescaled to the reference shift,
-    # stay within 1e-14 of the largest sample (float64 exponents miss by
-    # ~4e-14 on exp(256)), and so do the means built on them
+def test_kernel_samples_equal_per_coefficient_reference(name):
+    # equal to float64 accuracy: the samples, rescaled to the reference
+    # shift, stay within 1e-14 of the largest sample (plain float64
+    # exponents miss by ~4e-14 on exp(256)), and the means within 1e-14
     f = _SERIES[name]()
     table = _CircleTable(f, parseval=False)
     ps = (mpf(1), mpf("1.5"), mpf(3))
