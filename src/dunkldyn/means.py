@@ -33,12 +33,12 @@ operation.  Their samples agree with a working-precision evaluation of
 every coefficient to within 1e-14 of the largest sample, where plain
 float64 exponents miss by up to ~2e-12 on degree-4000 series.  The scaled
 terms of a block of radii fill the rows of one array of about
-_BLOCK_ELEMENTS = 2^18 complex values (4 MB), and one inverse FFT along the
-rows serves the block.  Parseval likewise drops terms more than
-(precision + 64) bits below the top term.  The p = infinity refine
-evaluates only the terms that survive the window, rotated to a peak's angle
-through the exact residue (j n) mod m, so its phases stay accurate to
-float64 at any degree.
+_BLOCK_ELEMENTS = 2^17 complex values (2 MB, and as much again for the
+transform's output), and one inverse FFT along the rows serves the block.
+Parseval likewise drops terms more than (precision + 64) bits below the
+top term.  The p = infinity refine evaluates only the terms that survive
+the window, rotated to a peak's angle through the exact residue (j n)
+mod m, so its phases stay accurate to float64 at any degree.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ _WINDOW_MARGIN = 1.0  # nats added to a float64 window; its rounding is ~1e-11
 _LN2 = math.log(2.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SPLIT = 2.0**27 + 1.0  # Veltkamp splitter: a float64 into two 26-bit halves
-_BLOCK_ELEMENTS = 1 << 18  # complex values per batched inverse FFT (4 MB)
+_BLOCK_ELEMENTS = 1 << 17  # complex values per batched inverse FFT (2 MB)
 _REFINED_PEAKS = 3  # local maxima of the p = inf samples that get a refine
 
 
@@ -168,26 +168,28 @@ class _CircleTable:
                                         for v, h in zip(self.log_abs, self.log_abs_f)])
             self.phase = np.array([complex(c / a) for (_, c), a in zip(items, mags)])
 
-    def window(self, ln_r: float, width: float) -> np.ndarray:
-        """Indices of the terms within width nats of the largest |c_n| r^n."""
+    def window(self, ln_r: float, width: float):
+        """(indices, top): the terms within width nats of the largest |c_n| r^n, and that term."""
         approx = self.log_abs_f + self.degrees * ln_r
-        return np.flatnonzero(approx >= approx.max() - width)
+        top = int(np.argmax(approx))
+        return np.flatnonzero(approx >= approx[top] - width), top
 
     def parseval(self, r: mpf) -> mpf:
         """M_2 = (sum |c_n|^2 r^(2n))^(1/2), without terms below the working precision."""
         width = (mp.prec + 64) * _LN2 / 2 + _WINDOW_MARGIN
-        idx = self.window(_float_ln(r), width)
+        idx, _ = self.window(_float_ln(r), width)
         return mpmath.sqrt(mpmath.fsum(self.abs2[i] * r ** (2 * self.n[i]) for i in idx))
 
     def terms(self, r: mpf):
         """(shift, (degrees, scaled)): the terms c_n r^n e^{-shift} of the 700-nat window.
 
-        shift = ln|c_top| + n_top ln r in mpf for the largest term.  Each
-        other exponent is (ln|c_n| - ln|c_top|) + (n - n_top) ln r, summed
-        exactly by two-sum from the (hi, lo) logs and from ln r split into
-        two 26-bit halves, whose products with an integer below 2^26 are
-        exact, plus its float64 remainder; it is then within an ulp of the
-        exact value.
+        shift = ln|c_top| + n_top ln r in mpf for the largest term of the
+        float64 pass.  Each other exponent is (ln|c_n| - ln|c_top|) +
+        (n - n_top) ln r, summed exactly by two-sum from the (hi, lo) logs and
+        from ln r split into two 26-bit halves, whose products with an integer
+        below 2^26 are exact, plus its float64 remainder; it is then within an
+        ulp of the exact value.  A term the float64 pass misordered against
+        c_top, within ~1e-11 nats, gets an exponent just above 0.
         """
         ln_r = mpmath.ln(r)
         l_hi = float(ln_r)
@@ -195,17 +197,12 @@ class _CircleTable:
         c = _SPLIT * l_hi
         l_1 = c - (c - l_hi)
         l_2 = l_hi - l_1
-        idx = self.window(l_hi, _WINDOW_MARGIN - _UNDERFLOW_LOG)
-        approx_top = idx[np.argmax(self.log_abs_f[idx] + self.degrees[idx] * l_hi)]
-        k = (self.degrees[idx] - self.degrees[approx_top]).astype(np.float64)
-        s, e_a = _two_sum(self.log_abs_f[idx], -self.log_abs_f[approx_top])
+        idx, top = self.window(l_hi, _WINDOW_MARGIN - _UNDERFLOW_LOG)
+        k = (self.degrees[idx] - self.degrees[top]).astype(np.float64)
+        s, e_a = _two_sum(self.log_abs_f[idx], -self.log_abs_f[top])
         s, e_1 = _two_sum(s, k * l_1)
         s, e_2 = _two_sum(s, k * l_2)
-        tail = e_a + e_1 + e_2 + (self.log_abs_lo[idx] - self.log_abs_lo[approx_top]) + k * l_lo
-        rel = s + tail
-        j = int(np.argmax(rel))
-        rel -= rel[j]  # zero unless the float64 pass misordered two terms within ~1e-11 nats
-        top = int(idx[j])
+        rel = s + (e_a + e_1 + e_2 + (self.log_abs_lo[idx] - self.log_abs_lo[top]) + k * l_lo)
         shift = self.log_abs[top] + self.n[top] * ln_r
         keep = rel >= _UNDERFLOW_LOG
         sel = idx[keep]
@@ -234,7 +231,7 @@ def _circle_rows(bands, m: int) -> np.ndarray:
     coeffs = np.zeros((len(bands), m), dtype=np.complex128)
     for row, (degrees, scaled) in zip(coeffs, bands):
         np.add.at(row, degrees % m, scaled)  # e^{2 pi i j n / m} depends on n mod m
-    return np.fft.ifft(coeffs, axis=-1, norm="forward", out=coeffs)
+    return np.fft.ifft(coeffs, axis=-1, norm="forward")
 
 
 def _refine_max(degrees: np.ndarray, coeffs: np.ndarray, half_width: float) -> float:
