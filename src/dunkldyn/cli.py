@@ -59,7 +59,7 @@ from .growth import (
     rate_exponent,
     standard_r_grid,
 )
-from .means import P_INF, MeanParams, hausdorff_young_check, means_on_grid
+from .means import P_INF, MeanParams, hausdorff_young_on_grid, means_on_grid
 from .numeric import to_decimal
 from .series import TruncatedSeries, read_series, write_series
 
@@ -395,13 +395,19 @@ def _cmd_verify_lemma1(config: ExperimentConfig, opt: dict, write) -> None:
         raise RuntimeError("ratio left its stabilized band")
 
 
+def _lemma3_n_max(r_max: float, prec: int) -> int:
+    # a_n >= n and q >= 1, so past m = floor(r) each term is at most r/n times the
+    # previous one: the term at m + 1 + i is at most the total times prod_(k <= i)
+    # (1 + k/r)^-1.  As ln(1 + x) >= ln 2 min(x, 1), that passes the 2^-prec stop test
+    # by i = ceil(sqrt(2 r prec)) when this is <= r, else by i = floor(r) + prec; both
+    # are at most 2 sqrt(r prec) + prec + 1.
+    return math.ceil(r_max + 2 * math.sqrt(r_max * prec)) + prec + 2
+
+
 @_command("verify-lemma3", "kernel mean ratio bounded on the grid",
           _Option("q", "kernel exponent", parse=mpf, default="1", lo=1, hi=2))
 def _cmd_verify_lemma3(config: ExperimentConfig, opt: dict, write) -> None:
-    # the kernel sum at radius r settles a little past n = r + sqrt(r); size
-    # the table from the top of the sweep, not from the series truncation
-    n_table = max(config.trunc_degree, int(2 * float(config.r_max)) + 256)
-    w = DunklWeights(config.alpha_mp(), n_table)
+    w = DunklWeights(config.alpha_mp(), _lemma3_n_max(float(config.r_max), config.precision_bits))
     grid = config.r_grid()
     rows = list(zip(grid, lemma3_on_grid(grid, opt["q"], w)))
     write("r,ratio", rows)
@@ -427,8 +433,7 @@ def _cmd_verify_hy(config: ExperimentConfig, opt: dict, write) -> None:
     rows = []
     for i in range(opt["count"]):
         f = _random_poly(rng, opt["max_degree"], config.trunc_degree)
-        for r in opt["radii"]:
-            res = hausdorff_young_check(f, r, params)
+        for r, res in zip(opt["radii"], hausdorff_young_on_grid(f, opt["radii"], params)):
             rows.append((i, r, res.lhs, res.rhs, res.margin))
     write("poly,r,lhs,rhs,margin", rows)
     if any(margin < -mpf("1e-6") * rhs for *_, rhs, margin in rows):

@@ -121,11 +121,6 @@ class WeightedShift:
         """Plain differentiation weights a_n = n."""
         return cls(mpf(n) for n in range(1, n_max + 1))
 
-    def weight_growth_bound(self) -> mpf:
-        """max_n |a_n|^(1/n) over the stored range (finite by construction)."""
-        return max(mpmath.exp(self.cumlog[n] - self.cumlog[n - 1]) ** (mpf(1) / n)
-                   for n in range(1, self.n_max + 1)) if self.n_max else mpf(0)
-
 
 @dataclass(frozen=True)
 class ShiftDiagnostic:

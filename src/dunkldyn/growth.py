@@ -184,7 +184,8 @@ def mittag_leffler(z, ml_alpha, theta, beta, tol=None):
       recomputes each Gamma factor.  The loop also sums S = sum |t_n|; when
       its rounding S 2^-wp exceeds tol |sum|, as on the negative axis where
       e^-200 is summed from terms near e^200, it reruns with the missing
-      bits plus ML_GUARD_BITS, at most ML_MAX_PASSES times.
+      bits plus ML_GUARD_BITS, at most ML_MAX_PASSES times.  Terms that
+      still rise at n = ML_MAX_TERMS raise ValueError before the loop.
     """
     ml_alpha = mpf(ml_alpha)
     if not 0 < ml_alpha <= 2:
@@ -200,6 +201,14 @@ def mittag_leffler(z, ml_alpha, theta, beta, tol=None):
     int_alpha = int(ml_alpha) if ml_alpha == int(ml_alpha) else None
     if int_alpha is not None and mpmath.im(z) == 0 and mpmath.re(z) > 0:
         return _ml_peak_walk(mpmath.re(z), int_alpha, theta, beta, mpf(tol))
+    # |z|^n / Gamma(ml n + 1) rises through N = ML_MAX_TERMS if ln|z| >= ml (ln y - 1/(2y)),
+    # y = ml N + 1 (ln Gamma is convex, psi(y) < ln y - 1/(2y)); then each sum before N is at
+    # most e^spread times the next term, so none settles when e^spread < 1/tol
+    y = ml_alpha * ML_MAX_TERMS + 1
+    spread = mpmath.ln(ML_MAX_TERMS) + max(beta, 0) * mpmath.ln(1 + ML_MAX_TERMS / theta)
+    if mpmath.ln(abs(z)) >= ml_alpha * (mpmath.ln(y) - 1 / (2 * y)) and spread < -mpmath.ln(tol):
+        raise ValueError(f"Mittag-Leffler terms at z={mpmath.nstr(z, 8)} still rise at "
+                         f"n = {ML_MAX_TERMS} for ml_alpha={mpmath.nstr(ml_alpha, 8)}")
     # terms of opposite sign cancel: the loop's rounding is about mass 2^-wp,
     # where mass = sum |t_n|, so rerun it with the bits the cancellation ate
     wp = mp.prec

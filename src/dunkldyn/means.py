@@ -363,20 +363,26 @@ def circle_max(f: TruncatedSeries, r, m: int) -> mpf:
     return mpmath.exp(shift) * float(np.max(np.abs(samples)))
 
 
-def hausdorff_young_check(f: TruncatedSeries, r, params: MeanParams) -> HausdorffYoungResult:
-    """l^q norm of the circle Fourier coefficients against M_p, 1 < p <= 2.
+def hausdorff_young_on_grid(f: TruncatedSeries, radii, params: MeanParams) -> list:
+    """l^q norm of the circle Fourier coefficients against M_p at each radius, 1 < p <= 2.
 
     F(t) = f(r e^{it}) has Fourier coefficients c_n r^n, so the inequality
     reads (sum |c_n r^n|^q)^{1/q} <= M_p(f, r); margin = rhs - lhs should only
-    dip below zero by the quadrature tolerance.
+    dip below zero by the quadrature tolerance.  M_p comes from ``means_on_grid``.
     """
     if params.p == P_INF or not 1 < params.p <= 2:
         raise ValueError(f"Hausdorff-Young needs 1 < p <= 2, got p={params.p}")
-    r = mpf(r)
-    if not r > 0:
-        raise ValueError(f"r must be > 0, got {r}")
+    radii = [mpf(r) for r in radii]
+    if not all(r > 0 for r in radii):
+        raise ValueError(f"r must be > 0, got {next(r for r in radii if not r > 0)}")
     q = params.q
-    terms = [(abs(c) * r**n) ** q for n, c in f.items()]
-    lhs = mpmath.fsum(terms) ** (1 / q) if terms else mpf(0)
-    rhs = mean_p(f, r, params).value
-    return HausdorffYoungResult(lhs, rhs, rhs - lhs)
+    mags = [(n, abs(c)) for n, c in f.items()]
+    lhs = [mpmath.fsum((a * r**n) ** q for n, a in mags) ** (1 / q) if mags else mpf(0)
+           for r in radii]
+    return [HausdorffYoungResult(x, m.value, m.value - x)
+            for x, m in zip(lhs, means_on_grid(f, radii, params))]
+
+
+def hausdorff_young_check(f: TruncatedSeries, r, params: MeanParams) -> HausdorffYoungResult:
+    """The one-radius case of ``hausdorff_young_on_grid``."""
+    return hausdorff_young_on_grid(f, [r], params)[0]

@@ -43,12 +43,15 @@ class TruncatedSeries:
             items = coeffs.items()
         else:
             items = enumerate(coeffs)
+        prec = mp.prec
         for n, c in items:
             n = int(n)
             if n < 0 or n > trunc_degree:
                 raise ValueError(f"coefficient index {n} outside [0, {trunc_degree}]")
-            c = mpc(c)
-            if c != 0:
+            # mpc(c) rounds to the working precision: a no-op on an mpc that fits
+            if type(c) is not mpc or max(c._mpc_[0][3], c._mpc_[1][3]) > prec:
+                c = mpc(c)
+            if c:
                 table[n] = c
         self._coeffs = table
         self._trunc_degree = int(trunc_degree)

@@ -1,6 +1,9 @@
 """Command-line interface: config layering, CSV output, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath import mp, mpf
 
+import dunkldyn
 from dunkldyn.cli import (
     _COMMANDS,
     EXIT_CONFIG,
@@ -17,13 +21,15 @@ from dunkldyn.cli import (
     PRECISION_ENV_VAR,
     ConfigError,
     ExperimentConfig,
+    _lemma3_n_max,
     _roundtrip_check,
     load_config,
     main,
     read_config_file,
     run,
 )
-from dunkldyn.dunkl import ALPHA_BOUNDARY_GAP
+from dunkldyn.dunkl import ALPHA_BOUNDARY_GAP, DunklWeights
+from dunkldyn.growth import lemma3_on_grid
 from dunkldyn.series import TruncatedSeries, read_series, write_series
 
 
@@ -270,6 +276,21 @@ class TestVerifyCommands:
         assert header == "r,ratio"
         assert all(float(r[1]) >= 0 for r in rows)
 
+    @pytest.mark.parametrize("prec", [64, 256, 1024])
+    def test_lemma3_table_lets_every_sum_settle(self, prec):
+        # q = 1 and alpha at the boundary, where a_n ~ n, decay the slowest
+        alpha = mpf(-0.5) + 2 * ALPHA_BOUNDARY_GAP
+        with mp.workprec(prec):
+            for r_max in ("0.01", "1", "200", "3000"):
+                w = DunklWeights(alpha, _lemma3_n_max(float(r_max), prec))
+                assert mpmath.isfinite(lemma3_on_grid([mpf(r_max)], 1, w)[0])
+
+    def test_lemma3_table_does_not_follow_trunc_degree(self, tmp_path):
+        out = tmp_path / "l3.csv"
+        rc = main(["verify-lemma3", "--trunc-degree", "1", "--precision-bits", "1024",
+                   "--r-max", "200", "-o", str(out)])
+        assert rc == EXIT_OK
+
     def test_hy_margins(self, tmp_path):
         out = tmp_path / "hy.csv"
         rc = main(["verify-hy", "--count", "5", "--max-degree", "16",
@@ -278,6 +299,25 @@ class TestVerifyCommands:
         _, header, rows = _read_csv(out)
         assert header == "poly,r,lhs,rhs,margin"
         assert len(rows) == 15
+
+    def test_barnes_tiny_ml_alpha_exits_one_at_once(self, tmp_path):
+        # the terms still rise at ML_MAX_TERMS, so the from-zero loop could
+        # only run out of terms; the console entry point runs in a child
+        # process so that a loop that does run fails on the timeout
+        out = tmp_path / "b.csv"
+        src = str(Path(dunkldyn.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from dunkldyn.cli import main; sys.exit(main(sys.argv[1:]))",
+             "verify-barnes", "--ml-alpha", "1e-9", "--r-min", "1", "--r-max", "2",
+             "--r-points", "2", "-o", str(out)],
+            capture_output=True, text=True, timeout=5, env=env)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("verify-barnes: ")
+        assert "ml_alpha" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_barnes_ratio(self, tmp_path):
         out = tmp_path / "b.csv"

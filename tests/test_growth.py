@@ -248,6 +248,24 @@ class TestPeakWalk:
         assert abs(got - want) <= want * mpf(2) ** -200
 
 
+class TestFromZeroReach:
+    """The from-zero loop refuses, at once, sums whose terms still rise at ML_MAX_TERMS."""
+
+    @pytest.mark.parametrize("z,ml", [(1, "1e-9"), (2, "1e-9"), (mpf("1e4"), "0.5"),
+                                      (mpf("-2e6"), 1)])
+    def test_rising_terms_raise(self, z, ml):
+        with pytest.raises(ValueError, match="ml_alpha"):
+            mittag_leffler(z, mpf(ml), 1, 0)
+
+    def test_settling_sums_still_run(self):
+        # a steep (n + theta)^-beta settles the sum within a few terms although
+        # 1/Gamma(ml n + 1) rises: the terms past n = 0 are below 2^-1000
+        assert mittag_leffler(1, mpf("1e-9"), 1, 1000) == 1
+        # |z| < 1: the terms fall from n = 0 however small ml is
+        got = mittag_leffler(mpf("0.5"), mpf("1e-9"), 1, 0)
+        assert abs(got - 2) < mpf("1e-8")
+
+
 class TestLemma3:
     @pytest.mark.parametrize("q_s,alpha_s", sorted(LEMMA3_SUP))
     def test_sup_golden_with_drift_tolerance(self, q_s, alpha_s):

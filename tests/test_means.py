@@ -1,6 +1,7 @@
 """Integral means: route agreement, monotonicity, Hausdorff-Young margins."""
 
 import math
+import random
 import warnings
 
 import mpmath
@@ -22,6 +23,7 @@ from dunkldyn.means import (
     circle_max,
     conjugate_exponent,
     hausdorff_young_check,
+    hausdorff_young_on_grid,
     mean_p,
     means_on_grid,
 )
@@ -160,6 +162,38 @@ class TestHausdorffYoung:
         for p in (mpf("1.25"), mpf(2)):
             res = hausdorff_young_check(f, mpf(2), MeanParams(p))
             assert abs(res.margin) <= res.rhs * mpf("1e-9")
+
+    @pytest.mark.parametrize("p_s", ["1.25", "1.5", "2"])
+    def test_grid_equals_per_radius_check(self, p_s):
+        # one means_on_grid call and one |c_n| list serve the radii; each
+        # result must equal the check at its radius and the definition
+        rng = random.Random(11)
+        params = MeanParams(mpf(p_s))
+        radii = [mpf("0.01"), mpf("0.5"), mpf(1), mpf(5), mpf(30), mpf(1000)]
+        q = params.q
+        for degree in (0, 1, 7, 64):
+            f = TruncatedSeries({n: mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                 for n in range(degree + 1)}, trunc_degree=64)
+            got = hausdorff_young_on_grid(f, radii, params)
+            assert got == [hausdorff_young_check(f, r, params) for r in radii]
+            for r, res in zip(radii, got):
+                lhs = mpmath.fsum((abs(c) * r**n) ** q for n, c in f.items()) ** (1 / q)
+                rhs = mean_p(f, r, params).value
+                assert res == (lhs, rhs, rhs - lhs)
+
+    def test_grid_domain(self):
+        f = TruncatedSeries({0: 1, 2: 1}, trunc_degree=8)
+        with pytest.raises(ValueError):
+            hausdorff_young_on_grid(f, [mpf(1)], MeanParams(P_INF))
+        with pytest.raises(ValueError):
+            hausdorff_young_on_grid(f, [mpf(1)], MeanParams(1))
+        for r in (0, -1):
+            with pytest.raises(ValueError):
+                hausdorff_young_on_grid(f, [mpf(1), mpf(r)], MeanParams(mpf("1.5")))
+            with pytest.raises(ValueError):
+                hausdorff_young_check(f, mpf(r), MeanParams(mpf("1.5")))
+        with pytest.raises(ValueError):
+            hausdorff_young_check(f, mpf(1), MeanParams(P_INF))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,29 @@ class TestBasics:
         assert f.coeff(3) == 0
         assert list(f.items()) == [(0, mpc(1)), (5, mpc(-2))]
 
+    def test_mpc_coefficient_stored_as_given(self):
+        c = mpc(mpf(1) / 3, mpf(-2) / 7)
+        f = TruncatedSeries({2: c, 5: mpc(4)}, trunc_degree=8)
+        assert f.coeff(2)._mpc_ == c._mpc_
+        assert f.coeff(5)._mpc_ == mpc(4)._mpc_
+
+    def test_wider_coefficients_rounded_to_working_precision(self):
+        with mp.workprec(512):
+            x = mpf(1) / 3
+            c = mpc(mpf(1) / 7, mpf(-1) / 11)
+        assert mp.prec == 256
+        f = TruncatedSeries({0: x, 1: c}, trunc_degree=4)
+        assert f.coeff(0)._mpc_ == (mpf(x)._mpf_, mpf(0)._mpf_)
+        assert f.coeff(0).real != x and f.coeff(0).real.bc <= 256
+        # mpc(c) rounds an mpc too; the stored value is the rounded one
+        assert f.coeff(1)._mpc_ == mpc(c)._mpc_
+        assert f.coeff(1)._mpc_ != c._mpc_
+
+    def test_zero_dropped_and_nan_kept(self):
+        f = TruncatedSeries({0: mpc(0), 1: mpc(mpf("nan")), 2: mpf(0)}, trunc_degree=4)
+        assert [n for n, _ in f.items()] == [1]
+        assert mpmath.isnan(f.coeff(1).real)
+
     def test_index_validation(self):
         with pytest.raises(ValueError):
             TruncatedSeries({9: 1}, trunc_degree=8)
