@@ -254,8 +254,8 @@ def _read_series_file(path: str):
 
 def _load_series(path: str):
     """Series file plus a weight table sized to its truncation order."""
-    f, alpha, bits = _read_series_file(path)
-    return f, DunklWeights(alpha, f.trunc_degree), bits
+    f, alpha, _ = _read_series_file(path)
+    return f, DunklWeights(alpha, f.trunc_degree)
 
 
 def _read_plan_file(path: str, kind: type, what: str):
@@ -358,10 +358,13 @@ def _cmd_weights(config: ExperimentConfig, opt: dict, write) -> None:
 @_command("apply", "k-fold operator action on a series file",
           _INPUT, _Option("k", "number of operator steps", parse=int, default=1, lo=0))
 def _cmd_apply(config: ExperimentConfig, opt: dict, write) -> None:
-    f, w, bits = _load_series(opt["input"])
-    g = apply_dunkl(f, w, opt["k"]) if opt["k"] else f
+    f, w = _load_series(opt["input"])
+    # the output holds values at the working precision, and its header says so;
+    # k = 0 rounds f, which may be wider, to that precision
+    g = (apply_dunkl(f, w, opt["k"]) if opt["k"]
+         else TruncatedSeries(dict(f.items()), f.trunc_degree))
     series_path = _sibling(config.output, ".series")
-    write_series(g, series_path, w.alpha, precision_bits=bits)
+    write_series(g, series_path, w.alpha)
     _roundtrip_check(g, series_path)
     rows = [(n, mpmath.re(c), mpmath.im(c)) for n, c in g.items()]
     write("n,re_c_n,im_c_n", rows, series=series_path, alpha=to_decimal(w.alpha))
@@ -507,7 +510,7 @@ def _cmd_build_fhc(config: ExperimentConfig, opt: dict, write) -> None:
                   "trunc_degree and 2048)", parse=int),
           _Option("windows", "comma list of r_max values for C_star", parse=_numbers))
 def _cmd_orbit(config: ExperimentConfig, opt: dict, write) -> None:
-    f, w, _ = _load_series(opt["input"])
+    f, w = _load_series(opt["input"])
     plan = (_read_plan_file(opt["plan"], ConstructionPlan, "hypercyclic")
             if opt["plan"] else None)
     # the banner leaves out the plan, which only decides the exit code
@@ -545,7 +548,7 @@ def _cmd_orbit(config: ExperimentConfig, opt: dict, write) -> None:
                   "of the plan", parse=int, default=2048, lo=1),
           _Option("samples", "points on the circle", parse=int, default=64, lo=1))
 def _cmd_frequency(config: ExperimentConfig, opt: dict, write) -> None:
-    f, w, _ = _load_series(opt["input"])
+    f, w = _load_series(opt["input"])
     schedule = _read_plan_file(opt["plan"], FhcSchedule, "frequent-hypercyclicity")
     n_window = opt["n_window"]
     top = schedule.trunc_degree - schedule.block_width
@@ -566,7 +569,7 @@ def _cmd_frequency(config: ExperimentConfig, opt: dict, write) -> None:
           _Option("m", "largest m, at most the series trunc_degree", parse=int,
                   default=2048))
 def _cmd_decay(config: ExperimentConfig, opt: dict, write) -> None:
-    f, w, _ = _load_series(opt["input"])
+    f, w = _load_series(opt["input"])
     report = density_decay_check(f, w, opt["q"], opt["m"])
     write("m,sigma_m,event_density",
           zip(itertools.count(1), report.sigma, report.event_density),

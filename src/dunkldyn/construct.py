@@ -57,7 +57,7 @@ from mpmath import mp, mpf, mpc
 from .dunkl import DunklWeights, apply_dunkl
 from .growth import RateEnvelope, rate_exponent, standard_r_grid
 from .means import circle_max
-from .numeric import from_decimal, precision, to_decimal
+from .numeric import precision, to_decimal
 from .series import TruncatedSeries
 
 Polynomial = tuple  # of Fraction, low degree first, no trailing zeros
@@ -893,7 +893,7 @@ def _parse_plan(lines):
             lines, ["alpha", "precision_bits", "trunc_degree", "r_build", "n_targets"]
         )
         with precision(int(head["precision_bits"])):
-            alpha = from_decimal(head["alpha"])
+            alpha = mpf(head["alpha"])
             n_targets = int(head["n_targets"])
             targets, indices, positions, budgets = [], [], [], []
             for _ in range(n_targets):
@@ -903,7 +903,7 @@ def _parse_plan(lines):
                 idx = int(parts[1])
                 indices.append(None if idx < 0 else idx)
                 positions.append(int(parts[2]))
-                budgets.append(from_decimal(parts[3]))
+                budgets.append(mpf(parts[3]))
                 targets.append(poly_normalize([Fraction(s) for s in parts[4:]]))
             nf_line = lines.pop(0)
             if not nf_line.startswith("n_fillers="):
@@ -914,7 +914,7 @@ def _parse_plan(lines):
                 if parts[0] != "filler":
                     raise ValueError("expected filler line")
                 fd.append(int(parts[1]))
-                fc.append(from_decimal(parts[2]))
+                fc.append(mpf(parts[2]))
             return ConstructionPlan(
                 tuple(targets),
                 tuple(indices),
@@ -941,8 +941,8 @@ def _parse_plan(lines):
             ],
         )
         with precision(int(head["precision_bits"])):
-            alpha = from_decimal(head["alpha"])
-            p = mpmath.inf if head["p"] == "inf" else from_decimal(head["p"])
+            alpha = mpf(head["alpha"])
+            p = mpmath.inf if head["p"] == "inf" else mpf(head["p"])
             targets, indices = [], []
             for _ in range(int(head["n_targets"])):
                 parts = lines.pop(0).split()

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import fone, from_int, mpf_add, mpf_log, mpf_shift, round_nearest
 
 from .series import TruncatedSeries
 
@@ -38,13 +39,19 @@ def _check_alpha(alpha) -> mpf:
 
 
 class DunklWeights:
-    """Table of log d_n(alpha) for n = 0..n_max, built by the ratio recurrence.
+    """Table of ln d_n(alpha) for n = 0..n_max, built by the ratio recurrence.
+
+    Entries fill on first read, in index order up to the index read, at the
+    precision ambient when the table was made (``precision_bits``): each equals
+    the eager recurrence's value bit for bit, whatever the precision at the
+    read.  One ln is taken per distinct ratio; at integer alpha, a_n for odd n
+    is a_(n+2alpha+1), so about half as many logarithms are taken.
 
     The closed Gamma form is available separately (``gamma_form_log_weight``)
     as an independent consistency route; the two agree to within a few ulps.
     """
 
-    __slots__ = ("alpha", "n_max", "_log_d", "_ratios", "precision_bits")
+    __slots__ = ("alpha", "n_max", "_log_d", "_ln", "_odd_shift", "precision_bits")
 
     def __init__(self, alpha, n_max: int):
         self.alpha = _check_alpha(alpha)
@@ -52,25 +59,38 @@ class DunklWeights:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         self.n_max = int(n_max)
         self.precision_bits = mp.prec
-        two_alpha_plus_1 = 2 * self.alpha + 1
-        ratios = [mpf(0)]  # a_0 unused
-        log_d = [mpf(0)]  # d_0 = 1
-        for n in range(1, self.n_max + 1):
-            a_n = mpf(n) if n % 2 == 0 else mpf(n) + two_alpha_plus_1
-            ratios.append(a_n)
-            log_d.append(log_d[-1] + mpmath.ln(a_n))
-        self._ratios = ratios
-        self._log_d = log_d
+        self._odd_shift = mpf_add(mpf_shift(self.alpha._mpf_, 1), fone, mp.prec, round_nearest)
+        self._log_d = [mpf(0)]  # d_0 = 1; later entries fill on first read
+        self._ln = {}  # ln a for each raw ratio a met so far
+
+    def _raw_ratio(self, n: int) -> tuple:
+        """a_n = n (n even), n + 2 alpha + 1 (n odd), at the table's precision."""
+        a = from_int(n, self.precision_bits, round_nearest)
+        return a if n % 2 == 0 else mpf_add(a, self._odd_shift, self.precision_bits, round_nearest)
+
+    def _fill(self, n: int) -> None:
+        """Extend ln d_k through k = n: ln d_k = ln d_(k-1) + ln a_k."""
+        prec, log_d, ln = self.precision_bits, self._log_d, self._ln
+        acc = log_d[-1]._mpf_
+        for k in range(len(log_d), n + 1):
+            a = self._raw_ratio(k)
+            ln_a = ln.get(a)
+            if ln_a is None:
+                ln_a = ln[a] = mpf_log(a, prec, round_nearest)
+            acc = mpf_add(acc, ln_a, prec, round_nearest)
+            log_d.append(mp.make_mpf(acc))
 
     def ratio(self, n: int) -> mpf:
         """a_n = d_n / d_{n-1} for 1 <= n <= n_max."""
         if not 1 <= n <= self.n_max:
             raise IndexError(f"ratio index {n} outside [1, {self.n_max}]")
-        return self._ratios[n]
+        return mp.make_mpf(self._raw_ratio(n))
 
     def log_weight(self, n: int) -> mpf:
         if not 0 <= n <= self.n_max:
             raise IndexError(f"weight index {n} outside [0, {self.n_max}]")
+        if n >= len(self._log_d):
+            self._fill(n)
         return self._log_d[n]
 
     def weight(self, n: int) -> mpf:
@@ -170,11 +190,12 @@ def critical_rate_mu(s: WeightedShift, r) -> tuple[mpf, int]:
     return mpmath.exp(best_log), best_n
 
 
-def _require_table(f: TruncatedSeries, w: DunklWeights) -> None:
-    if f.degree() > w.n_max:
-        raise ValueError(
-            f"weight table too short: series degree {f.degree()} > n_max {w.n_max}"
-        )
+def _require_table(w: DunklWeights, top: int) -> None:
+    """The table must reach d_top and hold at least the working precision."""
+    if top > w.n_max:
+        raise ValueError(f"weight table too short: need d_{top}, table ends at {w.n_max}")
+    if w.precision_bits < mp.prec:
+        raise ValueError(f"weight table built at {w.precision_bits} bits, used at {mp.prec} bits")
 
 
 def apply_dunkl(f: TruncatedSeries, w: DunklWeights, k: int = 1) -> TruncatedSeries:
@@ -183,7 +204,7 @@ def apply_dunkl(f: TruncatedSeries, w: DunklWeights, k: int = 1) -> TruncatedSer
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
         return f
-    _require_table(f, w)
+    _require_table(w, f.degree())
     table: dict[int, mpc] = {}
     for i, c in f.items():
         if i < k:
@@ -228,10 +249,7 @@ def right_inverse(f: TruncatedSeries, w: DunklWeights, n: int = 1) -> TruncatedS
         raise ValueError(
             f"right inverse overflow: degree {d} + shift {n} exceeds trunc_degree {f.trunc_degree}"
         )
-    if d >= 0 and d + n > w.n_max:
-        raise ValueError(
-            f"weight table too short: need d_{d + n}, table ends at {w.n_max}"
-        )
+    _require_table(w, d + n if d >= 0 else 0)
     table: dict[int, mpc] = {}
     for i, c in f.items():
         factor = mpmath.exp(w.log_weight(i) - w.log_weight(i + n))

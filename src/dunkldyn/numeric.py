@@ -28,10 +28,6 @@ def set_precision(bits: int) -> None:
     mp.prec = int(bits)
 
 
-def get_precision() -> int:
-    return mp.prec
-
-
 @contextmanager
 def precision(bits: int):
     """Temporarily switch the ambient precision."""
@@ -54,7 +50,3 @@ def to_decimal(x) -> str:
     """Serialize an mpf as a decimal string that parses back to the same value."""
     x = mpf(x)
     return mpmath.libmp.to_str(x._mpf_, decimal_digits(), strip_zeros=True)
-
-
-def from_decimal(s: str) -> mpf:
-    return mpf(s)

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 import mpmath
 from mpmath import mp, mpf, mpc
 
-from .numeric import from_decimal, get_precision, precision, to_decimal
+from .numeric import precision, to_decimal
 
 DEFAULT_TRUNC_DEGREE = 4096
 
@@ -156,7 +156,7 @@ class TruncatedSeries:
             return abs(self.coeff(0))
         logs = {n: mpmath.ln(abs(c)) + n * mpmath.ln(r) for n, c in self._coeffs.items()}
         top = max(logs.values())
-        cut = top - (get_precision() + 48) * mpmath.ln(2)
+        cut = top - (mp.prec + 48) * mpmath.ln(2)
         kept = {n: self._coeffs[n] for n, lv in logs.items() if lv >= cut}
         pruned = TruncatedSeries(kept, self.trunc_degree) if len(kept) < len(logs) else self
         return max(abs(v) for v in pruned.evaluate_circle(r, m))
@@ -188,7 +188,7 @@ def exp_truncation(n_terms: int, trunc_degree: int = DEFAULT_TRUNC_DEGREE) -> Tr
 
 def write_series(f: TruncatedSeries, path: str, alpha, precision_bits: int | None = None) -> None:
     if precision_bits is None:
-        precision_bits = get_precision()
+        precision_bits = mp.prec
     lines = ["dunklseries v1"]
     lines.append(f"alpha={to_decimal(mpf(alpha))}")
     lines.append(f"precision_bits={precision_bits}")
@@ -235,7 +235,7 @@ def _parse_series(raw: list) -> tuple[TruncatedSeries, mpf, int]:
     if len(body) != n_coeffs:
         raise ValueError(f"n_coeffs={n_coeffs} but {len(body)} coefficient lines")
     with precision(bits):
-        alpha = from_decimal(header(1, "alpha"))
+        alpha = mpf(header(1, "alpha"))
         table: dict[int, mpc] = {}
         last_n = -1
         for line in body:
@@ -246,6 +246,6 @@ def _parse_series(raw: list) -> tuple[TruncatedSeries, mpf, int]:
             if n <= last_n:
                 raise ValueError("coefficient indices must increase")
             last_n = n
-            table[n] = mpc(from_decimal(parts[1]), from_decimal(parts[2]))
+            table[n] = mpc(mpf(parts[1]), mpf(parts[2]))
         series = TruncatedSeries(table, trunc_degree=last_n)
     return series, alpha, bits

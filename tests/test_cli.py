@@ -201,6 +201,24 @@ class TestSeriesCommands:
         assert alpha == 0
         assert abs(g.coeff(1) - 2) < mpf("1e-70")
 
+    @pytest.mark.parametrize("bits", [128, 512])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_apply_at_other_precision_than_input(self, tmp_path, bits, k):
+        # a 256-bit input applied at another precision: the output is written
+        # at the precision it was computed at, so it reads back unchanged
+        inp = self._write_input(tmp_path, {1: mpf(1) / 3, 4: mpf(2) / 7}, alpha="0.5")
+        out = tmp_path / "a.csv"
+        rc = main(["apply", "--input", inp, "--k", str(k), "--precision-bits", str(bits),
+                   "-o", str(out)])
+        assert rc == EXIT_OK
+        g, _, file_bits = read_series(str(tmp_path / "a.series"))
+        assert file_bits == bits
+        # at alpha = 1/2, a_1 = 3 and a_4 = 4: L(z/3 + 2z^4/7) = 1 + 8z^3/7
+        want = {1: mpf(1) / 3, 4: mpf(2) / 7} if k == 0 else {0: mpf(1), 3: mpf(8) / 7}
+        assert sorted(n for n, _ in g.items() if n < g.trunc_degree) == sorted(want)
+        for n, c in want.items():
+            assert abs(g.coeff(n) - c) <= abs(c) * mpf(2) ** (2 - min(bits, 256))
+
     def test_means_quadratic(self, tmp_path):
         inp = self._write_input(tmp_path, {2: 1})
         out = tmp_path / "m.csv"

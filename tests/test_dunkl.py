@@ -5,8 +5,9 @@ import random
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpf, mpc
+from mpmath import libmp, mp, mpf, mpc
 
+from dunkldyn import dunkl
 from dunkldyn.dunkl import (
     DunklWeights,
     WeightedShift,
@@ -81,6 +82,102 @@ class TestWeights:
         s = WeightedShift.from_dunkl(w)
         for n in range(1, 51):
             assert abs(s.cumlog[n] - w.log_weight(n)) < mpf(2) ** -230
+
+
+def eager_table(alpha, n_max):
+    """The recurrence written out at the ambient precision: (a_n, ln d_n) lists."""
+    alpha = mpf(alpha)
+    ratios, log_d = [mpf(0)], [mpf(0)]
+    for n in range(1, n_max + 1):
+        a_n = mpf(n) if n % 2 == 0 else mpf(n) + (2 * alpha + 1)
+        ratios.append(a_n)
+        log_d.append(log_d[-1] + mpmath.ln(a_n))
+    return ratios, log_d
+
+
+class TestLazyTable:
+    N = 300
+
+    @pytest.mark.parametrize("bits", [53, 256, 1024])
+    @pytest.mark.parametrize("alpha_s", ALPHAS + ["0.3"])
+    def test_bit_identical_to_eager_recurrence(self, alpha_s, bits):
+        with mpmath.workprec(bits):
+            ratios, log_d = eager_table(alpha_s, self.N)
+            w = DunklWeights(mpf(alpha_s), self.N)
+            for n in range(self.N + 1):
+                assert w.log_weight(n)._mpf_ == log_d[n]._mpf_
+                if n:
+                    assert w.ratio(n)._mpf_ == ratios[n]._mpf_
+
+    @pytest.mark.parametrize("bits", [53, 256, 1024])
+    @pytest.mark.parametrize("alpha_s", ALPHAS + ["0.3"])
+    def test_read_order_and_ambient_precision_do_not_matter(self, alpha_s, bits):
+        with mpmath.workprec(bits):
+            ratios, log_d = eager_table(alpha_s, self.N)
+            w = DunklWeights(mpf(alpha_s), self.N)
+        order = list(range(self.N + 1))
+        random.Random(bits).shuffle(order)
+        for ambient in (bits // 2, 2 * bits):
+            with mpmath.workprec(ambient):
+                for n in order:
+                    assert w.log_weight(n)._mpf_ == log_d[n]._mpf_
+                    if n:
+                        assert w.ratio(n)._mpf_ == ratios[n]._mpf_
+
+    def test_reading_k_fills_nothing_past_k(self):
+        w = DunklWeights(mpf("0.3"), 100)
+        filled = lambda: len(w._log_d) - 1
+        assert filled() == 0
+        w.ratio(90)
+        w.gamma_form_log_weight(90)
+        assert filled() == 0
+        w.log_weight(17)
+        assert filled() == 17
+        w.log_weight(5)
+        assert filled() == 17
+        w.weight(40)
+        assert filled() == 40
+        w.log_weight(100)
+        assert filled() == 100
+
+    def test_integer_alpha_takes_one_ln_per_distinct_ratio(self, monkeypatch):
+        # alpha = 1: a_n = n + 3 for odd n is the even ratio a_(n+3), so the
+        # 300 ratios hold the 150 even integers up to 300 plus 302
+        calls = []
+
+        def counting_log(x, prec, rnd):
+            calls.append(x)
+            return libmp.mpf_log(x, prec, rnd)
+
+        monkeypatch.setattr(dunkl, "mpf_log", counting_log)
+        DunklWeights(1, 300).log_weight(300)
+        assert len(calls) == len(set(calls)) == 151
+        calls.clear()
+        DunklWeights(mpf("0.3"), 300).log_weight(300)
+        assert len(calls) == 300
+
+
+class TestTablePrecision:
+    def test_table_below_working_precision_raises(self):
+        with mpmath.workprec(53):
+            w = DunklWeights(mpf("0.5"), 16)
+        f = TruncatedSeries({0: 1, 3: mpf(1) / 3}, trunc_degree=16)
+        with pytest.raises(ValueError, match="built at 53 bits, used at 256 bits"):
+            apply_dunkl(f, w, 1)
+        with pytest.raises(ValueError, match="built at 53 bits, used at 256 bits"):
+            right_inverse(f, w, 1)
+
+    def test_table_above_working_precision_serves(self):
+        with mpmath.workprec(512):
+            w = DunklWeights(mpf("0.5"), 16)
+        f = TruncatedSeries({0: 1, 3: mpf(1) / 3, 9: -2}, trunc_degree=16)
+        g = apply_dunkl(f, w, 2)
+        want = apply_dunkl_direct(f, w, 2)
+        for n in range(17):
+            assert abs(g.coeff(n) - want.coeff(n)) <= abs(want.coeff(n)) * mpf(2) ** (8 - mp.prec)
+        back = apply_dunkl(right_inverse(f, w, 3), w, 3)
+        for n in range(17):
+            assert abs(back.coeff(n) - f.coeff(n)) <= abs(f.coeff(n)) * mpf(2) ** (8 - mp.prec)
 
 
 class TestOperator:
