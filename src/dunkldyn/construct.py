@@ -54,9 +54,9 @@ import mpmath
 import numpy as np
 from mpmath import mp, mpf, mpc
 
-from .dunkl import DunklWeights, apply_dunkl
+from .dunkl import DunklWeights, _require_table, apply_dunkl
 from .growth import RateEnvelope, rate_exponent, standard_r_grid
-from .means import circle_max
+from .means import _BLOCK_ELEMENTS, _circle_rows, circle_max
 from .numeric import precision, to_decimal
 from .series import TruncatedSeries
 
@@ -362,6 +362,35 @@ def _calibrate_fillers(w: DunklWeights, env: RateEnvelope, cfg: BuilderConfig):
     return tuple(P for P, _ in placed), tuple(g for _, g in placed)
 
 
+def _builder_setup(w, env, count, name, cfg, trunc_degree, first_index):
+    """(cfg, targets, indices) after the checks both builders share.
+
+    cfg defaults to BuilderConfig(); targets are cfg.targets when given, else
+    the count polynomials of the enumeration from first_index on.
+    """
+    cfg = cfg or BuilderConfig()
+    if env.kind != "to_infinity":
+        raise ValueError(f"builder needs a to_infinity envelope, got {env.kind}")
+    env.validate_on(cfg.grid())
+    if cfg.targets is not None:
+        targets = tuple(poly_normalize(t) for t in cfg.targets)
+        indices = (None,) * len(targets)
+        if len(targets) != count:
+            raise ValueError(f"cfg.targets has {len(targets)} entries, {name}={count}")
+    else:
+        indices = tuple(range(first_index, first_index + count))
+        targets = tuple(enumerate_targets(i, cfg) for i in indices)
+    _require_table(w, trunc_degree)
+    return cfg, targets, indices
+
+
+def _placed_block(poly: Polynomial, m: int, w: DunklWeights) -> dict:
+    """The coefficients of S^m poly: q_i d_i / d_(m+i) at degree m + i."""
+    return {m + i: mpc((mpf(c.numerator) / c.denominator)
+                       * mpmath.exp(w.log_weight(i) - w.log_weight(m + i)))
+            for i, c in enumerate(poly) if c != 0}
+
+
 # ---------------------------------------------------------------------------
 # hypercyclic builder and verification
 
@@ -381,22 +410,9 @@ def build_hypercyclic(
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    cfg = cfg or BuilderConfig()
-    if env.kind != "to_infinity":
-        raise ValueError(f"builder needs a to_infinity envelope, got {env.kind}")
-    env.validate_on(cfg.grid())
-    if cfg.targets is not None:
-        targets = tuple(poly_normalize(t) for t in cfg.targets)
-        indices = tuple([None] * len(targets))
-        if len(targets) != K:
-            raise ValueError(f"cfg.targets has {len(targets)} entries, K={K}")
-    else:
-        targets = tuple(enumerate_targets(k, cfg) for k in range(1, K + 1))
-        indices = tuple(range(1, K + 1))
+    cfg, targets, indices = _builder_setup(w, env, K, "K", cfg, trunc_degree, 1)
     if any(poly_degree(q) > cfg.max_degree for q in targets):
         raise ValueError(f"targets must have degree <= {cfg.max_degree}")
-    if w.n_max < trunc_degree:
-        raise ValueError(f"weight table n_max={w.n_max} < trunc_degree={trunc_degree}")
 
     if cfg.saturate_envelope:
         filler_degrees, filler_coeffs = _calibrate_fillers(w, env, cfg)
@@ -449,12 +465,7 @@ def build_hypercyclic(
     for P, gamma in zip(filler_degrees, filler_coeffs):
         coeffs[P] = mpc(gamma)
     for q, m in zip(targets, positions):
-        for i, c in enumerate(q):
-            if c != 0:
-                coeffs[m + i] = mpc(
-                    (mpf(c.numerator) / c.denominator)
-                    * mpmath.exp(w.log_weight(i) - w.log_weight(m + i))
-                )
+        coeffs.update(_placed_block(q, m, w))
     f = TruncatedSeries(coeffs, trunc_degree)
     plan = ConstructionPlan(
         targets,
@@ -596,26 +607,13 @@ def build_frequently_hypercyclic(
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
-    cfg = cfg or BuilderConfig()
-    if env.kind != "to_infinity":
-        raise ValueError(f"builder needs a to_infinity envelope, got {env.kind}")
-    env.validate_on(cfg.grid())
-    if cfg.targets is not None:
-        targets = tuple(poly_normalize(t) for t in cfg.targets)
-        indices = tuple([None] * len(targets))
-        if len(targets) != J:
-            raise ValueError(f"cfg.targets has {len(targets)} entries, J={J}")
-    else:
-        targets = tuple(enumerate_targets(j + 1, cfg) for j in range(1, J + 1))
-        indices = tuple(range(2, J + 2))
+    cfg, targets, indices = _builder_setup(w, env, J, "J", cfg, trunc_degree, 2)
     B = cfg.block_width
     max_deg = max((poly_degree(q) for q in targets), default=-1)
     if B <= max_deg:
         raise InfeasibleConstruction(
             f"block width {B} must exceed the largest target degree {max_deg}"
         )
-    if w.n_max < trunc_degree:
-        raise ValueError(f"weight table n_max={w.n_max} < trunc_degree={trunc_degree}")
 
     a = rate_exponent(p, w.alpha, "fhc_upper")
     g = _NormKernel(w, env, a, cfg.grid(), trunc_degree).factor_table()
@@ -658,19 +656,11 @@ def build_frequently_hypercyclic(
     for j in range(1, len(targets) + 1):
         q = targets[j - 1]
         for n in schedule.positions(j):
-            for i, c in enumerate(q):
-                if c != 0:
-                    key = n + i
-                    if key in coeffs:
-                        raise AssertionError("dyadic schedule produced an overlap")
-                    coeffs[key] = mpc(
-                        (mpf(c.numerator) / c.denominator)
-                        * mpmath.exp(w.log_weight(i) - w.log_weight(key))
-                    )
+            block = _placed_block(q, n, w)
+            if not coeffs.keys().isdisjoint(block):
+                raise AssertionError("dyadic schedule produced an overlap")
+            coeffs.update(block)
     return TruncatedSeries(coeffs, trunc_degree), schedule
-
-
-_SCATTER_BATCH = 1 << 16  # (entry, row) terms of frequency_report exponentiated per pass
 
 
 @dataclass(frozen=True)
@@ -695,17 +685,21 @@ def frequency_report(
 ) -> FrequencyReport:
     """Per-target fraction of n <= N_window with sup |Lambda^n f - Q_j| < eps.
 
-    The sup is over m uniform samples of the circle |z| = R, evaluated for
-    all n at once in scaled float64.  Each term of Lambda^n f, the coefficient
-    c_s d_s / d_(s-n) at degree s - n, is formed in the log domain with its
-    factor R^(s-n); terms below e^-745, which underflow float64, are dropped
-    before exp.  The rest are added into row n, column (s - n) mod m of a
-    folded N_window x m array, _SCATTER_BATCH terms at a time, and one
-    inverse FFT per row gives the samples.  The float error of a row sup is
-    ~1e-15 relative.  In the shipped fhc build (alpha 1, p 2, N_window 2048,
-    eps 0.1, R 1, m 64) the largest hit has sup 1.4e-6 and the smallest miss
-    0.75, so every row sits at least 0.0999986 from eps.  The unit tests
-    cross-check single rows against the working-precision route.
+    The sup is over m uniform samples of the circle |z| = R, in scaled
+    float64.  Each term of Lambda^n f, the coefficient c_s d_s / d_(s-n) at
+    degree s - n, is formed in the log domain with its factor R^(s-n); terms
+    below e^-745, which underflow float64, are dropped before exp.  Rows
+    n = 1..N_window go through ``means._circle_rows`` in blocks: a block
+    covers the entries of degree s >= its first n times its rows, masked to
+    s >= n, and holds at most _BLOCK_ELEMENTS terms and _BLOCK_ELEMENTS
+    samples, so memory is bounded by that constant, not by N_window.  Terms
+    are added entry-major, so each cell sums in increasing s.  A block is
+    reduced to per-target hit counts at once and then dropped.  The float
+    error of a row sup is ~1e-15 relative.  In the shipped fhc build
+    (alpha 1, p 2, N_window 2048, eps 0.1, R 1, m 64) the largest hit has
+    sup 1.4e-6 and the smallest miss 0.75, so every row sits at least
+    0.0999986 from eps.  The unit tests cross-check single rows against the
+    working-precision route.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -721,51 +715,42 @@ def frequency_report(
     # at R = 0 a slope far below -745 per degree keeps the degree-0 terms only
     ln_R = float(mpmath.ln(R)) if R > 0 else -1e300
     entries = list(f.items())
-    is_real = all(mpmath.im(c) == 0 for _, c in entries)
     logd = np.array([float(w.log_weight(n)) for n in range(f.trunc_degree + 1)])
     degrees = np.array([s for s, _ in entries], dtype=np.int64)
     # ln(|c_s| d_s); the term of Lambda^n f at degree s - n is this minus ln d_(s-n)
     log_top = np.array([float(mpmath.ln(abs(c)) + w.log_weight(s)) for s, c in entries])
-    if is_real:
-        phase = np.array([1.0 if mpmath.re(c) >= 0 else -1.0 for _, c in entries])
-    else:
-        phase = np.array([complex(c / abs(c)) for _, c in entries])
-    # entry s feeds rows 1..min(N_window, s); term t of the flat list of all
-    # (s, n) pairs belongs to entry owner[t], whose first term is starts[owner]
-    n_rows = np.minimum(degrees, N_window)
-    ends = np.cumsum(n_rows)
-    starts = ends - n_rows
-    n_terms = int(ends[-1]) if entries else 0
-    folded = np.zeros(N_window * m, dtype=np.float64 if is_real else np.complex128)
-    for lo in range(0, n_terms, _SCATTER_BATCH):
-        t = np.arange(lo, min(lo + _SCATTER_BATCH, n_terms))
-        owner = np.searchsorted(ends, t, side="right")
-        row = t - starts[owner]  # n - 1
-        deg = degrees[owner] - row - 1
-        logs = log_top[owner] - logd[deg] + deg * ln_R
-        if logs.max() > 709.0:
+    phase = np.array([complex(c / abs(c)) for _, c in entries])
+    zs = float(R) * np.exp(2j * np.pi * np.arange(m) / m)
+    tvals = [sum((float(c) * zs**i for i, c in enumerate(q)), np.zeros(m, dtype=np.complex128))
+             for q in schedule.targets]
+
+    def block_hits(ns: np.ndarray) -> list:
+        """Per-target hit counts of the rows Lambda^n f, n in ns (consecutive).
+
+        A function, so that one block's arrays are freed before the next is formed.
+        """
+        first = int(np.searchsorted(degrees, ns[0]))  # entries with s >= ns[0]
+        deg = degrees[first:, None] - ns  # entry-major; s < n has no term
+        logs = log_top[first:, None] - logd[np.maximum(deg, 0)] + deg * ln_R
+        logs[deg < 0] = -np.inf
+        if logs.size and logs.max() > 709.0:
             raise ValueError(f"R={R}: a term of Lambda^n f reaches e^{logs.max():.1f}, "
                              "which overflows float64; reduce R")
-        keep = np.flatnonzero(logs > -745.0)
-        owner, row, deg = owner[keep], row[keep], deg[keep]
-        np.add.at(folded, row * m + deg % m, phase[owner] * np.exp(logs[keep]))
-    samples = np.fft.ifft(folded.reshape(N_window, m), axis=1) * m
-    zs = float(R) * np.exp(2j * np.pi * np.arange(m) / m)
-    densities = []
-    counts = []
-    nominal = []
-    for j in range(1, len(schedule.targets) + 1):
-        q = schedule.targets[j - 1]
-        tvals = np.zeros(m, dtype=np.complex128)
-        for i, c in enumerate(q):
-            tvals += float(c) * zs**i
-        sup = np.max(np.abs(samples - tvals[None, :]), axis=1)
-        hits = int(np.sum(sup < float(eps)))
-        counts.append(hits)
-        densities.append(hits / N_window)
-        nominal.append(float(schedule.nominal_density(j)))
+        owner, row = np.nonzero(logs > -745.0)
+        samples = _circle_rows(len(ns), m, row, deg[owner, row],
+                               phase[first + owner] * np.exp(logs[owner, row]))
+        return [int(np.sum(np.max(np.abs(samples - t), axis=1) < float(eps))) for t in tvals]
+
+    # rows of a block times the entries, and times the samples, stay within _BLOCK_ELEMENTS
+    per_block = max(1, min(_BLOCK_ELEMENTS // m, _BLOCK_ELEMENTS // max(len(entries), 1)))
+    counts = [0] * len(tvals)
+    for n in range(1, N_window + 1, per_block):
+        hits = block_hits(np.arange(n, min(n + per_block, N_window + 1)))
+        counts = [c + h for c, h in zip(counts, hits)]
     return FrequencyReport(
-        tuple(densities), tuple(nominal), tuple(counts), N_window, float(eps), float(R), m
+        tuple(c / N_window for c in counts),
+        tuple(float(schedule.nominal_density(j)) for j in range(1, len(tvals) + 1)),
+        tuple(counts), N_window, float(eps), float(R), m
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp, mpf
 
-from .dunkl import DunklWeights, WeightedShift, apply_dunkl_direct
+from .dunkl import DunklWeights, WeightedShift, _require_table, apply_dunkl_direct
 from .growth import lemma1_ratio
 from .means import MeanParams, means_on_grid
 from .series import TruncatedSeries
@@ -50,7 +50,8 @@ def orbit_at_zero(f: TruncatedSeries, w, N: int) -> OrbitReport:
     """v_n for n = 0..N via the coefficient identity v_n = c_n d_n.
 
     Accepts either a DunklWeights table (d_n from the ratio recurrence) or a
-    plain WeightedShift (d_n = a_1 ... a_n).  For the Dunkl table the first
+    plain WeightedShift (d_n = a_1 ... a_n).  A Dunkl table must reach d_N
+    and hold at least the working precision.  For the Dunkl table the first
     values (n <= 64) are recomputed through the operator route: the part of
     f up to degree 64 is stepped with ``apply_dunkl_direct``, whose factors
     n and n + 2 alpha + 1 never touch the d_n table, and the constant
@@ -61,11 +62,12 @@ def orbit_at_zero(f: TruncatedSeries, w, N: int) -> OrbitReport:
     """
     if N > f.trunc_degree:
         raise ValueError(f"N={N} exceeds trunc_degree {f.trunc_degree}")
-    if N > w.n_max:
-        raise ValueError(f"N={N} exceeds weight table n_max {w.n_max}")
     if isinstance(w, WeightedShift):
+        if N > w.n_max:
+            raise ValueError(f"N={N} exceeds weight table n_max {w.n_max}")
         log_d = w.cumlog
     else:
+        _require_table(w, N)
         log_d = [w.log_weight(n) for n in range(N + 1)]
     values = [_coeff_orbit_value(f.coeff(n), log_d[n]) for n in range(N + 1)]
 

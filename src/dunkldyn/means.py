@@ -19,8 +19,11 @@ shifted window are smaller than the top term by hundreds of orders and
 cannot move the mean at the float64 noise level, which is what the reported
 discrepancy tracks.
 
-``circle_max`` reads the same samples for the orbit verifier: the sampled
-maximum of |f| on one circle, with no refine.
+``_circle_rows`` is the one fold-and-inverse-FFT kernel: it takes flat
+(row, degree, value) arrays and fills the rows of one array.  It has three
+callers: ``means_on_grid`` (a block of radii), ``circle_max`` (one row, the
+sampled maximum of |f| on one circle for the orbit verifier, with no
+refine) and ``construct.frequency_report`` (a block of rows Lambda^n f).
 
 Every mean goes through ``means_on_grid``, which builds one table per
 call and then evaluates each radius of the grid from it; ``mean_p`` is its
@@ -219,18 +222,18 @@ class _CircleTable:
         ``means_on_grid``.
         """
         shift, band = self.terms(r)
-        return shift, _circle_rows([band], m)[0], band
+        return shift, _circle_rows(1, m, 0, *band)[0], band
 
 
-def _circle_rows(bands, m: int) -> np.ndarray:
-    """samples[i, j] = sum_n scaled_n e^{2 pi i j n / m} for the i-th (degrees, scaled).
+def _circle_rows(n_rows: int, m: int, rows, degrees, scaled) -> np.ndarray:
+    """samples[i, j] = sum of scaled_t e^{2 pi i j degrees_t / m} over the t with rows_t = i.
 
     Degrees are folded mod m, so any m >= 1 is sampled exactly; for m above
-    the degree the fold is a plain placement.  One inverse FFT along the rows.
+    the degree the fold is a plain placement.  ``np.add.at`` adds the terms
+    of a cell in the order given, and one inverse FFT runs along the rows.
     """
-    coeffs = np.zeros((len(bands), m), dtype=np.complex128)
-    for row, (degrees, scaled) in zip(coeffs, bands):
-        np.add.at(row, degrees % m, scaled)  # e^{2 pi i j n / m} depends on n mod m
+    coeffs = np.zeros((n_rows, m), dtype=np.complex128)
+    np.add.at(coeffs, (rows, degrees % m), scaled)  # e^{2 pi i j n / m} depends on n mod m
     return np.fft.ifft(coeffs, axis=-1, norm="forward")
 
 
@@ -329,7 +332,10 @@ def means_on_grid(f: TruncatedSeries, radii, params: MeanParams) -> list[MeanRes
     for start in range(0, len(live), per_block):
         block = live[start:start + per_block]
         terms = [table.terms(radii[i]) for i in block]
-        samples = _circle_rows([band for _, band in terms], m)
+        bands = [band for _, band in terms]
+        rows = np.repeat(np.arange(len(block)), [len(degrees) for degrees, _ in bands])
+        samples = _circle_rows(len(block), m, rows, np.concatenate([d for d, _ in bands]),
+                               np.concatenate([v for _, v in bands]))
         for i, (shift, band), row in zip(block, terms, samples):
             if params.p == P_INF:
                 out[i] = _max_mean(shift, row, band)

@@ -196,6 +196,13 @@ class TestHypercyclicBuilder:
         want = mpmath.exp(-w.log_weight(144))
         assert abs(f.coeff(144) - want) <= want * mpf(2) ** -240
 
+    def test_rejects_table_below_working_precision(self):
+        with mpmath.workprec(128):
+            w = DunklWeights(0, 1024)
+        cfg = BuilderConfig(targets=[(F(1),)], saturate_envelope=False)
+        with pytest.raises(ValueError, match="built at 128 bits, used at 256 bits"):
+            build_hypercyclic(w, RateEnvelope.log_growth(), 1, cfg, trunc_degree=1024)
+
     def test_single_block_budgets(self):
         w = DunklWeights(0, 4096)
         env = RateEnvelope.log_growth()
@@ -337,6 +344,12 @@ class TestFhcBuilder:
         f, s = build_frequently_hypercyclic(w, P_INF, env, 3)
         assert s.m_0 == 1
 
+    def test_rejects_table_below_working_precision(self):
+        with mpmath.workprec(128):
+            w = DunklWeights(1, 4096)
+        with pytest.raises(ValueError, match="built at 128 bits, used at 256 bits"):
+            build_frequently_hypercyclic(w, 2, RateEnvelope.log_growth(), 1)
+
     def test_block_width_must_clear_degrees(self):
         w = DunklWeights(0, 4096)
         env = RateEnvelope.log_growth()
@@ -431,7 +444,7 @@ def _dense_frequency_counts(f, schedule, w, N_window, eps, R, m):
 
 
 class TestFrequencyScatter:
-    """The folded scatter of frequency_report against the dense matrix it replaced."""
+    """frequency_report's row blocks through means._circle_rows against the dense matrix."""
 
     @pytest.fixture(scope="class")
     def small_build(self):
@@ -445,7 +458,7 @@ class TestFrequencyScatter:
         return f, dataclasses.replace(s, trunc_degree=4096), w
 
     @pytest.mark.parametrize("N_window", [64, 2048])
-    @pytest.mark.parametrize("m", [16, 64])
+    @pytest.mark.parametrize("m", [16, 48, 64])  # 48: not a power of two
     @pytest.mark.parametrize("R_s", ["0.5", "1", "1.5"])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_counts_equal_dense_matmul(self, small_build, kind, R_s, m, N_window):
@@ -474,6 +487,19 @@ class TestFrequencyScatter:
             tracemalloc.stop()
         assert report.counts == (117, 58, 29)
         assert peak < 24 * 2**20
+
+    def test_peak_memory_does_not_grow_with_window(self, fhc_build):
+        # rows go through the circle kernel in blocks of bounded size
+        f, s, w = fhc_build
+        peaks = []
+        for N_window in (512, 4088):
+            tracemalloc.start()
+            try:
+                frequency_report(f, s, w, N_window, mpf("0.1"), mpf(1), 64)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_r_above_one_at_full_truncation(self, fhc_build):
         # (trunc + 1) ln R is 1661 at R = 1.5, yet no term formed exceeds e^1.4

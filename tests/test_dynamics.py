@@ -93,6 +93,13 @@ class TestOrbitAtZero:
         with pytest.raises(RuntimeError, match=f"orbit cross-check failed at n={n}:"):
             orbit_at_zero(f, w, 100)
 
+    def test_table_below_working_precision_raises(self):
+        with mpmath.workprec(128):
+            w = DunklWeights(mpf("0.5"), 128)
+        f = exp_truncation(128, 128)
+        with pytest.raises(ValueError, match="built at 128 bits, used at 256 bits"):
+            orbit_at_zero(f, w, 100)
+
     def test_horizon_validation(self):
         w = DunklWeights(0, 32)
         f = TruncatedSeries({0: mpf(1)}, trunc_degree=16)
