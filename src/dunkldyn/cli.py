@@ -273,6 +273,18 @@ def _roundtrip_check(f: TruncatedSeries, path: str) -> None:
         raise RuntimeError(f"series round trip through {path} changed the coefficients")
 
 
+def _write_beside(config: ExperimentConfig, f: TruncatedSeries, alpha, plan=None) -> dict:
+    """Write f, and plan when given, beside config.output at config.precision_bits;
+    check that f reads back, and return the banner entries naming the files."""
+    paths = {"series": _sibling(config.output, ".series")}
+    write_series(f, paths["series"], alpha, precision_bits=config.precision_bits)
+    _roundtrip_check(f, paths["series"])
+    if plan is not None:
+        paths["plan"] = _sibling(config.output, ".plan")
+        write_plan(plan, paths["plan"], precision_bits=config.precision_bits)
+    return paths
+
+
 # ---------------------------------------------------------------------------
 # subcommand options and bodies
 
@@ -363,11 +375,9 @@ def _cmd_apply(config: ExperimentConfig, opt: dict, write) -> None:
     # k = 0 rounds f, which may be wider, to that precision
     g = (apply_dunkl(f, w, opt["k"]) if opt["k"]
          else TruncatedSeries(dict(f.items()), f.trunc_degree))
-    series_path = _sibling(config.output, ".series")
-    write_series(g, series_path, w.alpha)
-    _roundtrip_check(g, series_path)
+    paths = _write_beside(config, g, w.alpha)
     rows = [(n, mpmath.re(c), mpmath.im(c)) for n, c in g.items()]
-    write("n,re_c_n,im_c_n", rows, series=series_path, alpha=to_decimal(w.alpha))
+    write("n,re_c_n,im_c_n", rows, alpha=to_decimal(w.alpha), **paths)
 
 
 @_command("means", "M_p sweep over the radius grid", _INPUT)
@@ -467,40 +477,31 @@ def _cmd_build_hc(config: ExperimentConfig, opt: dict, write) -> None:
     w = DunklWeights(config.alpha_mp(), config.trunc_degree)
     env = RateEnvelope.log_growth()
     f, plan = build_hypercyclic(w, env, opt["targets"], trunc_degree=config.trunc_degree)
-    series_path = _sibling(config.output, ".series")
-    plan_path = _sibling(config.output, ".plan")
-    write_series(f, series_path, w.alpha, precision_bits=config.precision_bits)
-    _roundtrip_check(f, series_path)
-    write_plan(plan, plan_path, precision_bits=config.precision_bits)
+    paths = _write_beside(config, f, w.alpha, plan)
     rows = [(k, -1 if idx is None else idx, m_k, eps, poly_label(q))
             for k, (q, idx, m_k, eps) in enumerate(
                 zip(plan.targets, plan.indices, plan.positions, plan.budgets), start=1)]
-    write("k,target_index,m_k,eps_k,target", rows, series=series_path, plan=plan_path)
+    write("k,target_index,m_k,eps_k,target", rows, **paths)
 
 
 @_command("build-fhc", "frequently hypercyclic construction",
           _Option("targets", "number of targets", parse=int, default=3, lo=1),
           _Option("block_width", "block width B", parse=int, default=8, lo=1))
 def _cmd_build_fhc(config: ExperimentConfig, opt: dict, write) -> None:
-    B = opt["block_width"]
     w = DunklWeights(config.alpha_mp(), config.trunc_degree)
     env = RateEnvelope.log_growth()
-    cfg = BuilderConfig(block_width=B)
+    cfg = BuilderConfig(block_width=opt["block_width"])
     f, schedule = build_frequently_hypercyclic(
         w, config.p_mp(), env, opt["targets"], cfg=cfg, trunc_degree=config.trunc_degree)
-    series_path = _sibling(config.output, ".series")
-    plan_path = _sibling(config.output, ".plan")
-    write_series(f, series_path, w.alpha, precision_bits=config.precision_bits)
-    _roundtrip_check(f, series_path)
-    write_plan(schedule, plan_path, precision_bits=config.precision_bits)
+    paths = _write_beside(config, f, w.alpha, schedule)
     rows = []
     for j, (q, idx) in enumerate(zip(schedule.targets, schedule.indices), start=1):
-        offset = schedule.m_0 + B * (2 ** (j - 1))
         density = schedule.nominal_density(j)  # a Fraction; the CSV writer formats the mpf
-        rows.append((j, -1 if idx is None else idx, offset, B * 2 ** j,
-                     mpf(density.numerator) / density.denominator, poly_label(q)))
+        rows.append((j, -1 if idx is None else idx, schedule.positions(j)[0],
+                     schedule.period(j), mpf(density.numerator) / density.denominator,
+                     poly_label(q)))
     write("j,target_index,first_n,period,nominal_density,target", rows,
-          m_0=schedule.m_0, series=series_path, plan=plan_path)
+          m_0=schedule.m_0, **paths)
 
 
 @_command("orbit", "orbit at zero; verifies plan budgets when given",

@@ -54,11 +54,11 @@ import mpmath
 import numpy as np
 from mpmath import mp, mpf, mpc
 
-from .dunkl import DunklWeights, _require_table, apply_dunkl
+from .dunkl import DunklWeights, _require_table, apply_dunkl, right_inverse
 from .growth import RateEnvelope, rate_exponent, standard_r_grid
 from .means import _BLOCK_ELEMENTS, _circle_rows, circle_max
 from .numeric import precision, to_decimal
-from .series import TruncatedSeries
+from .series import TruncatedSeries, read_header, read_text
 
 Polynomial = tuple  # of Fraction, low degree first, no trailing zeros
 
@@ -234,16 +234,21 @@ class FhcSchedule:
     p: object
     norm_budget: float
 
+    def __post_init__(self):
+        if self.block_width < 1:
+            raise ValueError(f"block_width must be >= 1, got {self.block_width}")
+
+    def period(self, j: int) -> int:
+        """B 2^j, the spacing of target j's placements (1-based j)."""
+        return self.block_width << j
+
     def positions(self, j: int) -> tuple:
-        """All placements of target j (1-based) inside the truncation."""
-        B = self.block_width
-        step = B * (1 << j)
-        first = self.m_0 + B * (1 << (j - 1))
-        last = self.trunc_degree - B
-        return tuple(range(first, last + 1, step))
+        """All placements m_0 + B 2^(j-1) + k B 2^j of target j inside the truncation."""
+        step = self.period(j)
+        return tuple(range(self.m_0 + step // 2, self.trunc_degree - self.block_width + 1, step))
 
     def nominal_density(self, j: int) -> Fraction:
-        return Fraction(1, self.block_width * (1 << j))
+        return Fraction(1, self.period(j))
 
     def target_for(self, n: int):
         """Which target block starts at degree n, or None."""
@@ -384,13 +389,6 @@ def _builder_setup(w, env, count, name, cfg, trunc_degree, first_index):
     return cfg, targets, indices
 
 
-def _placed_block(poly: Polynomial, m: int, w: DunklWeights) -> dict:
-    """The coefficients of S^m poly: q_i d_i / d_(m+i) at degree m + i."""
-    return {m + i: mpc((mpf(c.numerator) / c.denominator)
-                       * mpmath.exp(w.log_weight(i) - w.log_weight(m + i)))
-            for i, c in enumerate(poly) if c != 0}
-
-
 # ---------------------------------------------------------------------------
 # hypercyclic builder and verification
 
@@ -465,7 +463,7 @@ def build_hypercyclic(
     for P, gamma in zip(filler_degrees, filler_coeffs):
         coeffs[P] = mpc(gamma)
     for q, m in zip(targets, positions):
-        coeffs.update(_placed_block(q, m, w))
+        coeffs.update(right_inverse(poly_to_series(q, trunc_degree), w, m).items())
     f = TruncatedSeries(coeffs, trunc_degree)
     plan = ConstructionPlan(
         targets,
@@ -618,21 +616,21 @@ def build_frequently_hypercyclic(
     a = rate_exponent(p, w.alpha, "fhc_upper")
     g = _NormKernel(w, env, a, cfg.grid(), trunc_degree).factor_table()
     factors = [_poly_weight_factors(q, w) for q in targets]
+    budget = float(cfg.norm_budget)
+
+    def schedule_at(m_0: int) -> FhcSchedule:
+        return FhcSchedule(targets, indices, B, m_0, trunc_degree, w.alpha, p, budget)
 
     def total_norm(m_0: int) -> float:
         total = 0.0
-        for j in range(1, len(targets) + 1):
-            step = B * (1 << j)
-            first = m_0 + B * (1 << (j - 1))
-            ns = np.arange(first, trunc_degree - B + 1, step)
-            if ns.size == 0:
-                continue
-            for i, fac in factors[j - 1]:
+        schedule = schedule_at(m_0)
+        for j, target_factors in enumerate(factors, start=1):
+            ns = np.array(schedule.positions(j), dtype=np.int64)
+            for i, fac in target_factors:
                 total += fac * float(np.sum(g[ns + i]))
         return total
 
-    budget = float(cfg.norm_budget)
-    hi = trunc_degree - 2 * B * (1 << len(targets))
+    hi = trunc_degree - 2 * schedule_at(0).period(len(targets))
     if hi < 1 or total_norm(hi) > budget:
         raise InfeasibleConstruction(
             f"norm budget {budget} unreachable within trunc_degree {trunc_degree}"
@@ -649,14 +647,12 @@ def build_frequently_hypercyclic(
     else:
         m_0 = 1
 
-    schedule = FhcSchedule(
-        targets, indices, B, m_0, trunc_degree, w.alpha, p, float(cfg.norm_budget)
-    )
+    schedule = schedule_at(m_0)
     coeffs: dict[int, mpc] = {}
-    for j in range(1, len(targets) + 1):
-        q = targets[j - 1]
+    for j, q in enumerate(targets, start=1):
+        target = poly_to_series(q, trunc_degree)
         for n in schedule.positions(j):
-            block = _placed_block(q, n, w)
+            block = dict(right_inverse(target, w, n).items())
             if not coeffs.keys().isdisjoint(block):
                 raise AssertionError("dyadic schedule produced an overlap")
             coeffs.update(block)
@@ -712,6 +708,8 @@ def frequency_report(
         )
     if not 0 <= R < mpmath.inf:
         raise ValueError(f"R must be finite and >= 0, got {R}")
+    if w.n_max < f.trunc_degree:
+        raise ValueError(f"weight table n_max={w.n_max} < trunc_degree={f.trunc_degree}")
     # at R = 0 a slope far below -745 per degree keeps the degree-0 terms only
     ln_R = float(mpmath.ln(R)) if R > 0 else -1e300
     entries = list(f.items())
@@ -779,6 +777,7 @@ def density_decay_check(f: TruncatedSeries, w: DunklWeights, q, M: int) -> Densi
         raise ValueError(f"M={M} exceeds trunc_degree {f.trunc_degree}")
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
+    _require_table(w, M)
     sigma = []
     events = []
     running = mpf(0)
@@ -799,55 +798,62 @@ def density_decay_check(f: TruncatedSeries, w: DunklWeights, q, M: int) -> Densi
 
 # ---------------------------------------------------------------------------
 # plan serialization (dunklplan v1)
+#
+# One key=value or row per line; readers skip blank lines:
+#
+#     dunklplan v1
+#     kind=<hc|fhc>
+#     alpha=<decimal>
+#     precision_bits=<int>
+#     <key>=<value>          (one line per header key of the kind, in table order)
+#     n_targets=<int>
+#     target <index> <column>... <coefficient>...     (n_targets lines)
+#     n_fillers=<int>                                 (hc only)
+#     filler <degree> <coefficient decimal>           (hc only, n_fillers lines)
+#
+# The index is the enumeration index, or -1 for a custom target.  The kind's
+# target columns (hc: m_k and eps_k) follow it, then the target's
+# coefficients as fractions, low degree first, none for the zero polynomial.
+# Decimals reparse at precision_bits to the exact binary value written, and
+# the plan read back keeps that precision.
+
+_INT = (str, int)
+_FLOAT = (repr, float)  # repr reparses to the same float64
+_DECIMAL = (to_decimal, mpf)
+_EXPONENT = (lambda p: "inf" if p == mpmath.inf else to_decimal(mpf(p)),
+             lambda text: mpmath.inf if text == "inf" else mpf(text))
+
+# kind -> (plan class, header keys, target-line columns); each key and column
+# names a field of the class and gives its (to text, parse) pair
+_PLAN_KINDS = {
+    "hc": (ConstructionPlan, {"trunc_degree": _INT, "r_build": _FLOAT},
+           {"positions": _INT, "budgets": _DECIMAL}),
+    "fhc": (FhcSchedule, {"trunc_degree": _INT, "block_width": _INT, "m_0": _INT,
+                          "p": _EXPONENT, "norm_budget": _FLOAT}, {}),
+}
 
 
 def write_plan(plan, path, precision_bits=None) -> None:
     """Serialize a ConstructionPlan or FhcSchedule as dunklplan v1 text."""
-    bits = precision_bits if precision_bits is not None else mp.prec
-    lines = ["dunklplan v1"]
-    if isinstance(plan, ConstructionPlan):
-        lines.append("kind=hc")
-        lines.append(f"alpha={to_decimal(plan.alpha)}")
-        lines.append(f"precision_bits={bits}")
-        lines.append(f"trunc_degree={plan.trunc_degree}")
-        lines.append(f"r_build={plan.r_build!r}")
-        lines.append(f"n_targets={len(plan.targets)}")
-        for q, idx, m_k, eps in zip(plan.targets, plan.indices, plan.positions, plan.budgets):
-            head = f"target {idx if idx is not None else -1} {m_k} {to_decimal(eps)}"
-            body = " ".join(str(c) for c in q)
-            lines.append(head + (" " + body if body else ""))
-        lines.append(f"n_fillers={len(plan.filler_degrees)}")
-        for P, gamma in zip(plan.filler_degrees, plan.filler_coeffs):
-            lines.append(f"filler {P} {to_decimal(gamma)}")
-    elif isinstance(plan, FhcSchedule):
-        lines.append("kind=fhc")
-        lines.append(f"alpha={to_decimal(plan.alpha)}")
-        lines.append(f"precision_bits={bits}")
-        lines.append(f"trunc_degree={plan.trunc_degree}")
-        lines.append(f"block_width={plan.block_width}")
-        lines.append(f"m_0={plan.m_0}")
-        lines.append(f"p={'inf' if plan.p == mpmath.inf else to_decimal(mpf(plan.p))}")
-        lines.append(f"norm_budget={plan.norm_budget!r}")
-        lines.append(f"n_targets={len(plan.targets)}")
-        for q, idx in zip(plan.targets, plan.indices):
-            head = f"target {idx if idx is not None else -1}"
-            body = " ".join(str(c) for c in q)
-            lines.append(head + (" " + body if body else ""))
-    else:
+    kind = next((k for k, (cls, _, _) in _PLAN_KINDS.items() if isinstance(plan, cls)), None)
+    if kind is None:
         raise TypeError(f"cannot serialize {type(plan).__name__}")
+    _, keys, columns = _PLAN_KINDS[kind]
+    bits = precision_bits if precision_bits is not None else mp.prec
+    lines = ["dunklplan v1", f"kind={kind}", f"alpha={to_decimal(plan.alpha)}",
+             f"precision_bits={bits}"]
+    lines += [f"{key}={text(getattr(plan, key))}" for key, (text, _) in keys.items()]
+    lines.append(f"n_targets={len(plan.targets)}")
+    for k, (q, idx) in enumerate(zip(plan.targets, plan.indices)):
+        cells = [text(getattr(plan, key)[k]) for key, (text, _) in columns.items()]
+        lines.append(" ".join(["target", str(-1 if idx is None else idx), *cells,
+                               *map(str, q)]))
+    if kind == "hc":
+        lines.append(f"n_fillers={len(plan.filler_degrees)}")
+        lines += [f"filler {P} {to_decimal(gamma)}"
+                  for P, gamma in zip(plan.filler_degrees, plan.filler_coeffs)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _parse_header(lines, keys):
-    out = {}
-    for key in keys:
-        line = lines.pop(0)
-        name, _, value = line.partition("=")
-        if name != key:
-            raise ValueError(f"expected {key}=..., got {line!r}")
-        out[key] = value
-    return out
 
 
 def read_plan(path):
@@ -855,95 +861,34 @@ def read_plan(path):
 
     A malformed or truncated file raises ValueError("<path>: ...").
     """
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    try:
-        return _parse_plan(lines)
-    except IndexError:
-        raise ValueError(f"{path}: file or line ends early") from None
-    except (ValueError, ZeroDivisionError) as e:  # a target coefficient n/0
-        raise ValueError(f"{path}: {e}") from None
+    return read_text(path, "dunklplan v1", _parse_plan)
 
 
-def _parse_plan(lines):
-    if not lines or lines.pop(0) != "dunklplan v1":
-        raise ValueError("not a dunklplan v1 file")
-    kind_line = lines.pop(0)
-    if not kind_line.startswith("kind="):
-        raise ValueError("missing kind= line")
-    kind = kind_line[5:]
+def _rows(lines: list, count: int, tag: str) -> list:
+    """The split fields of the next count lines, each of which starts with tag."""
+    rows = [lines.pop(0).split() for _ in range(count)]
+    if any(row[0] != tag for row in rows):
+        raise ValueError(f"expected {tag} line")
+    return rows
 
-    if kind == "hc":
-        head = _parse_header(
-            lines, ["alpha", "precision_bits", "trunc_degree", "r_build", "n_targets"]
-        )
-        with precision(int(head["precision_bits"])):
-            alpha = mpf(head["alpha"])
-            n_targets = int(head["n_targets"])
-            targets, indices, positions, budgets = [], [], [], []
-            for _ in range(n_targets):
-                parts = lines.pop(0).split()
-                if parts[0] != "target":
-                    raise ValueError("expected target line")
-                idx = int(parts[1])
-                indices.append(None if idx < 0 else idx)
-                positions.append(int(parts[2]))
-                budgets.append(mpf(parts[3]))
-                targets.append(poly_normalize([Fraction(s) for s in parts[4:]]))
-            nf_line = lines.pop(0)
-            if not nf_line.startswith("n_fillers="):
-                raise ValueError("missing n_fillers=")
-            fd, fc = [], []
-            for _ in range(int(nf_line.split("=")[1])):
-                parts = lines.pop(0).split()
-                if parts[0] != "filler":
-                    raise ValueError("expected filler line")
-                fd.append(int(parts[1]))
-                fc.append(mpf(parts[2]))
-            return ConstructionPlan(
-                tuple(targets),
-                tuple(indices),
-                tuple(positions),
-                tuple(budgets),
-                alpha,
-                int(head["trunc_degree"]),
-                float(head["r_build"]),
-                tuple(fd),
-                tuple(fc),
-            )
-    if kind == "fhc":
-        head = _parse_header(
-            lines,
-            [
-                "alpha",
-                "precision_bits",
-                "trunc_degree",
-                "block_width",
-                "m_0",
-                "p",
-                "norm_budget",
-                "n_targets",
-            ],
-        )
-        with precision(int(head["precision_bits"])):
-            alpha = mpf(head["alpha"])
-            p = mpmath.inf if head["p"] == "inf" else mpf(head["p"])
-            targets, indices = [], []
-            for _ in range(int(head["n_targets"])):
-                parts = lines.pop(0).split()
-                if parts[0] != "target":
-                    raise ValueError("expected target line")
-                idx = int(parts[1])
-                indices.append(None if idx < 0 else idx)
-                targets.append(poly_normalize([Fraction(s) for s in parts[2:]]))
-            return FhcSchedule(
-                tuple(targets),
-                tuple(indices),
-                int(head["block_width"]),
-                int(head["m_0"]),
-                int(head["trunc_degree"]),
-                alpha,
-                p,
-                float(head["norm_budget"]),
-            )
-    raise ValueError(f"unknown plan kind {kind!r}")
+
+def _parse_plan(lines: list):
+    kind = read_header(lines, ["kind"])["kind"]
+    if kind not in _PLAN_KINDS:
+        raise ValueError(f"unknown plan kind {kind!r}")
+    cls, keys, columns = _PLAN_KINDS[kind]
+    head = read_header(lines, ["alpha", "precision_bits", *keys, "n_targets"])
+    with precision(int(head["precision_bits"])):
+        fields = {key: parse(head[key]) for key, (_, parse) in keys.items()}
+        fields["alpha"] = mpf(head["alpha"])
+        rows = _rows(lines, int(head["n_targets"]), "target")
+        fields["indices"] = tuple(None if int(row[1]) < 0 else int(row[1]) for row in rows)
+        for c, (key, (_, parse)) in enumerate(columns.items(), start=2):
+            fields[key] = tuple(parse(row[c]) for row in rows)
+        fields["targets"] = tuple(poly_normalize([Fraction(s) for s in row[2 + len(columns):]])
+                                  for row in rows)
+        if kind == "hc":
+            fillers = _rows(lines, int(read_header(lines, ["n_fillers"])["n_fillers"]), "filler")
+            fields["filler_degrees"] = tuple(int(row[1]) for row in fillers)
+            fields["filler_coeffs"] = tuple(mpf(row[2]) for row in fillers)
+        return cls(**fields)

@@ -57,7 +57,6 @@ from .series import TruncatedSeries
 
 P_INF = mpmath.inf
 
-_CONJUGACY_TOL = mpf("1e-12")
 _UNDERFLOW_LOG = -700.0  # scaled log below which a float64 term is pure noise
 _WINDOW_MARGIN = 1.0  # nats added to a float64 window; its rounding is ~1e-11
 _LN2 = math.log(2.0)
@@ -78,45 +77,23 @@ def conjugate_exponent(p):
 
 
 class MeanParams:
-    """Exponent pair (p, q) and the circle sample count for quadrature."""
+    """The exponent p and its conjugate q = conjugate_exponent(p)."""
 
-    __slots__ = ("p", "q", "quad_points")
+    __slots__ = ("p", "q")
 
-    def __init__(self, p, q=None, quad_points=None):
+    def __init__(self, p):
         p = P_INF if p == P_INF else mpf(p)
         if p != P_INF and not p >= 1:
             raise ValueError(f"p must lie in [1, inf], got {p}")
         self.p = p
-        if q is None:
-            self.q = conjugate_exponent(p)
-        else:
-            q = P_INF if q == P_INF else mpf(q)
-            inv_p = mpf(0) if p == P_INF else 1 / p
-            inv_q = mpf(0) if q == P_INF else 1 / q
-            if abs(inv_p + inv_q - 1) > _CONJUGACY_TOL:
-                raise ValueError(f"exponents not conjugate: p={p}, q={q}")
-            self.q = q
-        if quad_points is not None:
-            quad_points = int(quad_points)
-            if quad_points < 16:
-                raise ValueError(f"quad_points must be >= 16, got {quad_points}")
-        self.quad_points = quad_points
+        self.q = conjugate_exponent(p)
 
     def points_for(self, f: TruncatedSeries) -> int:
-        """Effective sample count; at least eight points per coefficient degree."""
-        d = max(f.degree(), 1)
-        if self.quad_points is None:
-            m = max(4096, 8 * d)
-        else:
-            m = self.quad_points
-            if m < 8 * d:
-                raise ValueError(
-                    f"quad_points={m} too small for degree {d}: need >= {8 * d}"
-                )
-        return m + (m % 2)
+        """Circle sample count: 4096, or eight points per coefficient degree if more."""
+        return max(4096, 8 * max(f.degree(), 1))
 
     def __repr__(self) -> str:
-        return f"MeanParams(p={self.p}, q={self.q}, quad_points={self.quad_points})"
+        return f"MeanParams(p={self.p}, q={self.q})"
 
 
 class MeanResult(NamedTuple):

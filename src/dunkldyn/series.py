@@ -15,6 +15,8 @@ File format ``dunklseries v1``::
 Coefficient lines are sparse (zeros omitted), except that the final line always
 carries n = trunc_degree so the truncation order survives the round trip.
 Decimals are written with enough digits to reparse to the exact binary value.
+Readers skip blank lines.  ``read_text`` and ``read_header`` read this format
+and ``construct``'s ``dunklplan v1`` alike.
 """
 
 from __future__ import annotations
@@ -205,6 +207,38 @@ def write_series(f: TruncatedSeries, path: str, alpha, precision_bits: int | Non
         fh.write("\n".join(lines) + "\n")
 
 
+def read_text(path, magic: str, parse):
+    """parse(lines) on the non-blank lines of a text file whose first line is ``magic``.
+
+    The lines after ``magic`` are passed as a list to consume from the front.
+    A malformed or truncated file raises ValueError("<path>: ...").
+    """
+    with open(path) as fh:
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    try:
+        if not lines or lines.pop(0).strip() != magic:
+            raise ValueError(f"not a {magic} file")
+        return parse(lines)
+    except IndexError:
+        raise ValueError(f"{path}: file or line ends early") from None
+    except ZeroDivisionError:  # a number written as n/0
+        raise ValueError(f"{path}: a number has denominator 0") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def read_header(lines: list, keys) -> dict:
+    """Pop one ``key=value`` line per key, in order, off the front of lines."""
+    out = {}
+    for key in keys:
+        line = lines.pop(0)
+        name, _, value = line.partition("=")
+        if name != key:
+            raise ValueError(f"expected {key}=..., got {line!r}")
+        out[key] = value
+    return out
+
+
 def read_series(path: str) -> tuple[TruncatedSeries, mpf, int]:
     """Read a ``dunklseries v1`` file; returns (series, alpha, precision_bits).
 
@@ -212,33 +246,20 @@ def read_series(path: str) -> tuple[TruncatedSeries, mpf, int]:
     round-trip exactly; the returned objects keep that precision.  A malformed
     file raises ValueError("<path>: ...").
     """
-    with open(path) as fh:
-        raw = [line.rstrip("\n") for line in fh]
-    try:
-        return _parse_series(raw)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    return read_text(path, "dunklseries v1", _parse_series)
 
 
-def _parse_series(raw: list) -> tuple[TruncatedSeries, mpf, int]:
-    if not raw or raw[0].strip() != "dunklseries v1":
-        raise ValueError("not a dunklseries v1 file")
-
-    def header(idx: int, key: str) -> str:
-        if idx >= len(raw) or not raw[idx].startswith(key + "="):
-            raise ValueError(f"expected '{key}=' on line {idx + 1}")
-        return raw[idx].split("=", 1)[1]
-
-    bits = int(header(2, "precision_bits"))
-    n_coeffs = int(header(3, "n_coeffs"))
-    body = [line for line in raw[4:] if line.strip()]
-    if len(body) != n_coeffs:
-        raise ValueError(f"n_coeffs={n_coeffs} but {len(body)} coefficient lines")
+def _parse_series(lines: list) -> tuple[TruncatedSeries, mpf, int]:
+    head = read_header(lines, ("alpha", "precision_bits", "n_coeffs"))
+    bits = int(head["precision_bits"])
+    n_coeffs = int(head["n_coeffs"])
+    if len(lines) != n_coeffs:
+        raise ValueError(f"n_coeffs={n_coeffs} but {len(lines)} coefficient lines")
     with precision(bits):
-        alpha = mpf(header(1, "alpha"))
+        alpha = mpf(head["alpha"])
         table: dict[int, mpc] = {}
         last_n = -1
-        for line in body:
+        for line in lines:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"bad coefficient line {line!r}")

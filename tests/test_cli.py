@@ -404,6 +404,7 @@ class TestBuildAndDiagnose:
         *((sub, damage) for sub in ("orbit", "frequency")
           for damage in ("truncated", "missing key", "short target line", "zero denominator",
                          "missing file", "precision_bits=0", "precision_bits=-5")),
+        ("frequency", "block_width=0"),
         # an intact plan with an empty circle or window
         ("frequency", "--samples 0"), ("frequency", "--samples -3"),
         ("frequency", "--n-window 0"),
@@ -419,8 +420,9 @@ class TestBuildAndDiagnose:
         elif damage in ("short target line", "zero denominator"):
             row = next(i for i, ln in enumerate(lines) if ln.startswith("target "))
             lines[row] = "target" if damage == "short target line" else lines[row] + " 1/0"
-        elif damage.startswith("precision_bits="):
-            lines = [damage if ln.startswith("precision_bits=") else ln for ln in lines]
+        elif "=" in damage:  # one header line replaced
+            key = damage.partition("=")[0] + "="
+            lines = [damage if ln.startswith(key) else ln for ln in lines]
         plan = tmp_path / "bad.plan"
         if damage != "missing file":
             plan.write_text("\n".join(lines) + "\n")
@@ -438,6 +440,8 @@ class TestBuildAndDiagnose:
             assert "'plan'" in err and str(plan) in err
         if damage.startswith("precision_bits="):
             assert "precision_bits must be >= 8" in err
+        if damage == "block_width=0":
+            assert "block_width must be >= 1" in err
         assert not out.exists()
 
     def test_fhc_schedule_rows(self, fhc_artifacts):

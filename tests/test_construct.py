@@ -34,7 +34,8 @@ from dunkldyn.construct import (
 from dunkldyn.dunkl import DunklWeights, apply_dunkl
 from dunkldyn.growth import RateEnvelope, standard_r_grid
 from dunkldyn.means import P_INF
-from dunkldyn.series import TruncatedSeries
+from dunkldyn.numeric import precision
+from dunkldyn.series import TruncatedSeries, write_series
 
 F = Fraction
 
@@ -265,13 +266,7 @@ class TestPlanPersistence:
         write_plan(plan, path)
         back = read_plan(path)
         assert isinstance(back, ConstructionPlan)
-        assert back.targets == plan.targets
-        assert back.indices == plan.indices
-        assert back.positions == plan.positions
-        assert back.budgets == plan.budgets
-        assert back.alpha == plan.alpha
-        assert back.filler_degrees == plan.filler_degrees
-        assert back.filler_coeffs == plan.filler_coeffs
+        assert back == plan
 
     def test_fhc_plan_round_trip(self, tmp_path):
         w = DunklWeights(1, 4096)
@@ -282,6 +277,51 @@ class TestPlanPersistence:
         back = read_plan(path)
         assert isinstance(back, FhcSchedule)
         assert back == schedule
+
+    def test_file_text_frozen(self, tmp_path):
+        # the exact dunklplan v1 and dunklseries v1 text: a codec change that
+        # moves one byte of either format fails here
+        with precision(64):
+            hc = ConstructionPlan(
+                targets=((), (F(1, 2), F(0), F(-3)), (F(1),)),
+                indices=(1, None, 2),
+                positions=(40, 41, 50),
+                budgets=(mpf("0.5"), mpf("0.25"), mpf("0.125")),
+                alpha=mpf("0.5"),
+                trunc_degree=64,
+                r_build=2.0,
+                filler_degrees=(4, 7),
+                filler_coeffs=(mpf(1) / 3, mpf("0.375")),
+            )
+            fhc = FhcSchedule(
+                targets=((F(1),), (F(0), F(-1, 3))),
+                indices=(2, None),
+                block_width=8,
+                m_0=17,
+                trunc_degree=256,
+                alpha=mpf(1),
+                p=P_INF,
+                norm_budget=0.75,
+            )
+            f = TruncatedSeries({0: mpf(1) / 3, 2: mpc(-2, "0.5"), 5: mpc(0, 1)},
+                                trunc_degree=8)
+            write_plan(hc, tmp_path / "hc.plan")
+            write_plan(fhc, tmp_path / "fhc.plan")
+            write_series(f, tmp_path / "f.series", mpf("0.25"))
+            assert read_plan(tmp_path / "hc.plan") == hc
+            assert read_plan(tmp_path / "fhc.plan") == fhc
+        assert (tmp_path / "hc.plan").read_text() == (
+            "dunklplan v1\nkind=hc\nalpha=0.5\nprecision_bits=64\ntrunc_degree=64\n"
+            "r_build=2.0\nn_targets=3\n"
+            "target 1 40 0.5\ntarget -1 41 0.25 1/2 0 -3\ntarget 2 50 0.125 1\n"
+            "n_fillers=2\nfiller 4 0.33333333333333333334237\nfiller 7 0.375\n")
+        assert (tmp_path / "fhc.plan").read_text() == (
+            "dunklplan v1\nkind=fhc\nalpha=1.0\nprecision_bits=64\ntrunc_degree=256\n"
+            "block_width=8\nm_0=17\np=inf\nnorm_budget=0.75\nn_targets=2\n"
+            "target 2 1\ntarget -1 0 -1/3\n")
+        assert (tmp_path / "f.series").read_text() == (
+            "dunklseries v1\nalpha=0.25\nprecision_bits=64\nn_coeffs=4\n"
+            "0 0.33333333333333333334237 0.0\n2 -2.0 0.5\n5 0.0 1.0\n8 0.0 0.0\n")
 
     def test_plan_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.plan"
@@ -523,6 +563,12 @@ class TestFrequencyScatter:
         with pytest.raises(ValueError):
             frequency_report(f, s, w, 2048, mpf("0.1"), mpf(R_s), 64)
 
+    def test_rejects_table_shorter_than_series(self):
+        f = TruncatedSeries({40: 1}, trunc_degree=64)
+        s = FhcSchedule(((F(1),),), (2,), 8, 1, 4096, mpf(1), 2, 1.0)
+        with pytest.raises(ValueError, match="n_max=32 < trunc_degree=64"):
+            frequency_report(f, s, DunklWeights(1, 32), 16, mpf("0.1"), mpf(1), 8)
+
     @pytest.mark.parametrize("args", [(2048, 0), (2048, -3), (0, 64), (-1, 64)])
     def test_rejects_empty_window_or_circle(self, args):
         w = DunklWeights(1, 64)
@@ -571,6 +617,19 @@ class TestDensityDecay:
             density_decay_check(f, w, 3, 32)
         with pytest.raises(ValueError):
             density_decay_check(f, w, 2, 128)
+
+
+    def test_rejects_short_table(self):
+        f = TruncatedSeries({40: 1}, trunc_degree=64)
+        with pytest.raises(ValueError, match="need d_64, table ends at 32"):
+            density_decay_check(f, DunklWeights(0, 32), 2, 64)
+
+    def test_rejects_table_below_working_precision(self):
+        f = TruncatedSeries({40: 1}, trunc_degree=64)
+        with precision(128):
+            w = DunklWeights(0, 64)
+        with pytest.raises(ValueError, match="built at 128 bits, used at 256 bits"):
+            density_decay_check(f, w, 2, 64)
 
 
 class TestTailNorms:

@@ -44,10 +44,6 @@ def test_conjugate_exponent():
 def test_mean_params_validation():
     with pytest.raises(ValueError):
         MeanParams(mpf("0.5"))
-    with pytest.raises(ValueError):
-        MeanParams(2, q=3)  # not conjugate
-    with pytest.raises(ValueError):
-        MeanParams(2, quad_points=4)
     assert MeanParams(1).q == P_INF
 
 

@@ -184,3 +184,6 @@ class TestPersistence:
         )
         with pytest.raises(ValueError):
             read_series(path)
+        path.write_text("dunklseries v1\nalpha=0\nprecision_bits=256\nn_coeffs=1\n0 1/0 0\n")
+        with pytest.raises(ValueError, match="denominator 0"):
+            read_series(path)
