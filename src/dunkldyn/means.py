@@ -24,6 +24,11 @@ discrepancy tracks.
 callers: ``means_on_grid`` (a block of radii), ``circle_max`` (one row, the
 sampled maximum of |f| on one circle for the orbit verifier, with no
 refine) and ``construct.frequency_report`` (a block of rows Lambda^n f).
+Up to 4096 samples it runs one inverse FFT of length m.  Above that,
+``points_for`` makes m = 8 D with D the degree, and the kernel computes the
+same length-m transform as a length-8 step, twiddles and length-D
+transforms, so a prime D costs a Bluestein transform of length D rather
+than 8 D.
 
 Every mean goes through ``means_on_grid``, which builds one table per
 call and then evaluates each radius of the grid from it; ``mean_p`` is its
@@ -36,8 +41,10 @@ operation.  Their samples agree with a working-precision evaluation of
 every coefficient to within 1e-14 of the largest sample, where plain
 float64 exponents miss by up to ~2e-12 on degree-4000 series.  The scaled
 terms of a block of radii fill the rows of one array of about
-_BLOCK_ELEMENTS = 2^17 complex values (2 MB, and as much again for the
-transform's output), and one inverse FFT along the rows serves the block.
+_BLOCK_ELEMENTS = 2^17 complex values (2 MB), which one transform along
+the rows serves.  At most two arrays of that size are alive at once (the
+split path drops each step's input once the next step has run), plus two
+complex vectors of length D for the twiddles.
 Parseval likewise drops terms more than (precision + 64) bits below the
 top term.  The p = infinity refine evaluates only the terms that survive
 the window, rotated to a peak's angle through the exact residue (j n)
@@ -62,7 +69,9 @@ _WINDOW_MARGIN = 1.0  # nats added to a float64 window; its rounding is ~1e-11
 _LN2 = math.log(2.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SPLIT = 2.0**27 + 1.0  # Veltkamp splitter: a float64 into two 26-bit halves
-_BLOCK_ELEMENTS = 1 << 17  # complex values per batched inverse FFT (2 MB)
+_BLOCK_ELEMENTS = 1 << 17  # complex values per batched inverse FFT (2 MB; 4 MB with its output)
+_MIN_POINTS = 4096  # circle samples of the smallest grid; above it m = 8 * degree
+_POINTS_PER_DEGREE = 8  # circle samples per coefficient degree; also the split's short length
 _REFINED_PEAKS = 3  # local maxima of the p = inf samples that get a refine
 
 
@@ -90,7 +99,7 @@ class MeanParams:
 
     def points_for(self, f: TruncatedSeries) -> int:
         """Circle sample count: 4096, or eight points per coefficient degree if more."""
-        return max(4096, 8 * max(f.degree(), 1))
+        return max(_MIN_POINTS, _POINTS_PER_DEGREE * max(f.degree(), 1))
 
     def __repr__(self) -> str:
         return f"MeanParams(p={self.p}, q={self.q})"
@@ -207,11 +216,35 @@ def _circle_rows(n_rows: int, m: int, rows, degrees, scaled) -> np.ndarray:
 
     Degrees are folded mod m, so any m >= 1 is sampled exactly; for m above
     the degree the fold is a plain placement.  ``np.add.at`` adds the terms
-    of a cell in the order given, and one inverse FFT runs along the rows.
+    of a cell in the order given.  Up to _MIN_POINTS samples, or when 8 does
+    not divide m, one inverse FFT of length m runs along the rows.  Above
+    that, m = 8 D and the same transform is split in four steps (Bailey):
+    with n = b' D + k and j = 8 a + b (a, k < D; b, b' < 8),
+
+        samples[8 a + b] = sum_k e^{2 pi i a k / D} e^{2 pi i b k / m}
+                           sum_b' e^{2 pi i b b' / 8} coeffs[b' D + k],
+
+    that is a length-8 inverse FFT down the (8, D) view of the row, the
+    twiddles e^{2 pi i b k / m} (b k < m, so no residue is taken), a
+    length-D inverse FFT, and a transpose.  A prime D then costs a Bluestein
+    transform of length D, not 8 D.
     """
     coeffs = np.zeros((n_rows, m), dtype=np.complex128)
     np.add.at(coeffs, (rows, degrees % m), scaled)  # e^{2 pi i j n / m} depends on n mod m
-    return np.fft.ifft(coeffs, axis=-1, norm="forward")
+    short = _POINTS_PER_DEGREE
+    if m <= _MIN_POINTS or m % short:
+        return np.fft.ifft(coeffs, axis=-1, norm="forward")
+    d = m // short
+    cols = np.fft.ifft(coeffs.reshape(n_rows, short, d), axis=1, norm="forward")
+    del coeffs  # at most two block-sized arrays are alive at once
+    step = np.exp(2j * np.pi / m * np.arange(d))
+    twiddle = np.ones(d, dtype=np.complex128)
+    for b in range(1, short):
+        twiddle *= step  # e^{2 pi i b k / m}
+        cols[:, b] *= twiddle
+    out = np.fft.ifft(cols, axis=-1, norm="forward")
+    del cols
+    return out.transpose(0, 2, 1).reshape(n_rows, m)
 
 
 def _refine_max(degrees: np.ndarray, coeffs: np.ndarray, half_width: float) -> float:
@@ -287,9 +320,9 @@ def means_on_grid(f: TruncatedSeries, radii, params: MeanParams) -> list[MeanRes
     """M_p(f, r) with its quadrature discrepancy at every radius of the grid.
 
     The coefficient table is built once per call and read at each radius;
-    nothing is cached beyond the call.  The sampled routes run one inverse
-    FFT per block of radii, about _BLOCK_ELEMENTS samples per block; a
-    row's samples do not depend on the block it shares.
+    nothing is cached beyond the call.  The sampled routes run one
+    ``_circle_rows`` transform per block of radii, about _BLOCK_ELEMENTS
+    samples per block; a row's samples do not depend on the block it shares.
     """
     radii = [mpf(r) for r in radii]
     for r in radii:

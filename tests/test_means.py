@@ -19,6 +19,7 @@ from dunkldyn.means import (
     P_INF,
     MeanParams,
     _CircleTable,
+    _circle_rows,
     _quadrature_mean,
     circle_max,
     conjugate_exponent,
@@ -344,6 +345,39 @@ def test_batched_blocks_equal_per_radius_mean_p():
         shift, samples = _scaled_circle_per_coefficient(f, r, m)
         want = mpmath.exp(shift) * float(np.max(np.abs(samples)))
         assert abs(circle_max(f, r, m) - want) <= want * mpf("1e-14")
+
+
+@pytest.mark.parametrize("m", [8 * 1031, 8 * 1024, 8 * 600 + 4, 4096])
+def test_circle_rows_equal_one_length_m_transform(m):
+    # above 4096 points with 8 | m the kernel splits the transform into
+    # length-8 and length-m/8 steps (1031 is prime, 1024 smooth); 8 * 600 + 4
+    # and 4096 take the one length-m transform, bit for bit
+    rng = np.random.default_rng(m)
+    n_rows, n_terms = 3, 2000
+    rows = rng.integers(0, n_rows, n_terms)
+    degrees = rng.integers(0, 3 * m, n_terms)  # most fold, some onto the same cell
+    scaled = rng.standard_normal(n_terms) + 1j * rng.standard_normal(n_terms)
+    coeffs = np.zeros((n_rows, m), dtype=np.complex128)
+    np.add.at(coeffs, (rows, degrees % m), scaled)
+    want = np.fft.ifft(coeffs, axis=-1, norm="forward")
+    got = _circle_rows(n_rows, m, rows, degrees, scaled)
+    assert got.shape == (n_rows, m)
+    if m <= 4096 or m % 8:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_circle_max_on_split_transform_matches_evaluate_circle():
+    # m = 8 * 1031 goes through the split kernel; degrees up to 3m fold
+    m = 8 * 1031
+    f = TruncatedSeries(
+        {n: mpmath.expj(mpf(n) / 5) / (1 + n % 9) for n in (0, 1, 7, 1031, 4000, 8247, 8248,
+                                                             9001, 20000)},
+        trunc_degree=3 * m)
+    r = mpf("0.9999")
+    want = max(abs(v) for v in f.evaluate_circle(r, m))
+    assert abs(circle_max(f, r, m) - want) <= want * mpf("1e-14")
 
 
 @pytest.mark.parametrize("alpha_s", ["0", "0.5"])
