@@ -5,10 +5,10 @@ blocks S^{m_k} Q_k, choosing each m_k as the smallest position satisfying
 
   (a) disjointness from the previous block,
   (b) the block's weighted-norm upper bound on the radius grid stays under
-      an internal threshold eps_k / budget_tighten (so the stated budget
-      eps_k = 2^-k holds with headroom), and
+      an internal threshold eps_k / 8 (so the stated budget eps_k = 2^-k
+      holds with headroom), and
   (c) the block's shadow at every earlier position j < k, the circle sup of
-      S^{m_k - m_j} Q_k at the build radius, stays under eps_k Phi(R)/safety,
+      S^{m_k - m_j} Q_k at the build radius R = 2, stays under eps_k Phi(R)/2,
       where Phi(R) = env(R) e^R / R^{alpha+1}.
 
 Condition (c) is what makes the orbit verification budgets attainable: the
@@ -20,7 +20,7 @@ and leave residuals of order one against budgets of order 2^-K.
 Optionally the builder pre-places positive "filler" monomials at low degrees
 whose coefficients fill the envelope up to a fixed fraction: the running
 total of their contributions to M_1(f, r) r^{alpha+1}/e^r touches
-filler_sat * env(r) near each filler's peak radius and never exceeds it.
+0.35 env(r) near each filler's peak radius and never exceeds it.
 Fillers sit strictly below every target block, so Lambda^{m_k} annihilates
 them and no residual changes; their job is to make the windowed growth
 constant of the construction strictly increase as the radius window widens,
@@ -30,7 +30,7 @@ The frequently hypercyclic builder uses the dyadic-residue schedule
 A_j = {m_0 + B (2^j k + 2^{j-1})}: exact nominal densities 1/(B 2^j),
 pairwise disjointness by 2-adic valuation, O(1) membership.  The start
 offset m_0 is the smallest making the total weighted-norm bound of all
-scheduled blocks fit the configured budget.
+scheduled blocks fit NORM_BUDGET.
 
 Both builders bound weighted norms with one float64 log-domain kernel built
 once per (weights, envelope, exponent, grid, truncation): the frequently
@@ -38,9 +38,13 @@ hypercyclic side reads its per-degree factor table, and the hypercyclic scan,
 which cannot bisect because the bound is not monotone in m, scores chunks of
 candidate m in increasing order, one log-sum-exp per chunk.  The logs involved
 stay below a few times 10^4, so a float64 log bound is off by at most ~1e-11
-(1e-12 against a working-precision reference).  Test (b) keeps a factor
-budget_tighten of headroom, and over the shipped K = 12 builds no scanned log
-bound comes within 5e-4 of its threshold, so no placement can move.
+(1e-12 against a working-precision reference).  Test (b) keeps a factor 8 of
+headroom, and over the shipped K = 12 builds no scanned log bound comes within
+5e-4 of its threshold, so no placement can move.
+
+The builders' tuning is fixed by the module constants below; BuilderConfig
+holds only what a caller chooses (targets, radius grid, fillers on or off and
+the fhc block width).
 """
 
 from __future__ import annotations
@@ -61,6 +65,19 @@ from .numeric import precision, to_decimal
 from .series import TruncatedSeries, read_header, read_text
 
 Polynomial = tuple  # of Fraction, low degree first, no trailing zeros
+
+MAX_DEGREE = 8  # largest target degree
+R_BUILD = 2.0  # circle radius for shadow control and orbit verification
+NORM_BUDGET = 1.0  # total weighted-norm budget of the fhc schedule
+_BUDGET_TIGHTEN = 8  # internal norm threshold = eps_k / this
+_SHADOW_SAFETY = 2  # shadow threshold = eps_k Phi(R) / this
+# filler ladder: degrees from the cap down by the ratio to the base, filled
+# up to _FILLER_SAT of the envelope
+_FILLER_BASE_DEGREE = 4
+_FILLER_CAP_DEGREE = 360
+_FILLER_RATIO = 1.75
+_FILLER_SAT = 0.35
+_ORBIT_SAMPLES = 512  # circle samples per residual in verify_orbit_hits
 
 
 class InfeasibleConstruction(Exception):
@@ -134,7 +151,7 @@ class TargetEnumeration:
     and every rational polynomial with bounded data is eventually reached.
     """
 
-    def __init__(self, max_degree: int = 8):
+    def __init__(self, max_degree: int = MAX_DEGREE):
         if max_degree < 0:
             raise ValueError(f"max_degree must be >= 0, got {max_degree}")
         self.max_degree = max_degree
@@ -164,15 +181,11 @@ class TargetEnumeration:
         return self._cache[index - 1]
 
 
-_ENUMERATIONS: dict[int, TargetEnumeration] = {}
+_TARGETS = TargetEnumeration(MAX_DEGREE)
 
 
-def enumerate_targets(index: int, cfg=None) -> Polynomial:
-    max_degree = 8 if cfg is None else cfg.max_degree
-    enum = _ENUMERATIONS.get(max_degree)
-    if enum is None:
-        enum = _ENUMERATIONS[max_degree] = TargetEnumeration(max_degree)
-    return enum.polynomial(index)
+def enumerate_targets(index: int) -> Polynomial:
+    return _TARGETS.polynomial(index)
 
 
 # ---------------------------------------------------------------------------
@@ -181,21 +194,13 @@ def enumerate_targets(index: int, cfg=None) -> Polynomial:
 
 @dataclass
 class BuilderConfig:
-    """Knobs shared by the builders; defaults match the shipped experiments."""
+    """What a caller of the builders chooses; the rest of the tuning is the
+    module constants (MAX_DEGREE, R_BUILD, NORM_BUDGET and the private ones)."""
 
-    max_degree: int = 8
     targets: tuple | None = None  # explicit Polynomial list overrides enumeration
     r_grid: tuple | None = None  # default standard_r_grid()
-    r_build: float = 2.0  # circle radius for shadow control and verification
-    budget_tighten: int = 8  # internal norm threshold = eps_k / this
-    shadow_safety: int = 2  # shadow threshold = eps_k Phi(R) / this
     saturate_envelope: bool = True  # place filler monomials under the targets
-    filler_base_degree: int = 4
-    filler_cap_degree: int = 360
-    filler_ratio: float = 1.75
-    filler_sat: float = 0.35  # fillers fill the envelope up to this fraction
     block_width: int = 8  # B for the dyadic-residue schedule
-    norm_budget: float = 1.0  # total weighted-norm budget for the schedule
 
     def grid(self):
         return self.r_grid if self.r_grid is not None else standard_r_grid()
@@ -317,12 +322,12 @@ def _shadow_ub(poly: Polynomial, gap: int, w: DunklWeights, r) -> mpf:
     return total
 
 
-def _calibrate_fillers(w: DunklWeights, env: RateEnvelope, cfg: BuilderConfig):
+def _calibrate_fillers(w: DunklWeights, env: RateEnvelope, r_grid):
     """Degrees and coefficients of the envelope-saturating filler ladder.
 
     Walking a geometric ramp of degrees from the cap down, each coefficient
     gamma is the largest value keeping the running total of
-    sum_j gamma_j r^{P_j + alpha + 1}/e^r at or below filler_sat * env(r)
+    sum_j gamma_j r^{P_j + alpha + 1}/e^r at or below _FILLER_SAT * env(r)
     at every point where the new mode carries at least 1% of its peak (the
     grid is augmented with the analytic peak radii P + alpha + 1, so
     calibration does not depend on grid alignment).  Placing large degrees
@@ -331,20 +336,20 @@ def _calibrate_fillers(w: DunklWeights, env: RateEnvelope, cfg: BuilderConfig):
     envelope near its own peak before its small-degree neighbours are sized;
     the significance cutoff keeps an already-touched point far from the new
     peak from zeroing the new coefficient.  The total therefore touches
-    filler_sat * env near every surviving ramp radius and exceeds it nowhere
+    _FILLER_SAT * env near every surviving ramp radius and exceeds it nowhere
     by more than about 1%, which is what makes the windowed growth constant
     climb with env across radius windows.
     """
     ramp = []
-    P = cfg.filler_cap_degree
-    while P >= cfg.filler_base_degree:
+    P = _FILLER_CAP_DEGREE
+    while P >= _FILLER_BASE_DEGREE:
         ramp.append(P)
-        nxt = math.floor(P / cfg.filler_ratio)
+        nxt = math.floor(P / _FILLER_RATIO)
         P = nxt if nxt < P else P - 1
-    points = sorted(set(float(r) for r in cfg.grid())
+    points = sorted(set(float(r) for r in r_grid)
                     | {float(P + w.alpha + 1) for P in ramp})
     points = [mpf(repr(r)) for r in points]
-    cap = [mpf(cfg.filler_sat) * env(r) for r in points]
+    cap = [mpf(_FILLER_SAT) * env(r) for r in points]
     running = [mpf(0)] * len(points)
     significance = mpf("0.01")
     placed = []
@@ -384,7 +389,7 @@ def _builder_setup(w, env, count, name, cfg, trunc_degree, first_index):
             raise ValueError(f"cfg.targets has {len(targets)} entries, {name}={count}")
     else:
         indices = tuple(range(first_index, first_index + count))
-        targets = tuple(enumerate_targets(i, cfg) for i in indices)
+        targets = tuple(enumerate_targets(i) for i in indices)
     _require_table(w, trunc_degree)
     return cfg, targets, indices
 
@@ -409,16 +414,16 @@ def build_hypercyclic(
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     cfg, targets, indices = _builder_setup(w, env, K, "K", cfg, trunc_degree, 1)
-    if any(poly_degree(q) > cfg.max_degree for q in targets):
-        raise ValueError(f"targets must have degree <= {cfg.max_degree}")
+    if any(poly_degree(q) > MAX_DEGREE for q in targets):
+        raise ValueError(f"targets must have degree <= {MAX_DEGREE}")
 
     if cfg.saturate_envelope:
-        filler_degrees, filler_coeffs = _calibrate_fillers(w, env, cfg)
+        filler_degrees, filler_coeffs = _calibrate_fillers(w, env, cfg.grid())
     else:
         filler_degrees, filler_coeffs = (), ()
 
     kernel = _NormKernel(w, env, w.alpha + 1, cfg.grid(), trunc_degree)
-    r_build = mpf(cfg.r_build)
+    r_build = mpf(R_BUILD)
     phi_R = _phi_at(env, w, r_build)
 
     positions = []
@@ -439,8 +444,8 @@ def build_hypercyclic(
                 )
             positions.append(m)
             continue
-        log_threshold = float(mpmath.ln(eps / cfg.budget_tighten))
-        shadow_cap = eps * phi_R / cfg.shadow_safety
+        log_threshold = float(mpmath.ln(eps / _BUDGET_TIGHTEN))
+        shadow_cap = eps * phi_R / _SHADOW_SAFETY
         # the norm bound is not monotone in m: scan every m upward, a chunk
         # per batched probe, and take the first passing (b) and then (c)
         start, m = lo, None
@@ -472,7 +477,7 @@ def build_hypercyclic(
         tuple(budgets),
         w.alpha,
         trunc_degree,
-        float(cfg.r_build),
+        R_BUILD,
         filler_degrees,
         filler_coeffs,
     )
@@ -496,11 +501,11 @@ def verify_orbit_hits(
     f: TruncatedSeries,
     plan: ConstructionPlan,
     w: DunklWeights,
-    R=None,
-    m: int = 512,
     env: RateEnvelope | None = None,
 ) -> OrbitHitReport:
-    """delta_k = max |Lambda^{m_k} f - Q_k| over m samples of |z| = R against its tail budget.
+    """delta_k = max |Lambda^{m_k} f - Q_k| over 512 samples of |z| = R against its tail budget.
+
+    R is the plan's build radius, the circle the builder controlled the shadows on.
 
     The samples come from ``circle_max`` (scaled float64, one inverse FFT);
     ``TruncatedSeries.sup_on_disk`` is its working-precision reference.
@@ -512,7 +517,7 @@ def verify_orbit_hits(
     and an exact zero residual is not representable.
     """
     env = env or RateEnvelope.log_growth()
-    R = mpf(R) if R is not None else mpf(plan.r_build)
+    R = mpf(plan.r_build)
     phi_R = _phi_at(env, w, R)
     K = len(plan.targets)
     deltas = []
@@ -523,7 +528,7 @@ def verify_orbit_hits(
         q = plan.targets[k - 1]
         m_k = plan.positions[k - 1]
         residual = apply_dunkl(f, w, m_k).add(poly_to_series(q, f.trunc_degree).scale(-1))
-        delta = circle_max(residual, R, m)
+        delta = circle_max(residual, R, _ORBIT_SAMPLES)
         budget = phi_R * mpmath.fsum(plan.budgets[k:]) if k < K else mpf(0)
         q_size = mpmath.fsum(
             (abs(mpf(c.numerator)) / c.denominator) * R**i for i, c in enumerate(q) if c
@@ -534,7 +539,7 @@ def verify_orbit_hits(
         floors.append(floor)
         passed.append(delta <= budget + floor)
     return OrbitHitReport(
-        tuple(deltas), tuple(budgets), tuple(floors), tuple(passed), R, m
+        tuple(deltas), tuple(budgets), tuple(floors), tuple(passed), R, _ORBIT_SAMPLES
     )
 
 
@@ -556,7 +561,6 @@ def fuc_tail_norms(
     p,
     env: RateEnvelope,
     N: int,
-    trunc_degree: int = 4096,
 ) -> mpf:
     """Sum over n > N of the weighted-norm bound of S^n poly.
 
@@ -564,8 +568,8 @@ def fuc_tail_norms(
     (p, alpha, fhc_upper).  Summing norms dominates the norm of every finite
     subset of the tail by the triangle inequality, which is the quantity the
     unconditional-convergence condition needs; it is nonincreasing in N.  The
-    sum stops at the truncation horizon, where the terms are far below any
-    tolerance in use.
+    sum stops at the weight table's horizon w.n_max, where the terms are far
+    below any tolerance in use.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -574,12 +578,10 @@ def fuc_tail_norms(
         return mpf(0)
     a = rate_exponent(p, w.alpha, "fhc_upper")
     deg = poly_degree(poly)
-    if w.n_max < trunc_degree:
-        raise ValueError(f"weight table n_max={w.n_max} < trunc_degree={trunc_degree}")
-    g = _NormKernel(w, env, a, standard_r_grid(), trunc_degree).factor_table()
+    g = _NormKernel(w, env, a, standard_r_grid(), w.n_max).factor_table()
     suffix = np.concatenate([np.cumsum(g[::-1])[::-1], [0.0]])
     total = 0.0
-    last = trunc_degree - deg
+    last = w.n_max - deg
     for i, fac in _poly_weight_factors(poly, w):
         lo = N + 1 + i
         hi = last + i + 1
@@ -601,7 +603,7 @@ def build_frequently_hypercyclic(
     Targets default to enumeration indices 2..J+1 (the zero polynomial is
     skipped; approximating zero needs no block at all).  m_0 is the smallest
     offset whose total weighted-norm bound over every scheduled block fits
-    cfg.norm_budget.
+    NORM_BUDGET.
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
@@ -616,10 +618,9 @@ def build_frequently_hypercyclic(
     a = rate_exponent(p, w.alpha, "fhc_upper")
     g = _NormKernel(w, env, a, cfg.grid(), trunc_degree).factor_table()
     factors = [_poly_weight_factors(q, w) for q in targets]
-    budget = float(cfg.norm_budget)
 
     def schedule_at(m_0: int) -> FhcSchedule:
-        return FhcSchedule(targets, indices, B, m_0, trunc_degree, w.alpha, p, budget)
+        return FhcSchedule(targets, indices, B, m_0, trunc_degree, w.alpha, p, NORM_BUDGET)
 
     def total_norm(m_0: int) -> float:
         total = 0.0
@@ -631,15 +632,15 @@ def build_frequently_hypercyclic(
         return total
 
     hi = trunc_degree - 2 * schedule_at(0).period(len(targets))
-    if hi < 1 or total_norm(hi) > budget:
+    if hi < 1 or total_norm(hi) > NORM_BUDGET:
         raise InfeasibleConstruction(
-            f"norm budget {budget} unreachable within trunc_degree {trunc_degree}"
+            f"norm budget {NORM_BUDGET} unreachable within trunc_degree {trunc_degree}"
         )
     lo = 1
-    if total_norm(lo) > budget:
+    if total_norm(lo) > NORM_BUDGET:
         while hi - lo > 1:  # smallest feasible m_0 by bisection (monotone)
             mid = (lo + hi) // 2
-            if total_norm(mid) <= budget:
+            if total_norm(mid) <= NORM_BUDGET:
                 hi = mid
             else:
                 lo = mid

@@ -166,10 +166,10 @@ def lemma1_ratio(n: int, w: DunklWeights) -> mpf:
     return mpmath.exp(w.log_weight(n) + x - x * mpmath.ln(x))
 
 
-def mittag_leffler(z, ml_alpha, theta, beta, tol=None):
+def mittag_leffler(z, ml_alpha, theta, beta):
     """E(z) = sum_n z^n / ((n+theta)^beta Gamma(ml_alpha n + 1)).
 
-    Two routes, each accurate to about tol (default 2^(16-prec)) relative:
+    Two routes, each accurate to about tol = 2^(16-prec) relative:
 
     * integer ml_alpha with z real and > 0, where every term is positive,
       takes the peak walk (``_ml_peak_walk``): the sum starts at the largest
@@ -194,13 +194,12 @@ def mittag_leffler(z, ml_alpha, theta, beta, tol=None):
     if not theta > 0:
         raise ValueError(f"theta must be > 0, got {theta}")
     beta = mpf(beta)
-    if tol is None:
-        tol = mpf(2) ** (16 - mp.prec)
+    tol = mpf(2) ** (16 - mp.prec)
     z = mpmath.mpmathify(z)
 
     int_alpha = int(ml_alpha) if ml_alpha == int(ml_alpha) else None
     if int_alpha is not None and mpmath.im(z) == 0 and mpmath.re(z) > 0:
-        return _ml_peak_walk(mpmath.re(z), int_alpha, theta, beta, mpf(tol))
+        return _ml_peak_walk(mpmath.re(z), int_alpha, theta, beta, tol)
     # |z|^n / Gamma(ml n + 1) rises through N = ML_MAX_TERMS if ln|z| >= ml (ln y - 1/(2y)),
     # y = ml N + 1 (ln Gamma is convex, psi(y) < ln y - 1/(2y)); then each sum before N is at
     # most e^spread times the next term, so none settles when e^spread < 1/tol
@@ -333,23 +332,22 @@ def barnes_asymptotic(r, ml_alpha, theta, beta) -> mpf:
     return ml_alpha ** (beta - 1) * r ** (-beta / ml_alpha) * mpmath.exp(r ** (1 / ml_alpha))
 
 
-def lemma3_ratio(r, q, w: DunklWeights, n_terms=None) -> mpf:
+def lemma3_ratio(r, q, w: DunklWeights) -> mpf:
     """[sum_n r^{qn}/d_n^q] / [e^r / r^{alpha+1/2+1/(2p)}]^q with p conjugate to q.
 
     The one-radius case of ``lemma3_on_grid``, which documents the sum.
     """
-    return lemma3_on_grid([r], q, w, n_terms)[0]
+    return lemma3_on_grid([r], q, w)[0]
 
 
-def lemma3_on_grid(radii, q, w: DunklWeights, n_terms=None) -> list:
+def lemma3_on_grid(radii, q, w: DunklWeights) -> list:
     """``lemma3_ratio`` at each radius, from one a_n^(-q) table for the sweep.
 
     The terms r^{qn}/d_n^q run t_0 = 1, t_n = t_(n-1) r^q a_n^(-q) with the
     weight ratios a_n = d_n/d_(n-1), so no term costs an exp; the table of
     a_n^(-q) is built once per call and extended as far as the radii need.
-    With n_terms omitted a sum stops at the first n > r whose term is below
-    2^-prec of the running total; exhausting the weight table first is an
-    error.  With n_terms given it runs over n <= min(n_terms, n_max).
+    A sum stops at the first n > r whose term is below 2^-prec of the running
+    total; exhausting the weight table first is an error.
     """
     radii = [mpf(r) for r in radii]
     for r in radii:
@@ -361,25 +359,22 @@ def lemma3_on_grid(radii, q, w: DunklWeights, n_terms=None) -> list:
     p = conjugate_exponent(q)
     a = rate_exponent(p, w.alpha, "fhc_upper")
     cutoff = mpf(2) ** (-mp.prec)
-    limit = w.n_max if n_terms is None else min(int(n_terms), w.n_max)
     inv_aq = [None]  # a_n^(-q) for n >= 1, extended lazily
     ratios = []
     for r in radii:
         r_q = r**q
         settle_from = int(mpmath.floor(r))  # the cutoff applies for n > r
         term = total = mpf(1)  # n = 0: r^0 / d_0^q
-        for n in range(1, limit + 1):
+        for n in range(1, w.n_max + 1):
             if n == len(inv_aq):
                 inv_aq.append(w.ratio(n) ** -q)
             term = term * r_q * inv_aq[n]
             total += term
-            if n_terms is None and n > settle_from and term < cutoff * total:
+            if n > settle_from and term < cutoff * total:
                 break
         else:
-            if n_terms is None:
-                raise ValueError(
-                    f"weight table (n_max={w.n_max}) exhausted before the sum settled at r={mpmath.nstr(r, 8)}"
-                )
+            raise ValueError(f"weight table (n_max={w.n_max}) exhausted before the sum "
+                             f"settled at r={mpmath.nstr(r, 8)}")
         ln_r = mpmath.ln(r)
         ratios.append(mpmath.exp(mpmath.ln(total) - q * (r - a * ln_r)))
     return ratios

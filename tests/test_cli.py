@@ -28,6 +28,7 @@ from dunkldyn.cli import (
     read_config_file,
     run,
 )
+from dunkldyn.construct import read_plan, verify_orbit_hits
 from dunkldyn.dunkl import ALPHA_BOUNDARY_GAP, DunklWeights
 from dunkldyn.growth import lemma3_on_grid
 from dunkldyn.series import TruncatedSeries, read_series, write_series
@@ -365,6 +366,21 @@ def fhc_artifacts(tmp_path_factory):
     return base
 
 
+def _tight_plan(base, tmp_path, r_build="2.0"):
+    """The hc plan in base with every eps_k set to 1e-300 and the given build radius."""
+    lines = (base / "build.plan").read_text().splitlines()
+    for i, ln in enumerate(lines):
+        if ln.startswith("target "):
+            cells = ln.split()
+            cells[3] = "1e-300"  # target <index> <m_k> <eps_k> <coefficients>
+            lines[i] = " ".join(cells)
+        elif ln.startswith("r_build="):
+            lines[i] = f"r_build={r_build}"
+    path = tmp_path / "tight.plan"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestBuildAndDiagnose:
     def test_hc_outputs(self, hc_artifacts):
         out = hc_artifacts / "build.csv"
@@ -389,6 +405,21 @@ class TestBuildAndDiagnose:
         rc = main(["orbit", "--input", str(hc_artifacts / "build.series"),
                    "--plan", str(hc_artifacts / "build.plan"), "-o", str(out)])
         assert rc == EXIT_OK
+
+    def test_orbit_plan_over_budget_exits_three(self, hc_artifacts, tmp_path, capsys):
+        # block 1's budget is now far below the shadow block 2 casts on it
+        rc = main(["orbit", "--input", str(hc_artifacts / "build.series"),
+                   "--plan", str(_tight_plan(hc_artifacts, tmp_path)), "--n", "64",
+                   "-o", str(tmp_path / "v.csv")])
+        assert rc == EXIT_VERIFY
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "block 1 residual" in err
+
+    def test_orbit_verifier_samples_the_plan_radius(self, hc_artifacts, tmp_path):
+        f, alpha, _ = read_series(str(hc_artifacts / "build.series"))
+        plan = read_plan(str(_tight_plan(hc_artifacts, tmp_path, r_build="1.5")))
+        assert verify_orbit_hits(f, plan, DunklWeights(alpha, f.trunc_degree)).r == mpf("1.5")
 
     def test_orbit_windows(self, hc_artifacts, tmp_path):
         out = tmp_path / "win.csv"

@@ -10,6 +10,9 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from dunkldyn.construct import (
+    _BUDGET_TIGHTEN,
+    _SHADOW_SAFETY,
+    R_BUILD,
     BuilderConfig,
     ConstructionPlan,
     FhcSchedule,
@@ -154,21 +157,21 @@ class TestNormKernel:
 
     def test_scan_returns_smallest_admissible_m(self):
         # brute force with the mpf reference: every block sits at the first m
-        # past its predecessor whose norm bound fits eps_k / budget_tighten and
-        # whose shadow on the previous block fits eps_k Phi(R) / shadow_safety
+        # past its predecessor whose norm bound fits eps_k / _BUDGET_TIGHTEN and
+        # whose shadow on the previous block fits eps_k Phi(R) / _SHADOW_SAFETY
         w = DunklWeights(mpf(0), 512)
         env = RateEnvelope.log_growth()
         cfg = BuilderConfig(r_grid=standard_r_grid(points=24), saturate_envelope=False)
         f, plan = build_hypercyclic(w, env, 6, cfg, trunc_degree=512)
-        r_build = mpf(cfg.r_build)
-        shadow_cap = _phi_at(env, w, r_build) / cfg.shadow_safety
+        r_build = mpf(R_BUILD)
+        shadow_cap = _phi_at(env, w, r_build) / _SHADOW_SAFETY
         lo, shadow_rejections = 1, 0
         for k, q in enumerate(plan.targets, start=1):
             eps = mpf(2) ** -k
             m = lo
             while q:
                 fits = (_block_log_norm_mpf(w, env, w.alpha + 1, cfg.grid(), q, m)
-                        <= mpmath.ln(eps / cfg.budget_tighten))
+                        <= mpmath.ln(eps / _BUDGET_TIGHTEN))
                 if fits and k > 1:
                     gap = m - plan.positions[k - 2]
                     fits = _shadow_ub(q, gap, w, r_build) <= eps * shadow_cap
@@ -651,3 +654,12 @@ class TestTailNorms:
         w = DunklWeights(0, 4096)
         env = RateEnvelope.log_growth()
         assert fuc_tail_norms((), w, 2, env, 10) == 0
+
+    @pytest.mark.parametrize("N", [50, 400, 496])
+    def test_sum_runs_to_the_table_horizon(self, N):
+        # the terms past degree 1024 underflow, so a 1024 table sums the same tail
+        env = RateEnvelope.log_growth()
+        want = fuc_tail_norms((F(1),), DunklWeights(0, 4096), 2, env, N)
+        got = fuc_tail_norms((F(1),), DunklWeights(0, 1024), 2, env, N)
+        assert want > 0
+        assert abs(got - want) <= want * mpf("1e-15")
