@@ -1,11 +1,11 @@
 """Experiment runner: every verifier and builder behind one command.
 
 Each subcommand reads an ExperimentConfig (key=value file, overridden by
-flags, with an environment default for precision) plus its own options, does
-one job, and writes a CSV whose first line is a `# config: ...` banner naming
-every effective setting.  Identical config means byte-identical output: all
-numeric text is produced at fixed precision with deterministic tie-breaks,
-and file writes go through a single code path.
+flags) plus its own options, does one job, and writes a CSV whose first line
+is a `# config: ...` banner naming every effective setting.  Identical
+config means byte-identical output: all numeric text is produced at fixed
+precision with deterministic tie-breaks, and file writes go through a single
+code path.
 
 Each subcommand declares its options once, as `_Option` entries: the
 argparse flags and their --help defaults, the defaults and range checks `run`
@@ -60,10 +60,8 @@ from .growth import (
     standard_r_grid,
 )
 from .means import P_INF, MeanParams, hausdorff_young_on_grid, means_on_grid
-from .numeric import to_decimal
+from .numeric import DEFAULT_PRECISION_BITS, to_decimal
 from .series import TruncatedSeries, read_series, write_series
-
-PRECISION_ENV_VAR = "DUNKLDYN_PRECISION_BITS"
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -84,20 +82,11 @@ class ConfigError(Exception):
         super().__init__(prefix + message)
 
 
-def _default_precision() -> int:
-    raw = os.environ.get(PRECISION_ENV_VAR, "256")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}",
-                          field="precision_bits")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     alpha: str = "0"
     p: str = "2"
-    precision_bits: int = 256
+    precision_bits: int = DEFAULT_PRECISION_BITS
     trunc_degree: int = 4096
     r_min: str = "0.01"
     r_max: str = "400"
@@ -195,10 +184,8 @@ _SUBCOMMAND_GRID_DEFAULTS = {
 
 def load_config(config_path: str | None, flag_values: dict,
                 subcommand: str | None = None) -> ExperimentConfig:
-    """Defaults (with the subcommand's own radius grid), then environment
-    precision, then file, then flags."""
-    cfg = ExperimentConfig(precision_bits=_default_precision(),
-                           **_SUBCOMMAND_GRID_DEFAULTS.get(subcommand, {}))
+    """Defaults (with the subcommand's own radius grid), then file, then flags."""
+    cfg = ExperimentConfig(**_SUBCOMMAND_GRID_DEFAULTS.get(subcommand, {}))
     if config_path:
         cfg = replace(cfg, **read_config_file(config_path))
     cfg = replace(cfg, **{key: _coerce(key, value) if isinstance(value, str) else value
@@ -629,8 +616,7 @@ def _build_parser() -> _Parser:
     for name, (_, help_text, table) in _COMMANDS.items():
         s = sub.add_parser(name, help=help_text)
         s.add_argument("--config", metavar="FILE", help="key=value config file")
-        defaults = {**ExperimentConfig().as_dict(), **_SUBCOMMAND_GRID_DEFAULTS.get(name, {}),
-                    "precision_bits": f"${PRECISION_ENV_VAR}, else 256"}
+        defaults = {**ExperimentConfig().as_dict(), **_SUBCOMMAND_GRID_DEFAULTS.get(name, {})}
         for field, kind in _FIELD_TYPES.items():
             flags = ("-o", "--output") if field == "output" else ("--" + field.replace("_", "-"),)
             s.add_argument(*flags, dest=field, type=kind, help=f"(default: {defaults[field]})")

@@ -32,23 +32,29 @@ pairwise disjointness by 2-adic valuation, O(1) membership.  The start
 offset m_0 is the smallest making the total weighted-norm bound of all
 scheduled blocks fit NORM_BUDGET.
 
-Both builders bound weighted norms with one float64 log-domain kernel built
-once per (weights, envelope, exponent, grid, truncation): the frequently
-hypercyclic side reads its per-degree factor table, and the hypercyclic scan,
-which cannot bisect because the bound is not monotone in m, scores chunks of
-candidate m in increasing order, one log-sum-exp per chunk.  The logs involved
-stay below a few times 10^4, so a float64 log bound is off by at most ~1e-11
-(1e-12 against a working-precision reference).  Test (b) keeps a factor 8 of
-headroom, and over the shipped K = 12 builds no scanned log bound comes within
-5e-4 of its threshold, so no placement can move.
+Every placement decision of both builders compares a log bound of one
+float64 weighted-norm kernel, built once per (weights, envelope, exponent,
+grid, truncation), with a log threshold.  The frequently hypercyclic side sums
+its factor table against the (i, ln |q_i| d_i) pairs of each target and
+bisects for m_0.  The hypercyclic scan, which cannot bisect because the bound
+is not monotone in m, scores chunks of candidate m in increasing order: test
+(b) on the radius grid, and test (c) on the one-point grid (R), where the
+penalty (alpha+1) ln R - ln env(R) - R is -ln Phi(R), so the kernel's bound of
+S^gap Q_k is ln(shadow bound / Phi(R)) against ln(eps_k / 2).  (c) checks the
+nearest earlier block only: for n >= 3, a_n >= n > R = 2 (and a_2 = R), so the
+shadow bound does not grow with the gap.  The logs stay below a few times
+10^4, so a float64 log bound is off by at most ~1e-11 (1e-12 against a
+working-precision reference).  Over the shipped builds (K = 6, 12, 20 at
+alpha -0.49, 0, 0.5, 1, 3) no scanned norm bound comes within 5e-4 of its
+log threshold and no shadow bound within 0.0075, so no placement can move.
 
-The builders' tuning is fixed by the module constants below; BuilderConfig
-holds only what a caller chooses (targets, radius grid, fillers on or off and
-the fhc block width).
+The tuning is fixed by the module constants below; BuilderConfig holds only
+what a caller chooses.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -299,27 +305,19 @@ class _NormKernel:
         log_g = np.max(logs, axis=1)
         return np.where(log_g > -745.0, np.exp(np.maximum(log_g, -745.0)), 0.0)
 
+    def log_factors(self, poly: Polynomial) -> tuple:
+        """(i, ln(|q_i| d_i)) over the nonzero coefficients q_i of poly, as two arrays."""
+        idx = np.array([i for i, c in enumerate(poly) if c != 0])
+        return idx, np.array([math.log(abs(c)) for c in poly if c != 0]) + self.logd[idx]
+
     def block_log_norms(self, poly: Polynomial, ms: np.ndarray) -> np.ndarray:
         """ln of the bound for S^m poly (q_i d_i / d_{m+i} at degree m + i), per m in ms."""
-        idx = np.array([i for i, c in enumerate(poly) if c != 0])
-        log_c = np.array([math.log(abs(c)) for c in poly if c != 0]) + self.logd[idx]
+        idx, log_c = self.log_factors(poly)
         deg = ms[None, :] + idx[:, None]
         logs = (log_c[:, None] - self.logd[deg])[:, :, None] + deg[:, :, None] * self.ln_r
         top = logs.max(axis=0)
         lse = top + np.log(np.exp(logs - top).sum(axis=0))
         return (lse + self.pen).max(axis=1)
-
-
-def _shadow_ub(poly: Polynomial, gap: int, w: DunklWeights, r) -> mpf:
-    """Coefficient-sum bound for sup_{|z|=r} |S^gap poly|."""
-    r = mpf(r)
-    total = mpf(0)
-    for i, c in enumerate(poly):
-        if c != 0:
-            total += (abs(mpf(c.numerator)) / c.denominator) * mpmath.exp(
-                w.log_weight(i) - w.log_weight(i + gap)
-            ) * r ** (i + gap)
-    return total
 
 
 def _calibrate_fillers(w: DunklWeights, env: RateEnvelope, r_grid):
@@ -423,8 +421,9 @@ def build_hypercyclic(
         filler_degrees, filler_coeffs = (), ()
 
     kernel = _NormKernel(w, env, w.alpha + 1, cfg.grid(), trunc_degree)
-    r_build = mpf(R_BUILD)
-    phi_R = _phi_at(env, w, r_build)
+    # test (c): on the one point R the penalty is -ln Phi(R); ln d_n is shared
+    shadow = _NormKernel(w, env, w.alpha + 1, (mpf(R_BUILD),), 0)
+    shadow.logd = kernel.logd
 
     positions = []
     budgets = []
@@ -444,10 +443,10 @@ def build_hypercyclic(
                 )
             positions.append(m)
             continue
-        log_threshold = float(mpmath.ln(eps / _BUDGET_TIGHTEN))
-        shadow_cap = eps * phi_R / _SHADOW_SAFETY
+        log_norm_cap = float(mpmath.ln(eps / _BUDGET_TIGHTEN))
+        log_shadow_cap = float(mpmath.ln(eps / _SHADOW_SAFETY))
         # the norm bound is not monotone in m: scan every m upward, a chunk
-        # per batched probe, and take the first passing (b) and then (c)
+        # per batched probe, and take the first passing (b) and (c)
         start, m = lo, None
         while m is None:
             ms = np.arange(start, min(start + _PROBE_CHUNK, trunc_degree - poly_degree(q) + 1))
@@ -457,10 +456,10 @@ def build_hypercyclic(
                     f"(searched from {lo})",
                     achieved=k - 1,
                 )
-            fits = ms[kernel.block_log_norms(q, ms) <= log_threshold].tolist()
-            # nearest earlier block casts the largest shadow
-            m = next((c for c in fits if not positions
-                      or _shadow_ub(q, c - positions[-1], w, r_build) <= shadow_cap), None)
+            fits = kernel.block_log_norms(q, ms) <= log_norm_cap
+            if positions:  # the nearest earlier block casts the largest shadow
+                fits &= shadow.block_log_norms(q, ms - positions[-1]) <= log_shadow_cap
+            m = int(ms[fits][0]) if fits.any() else None
             start += _PROBE_CHUNK
         positions.append(m)
 
@@ -547,14 +546,6 @@ def verify_orbit_hits(
 # frequently hypercyclic side
 
 
-def _poly_weight_factors(poly: Polynomial, w: DunklWeights):
-    return [
-        (i, float(abs(mpf(c.numerator)) / c.denominator) * math.exp(float(w.log_weight(i))))
-        for i, c in enumerate(poly)
-        if c != 0
-    ]
-
-
 def fuc_tail_norms(
     poly: Polynomial,
     w: DunklWeights,
@@ -578,15 +569,16 @@ def fuc_tail_norms(
         return mpf(0)
     a = rate_exponent(p, w.alpha, "fhc_upper")
     deg = poly_degree(poly)
-    g = _NormKernel(w, env, a, standard_r_grid(), w.n_max).factor_table()
+    kernel = _NormKernel(w, env, a, standard_r_grid(), w.n_max)
+    g = kernel.factor_table()
     suffix = np.concatenate([np.cumsum(g[::-1])[::-1], [0.0]])
     total = 0.0
     last = w.n_max - deg
-    for i, fac in _poly_weight_factors(poly, w):
+    for i, log_fac in zip(*kernel.log_factors(poly)):
         lo = N + 1 + i
         hi = last + i + 1
         if lo < hi:
-            total += fac * (suffix[lo] - suffix[hi])
+            total += math.exp(log_fac) * (suffix[lo] - suffix[hi])
     return mpf(total)
 
 
@@ -616,8 +608,9 @@ def build_frequently_hypercyclic(
         )
 
     a = rate_exponent(p, w.alpha, "fhc_upper")
-    g = _NormKernel(w, env, a, cfg.grid(), trunc_degree).factor_table()
-    factors = [_poly_weight_factors(q, w) for q in targets]
+    kernel = _NormKernel(w, env, a, cfg.grid(), trunc_degree)
+    g = kernel.factor_table()
+    factors = [kernel.log_factors(q) for q in targets]
 
     def schedule_at(m_0: int) -> FhcSchedule:
         return FhcSchedule(targets, indices, B, m_0, trunc_degree, w.alpha, p, NORM_BUDGET)
@@ -625,10 +618,10 @@ def build_frequently_hypercyclic(
     def total_norm(m_0: int) -> float:
         total = 0.0
         schedule = schedule_at(m_0)
-        for j, target_factors in enumerate(factors, start=1):
+        for j, (idx, log_facs) in enumerate(factors, start=1):
             ns = np.array(schedule.positions(j), dtype=np.int64)
-            for i, fac in target_factors:
-                total += fac * float(np.sum(g[ns + i]))
+            for i, log_fac in zip(idx, log_facs):
+                total += math.exp(log_fac) * float(np.sum(g[ns + i]))
         return total
 
     hi = trunc_degree - 2 * schedule_at(0).period(len(targets))
@@ -636,17 +629,8 @@ def build_frequently_hypercyclic(
         raise InfeasibleConstruction(
             f"norm budget {NORM_BUDGET} unreachable within trunc_degree {trunc_degree}"
         )
-    lo = 1
-    if total_norm(lo) > NORM_BUDGET:
-        while hi - lo > 1:  # smallest feasible m_0 by bisection (monotone)
-            mid = (lo + hi) // 2
-            if total_norm(mid) <= NORM_BUDGET:
-                hi = mid
-            else:
-                lo = mid
-        m_0 = hi
-    else:
-        m_0 = 1
+    # the smallest feasible m_0 (total_norm falls as m_0 grows)
+    m_0 = 1 + bisect.bisect_left(range(1, hi), True, key=lambda m: total_norm(m) <= NORM_BUDGET)
 
     schedule = schedule_at(m_0)
     coeffs: dict[int, mpc] = {}

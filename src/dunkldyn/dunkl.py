@@ -117,20 +117,17 @@ class DunklWeights:
 class WeightedShift:
     """A weighted backward shift B e_n = a_n e_{n-1} given by its weight list."""
 
-    __slots__ = ("a", "cumlog", "n_max")
+    __slots__ = ("cumlog", "n_max")
 
     def __init__(self, weights):
-        a = [mpc(0)]  # index 0 unused
-        cumlog = [mpf(0)]
+        cumlog = [mpf(0)]  # ln |a_1 ... a_n|
         for n, w in enumerate(weights, start=1):
             w = mpc(w)
             if w == 0:
                 raise ValueError(f"shift weight a_{n} must be nonzero")
-            a.append(w)
             cumlog.append(cumlog[-1] + mpmath.ln(abs(w)))
-        self.a = a
         self.cumlog = cumlog
-        self.n_max = len(a) - 1
+        self.n_max = len(cumlog) - 1
 
     @classmethod
     def from_dunkl(cls, w: DunklWeights) -> "WeightedShift":

@@ -181,7 +181,7 @@ def mittag_leffler(z, ml_alpha, theta, beta):
       terms can cancel, sum from n = 0 until the upcoming term stays below
       tol times the running sum for 8 consecutive indices.  Integer
       ml_alpha uses the exact term recurrence there too, general ml_alpha
-      recomputes each Gamma factor.  The loop also sums S = sum |t_n|; when
+      computes each Gamma factor once, for the upcoming term.  The loop also sums S = sum |t_n|; when
       its rounding S 2^-wp exceeds tol |sum|, as on the negative axis where
       e^-200 is summed from terms near e^200, it reruns with the missing
       bits plus ML_GUARD_BITS, at most ML_MAX_PASSES times.  Terms that
@@ -236,10 +236,10 @@ def _ml_from_zero(z, ml_alpha, int_alpha, theta, beta, tol):
     power_over_gamma = mpf(1)  # z^n / Gamma(ml_alpha n + 1) along the loop
     streak = 0
     for n in range(ML_MAX_TERMS):
+        term = power_over_gamma
         if int_alpha is None:
-            term = z**n / mpmath.gamma(ml_alpha * n + 1)
+            power_over_gamma = z ** (n + 1) / mpmath.gamma(ml_alpha * (n + 1) + 1)
         else:
-            term = power_over_gamma
             denom = mpf(1)
             for i in range(int_alpha):
                 denom *= int_alpha * n + 1 + i
@@ -248,8 +248,7 @@ def _ml_from_zero(z, ml_alpha, int_alpha, theta, beta, tol):
             term = term / (n + theta) ** beta
         total += term
         mass += abs(term)
-        upcoming = abs(z) ** (n + 1) / mpmath.gamma(ml_alpha * (n + 1) + 1) \
-            if int_alpha is None else abs(power_over_gamma)
+        upcoming = abs(power_over_gamma)
         if beta > 0:
             upcoming = upcoming / (n + 1 + theta) ** beta
         elif beta < 0:

@@ -18,7 +18,6 @@ from dunkldyn.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_VERIFY,
-    PRECISION_ENV_VAR,
     ConfigError,
     ExperimentConfig,
     _lemma3_n_max,
@@ -106,19 +105,6 @@ class TestConfig:
         cfg = load_config(str(path), {"alpha": "0.5"})
         assert cfg.alpha == "0.5"
         assert cfg.seed == 7
-
-    def test_env_sets_precision(self, monkeypatch):
-        monkeypatch.setenv(PRECISION_ENV_VAR, "192")
-        assert load_config(None, {}).precision_bits == 192
-
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv(PRECISION_ENV_VAR, "192")
-        assert load_config(None, {"precision_bits": 128}).precision_bits == 128
-
-    def test_env_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv(PRECISION_ENV_VAR, "lots")
-        with pytest.raises(ConfigError):
-            load_config(None, {})
 
     def test_subcommand_grid_is_the_default_layer(self, tmp_path):
         # verify-barnes has its own radius grid, below the file and the flags

@@ -20,7 +20,6 @@ from dunkldyn.construct import (
     TargetEnumeration,
     _NormKernel,
     _phi_at,
-    _shadow_ub,
     build_frequently_hypercyclic,
     build_hypercyclic,
     density_decay_check,
@@ -131,6 +130,18 @@ def _block_log_norm_mpf(w, env, a, r_grid, poly, m):
     return best
 
 
+def _shadow_ub(poly, gap, w, r):
+    """Working-precision reference: coefficient-sum bound for sup_{|z|=r} |S^gap poly|."""
+    r = mpf(r)
+    total = mpf(0)
+    for i, c in enumerate(poly):
+        if c != 0:
+            total += (abs(mpf(c.numerator)) / c.denominator) * mpmath.exp(
+                w.log_weight(i) - w.log_weight(i + gap)
+            ) * r ** (i + gap)
+    return total
+
+
 class TestNormKernel:
     TARGETS = [(F(1),), (F(0), F(-1)), (F(-1), F(0), F(1)), (F(1), F(-1), F(0), F(2, 3))]
 
@@ -145,6 +156,20 @@ class TestNormKernel:
             got = kernel.block_log_norms(q, np.array(ms))
             for m, g in zip(ms, got):
                 want = _block_log_norm_mpf(w, env, w.alpha + 1, grid, q, m)
+                assert abs(g - float(want)) <= 1e-10
+
+    @pytest.mark.parametrize("alpha_s", ["-0.49", "0", "0.5", "1", "3"])
+    def test_one_point_grid_is_shadow_over_phi(self, alpha_s):
+        # at the one radius R the penalty (alpha+1) ln R - ln env(R) - R is
+        # -ln Phi(R), so the block bound is ln(shadow bound / Phi(R)): test (c)
+        w = DunklWeights(mpf(alpha_s), 1024)
+        env = RateEnvelope.log_growth()
+        kernel = _NormKernel(w, env, w.alpha + 1, (mpf(R_BUILD),), 1024)
+        gaps = [1, 9, 57, 400]
+        for q in self.TARGETS:
+            got = kernel.block_log_norms(q, np.array(gaps))
+            for gap, g in zip(gaps, got):
+                want = mpmath.ln(_shadow_ub(q, gap, w, R_BUILD) / _phi_at(env, w, mpf(R_BUILD)))
                 assert abs(g - float(want)) <= 1e-10
 
     def test_factor_table_is_monomial_block_norm(self):
@@ -187,6 +212,21 @@ class TestNormKernel:
 
 
 class TestHypercyclicBuilder:
+    # positions of the default K = 12 build (fillers, standard grid, trunc 4096)
+    POSITIONS_GOLDEN = {
+        "-0.49": (361, 425, 434, 441, 454, 461, 467, 475, 483, 490, 499, 509),
+        "0": (361, 420, 431, 445, 455, 461, 467, 474, 482, 489, 498, 507),
+        "0.5": (361, 424, 433, 450, 458, 464, 470, 477, 485, 492, 500, 509),
+        "1": (361, 430, 438, 455, 462, 468, 474, 481, 488, 495, 503, 512),
+        "3": (361, 457, 462, 477, 483, 489, 495, 502, 509, 516, 524, 532),
+    }
+
+    @pytest.mark.parametrize("alpha_s", sorted(POSITIONS_GOLDEN))
+    def test_default_build_positions_golden(self, alpha_s):
+        w = DunklWeights(mpf(alpha_s), 4096)
+        f, plan = build_hypercyclic(w, RateEnvelope.log_growth(), 12)
+        assert plan.positions == self.POSITIONS_GOLDEN[alpha_s]
+
     def test_single_block_golden_position(self):
         # target "1", alpha 0, no envelope fillers: the block lands at 144,
         # the first degree whose weighted norm fits eps_1/8 on the grid
@@ -380,6 +420,11 @@ class TestFhcBuilder:
         f, s = build_frequently_hypercyclic(w, 2, env, 3)
         assert s.m_0 == 183
         assert s.block_width == 8
+
+    def test_m0_golden_alpha0_p2(self):
+        w = DunklWeights(0, 4096)
+        f, s = build_frequently_hypercyclic(w, 2, RateEnvelope.log_growth(), 3)
+        assert s.m_0 == 3
 
     def test_m0_golden_pinf(self):
         w = DunklWeights(1, 4096)
