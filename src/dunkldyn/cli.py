@@ -463,7 +463,8 @@ def _cmd_verify_barnes(config: ExperimentConfig, opt: dict, write) -> None:
 def _cmd_build_hc(config: ExperimentConfig, opt: dict, write) -> None:
     w = DunklWeights(config.alpha_mp(), config.trunc_degree)
     env = RateEnvelope.log_growth()
-    f, plan = build_hypercyclic(w, env, opt["targets"], trunc_degree=config.trunc_degree)
+    cfg = BuilderConfig(r_grid=config.r_grid())
+    f, plan = build_hypercyclic(w, env, opt["targets"], cfg=cfg, trunc_degree=config.trunc_degree)
     paths = _write_beside(config, f, w.alpha, plan)
     rows = [(k, -1 if idx is None else idx, m_k, eps, poly_label(q))
             for k, (q, idx, m_k, eps) in enumerate(
@@ -477,7 +478,7 @@ def _cmd_build_hc(config: ExperimentConfig, opt: dict, write) -> None:
 def _cmd_build_fhc(config: ExperimentConfig, opt: dict, write) -> None:
     w = DunklWeights(config.alpha_mp(), config.trunc_degree)
     env = RateEnvelope.log_growth()
-    cfg = BuilderConfig(block_width=opt["block_width"])
+    cfg = BuilderConfig(r_grid=config.r_grid(), block_width=opt["block_width"])
     f, schedule = build_frequently_hypercyclic(
         w, config.p_mp(), env, opt["targets"], cfg=cfg, trunc_degree=config.trunc_degree)
     paths = _write_beside(config, f, w.alpha, schedule)

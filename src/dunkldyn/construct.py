@@ -42,11 +42,15 @@ is not monotone in m, scores chunks of candidate m in increasing order: test
 penalty (alpha+1) ln R - ln env(R) - R is -ln Phi(R), so the kernel's bound of
 S^gap Q_k is ln(shadow bound / Phi(R)) against ln(eps_k / 2).  (c) checks the
 nearest earlier block only: for n >= 3, a_n >= n > R = 2 (and a_2 = R), so the
-shadow bound does not grow with the gap.  The logs stay below a few times
-10^4, so a float64 log bound is off by at most ~1e-11 (1e-12 against a
-working-precision reference).  Over the shipped builds (K = 6, 12, 20 at
-alpha -0.49, 0, 0.5, 1, 3) no scanned norm bound comes within 5e-4 of its
-log threshold and no shadow bound within 0.0075, so no placement can move.
+shadow bound does not grow with the gap.  The kernel's ln d_n comes from the
+float64 closed Gamma form (``DunklWeights.float_log_weights``), within 3.2
+units of 2^-52 max(1, |ln d_n|) of the rounded mpf table: 7.3e-12 absolute up
+to n = 4096, 2.9e-11 up to 16384.  So the mpf table is filled only as far as
+the blocks' mpf coefficients (``right_inverse``) read it.  The logs stay below
+a few times 10^4 at the default truncation, so a float64 log bound is off by
+at most ~1e-11.  Over the shipped builds (K = 6, 12, 20 at alpha -0.49, 0,
+0.5, 1, 3) no scanned norm bound comes within 5e-4 of its log threshold and no
+shadow bound within 0.0075, so no placement can move.
 
 The tuning is fixed by the module constants below; BuilderConfig holds only
 what a caller chooses.
@@ -284,8 +288,9 @@ def _phi_at(env: RateEnvelope, w: DunklWeights, r) -> mpf:
 class _NormKernel:
     """Weighted norm sup_r [sum_n |y_n| r^n] r^a / (env(r) e^r) over a radius grid.
 
-    Holds ln r, the penalty a ln r - ln env(r) - r and ln d_n (n <= n_max) as
-    float64 arrays; all work stays in the log domain, so nothing overflows.
+    Holds ln r, the penalty a ln r - ln env(r) - r and ln d_n (n <= n_max,
+    from ``w.float_log_weights``) as float64 arrays; all work stays in the log
+    domain, so nothing overflows.
     """
 
     def __init__(self, w: DunklWeights, env: RateEnvelope, a, r_grid, n_max: int):
@@ -293,7 +298,7 @@ class _NormKernel:
         log_env = np.array([float(mpmath.ln(env(r))) for r in r_grid])
         r_vals = np.array([float(r) for r in r_grid])
         self.pen = float(a) * self.ln_r - log_env - r_vals
-        self.logd = np.array([float(w.log_weight(n)) for n in range(n_max + 1)])
+        self.logd = w.float_log_weights(n_max)
 
     def factor_table(self) -> np.ndarray:
         """g[nu] = max_r r^{nu+a} / (d_nu env(r) e^r), flushed to 0 below e^-745.
@@ -347,13 +352,14 @@ def _calibrate_fillers(w: DunklWeights, env: RateEnvelope, r_grid):
     points = sorted(set(float(r) for r in r_grid)
                     | {float(P + w.alpha + 1) for P in ramp})
     points = [mpf(repr(r)) for r in points]
+    ln_points = [mpmath.ln(r) for r in points]
     cap = [mpf(_FILLER_SAT) * env(r) for r in points]
     running = [mpf(0)] * len(points)
     significance = mpf("0.01")
     placed = []
     for P in ramp:
         exponent = P + w.alpha + 1
-        mode = [mpmath.exp(exponent * mpmath.ln(r) - r) for r in points]
+        mode = [mpmath.exp(exponent * ln_r - r) for ln_r, r in zip(ln_points, points)]
         peak = max(mode)
         gamma = None
         for mv, cv, rv in zip(mode, cap, running):
@@ -371,15 +377,17 @@ def _calibrate_fillers(w: DunklWeights, env: RateEnvelope, r_grid):
 
 
 def _builder_setup(w, env, count, name, cfg, trunc_degree, first_index):
-    """(cfg, targets, indices) after the checks both builders share.
+    """(cfg, grid, targets, indices) after the checks both builders share.
 
-    cfg defaults to BuilderConfig(); targets are cfg.targets when given, else
-    the count polynomials of the enumeration from first_index on.
+    cfg defaults to BuilderConfig(); grid is cfg.grid(), computed once per
+    build; targets are cfg.targets when given, else the count polynomials of
+    the enumeration from first_index on.
     """
     cfg = cfg or BuilderConfig()
     if env.kind != "to_infinity":
         raise ValueError(f"builder needs a to_infinity envelope, got {env.kind}")
-    env.validate_on(cfg.grid())
+    grid = cfg.grid()
+    env.validate_on(grid)
     if cfg.targets is not None:
         targets = tuple(poly_normalize(t) for t in cfg.targets)
         indices = (None,) * len(targets)
@@ -389,7 +397,7 @@ def _builder_setup(w, env, count, name, cfg, trunc_degree, first_index):
         indices = tuple(range(first_index, first_index + count))
         targets = tuple(enumerate_targets(i) for i in indices)
     _require_table(w, trunc_degree)
-    return cfg, targets, indices
+    return cfg, grid, targets, indices
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +419,16 @@ def build_hypercyclic(
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    cfg, targets, indices = _builder_setup(w, env, K, "K", cfg, trunc_degree, 1)
+    cfg, grid, targets, indices = _builder_setup(w, env, K, "K", cfg, trunc_degree, 1)
     if any(poly_degree(q) > MAX_DEGREE for q in targets):
         raise ValueError(f"targets must have degree <= {MAX_DEGREE}")
 
     if cfg.saturate_envelope:
-        filler_degrees, filler_coeffs = _calibrate_fillers(w, env, cfg.grid())
+        filler_degrees, filler_coeffs = _calibrate_fillers(w, env, grid)
     else:
         filler_degrees, filler_coeffs = (), ()
 
-    kernel = _NormKernel(w, env, w.alpha + 1, cfg.grid(), trunc_degree)
+    kernel = _NormKernel(w, env, w.alpha + 1, grid, trunc_degree)
     # test (c): on the one point R the penalty is -ln Phi(R); ln d_n is shared
     shadow = _NormKernel(w, env, w.alpha + 1, (mpf(R_BUILD),), 0)
     shadow.logd = kernel.logd
@@ -599,7 +607,7 @@ def build_frequently_hypercyclic(
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
-    cfg, targets, indices = _builder_setup(w, env, J, "J", cfg, trunc_degree, 2)
+    cfg, grid, targets, indices = _builder_setup(w, env, J, "J", cfg, trunc_degree, 2)
     B = cfg.block_width
     max_deg = max((poly_degree(q) for q in targets), default=-1)
     if B <= max_deg:
@@ -608,7 +616,7 @@ def build_frequently_hypercyclic(
         )
 
     a = rate_exponent(p, w.alpha, "fhc_upper")
-    kernel = _NormKernel(w, env, a, cfg.grid(), trunc_degree)
+    kernel = _NormKernel(w, env, a, grid, trunc_degree)
     g = kernel.factor_table()
     factors = [kernel.log_factors(q) for q in targets]
 
@@ -681,6 +689,15 @@ def frequency_report(
     sup 1.4e-6 and the smallest miss 0.75, so every row sits at least
     0.0999986 from eps.  The unit tests cross-check single rows against the
     working-precision route.
+
+    Unlike the builders' kernel, this reads ln d_n from the mpf table, not
+    from ``DunklWeights.float_log_weights``.  A block coefficient is c_s =
+    q_i d_i / d_s, so ln|c_s| + ln d_s cancels in mpf to the small ln(|q_i|
+    d_i) before it is rounded to float64; on the float64 table the ~1e-11
+    error of ln d_s would survive that cancellation.  On three J = 3 fhc
+    builds (alpha 1 and 0 at p 2, alpha 3 at p 1; R 1, m 64) the float route
+    moves hit-row sups by up to 2.2e-12 absolute, up to 1.6e4 times the sup
+    itself, which could change the counts at a small eps.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -777,7 +794,8 @@ def density_decay_check(f: TruncatedSeries, w: DunklWeights, q, M: int) -> Densi
                 event_count += 1
         sigma.append(running / n)
         events.append(mpf(event_count) / n)
-    holds = all(e <= s + mpf(2) ** (24 - mp.prec) for e, s in zip(events, sigma))
+    slack = mpf(2) ** (24 - mp.prec)
+    holds = all(e <= s + slack for e, s in zip(events, sigma))
     return DensityDecayReport(tuple(sigma), tuple(events), holds)
 
 

@@ -18,9 +18,11 @@ from the defining formula without touching the table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath
+import numpy as np
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import fone, from_int, mpf_add, mpf_log, mpf_shift, round_nearest
 
@@ -47,8 +49,16 @@ class DunklWeights:
     read.  One ln is taken per distinct ratio; at integer alpha, a_n for odd n
     is a_(n+2alpha+1), so about half as many logarithms are taken.
 
-    The closed Gamma form is available separately (``gamma_form_log_weight``)
-    as an independent consistency route; the two agree to within a few ulps.
+    Three routes give ln d_n, each with its own role:
+
+    * the mpf ratio recurrence (``log_weight``) gives every value the package
+      writes or computes with at working precision;
+    * the mpf closed Gamma form (``gamma_form_log_weight``) is its independent
+      oracle; the two agree to within a few ulps;
+    * the float64 closed Gamma form (``float_log_weights``) is the input of
+      the float64 kernels, the builders' weighted-norm kernel above all.  It
+      never touches the mpf table, so a builder fills that table only as far
+      as its mpf work reads it.
     """
 
     __slots__ = ("alpha", "n_max", "_log_d", "_ln", "_odd_shift", "precision_bits")
@@ -109,6 +119,25 @@ class DunklWeights:
             + mpmath.loggamma(mpf((n + 1) // 2) + self.alpha + 1)
             - mpmath.loggamma(self.alpha + 1)
         )
+
+    def float_log_weights(self, n: int) -> np.ndarray:
+        """ln d_k for k = 0..n as float64, from the closed Gamma form.
+
+        k ln 2 + lgamma(floor(k/2)+1) + lgamma(floor((k+1)/2)+alpha+1) - lgamma(alpha+1),
+        with one ``math.lgamma`` per half-index gathered by index; entry 0 is
+        exactly 0.  It does not read the mpf table and does not depend on
+        mp.prec.  Against float(log_weight(k)) it is within 3.2 units of
+        2^-52 max(1, |ln d_k|): 7.3e-12 absolute up to k = 4096, 2.9e-11 up
+        to 16384.
+        """
+        if not 0 <= n <= self.n_max:
+            raise IndexError(f"weight index {n} outside [0, {self.n_max}]")
+        alpha = float(self.alpha)
+        lg_alpha = math.lgamma(alpha + 1)
+        even = np.array([math.lgamma(j + 1) for j in range(n // 2 + 1)])
+        odd = np.array([math.lgamma(j + alpha + 1) - lg_alpha for j in range((n + 1) // 2 + 1)])
+        k = np.arange(n + 1)
+        return k * math.log(2.0) + even[k // 2] + odd[(k + 1) // 2]
 
     def __repr__(self) -> str:
         return f"DunklWeights(alpha={mpmath.nstr(self.alpha, 12)}, n_max={self.n_max})"

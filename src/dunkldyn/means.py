@@ -25,10 +25,11 @@ callers: ``means_on_grid`` (a block of radii), ``circle_max`` (one row, the
 sampled maximum of |f| on one circle for the orbit verifier, with no
 refine) and ``construct.frequency_report`` (a block of rows Lambda^n f).
 Up to 4096 samples it runs one inverse FFT of length m.  Above that,
-``points_for`` makes m = 8 D with D the degree, and the kernel computes the
-same length-m transform as a length-8 step, twiddles and length-D
-transforms, so a prime D costs a Bluestein transform of length D rather
-than 8 D.
+``points_for`` makes m = 8 D with D the degree.  When D has a prime factor of
+at least 191, the kernel computes the same length-m transform as a length-8
+step, twiddles and length-D transforms, so a prime D costs a Bluestein
+transform of length D rather than 8 D; when D is smoother, the one length-m
+transform is faster and runs instead.
 
 Every mean goes through ``means_on_grid``, which builds one table per
 call and then evaluates each radius of the grid from it; ``mean_p`` is its
@@ -72,6 +73,7 @@ _SPLIT = 2.0**27 + 1.0  # Veltkamp splitter: a float64 into two 26-bit halves
 _BLOCK_ELEMENTS = 1 << 17  # complex values per batched inverse FFT (2 MB; 4 MB with its output)
 _MIN_POINTS = 4096  # circle samples of the smallest grid; above it m = 8 * degree
 _POINTS_PER_DEGREE = 8  # circle samples per coefficient degree; also the split's short length
+_SPLIT_MIN_FACTOR = 191  # the split pays only when m/8 has a prime factor at least this large
 _REFINED_PEAKS = 3  # local maxima of the p = inf samples that get a refine
 
 
@@ -211,14 +213,23 @@ class _CircleTable:
         return shift, _circle_rows(1, m, 0, *band)[0], band
 
 
+def _has_large_factor(n: int) -> bool:
+    """Whether n >= 1 has a prime factor of at least _SPLIT_MIN_FACTOR."""
+    for p in range(2, _SPLIT_MIN_FACTOR):
+        while n % p == 0:
+            n //= p
+    return n > 1
+
+
 def _circle_rows(n_rows: int, m: int, rows, degrees, scaled) -> np.ndarray:
     """samples[i, j] = sum of scaled_t e^{2 pi i j degrees_t / m} over the t with rows_t = i.
 
     Degrees are folded mod m, so any m >= 1 is sampled exactly; for m above
     the degree the fold is a plain placement.  ``np.add.at`` adds the terms
-    of a cell in the order given.  Up to _MIN_POINTS samples, or when 8 does
-    not divide m, one inverse FFT of length m runs along the rows.  Above
-    that, m = 8 D and the same transform is split in four steps (Bailey):
+    of a cell in the order given.  Up to _MIN_POINTS samples, when 8 does not
+    divide m, or when D = m/8 has no prime factor of at least
+    _SPLIT_MIN_FACTOR, one inverse FFT of length m runs along the rows.
+    Otherwise the same transform is split in four steps (Bailey):
     with n = b' D + k and j = 8 a + b (a, k < D; b, b' < 8),
 
         samples[8 a + b] = sum_k e^{2 pi i a k / D} e^{2 pi i b k / m}
@@ -227,12 +238,15 @@ def _circle_rows(n_rows: int, m: int, rows, degrees, scaled) -> np.ndarray:
     that is a length-8 inverse FFT down the (8, D) view of the row, the
     twiddles e^{2 pi i b k / m} (b k < m, so no residue is taken), a
     length-D inverse FFT, and a transpose.  A prime D then costs a Bluestein
-    transform of length D, not 8 D.
+    transform of length D, not 8 D.  Near D = 4096, a D whose largest prime
+    factor is at most 181 (4081 = 7 11 53, 4117 = 23 179) runs as fast or
+    faster unsplit, while from 191 on the split wins (4097 = 17 241, 4079
+    prime: about 0.65 of the unsplit time).
     """
     coeffs = np.zeros((n_rows, m), dtype=np.complex128)
     np.add.at(coeffs, (rows, degrees % m), scaled)  # e^{2 pi i j n / m} depends on n mod m
     short = _POINTS_PER_DEGREE
-    if m <= _MIN_POINTS or m % short:
+    if m <= _MIN_POINTS or m % short or not _has_large_factor(m // short):
         return np.fft.ifft(coeffs, axis=-1, norm="forward")
     d = m // short
     cols = np.fft.ifft(coeffs.reshape(n_rows, short, d), axis=1, norm="forward")

@@ -499,6 +499,25 @@ class TestBuildAndDiagnose:
         rc = main(["build-hc", "--trunc-degree", "64", "-o", str(out)])
         assert rc == EXIT_INFEASIBLE
 
+    # the radius grid in the banner is the one the builders place blocks on;
+    # on the default 256-point grid these builds give (361, 420, 431, 445)
+    # and m_0 = 183
+    def test_build_hc_uses_the_config_grid(self, tmp_path):
+        out = tmp_path / "h.csv"
+        assert main(["build-hc", "--targets", "4", "--r-points", "64", "-o", str(out)]) == EXIT_OK
+        banner, _, rows = _read_csv(out)
+        assert " r_points=64 " in banner
+        assert [r[2] for r in rows] == ["361", "364", "368", "445"]
+        assert read_plan(str(tmp_path / "h.plan")).positions == (361, 364, 368, 445)
+
+    def test_build_fhc_uses_the_config_grid(self, tmp_path):
+        out = tmp_path / "g.csv"
+        rc = main(["build-fhc", "--alpha", "1", "--r-points", "64", "-o", str(out)])
+        assert rc == EXIT_OK
+        banner, _, _ = _read_csv(out)
+        assert " m_0=136 " in banner and " r_points=64 " in banner
+        assert read_plan(str(tmp_path / "g.plan")).m_0 == 136
+
 
 class TestRunApi:
     def test_unknown_subcommand(self, tmp_path):

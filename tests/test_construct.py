@@ -12,6 +12,7 @@ from mpmath import mp, mpc, mpf
 from dunkldyn.construct import (
     _BUDGET_TIGHTEN,
     _SHADOW_SAFETY,
+    MAX_DEGREE,
     R_BUILD,
     BuilderConfig,
     ConstructionPlan,
@@ -226,6 +227,13 @@ class TestHypercyclicBuilder:
         w = DunklWeights(mpf(alpha_s), 4096)
         f, plan = build_hypercyclic(w, RateEnvelope.log_growth(), 12)
         assert plan.positions == self.POSITIONS_GOLDEN[alpha_s]
+
+    def test_build_fills_the_mpf_table_only_under_its_blocks(self):
+        # the norm kernel takes ln d_n in float64 from the closed form; only
+        # the blocks' mpf coefficients (right_inverse) read the mpf table
+        w = DunklWeights(0, 4096)
+        f, plan = build_hypercyclic(w, RateEnvelope.log_growth(), 12)
+        assert len(w._log_d) <= plan.positions[-1] + MAX_DEGREE + 1
 
     def test_single_block_golden_position(self):
         # target "1", alpha 0, no envelope fillers: the block lands at 144,

@@ -3,6 +3,7 @@
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import libmp, mp, mpf, mpc
@@ -155,6 +156,32 @@ class TestLazyTable:
         calls.clear()
         DunklWeights(mpf("0.3"), 300).log_weight(300)
         assert len(calls) == 300
+
+
+class TestFloatLogWeights:
+    N = 16384
+
+    @pytest.mark.parametrize("alpha", [mpf(a) for a in ALPHAS] + [mpf(-0.5) + mpf("2e-12")])
+    def test_within_8_ulps_of_the_rounded_table(self, alpha):
+        w = DunklWeights(alpha, self.N)
+        got = w.float_log_weights(self.N)
+        assert len(w._log_d) == 1  # the mpf table is not read
+        want = np.array([float(w.log_weight(n)) for n in range(self.N + 1)])
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert got[0] == 0.0
+        assert np.all(np.abs(got - want) <= 8 * 2.0**-52 * np.maximum(1.0, np.abs(want)))
+
+    def test_short_prefix_index_range_and_precision(self):
+        w = DunklWeights(mpf("0.5"), 64)
+        full = w.float_log_weights(64)
+        assert np.array_equal(w.float_log_weights(10), full[:11])
+        assert np.array_equal(w.float_log_weights(0), [0.0])
+        with mpmath.workprec(53):
+            assert np.array_equal(w.float_log_weights(64), full)
+        for n in (-1, 65):
+            with pytest.raises(IndexError):
+                w.float_log_weights(n)
+        assert len(w._log_d) == 1
 
 
 class TestTablePrecision:

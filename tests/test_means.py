@@ -20,6 +20,7 @@ from dunkldyn.means import (
     MeanParams,
     _CircleTable,
     _circle_rows,
+    _has_large_factor,
     _quadrature_mean,
     circle_max,
     conjugate_exponent,
@@ -347,11 +348,15 @@ def test_batched_blocks_equal_per_radius_mean_p():
         assert abs(circle_max(f, r, m) - want) <= want * mpf("1e-14")
 
 
-@pytest.mark.parametrize("m", [8 * 1031, 8 * 1024, 8 * 600 + 4, 4096])
+@pytest.mark.parametrize("m", [8 * 1031, 8 * 4097, 8 * 1024, 8 * 4081, 8 * 600 + 4, 4096])
 def test_circle_rows_equal_one_length_m_transform(m):
     # above 4096 points with 8 | m the kernel splits the transform into
-    # length-8 and length-m/8 steps (1031 is prime, 1024 smooth); 8 * 600 + 4
-    # and 4096 take the one length-m transform, bit for bit
+    # length-8 and length-m/8 steps only when m/8 has a prime factor of at
+    # least 191 (1031 is prime, 4097 = 17 * 241); a smooth m/8 (1024 = 2^10,
+    # 4081 = 7 * 11 * 53), 8 * 600 + 4 and 4096 take the one length-m
+    # transform, bit for bit
+    split = m in (8 * 1031, 8 * 4097)
+    assert _has_large_factor(m // 8) == split
     rng = np.random.default_rng(m)
     n_rows, n_terms = 3, 2000
     rows = rng.integers(0, n_rows, n_terms)
@@ -362,10 +367,19 @@ def test_circle_rows_equal_one_length_m_transform(m):
     want = np.fft.ifft(coeffs, axis=-1, norm="forward")
     got = _circle_rows(n_rows, m, rows, degrees, scaled)
     assert got.shape == (n_rows, m)
-    if m <= 4096 or m % 8:
+    if not split:
         assert np.array_equal(got, want)
     else:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_split_gate_is_largest_prime_factor_bound():
+    def largest_prime_factor(n):
+        return max((p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))),
+                   default=1)
+
+    for n in [1, 2, 190, 191, 382, 573, 4079, 4081, 4095, 4097, 4117, 2 * 181 * 181]:
+        assert _has_large_factor(n) == (largest_prime_factor(n) >= 191)
 
 
 def test_circle_max_on_split_transform_matches_evaluate_circle():
