@@ -19,8 +19,9 @@ and leave residuals of order one against budgets of order 2^-K.
 
 Optionally the builder pre-places positive "filler" monomials at low degrees
 whose coefficients fill the envelope up to a fixed fraction: the running
-total of their contributions to M_1(f, r) r^{alpha+1}/e^r touches
-0.35 env(r) near each filler's peak radius and never exceeds it.
+total of their contributions to M_1(f, r) r^{alpha+1}/e^r touches 0.35 env(r)
+near each filler's peak radius and exceeds it by at most ~1%.  A float64
+screen (``_calibrate_fillers``) sends only the radii that can bind to mpf.
 Fillers sit strictly below every target block, so Lambda^{m_k} annihilates
 them and no residual changes; their job is to make the windowed growth
 constant of the construction strictly increase as the radius window widens,
@@ -87,6 +88,8 @@ _FILLER_BASE_DEGREE = 4
 _FILLER_CAP_DEGREE = 360
 _FILLER_RATIO = 1.75
 _FILLER_SAT = 0.35
+_SCREEN_MARGIN = 1e-6  # filler screen: relative margin of the float64 room
+_SCREEN_SLACK = 1e-3  # filler screen: 1 - running/cap below which it cancels
 _ORBIT_SAMPLES = 512  # circle samples per residual in verify_orbit_hits
 
 
@@ -289,15 +292,15 @@ class _NormKernel:
     """Weighted norm sup_r [sum_n |y_n| r^n] r^a / (env(r) e^r) over a radius grid.
 
     Holds ln r, the penalty a ln r - ln env(r) - r and ln d_n (n <= n_max,
-    from ``w.float_log_weights``) as float64 arrays; all work stays in the log
-    domain, so nothing overflows.
+    from ``w.float_log_weights``) and log_env, ln of env_vals = env on r_grid,
+    as float64 arrays; all work stays in the log domain, so nothing overflows.
     """
 
-    def __init__(self, w: DunklWeights, env: RateEnvelope, a, r_grid, n_max: int):
+    def __init__(self, w: DunklWeights, env_vals, a, r_grid, n_max: int):
         self.ln_r = np.array([float(mpmath.ln(r)) for r in r_grid])
-        log_env = np.array([float(mpmath.ln(env(r))) for r in r_grid])
+        self.log_env = np.array([float(mpmath.ln(v)) for v in env_vals])
         r_vals = np.array([float(r) for r in r_grid])
-        self.pen = float(a) * self.ln_r - log_env - r_vals
+        self.pen = float(a) * self.ln_r - self.log_env - r_vals
         self.logd = w.float_log_weights(n_max)
 
     def factor_table(self) -> np.ndarray:
@@ -325,23 +328,26 @@ class _NormKernel:
         return (lse + self.pen).max(axis=1)
 
 
-def _calibrate_fillers(w: DunklWeights, env: RateEnvelope, r_grid):
+def _calibrate_fillers(w: DunklWeights, env: RateEnvelope, r_grid, log_env: np.ndarray):
     """Degrees and coefficients of the envelope-saturating filler ladder.
 
     Walking a geometric ramp of degrees from the cap down, each coefficient
-    gamma is the largest value keeping the running total of
-    sum_j gamma_j r^{P_j + alpha + 1}/e^r at or below _FILLER_SAT * env(r)
-    at every point where the new mode carries at least 1% of its peak (the
-    grid is augmented with the analytic peak radii P + alpha + 1, so
-    calibration does not depend on grid alignment).  Placing large degrees
-    first matters: a mode's right tail at the next ramp radius down is
-    negligible, so every ramp entry gets to drive the total up to the scaled
-    envelope near its own peak before its small-degree neighbours are sized;
-    the significance cutoff keeps an already-touched point far from the new
-    peak from zeroing the new coefficient.  The total therefore touches
-    _FILLER_SAT * env near every surviving ramp radius and exceeds it nowhere
-    by more than about 1%, which is what makes the windowed growth constant
-    climb with env across radius windows.
+    gamma is the largest keeping the running total sum_j gamma_j
+    r^{P_j + alpha + 1}/e^r at or below _FILLER_SAT * env(r) at every point
+    where the new mode carries at least 1% of its peak (the grid is augmented
+    with the analytic peak radii P + alpha + 1, so calibration does not depend
+    on grid alignment).  Large degrees go first, so each drives the total up
+    to the scaled envelope near its own peak; the cutoff keeps a touched point
+    far from the new peak from zeroing gamma.  The total touches _FILLER_SAT *
+    env near every surviving ramp radius and exceeds it by at most about 1%.
+
+    A float64 screen of ln mode, ln cap (log_env: ln env on r_grid) and q =
+    running / cap sends to the mpf room (cap - running) / mode only points
+    within _SCREEN_MARGIN (1e-6) of the least screened room or with 1 - q <
+    _SCREEN_SLACK (1e-3), where it cancels; mpf also decides significance
+    within _SCREEN_MARGIN of the cutoff.  The screen errs by ~1e-9 elsewhere.
+    The mpf running total at a point is replayed, rv = rv + gamma_j mode_j in
+    placement order, modes memoised per (P, point): bit-identical to a full pass.
     """
     ramp = []
     P = _FILLER_CAP_DEGREE
@@ -349,45 +355,62 @@ def _calibrate_fillers(w: DunklWeights, env: RateEnvelope, r_grid):
         ramp.append(P)
         nxt = math.floor(P / _FILLER_RATIO)
         P = nxt if nxt < P else P - 1
-    points = sorted(set(float(r) for r in r_grid)
-                    | {float(P + w.alpha + 1) for P in ramp})
-    points = [mpf(repr(r)) for r in points]
-    ln_points = [mpmath.ln(r) for r in points]
-    cap = [mpf(_FILLER_SAT) * env(r) for r in points]
-    running = [mpf(0)] * len(points)
+    on_grid = dict(zip((float(r) for r in r_grid), log_env))
+    points = sorted(set(on_grid) | {float(P + w.alpha + 1) for P in ramp})
+    r, ln_r = np.array(points), np.log(points)
+    ln_cap = math.log(_FILLER_SAT) + np.array([on_grid[x] if x in on_grid else
+                                               float(mpmath.ln(env(mpf(repr(x))))) for x in points])
+    exact, modes = {}, {}  # point -> mpf (r, ln r, cap); (P, point) -> mpf mode
+
+    def mode(P, i):
+        if i not in exact:
+            x = mpf(repr(points[i]))
+            exact[i] = (x, mpmath.ln(x), mpf(_FILLER_SAT) * env(x))
+        if (P, i) not in modes:
+            modes[P, i] = mpmath.exp((P + w.alpha + 1) * exact[i][1] - exact[i][0])
+        return modes[P, i]
+
+    def room(P, i):
+        mv, rv = mode(P, i), mpf(0)
+        for Pj, gj in placed:
+            rv = rv + gj * mode(Pj, i)
+        return (exact[i][2] - rv) / mv
+
     significance = mpf("0.01")
-    placed = []
+    placed, q = [], np.zeros(r.size)  # q: running / cap
     for P in ramp:
-        exponent = P + w.alpha + 1
-        mode = [mpmath.exp(exponent * ln_r - r) for ln_r, r in zip(ln_points, points)]
-        peak = max(mode)
-        gamma = None
-        for mv, cv, rv in zip(mode, cap, running):
-            if mv < peak * significance:
-                continue  # the new mode is immaterial this far from its peak
-            room = (cv - rv) / mv
-            if gamma is None or room < gamma:
-                gamma = room
+        ln_mode = (P + float(w.alpha) + 1) * ln_r - r
+        rel = ln_mode - ln_mode.max() + math.log(100)  # > 0: significant
+        significant = rel > 0
+        top = np.flatnonzero(rel >= math.log(100) - _SCREEN_MARGIN)
+        for i in np.flatnonzero(np.abs(rel) <= _SCREEN_MARGIN):  # the mpf peak decides
+            significant[i] = not mode(P, i) < max(mode(P, j) for j in top) * significance
+        cancels = q > 1 - _SCREEN_SLACK
+        ln_room = np.where(significant & ~cancels, ln_cap - ln_mode
+                           + np.log1p(-np.minimum(q, 1 - _SCREEN_SLACK)), np.inf)
+        near = np.isfinite(ln_room) & (ln_room <= ln_room.min() + _SCREEN_MARGIN)
+        gamma = min((room(P, i) for i in np.flatnonzero(significant & cancels | near)),
+                    default=None)
         if gamma is None or gamma <= 0:
             continue
         placed.append((P, gamma))
-        running = [rv + gamma * mv for rv, mv in zip(running, mode)]
+        q += np.exp(float(mpmath.ln(gamma)) + ln_mode - ln_cap)
     placed.sort()
     return tuple(P for P, _ in placed), tuple(g for _, g in placed)
 
 
 def _builder_setup(w, env, count, name, cfg, trunc_degree, first_index):
-    """(cfg, grid, targets, indices) after the checks both builders share.
+    """(cfg, grid, env_vals, targets, indices) after the checks both builders share.
 
-    cfg defaults to BuilderConfig(); grid is cfg.grid(), computed once per
-    build; targets are cfg.targets when given, else the count polynomials of
-    the enumeration from first_index on.
+    cfg defaults to BuilderConfig(); grid is cfg.grid() and env_vals env on it,
+    each computed once per build; targets are cfg.targets when given, else the
+    count polynomials of the enumeration from first_index on.
     """
     cfg = cfg or BuilderConfig()
     if env.kind != "to_infinity":
         raise ValueError(f"builder needs a to_infinity envelope, got {env.kind}")
     grid = cfg.grid()
-    env.validate_on(grid)
+    env_vals = env.validate_on(grid)
     if cfg.targets is not None:
         targets = tuple(poly_normalize(t) for t in cfg.targets)
         indices = (None,) * len(targets)
@@ -397,7 +420,7 @@ def _builder_setup(w, env, count, name, cfg, trunc_degree, first_index):
         indices = tuple(range(first_index, first_index + count))
         targets = tuple(enumerate_targets(i) for i in indices)
     _require_table(w, trunc_degree)
-    return cfg, grid, targets, indices
+    return cfg, grid, env_vals, targets, indices
 
 
 # ---------------------------------------------------------------------------
@@ -419,18 +442,18 @@ def build_hypercyclic(
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    cfg, grid, targets, indices = _builder_setup(w, env, K, "K", cfg, trunc_degree, 1)
+    cfg, grid, env_vals, targets, indices = _builder_setup(w, env, K, "K", cfg, trunc_degree, 1)
     if any(poly_degree(q) > MAX_DEGREE for q in targets):
         raise ValueError(f"targets must have degree <= {MAX_DEGREE}")
 
+    kernel = _NormKernel(w, env_vals, w.alpha + 1, grid, trunc_degree)
     if cfg.saturate_envelope:
-        filler_degrees, filler_coeffs = _calibrate_fillers(w, env, grid)
+        filler_degrees, filler_coeffs = _calibrate_fillers(w, env, grid, kernel.log_env)
     else:
         filler_degrees, filler_coeffs = (), ()
 
-    kernel = _NormKernel(w, env, w.alpha + 1, grid, trunc_degree)
     # test (c): on the one point R the penalty is -ln Phi(R); ln d_n is shared
-    shadow = _NormKernel(w, env, w.alpha + 1, (mpf(R_BUILD),), 0)
+    shadow = _NormKernel(w, (env(mpf(R_BUILD)),), w.alpha + 1, (mpf(R_BUILD),), 0)
     shadow.logd = kernel.logd
 
     positions = []
@@ -577,7 +600,8 @@ def fuc_tail_norms(
         return mpf(0)
     a = rate_exponent(p, w.alpha, "fhc_upper")
     deg = poly_degree(poly)
-    kernel = _NormKernel(w, env, a, standard_r_grid(), w.n_max)
+    grid = standard_r_grid()
+    kernel = _NormKernel(w, map(env, grid), a, grid, w.n_max)
     g = kernel.factor_table()
     suffix = np.concatenate([np.cumsum(g[::-1])[::-1], [0.0]])
     total = 0.0
@@ -607,7 +631,7 @@ def build_frequently_hypercyclic(
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
-    cfg, grid, targets, indices = _builder_setup(w, env, J, "J", cfg, trunc_degree, 2)
+    cfg, grid, env_vals, targets, indices = _builder_setup(w, env, J, "J", cfg, trunc_degree, 2)
     B = cfg.block_width
     max_deg = max((poly_degree(q) for q in targets), default=-1)
     if B <= max_deg:
@@ -616,7 +640,7 @@ def build_frequently_hypercyclic(
         )
 
     a = rate_exponent(p, w.alpha, "fhc_upper")
-    kernel = _NormKernel(w, env, a, grid, trunc_degree)
+    kernel = _NormKernel(w, env_vals, a, grid, trunc_degree)
     g = kernel.factor_table()
     factors = [kernel.log_factors(q) for q in targets]
 

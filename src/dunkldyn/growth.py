@@ -110,8 +110,8 @@ class RateEnvelope:
         env.validate_on(r_grid)
         return env
 
-    def validate_on(self, r_grid) -> None:
-        """Positivity plus the monotonicity matching the declared kind."""
+    def validate_on(self, r_grid) -> list:
+        """Check positivity and the kind's monotonicity; return env(r) over r_grid."""
         vals = [self(r) for r in r_grid]
         if any(not v > 0 for v in vals):
             raise ValueError(f"envelope {self.label!r} not positive on the grid")
@@ -125,6 +125,7 @@ class RateEnvelope:
         else:
             if any(b != a for a, b in pairs):
                 raise ValueError(f"envelope {self.label!r} not constant on the grid")
+        return vals
 
     def __repr__(self) -> str:
         return f"RateEnvelope({self.kind}, {self.label!r})"
@@ -181,8 +182,10 @@ def mittag_leffler(z, ml_alpha, theta, beta):
       terms can cancel, sum from n = 0 until the upcoming term stays below
       tol times the running sum for 8 consecutive indices.  Integer
       ml_alpha uses the exact term recurrence there too, general ml_alpha
-      computes each Gamma factor once, for the upcoming term.  The loop also sums S = sum |t_n|; when
-      its rounding S 2^-wp exceeds tol |sum|, as on the negative axis where
+      computes each Gamma factor once, for the upcoming term, and as its
+      terms fall slowly past tol, runs at ML_GUARD_BITS more bits and stops
+      at tol 2^-ML_GUARD_BITS.  The loop also sums S = sum |t_n|; when its
+      rounding S 2^-wp exceeds tol |sum|, as on the negative axis where
       e^-200 is summed from terms near e^200, it reruns with the missing
       bits plus ML_GUARD_BITS, at most ML_MAX_PASSES times.  Terms that
       still rise at n = ML_MAX_TERMS raise ValueError before the loop.
@@ -210,10 +213,11 @@ def mittag_leffler(z, ml_alpha, theta, beta):
                          f"n = {ML_MAX_TERMS} for ml_alpha={mpmath.nstr(ml_alpha, 8)}")
     # terms of opposite sign cancel: the loop's rounding is about mass 2^-wp,
     # where mass = sum |t_n|, so rerun it with the bits the cancellation ate
-    wp = mp.prec
+    guard = ML_GUARD_BITS if int_alpha is None else 0
+    wp = mp.prec + guard
     for _ in range(ML_MAX_PASSES):
         with mp.workprec(wp):
-            total, mass = _ml_from_zero(z, ml_alpha, int_alpha, theta, beta, tol)
+            total, mass = _ml_from_zero(z, ml_alpha, int_alpha, theta, beta, tol * 2.0**-guard)
             noise = mass * mpf(2) ** -wp
             if noise <= tol * abs(total):
                 break

@@ -30,6 +30,7 @@ from mpmath import mp, mpf, mpc
 from .numeric import precision, to_decimal
 
 DEFAULT_TRUNC_DEGREE = 4096
+_ZERO = mpc(0)  # every missing coefficient; mpc values are immutable
 
 
 class TruncatedSeries:
@@ -73,7 +74,7 @@ class TruncatedSeries:
         return self._trunc_degree
 
     def coeff(self, n: int) -> mpc:
-        return self._coeffs.get(n, mpc(0))
+        return self._coeffs.get(n, _ZERO)
 
     def items(self) -> Iterator[tuple[int, mpc]]:
         """Nonzero (n, c_n) pairs in increasing n."""

@@ -1,6 +1,7 @@
 """Builders and their verifiers: enumeration, placements, schedules, plans."""
 
 import dataclasses
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -9,8 +10,13 @@ import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
 
+from dunkldyn import construct
 from dunkldyn.construct import (
     _BUDGET_TIGHTEN,
+    _FILLER_BASE_DEGREE,
+    _FILLER_CAP_DEGREE,
+    _FILLER_RATIO,
+    _FILLER_SAT,
     _SHADOW_SAFETY,
     MAX_DEGREE,
     R_BUILD,
@@ -20,6 +26,7 @@ from dunkldyn.construct import (
     InfeasibleConstruction,
     TargetEnumeration,
     _NormKernel,
+    _calibrate_fillers,
     _phi_at,
     build_frequently_hypercyclic,
     build_hypercyclic,
@@ -151,7 +158,7 @@ class TestNormKernel:
         w = DunklWeights(mpf(alpha_s), 1024)
         env = RateEnvelope.log_growth()
         grid = standard_r_grid()
-        kernel = _NormKernel(w, env, w.alpha + 1, grid, 1024)
+        kernel = _NormKernel(w, map(env, grid), w.alpha + 1, grid, 1024)
         ms = [1, 57, 144, 431, 1000]
         for q in self.TARGETS:
             got = kernel.block_log_norms(q, np.array(ms))
@@ -165,7 +172,8 @@ class TestNormKernel:
         # -ln Phi(R), so the block bound is ln(shadow bound / Phi(R)): test (c)
         w = DunklWeights(mpf(alpha_s), 1024)
         env = RateEnvelope.log_growth()
-        kernel = _NormKernel(w, env, w.alpha + 1, (mpf(R_BUILD),), 1024)
+        r_build = mpf(R_BUILD)
+        kernel = _NormKernel(w, (env(r_build),), w.alpha + 1, (r_build,), 1024)
         gaps = [1, 9, 57, 400]
         for q in self.TARGETS:
             got = kernel.block_log_norms(q, np.array(gaps))
@@ -176,7 +184,8 @@ class TestNormKernel:
     def test_factor_table_is_monomial_block_norm(self):
         # g[nu] is the grid bound of the monomial S^nu 1 = z^nu / d_nu
         w = DunklWeights(mpf("0.5"), 512)
-        kernel = _NormKernel(w, RateEnvelope.log_growth(), 2, standard_r_grid(), 512)
+        grid = standard_r_grid()
+        kernel = _NormKernel(w, map(RateEnvelope.log_growth(), grid), 2, grid, 512)
         nus = np.arange(1, 513, 37)
         got = np.log(kernel.factor_table()[nus])
         assert np.allclose(got, kernel.block_log_norms((F(1),), nus), rtol=0, atol=1e-12)
@@ -306,6 +315,110 @@ class TestHypercyclicBuilder:
         for P, gamma in zip(plan.filler_degrees, plan.filler_coeffs):
             assert gamma > 0
             assert abs(f.coeff(P) - gamma) <= gamma * mpf(2) ** -240
+
+
+def _calibrate_fillers_reference(w, env, r_grid):
+    """Working-precision reference for ``_calibrate_fillers``: every point in mpf.
+
+    Per ramp degree P it takes the mode exp((P + alpha + 1) ln r - r) at every
+    point, gamma as the smallest (cap - running) / mode over the points where
+    the mode is at least 1% of its peak, and adds gamma * mode to the running
+    total at every point.
+    """
+    ramp = []
+    P = _FILLER_CAP_DEGREE
+    while P >= _FILLER_BASE_DEGREE:
+        ramp.append(P)
+        nxt = math.floor(P / _FILLER_RATIO)
+        P = nxt if nxt < P else P - 1
+    points = sorted(set(float(r) for r in r_grid)
+                    | {float(P + w.alpha + 1) for P in ramp})
+    points = [mpf(repr(r)) for r in points]
+    ln_points = [mpmath.ln(r) for r in points]
+    cap = [mpf(_FILLER_SAT) * env(r) for r in points]
+    running = [mpf(0)] * len(points)
+    significance = mpf("0.01")
+    placed = []
+    for P in ramp:
+        exponent = P + w.alpha + 1
+        mode = [mpmath.exp(exponent * ln_r - r) for ln_r, r in zip(ln_points, points)]
+        peak = max(mode)
+        gamma = None
+        for mv, cv, rv in zip(mode, cap, running):
+            if mv < peak * significance:
+                continue  # the new mode is immaterial this far from its peak
+            room = (cv - rv) / mv
+            if gamma is None or room < gamma:
+                gamma = room
+        if gamma is None or gamma <= 0:
+            continue
+        placed.append((P, gamma))
+        running = [rv + gamma * mv for rv, mv in zip(running, mode)]
+    placed.sort()
+    return tuple(P for P, _ in placed), tuple(g for _, g in placed)
+
+
+def _log_env(env, grid):
+    return np.array([float(mpmath.ln(env(r))) for r in grid])
+
+
+def _sampled_envelope():
+    return RateEnvelope.from_samples(
+        "to_infinity", [mpf("0.001"), 1, 10, 100, 2000], [1, mpf("1.5"), 2, 4, 9])
+
+
+class TestFillerCalibration:
+    """The float64-screened filler ladder against the all-points mpf reference."""
+
+    @pytest.mark.parametrize("prec", [53, 256, 1024])
+    @pytest.mark.parametrize("alpha_s", ["-0.49", "0", "0.5", "1", "3"])
+    def test_bit_identical_to_reference(self, prec, alpha_s):
+        w = DunklWeights(mpf(alpha_s), 64)
+        envs = [RateEnvelope.log_growth(), _sampled_envelope()]
+        with precision(prec):
+            for env in envs:
+                for points in (256, 64, 8, 2):
+                    grid = standard_r_grid(points=points)
+                    got = _calibrate_fillers(w, env, grid, _log_env(env, grid))
+                    want = _calibrate_fillers_reference(w, env, grid)
+                    assert got[0] == want[0]
+                    assert [g._mpf_ for g in got[1]] == [g._mpf_ for g in want[1]]
+                    if env is not envs[0]:
+                        break  # one grid is enough for the sampled envelope
+
+    @pytest.mark.parametrize("points", [256, 8])
+    def test_wider_screen_margins_change_no_bit(self, monkeypatch, points):
+        # wider margins only send more points to mpf: a 3-nat margin puts the
+        # points near the 1% cutoff through the mpf test, a 0.9 slack most
+        # significant points through the mpf room
+        w = DunklWeights(mpf("0.5"), 64)
+        env = RateEnvelope.log_growth()
+        grid = standard_r_grid(points=points)
+        want = _calibrate_fillers(w, env, grid, _log_env(env, grid))
+        monkeypatch.setattr(construct, "_SCREEN_MARGIN", 3.0)
+        monkeypatch.setattr(construct, "_SCREEN_SLACK", 0.9)
+        got = _calibrate_fillers(w, env, grid, _log_env(env, grid))
+        assert got[0] == want[0]
+        assert [g._mpf_ for g in got[1]] == [g._mpf_ for g in want[1]]
+
+    @pytest.mark.parametrize("alpha_s", ["-0.49", "0", "3"])
+    @pytest.mark.parametrize("points", [256, 2])
+    def test_running_total_stays_within_one_percent_of_cap(self, alpha_s, points):
+        # the total in placement order (largest degree first), at the
+        # calibration points and on a dense linear grid up past the last peak
+        w = DunklWeights(mpf(alpha_s), 64)
+        env = RateEnvelope.log_growth()
+        grid = standard_r_grid(points=points)
+        degrees, coeffs = _calibrate_fillers(w, env, grid, _log_env(env, grid))
+        assert len(degrees) >= 5
+        radii = {float(r) for r in grid} | {float(P + w.alpha + 1) for P in degrees}
+        radii |= {float(r) for r in mpmath.linspace(mpf("0.01"), 500, 400)}
+        for x in sorted(radii):
+            r = mpf(repr(x))
+            running = mpf(0)
+            for P, gamma in sorted(zip(degrees, coeffs), reverse=True):
+                running = running + gamma * mpmath.exp((P + w.alpha + 1) * mpmath.ln(r) - r)
+            assert running <= mpf("1.01") * _FILLER_SAT * env(r)
 
 
 class TestPlanPersistence:

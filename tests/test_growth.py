@@ -247,6 +247,17 @@ class TestPeakWalk:
         got = mittag_leffler(x, mpf("0.5"), 1, 0)
         assert abs(got - want) <= want * mpf(2) ** -200
 
+    @pytest.mark.parametrize("x_s", ["30", "60"])
+    def test_fractional_order_meets_tol_on_the_positive_axis(self, x_s):
+        # E(x) at ml = 1/2 is e^(x^2) erfc(-x), here at 600 bits; a stop at tol
+        # itself left 4.0e-73 at x = 30 and 1.6e-72 at x = 60 against tol = 5.7e-73
+        x = mpf(x_s)
+        got = mittag_leffler(x, mpf("0.5"), 1, 0)
+        tol = mpf(2) ** (16 - mp.prec)
+        with mp.workprec(600):
+            want = mpmath.exp(x**2) * mpmath.erfc(-x)
+            assert abs(got - want) <= want * tol
+
 
 class TestFromZeroReach:
     """The from-zero loop refuses, at once, sums whose terms still rise at ML_MAX_TERMS."""
