@@ -11,7 +11,7 @@ Run with: python3 demos/build_at_critical_growth.py
 import time
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from dunkldyn import (
     DunklWeights,
@@ -21,14 +21,13 @@ from dunkldyn import (
     growth_profile,
     poly_label,
     rate_exponent,
-    set_precision,
     standard_r_grid,
     thm3b_bound_check,
     verify_orbit_hits,
     windowed_c_star,
 )
 
-set_precision(256)
+mp.prec = 256  # importing dunkldyn leaves the precision at mpmath's 53 bits
 
 alpha = mpf(0)
 w = DunklWeights(alpha, n_max=4096)

@@ -4,7 +4,7 @@ Run with: python3 demos/first_steps.py
 """
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from dunkldyn import (
     DunklWeights,
@@ -12,10 +12,9 @@ from dunkldyn import (
     apply_dunkl,
     orbit_at_zero,
     right_inverse,
-    set_precision,
 )
 
-set_precision(256)
+mp.prec = 256  # importing dunkldyn leaves the precision at mpmath's 53 bits
 
 # The operator acts on entire functions through a weight ladder d_n that
 # depends on a single parameter alpha > -1/2. Step ratios alternate between

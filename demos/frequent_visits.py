@@ -13,7 +13,7 @@ Run with: python3 demos/frequent_visits.py
 from fractions import Fraction
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from dunkldyn import (
     BuilderConfig,
@@ -24,10 +24,9 @@ from dunkldyn import (
     density_decay_check,
     frequency_report,
     poly_label,
-    set_precision,
 )
 
-set_precision(256)
+mp.prec = 256  # importing dunkldyn leaves the precision at mpmath's 53 bits
 
 alpha = mpf(1)
 w = DunklWeights(alpha, n_max=4096)

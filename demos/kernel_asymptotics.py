@@ -9,7 +9,7 @@ Run with: python3 demos/kernel_asymptotics.py
 """
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from dunkldyn import (
     DunklWeights,
@@ -17,11 +17,10 @@ from dunkldyn import (
     lemma1_ratio,
     lemma3_on_grid,
     mittag_leffler,
-    set_precision,
     standard_r_grid,
 )
 
-set_precision(256)
+mp.prec = 256  # importing dunkldyn leaves the precision at mpmath's 53 bits
 
 print("weight comparison ratio, extremes over n <= 2000:")
 for alpha_s in ("0", "0.5", "1"):

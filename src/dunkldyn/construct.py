@@ -69,10 +69,10 @@ import mpmath
 import numpy as np
 from mpmath import mp, mpf, mpc
 
-from .dunkl import DunklWeights, _require_table, apply_dunkl, right_inverse
+from .dunkl import DunklWeights, _at_table_precision, _require_table, apply_dunkl, right_inverse
 from .growth import RateEnvelope, rate_exponent, standard_r_grid
 from .means import _BLOCK_ELEMENTS, _circle_rows, circle_max
-from .numeric import precision, to_decimal
+from .numeric import to_decimal
 from .series import TruncatedSeries, read_header, read_text
 
 Polynomial = tuple  # of Fraction, low degree first, no trailing zeros
@@ -427,6 +427,7 @@ def _builder_setup(w, env, count, name, cfg, trunc_degree, first_index):
 # hypercyclic builder and verification
 
 
+@_at_table_precision
 def build_hypercyclic(
     w: DunklWeights,
     env: RateEnvelope,
@@ -527,6 +528,7 @@ class OrbitHitReport:
         return all(self.passed)
 
 
+@_at_table_precision
 def verify_orbit_hits(
     f: TruncatedSeries,
     plan: ConstructionPlan,
@@ -577,6 +579,7 @@ def verify_orbit_hits(
 # frequently hypercyclic side
 
 
+@_at_table_precision
 def fuc_tail_norms(
     poly: Polynomial,
     w: DunklWeights,
@@ -614,6 +617,7 @@ def fuc_tail_norms(
     return mpf(total)
 
 
+@_at_table_precision
 def build_frequently_hypercyclic(
     w: DunklWeights,
     p,
@@ -687,6 +691,7 @@ class FrequencyReport:
     samples: int
 
 
+@_at_table_precision
 def frequency_report(
     f: TruncatedSeries,
     schedule: FhcSchedule,
@@ -788,6 +793,7 @@ class DensityDecayReport:
         return self.sigma[-1]
 
 
+@_at_table_precision
 def density_decay_check(f: TruncatedSeries, w: DunklWeights, q, M: int) -> DensityDecayReport:
     """sigma_m = (1/m) sum_{n<=m} (|c_n| d_n)^q next to the orbit-event density.
 
@@ -905,7 +911,7 @@ def _parse_plan(lines: list):
         raise ValueError(f"unknown plan kind {kind!r}")
     cls, keys, columns = _PLAN_KINDS[kind]
     head = read_header(lines, ["alpha", "precision_bits", *keys, "n_targets"])
-    with precision(int(head["precision_bits"])):
+    with mp.workprec(int(head["precision_bits"])):
         fields = {key: parse(head[key]) for key, (_, parse) in keys.items()}
         fields["alpha"] = mpf(head["alpha"])
         rows = _rows(lines, int(head["n_targets"]), "target")

@@ -18,8 +18,9 @@ from the defining formula without touching the table.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
-from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -48,6 +49,11 @@ class DunklWeights:
     the eager recurrence's value bit for bit, whatever the precision at the
     read.  One ln is taken per distinct ratio; at integer alpha, a_n for odd n
     is a_(n+2alpha+1), so about half as many logarithms are taken.
+
+    The table fixes the precision of the work done with it: every public
+    function that takes it as ``w`` runs at ``w.precision_bits`` whatever the
+    caller's ambient precision, and leaves that precision as found.  Its own
+    ``weight`` and ``gamma_form_log_weight`` compute at the ambient precision.
 
     Three routes give ln d_n, each with its own role:
 
@@ -143,87 +149,32 @@ class DunklWeights:
         return f"DunklWeights(alpha={mpmath.nstr(self.alpha, 12)}, n_max={self.n_max})"
 
 
-class WeightedShift:
-    """A weighted backward shift B e_n = a_n e_{n-1} given by its weight list."""
-
-    __slots__ = ("cumlog", "n_max")
-
-    def __init__(self, weights):
-        cumlog = [mpf(0)]  # ln |a_1 ... a_n|
-        for n, w in enumerate(weights, start=1):
-            w = mpc(w)
-            if w == 0:
-                raise ValueError(f"shift weight a_{n} must be nonzero")
-            cumlog.append(cumlog[-1] + mpmath.ln(abs(w)))
-        self.cumlog = cumlog
-        self.n_max = len(cumlog) - 1
-
-    @classmethod
-    def from_dunkl(cls, w: DunklWeights) -> "WeightedShift":
-        return cls(w.ratio(n) for n in range(1, w.n_max + 1))
-
-    @classmethod
-    def maclane(cls, n_max: int) -> "WeightedShift":
-        """Plain differentiation weights a_n = n."""
-        return cls(mpf(n) for n in range(1, n_max + 1))
-
-
-@dataclass(frozen=True)
-class ShiftDiagnostic:
-    """Finite-horizon hypercyclicity diagnostic for a weighted shift."""
-
-    g: tuple  # g_n = |prod_{k<=n} a_k|^(1/n), n = 1..n_max
-    running_sup: tuple
-
-    def final_sup(self) -> mpf:
-        return self.running_sup[-1]
-
-
-def shift_hypercyclicity_diagnostic(s: WeightedShift) -> ShiftDiagnostic:
-    """g_n sequence whose unbounded growth is the hypercyclicity certificate.
-
-    The shift is hypercyclic iff limsup g_n is infinite; at a finite horizon we
-    report the sequence and its running supremum and leave the trend judgment
-    to the caller.
-    """
-    g = []
-    sup = []
-    best = mpf("-inf")
-    for n in range(1, s.n_max + 1):
-        val = mpmath.exp(s.cumlog[n] / n)
-        g.append(val)
-        if val > best:
-            best = val
-        sup.append(best)
-    return ShiftDiagnostic(tuple(g), tuple(sup))
-
-
-def critical_rate_mu(s: WeightedShift, r) -> tuple[mpf, int]:
-    """mu(r) = max_{0<=n<=n_max} r^n / |a_1 ... a_n| and its smallest argmax."""
-    r = mpf(r)
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    if r == 0:
-        return mpf(1), 0
-    ln_r = mpmath.ln(r)
-    best_log = mpf(0)  # n = 0 term: empty product, value 1
-    best_n = 0
-    for n in range(1, s.n_max + 1):
-        lv = n * ln_r - s.cumlog[n]
-        if lv > best_log:
-            best_log = lv
-            best_n = n
-    return mpmath.exp(best_log), best_n
-
-
 def _require_table(w: DunklWeights, top: int) -> None:
-    """The table must reach d_top and hold at least the working precision."""
+    """The table must reach d_top."""
     if top > w.n_max:
         raise ValueError(f"weight table too short: need d_{top}, table ends at {w.n_max}")
-    if w.precision_bits < mp.prec:
-        raise ValueError(f"weight table built at {w.precision_bits} bits, used at {mp.prec} bits")
 
 
+def _at_table_precision(fn):
+    """Run fn under mp.workprec(w.precision_bits), w being its weight table argument.
+
+    The context is skipped when the precision already matches, as it does
+    for every call the CLI and the builders make.
+    """
+    at = list(inspect.signature(fn).parameters).index("w")
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        bits = (args[at] if len(args) > at else kwargs["w"]).precision_bits
+        if bits == mp.prec:
+            return fn(*args, **kwargs)
+        with mp.workprec(bits):
+            return fn(*args, **kwargs)
+
+    return call
+
+
+@_at_table_precision
 def apply_dunkl(f: TruncatedSeries, w: DunklWeights, k: int = 1) -> TruncatedSeries:
     """L^k f via the weight table: c_{n+k} d_{n+k}/d_n lands at degree n."""
     if k < 0:
@@ -240,6 +191,7 @@ def apply_dunkl(f: TruncatedSeries, w: DunklWeights, k: int = 1) -> TruncatedSer
     return TruncatedSeries(table, f.trunc_degree)
 
 
+@_at_table_precision
 def apply_dunkl_direct(f: TruncatedSeries, w: DunklWeights, k: int = 1) -> TruncatedSeries:
     """L^k f from the defining coefficient formula, independent of the d_n table.
 
@@ -261,6 +213,7 @@ def apply_dunkl_direct(f: TruncatedSeries, w: DunklWeights, k: int = 1) -> Trunc
     return out
 
 
+@_at_table_precision
 def right_inverse(f: TruncatedSeries, w: DunklWeights, n: int = 1) -> TruncatedSeries:
     """S^n f with S z^k = (d_k / d_{k+1}) z^{k+1}; L^n S^n = identity.
 

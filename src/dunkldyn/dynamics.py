@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp, mpf
 
-from .dunkl import DunklWeights, WeightedShift, _require_table, apply_dunkl_direct
+from .dunkl import DunklWeights, _at_table_precision, _require_table, apply_dunkl_direct
 from .growth import lemma1_ratio
 from .means import MeanParams, means_on_grid
 from .series import TruncatedSeries
@@ -46,49 +46,39 @@ class OrbitReport:
         return abs(self.values[self.sup_index])
 
 
-def orbit_at_zero(f: TruncatedSeries, w, N: int) -> OrbitReport:
+@_at_table_precision
+def orbit_at_zero(f: TruncatedSeries, w: DunklWeights, N: int) -> OrbitReport:
     """v_n for n = 0..N via the coefficient identity v_n = c_n d_n.
 
-    Accepts either a DunklWeights table (d_n from the ratio recurrence) or a
-    plain WeightedShift (d_n = a_1 ... a_n).  A Dunkl table must reach d_N
-    and hold at least the working precision.  For the Dunkl table the first
-    values (n <= 64) are recomputed through the operator route: the part of
-    f up to degree 64 is stepped with ``apply_dunkl_direct``, whose factors
-    n and n + 2 alpha + 1 never touch the d_n table, and the constant
-    coefficient is read after each step.  A mismatch beyond rounding means
-    the weight table and the operator disagree and raises RuntimeError.  A
-    plain shift has no operator form here, so only the coefficient identity
-    is used.
+    The table must reach d_N.  The first values (n <= 64) are recomputed
+    through the operator route: the part of f up to degree 64 is stepped
+    with ``apply_dunkl_direct``, whose factors n and n + 2 alpha + 1 never
+    touch the d_n table, and the constant coefficient is read after each
+    step.  A mismatch beyond rounding means the weight table and the
+    operator disagree and raises RuntimeError.
     """
     if N > f.trunc_degree:
         raise ValueError(f"N={N} exceeds trunc_degree {f.trunc_degree}")
-    if isinstance(w, WeightedShift):
-        if N > w.n_max:
-            raise ValueError(f"N={N} exceeds weight table n_max {w.n_max}")
-        log_d = w.cumlog
-    else:
-        _require_table(w, N)
-        log_d = [w.log_weight(n) for n in range(N + 1)]
-    values = [_coeff_orbit_value(f.coeff(n), log_d[n]) for n in range(N + 1)]
+    _require_table(w, N)
+    values = [_coeff_orbit_value(f.coeff(n), w.log_weight(n)) for n in range(N + 1)]
 
-    if isinstance(w, DunklWeights):
-        tol = mpf(2) ** (32 - mp.prec)
-        top = min(N, 64)
-        iterate = TruncatedSeries({n: c for n, c in f.items() if n <= top}, f.trunc_degree)
-        for n in range(top + 1):
-            if n:
-                iterate = apply_dunkl_direct(iterate, w, 1)
-            direct = iterate.coeff(0)
-            expected = abs(values[n])
-            if expected == 0:
-                ok = direct == 0 or abs(direct) <= tol
-            else:
-                ok = abs(abs(direct) - expected) <= expected * tol
-            if not ok:
-                raise RuntimeError(
-                    f"orbit cross-check failed at n={n}: coefficient identity "
-                    f"{values[n]} vs operator route {direct}"
-                )
+    tol = mpf(2) ** (32 - mp.prec)
+    top = min(N, 64)
+    iterate = TruncatedSeries({n: c for n, c in f.items() if n <= top}, f.trunc_degree)
+    for n in range(top + 1):
+        if n:
+            iterate = apply_dunkl_direct(iterate, w, 1)
+        direct = iterate.coeff(0)
+        expected = abs(values[n])
+        if expected == 0:
+            ok = direct == 0 or abs(direct) <= tol
+        else:
+            ok = abs(abs(direct) - expected) <= expected * tol
+        if not ok:
+            raise RuntimeError(
+                f"orbit cross-check failed at n={n}: coefficient identity "
+                f"{values[n]} vs operator route {direct}"
+            )
 
     # a strict increase smaller than the arithmetic noise is a tie, not a
     # new supremum; without the guard a constant orbit's sup index wanders.
@@ -130,6 +120,7 @@ def _c_star_terms(f: TruncatedSeries, alpha, radii) -> list:
     return [res.value * r ** (alpha + 1) / mpmath.exp(r) for r, res in zip(radii, results)]
 
 
+@_at_table_precision
 def thm3b_bound_check(
     f: TruncatedSeries, w: DunklWeights, r_grid, N: int
 ) -> Thm3bReport:
@@ -154,6 +145,7 @@ def thm3b_bound_check(
     return Thm3bReport(c_star, orbit.orbit_sup(), consistent, N, r_peak)
 
 
+@_at_table_precision
 def windowed_c_star(
     f: TruncatedSeries, w: DunklWeights, r_grid, r_maxes
 ) -> tuple:

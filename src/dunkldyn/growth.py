@@ -22,13 +22,15 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp, mpf
 
-from .dunkl import DunklWeights, _check_alpha
+from .dunkl import DunklWeights, _at_table_precision, _check_alpha
 from .means import MeanParams, P_INF, conjugate_exponent, means_on_grid
+from .numeric import DEFAULT_PRECISION_BITS
 from .series import TruncatedSeries
 
 ENVELOPE_KINDS = ("to_infinity", "to_zero", "constant")
 
-R_GRID_MIN = mpf("0.01")
+with mp.workprec(DEFAULT_PRECISION_BITS):  # 0.01 is inexact: fix its bits at the default
+    R_GRID_MIN = mpf("0.01")
 R_GRID_MAX = mpf(400)
 R_GRID_POINTS = 256
 
@@ -155,6 +157,7 @@ def rate_exponent(p, alpha, which: str) -> mpf:
     raise ValueError(f"which must be hc, fhc_upper or fhc_lower, got {which!r}")
 
 
+@_at_table_precision
 def lemma1_ratio(n: int, w: DunklWeights) -> mpf:
     """d_n e^{n+alpha+1} / (n+alpha+1)^{n+alpha+1}, evaluated in log domain.
 
@@ -170,6 +173,7 @@ def lemma1_ratio(n: int, w: DunklWeights) -> mpf:
 def mittag_leffler(z, ml_alpha, theta, beta):
     """E(z) = sum_n z^n / ((n+theta)^beta Gamma(ml_alpha n + 1)).
 
+    It takes no weight table, so prec is the caller's ambient precision.
     Two routes, each accurate to about tol = 2^(16-prec) relative:
 
     * integer ml_alpha with z real and > 0, where every term is positive,
@@ -324,7 +328,10 @@ def _ml_peak_walk(x, m: int, theta, beta, tol) -> mpf:
 
 
 def barnes_asymptotic(r, ml_alpha, theta, beta) -> mpf:
-    """Leading asymptotic term ml_alpha^{beta-1} r^{-beta/ml_alpha} e^{r^{1/ml_alpha}}."""
+    """Leading asymptotic term ml_alpha^{beta-1} r^{-beta/ml_alpha} e^{r^{1/ml_alpha}}.
+
+    It takes no weight table, so it works at the caller's ambient precision.
+    """
     r = mpf(r)
     if not r > 0:
         raise ValueError(f"r must be > 0, got {r}")
@@ -335,6 +342,7 @@ def barnes_asymptotic(r, ml_alpha, theta, beta) -> mpf:
     return ml_alpha ** (beta - 1) * r ** (-beta / ml_alpha) * mpmath.exp(r ** (1 / ml_alpha))
 
 
+@_at_table_precision
 def lemma3_ratio(r, q, w: DunklWeights) -> mpf:
     """[sum_n r^{qn}/d_n^q] / [e^r / r^{alpha+1/2+1/(2p)}]^q with p conjugate to q.
 
@@ -343,6 +351,7 @@ def lemma3_ratio(r, q, w: DunklWeights) -> mpf:
     return lemma3_on_grid([r], q, w)[0]
 
 
+@_at_table_precision
 def lemma3_on_grid(radii, q, w: DunklWeights) -> list:
     """``lemma3_ratio`` at each radius, from one a_n^(-q) table for the sweep.
 

@@ -337,6 +337,7 @@ def means_on_grid(f: TruncatedSeries, radii, params: MeanParams) -> list[MeanRes
     nothing is cached beyond the call.  The sampled routes run one
     ``_circle_rows`` transform per block of radii, about _BLOCK_ELEMENTS
     samples per block; a row's samples do not depend on the block it shares.
+    It takes no weight table, so it works at the caller's ambient precision.
     """
     radii = [mpf(r) for r in radii]
     for r in radii:

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 import mpmath
 from mpmath import mp, mpf, mpc
 
-from .numeric import precision, to_decimal
+from .numeric import to_decimal
 
 DEFAULT_TRUNC_DEGREE = 4096
 _ZERO = mpc(0)  # every missing coefficient; mpc values are immutable
@@ -229,13 +229,19 @@ def read_text(path, magic: str, parse):
 
 
 def read_header(lines: list, keys) -> dict:
-    """Pop one ``key=value`` line per key, in order, off the front of lines."""
+    """Pop one ``key=value`` line per key, in order, off the front of lines.
+
+    Both file formats read their header here, so this is where a
+    ``precision_bits`` value is checked to be an integer >= 8.
+    """
     out = {}
     for key in keys:
         line = lines.pop(0)
         name, _, value = line.partition("=")
         if name != key:
             raise ValueError(f"expected {key}=..., got {line!r}")
+        if key == "precision_bits" and int(value) < 8:
+            raise ValueError(f"precision_bits must be >= 8, got {int(value)}")
         out[key] = value
     return out
 
@@ -256,7 +262,7 @@ def _parse_series(lines: list) -> tuple[TruncatedSeries, mpf, int]:
     n_coeffs = int(head["n_coeffs"])
     if len(lines) != n_coeffs:
         raise ValueError(f"n_coeffs={n_coeffs} but {len(lines)} coefficient lines")
-    with precision(bits):
+    with mp.workprec(bits):
         alpha = mpf(head["alpha"])
         table: dict[int, mpc] = {}
         last_n = -1

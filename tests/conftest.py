@@ -1,11 +1,14 @@
 import pytest
+from mpmath import mp
 
-from dunkldyn.numeric import set_precision
+# importing the package leaves mpmath's precision alone, and test modules
+# build mpf constants when they are collected, before any fixture runs
+mp.prec = 256
 
 
 @pytest.fixture(autouse=True)
 def fixed_precision():
     """Every test runs at the package default precision unless it says otherwise."""
-    set_precision(256)
+    mp.prec = 256
     yield
-    set_precision(256)
+    mp.prec = 256

@@ -28,7 +28,7 @@ from dunkldyn.cli import (
     run,
 )
 from dunkldyn.construct import read_plan, verify_orbit_hits
-from dunkldyn.dunkl import ALPHA_BOUNDARY_GAP, DunklWeights
+from dunkldyn.dunkl import ALPHA_BOUNDARY_GAP, DunklWeights, apply_dunkl
 from dunkldyn.growth import lemma3_on_grid
 from dunkldyn.series import TruncatedSeries, read_series, write_series
 
@@ -259,6 +259,22 @@ class TestSeriesCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'input'" in err
         assert f"{inp}: n_coeffs=99 but 3 coefficient lines" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["means", "apply"])
+    @pytest.mark.parametrize("bits", ["0", "-5"])
+    def test_series_precision_below_8_exits_one(self, tmp_path, capsys, subcommand, bits):
+        inp = self._write_input(tmp_path, {0: 1, 2: 1})
+        lines = Path(inp).read_text().splitlines()
+        assert lines[2].startswith("precision_bits=")
+        lines[2] = f"precision_bits={bits}"
+        Path(inp).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.csv"
+        rc = main([subcommand, "--input", inp, "-o", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'input'" in err
+        assert f"{inp}: precision_bits must be >= 8, got {bits}" in err
         assert not out.exists()
 
 
@@ -652,6 +668,32 @@ class TestPrecisionScope:
                 assert main([*argv, "-o", str(out)]) == EXIT_OK
                 outputs[ambient, i] = out.read_bytes()
         assert all(outputs[53, i] == outputs[512, i] for i in range(len(jobs)))
+
+    def test_tables_at_two_precisions_interleave(self, tmp_path):
+        # 128- and 512-bit tables used alternately at ambient 256 give the
+        # values apply writes at --precision-bits 128 and 512
+        inp = tmp_path / "in.series"
+        write_series(TruncatedSeries({1: mpf(1) / 3, 4: mpf("0.7"), 9: -mpf(2) / 7},
+                                     trunc_degree=16), str(inp), mpf("0.5"), precision_bits=256)
+        f, alpha, _ = read_series(str(inp))
+        tables = {}
+        for bits in (128, 512):
+            with mp.workprec(bits):
+                tables[bits] = DunklWeights(alpha, f.trunc_degree)
+        library = {bits: [] for bits in tables}
+        for _ in range(2):
+            for bits, w in tables.items():
+                library[bits].append(apply_dunkl(f, w, 2))
+        assert mp.prec == 256
+        for bits, (g, again) in library.items():
+            assert g == again
+            out = tmp_path / f"a{bits}.csv"
+            assert main(["apply", "--input", str(inp), "--k", "2", "--precision-bits", str(bits),
+                         "-o", str(out)]) == EXIT_OK
+            _, _, rows = _read_csv(out)
+            with mp.workprec(bits):
+                cli_values = [(int(n), mpf(re), mpf(im)) for n, re, im in rows]
+            assert cli_values == [(n, c.real, c.imag) for n, c in g.items()]
 
 
 # the smallest alpha the weight table accepts, and a little above it

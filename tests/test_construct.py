@@ -44,7 +44,6 @@ from dunkldyn.construct import (
 from dunkldyn.dunkl import DunklWeights, apply_dunkl
 from dunkldyn.growth import RateEnvelope, standard_r_grid
 from dunkldyn.means import P_INF
-from dunkldyn.numeric import precision
 from dunkldyn.series import TruncatedSeries, write_series
 
 F = Fraction
@@ -257,12 +256,24 @@ class TestHypercyclicBuilder:
         want = mpmath.exp(-w.log_weight(144))
         assert abs(f.coeff(144) - want) <= want * mpf(2) ** -240
 
-    def test_rejects_table_below_working_precision(self):
+    def test_table_below_ambient_precision_fixes_it(self):
+        # a 128-bit table used at ambient 256 builds and verifies what it does at 128
         with mpmath.workprec(128):
             w = DunklWeights(0, 1024)
-        cfg = BuilderConfig(targets=[(F(1),)], saturate_envelope=False)
-        with pytest.raises(ValueError, match="built at 128 bits, used at 256 bits"):
-            build_hypercyclic(w, RateEnvelope.log_growth(), 1, cfg, trunc_degree=1024)
+        env = RateEnvelope.log_growth()
+
+        def build_and_verify():
+            f, plan = build_hypercyclic(w, env, 3, trunc_degree=1024)
+            return _coefficient_bits(f), plan, verify_orbit_hits(f, plan, w)
+
+        ambient = build_and_verify()
+        with mpmath.workprec(128):
+            at_table = build_and_verify()
+        assert mp.prec == 256
+        assert ambient[0] == at_table[0]
+        assert ambient[1] == at_table[1] and ambient[2] == at_table[2]  # mpf fields by value
+        assert [g._mpf_ for g in ambient[1].filler_coeffs] == [
+            g._mpf_ for g in at_table[1].filler_coeffs]
 
     def test_single_block_budgets(self):
         w = DunklWeights(0, 4096)
@@ -358,6 +369,11 @@ def _calibrate_fillers_reference(w, env, r_grid):
     return tuple(P for P, _ in placed), tuple(g for _, g in placed)
 
 
+def _coefficient_bits(f: TruncatedSeries) -> list:
+    """(n, raw mpc tuple) of every nonzero coefficient: equal lists are equal bit for bit."""
+    return [(n, c._mpc_) for n, c in f.items()]
+
+
 def _log_env(env, grid):
     return np.array([float(mpmath.ln(env(r))) for r in grid])
 
@@ -375,7 +391,7 @@ class TestFillerCalibration:
     def test_bit_identical_to_reference(self, prec, alpha_s):
         w = DunklWeights(mpf(alpha_s), 64)
         envs = [RateEnvelope.log_growth(), _sampled_envelope()]
-        with precision(prec):
+        with mp.workprec(prec):
             for env in envs:
                 for points in (256, 64, 8, 2):
                     grid = standard_r_grid(points=points)
@@ -445,7 +461,7 @@ class TestPlanPersistence:
     def test_file_text_frozen(self, tmp_path):
         # the exact dunklplan v1 and dunklseries v1 text: a codec change that
         # moves one byte of either format fails here
-        with precision(64):
+        with mp.workprec(64):
             hc = ConstructionPlan(
                 targets=((), (F(1, 2), F(0), F(-3)), (F(1),)),
                 indices=(1, None, 2),
@@ -553,11 +569,23 @@ class TestFhcBuilder:
         f, s = build_frequently_hypercyclic(w, P_INF, env, 3)
         assert s.m_0 == 1
 
-    def test_rejects_table_below_working_precision(self):
+    def test_table_below_ambient_precision_fixes_it(self):
+        # a 128-bit table used at ambient 256 builds what it builds at 128
         with mpmath.workprec(128):
             w = DunklWeights(1, 4096)
-        with pytest.raises(ValueError, match="built at 128 bits, used at 256 bits"):
-            build_frequently_hypercyclic(w, 2, RateEnvelope.log_growth(), 1)
+        env = RateEnvelope.log_growth()
+
+        def build_and_count():
+            f, schedule = build_frequently_hypercyclic(w, 2, env, 1)
+            report = frequency_report(f, schedule, w, 256, mpf("0.1"), 1)
+            return _coefficient_bits(f), schedule, report, fuc_tail_norms((F(1),), w, 2, env, 64)
+
+        ambient = build_and_count()
+        with mpmath.workprec(128):
+            at_table = build_and_count()
+        assert mp.prec == 256
+        assert ambient[:3] == at_table[:3]
+        assert ambient[3]._mpf_ == at_table[3]._mpf_
 
     def test_block_width_must_clear_degrees(self):
         w = DunklWeights(0, 4096)
@@ -793,12 +821,18 @@ class TestDensityDecay:
         with pytest.raises(ValueError, match="need d_64, table ends at 32"):
             density_decay_check(f, DunklWeights(0, 32), 2, 64)
 
-    def test_rejects_table_below_working_precision(self):
-        f = TruncatedSeries({40: 1}, trunc_degree=64)
-        with precision(128):
+    def test_table_below_ambient_precision_fixes_it(self):
+        # a 128-bit table used at ambient 256 computes what it computes at 128
+        f = TruncatedSeries({3: mpf(1) / 3, 40: 1}, trunc_degree=64)
+        with mp.workprec(128):
             w = DunklWeights(0, 64)
-        with pytest.raises(ValueError, match="built at 128 bits, used at 256 bits"):
-            density_decay_check(f, w, 2, 64)
+        ambient = density_decay_check(f, w, mpf("1.5"), 64)
+        with mp.workprec(128):
+            at_table = density_decay_check(f, w, mpf("1.5"), 64)
+        assert mp.prec == 256
+        assert [s._mpf_ for s in ambient.sigma] == [s._mpf_ for s in at_table.sigma]
+        assert [e._mpf_ for e in ambient.event_density] == [
+            e._mpf_ for e in at_table.event_density]
 
 
 class TestTailNorms:

@@ -6,7 +6,7 @@ from mpmath import mp, mpf
 
 from dunkldyn import dynamics
 from dunkldyn.construct import BuilderConfig, build_hypercyclic
-from dunkldyn.dunkl import DunklWeights, WeightedShift
+from dunkldyn.dunkl import DunklWeights
 from dunkldyn.dynamics import (
     OrbitReport,
     Thm3bReport,
@@ -48,16 +48,6 @@ class TestOrbitAtZero:
             else:
                 assert report.values[n] == 0
 
-    def test_maclane_exponential_orbit_is_constant(self):
-        # with a_n = n the truncated exponential orbit sits at 1 forever
-        shift = WeightedShift.maclane(256)
-        f = exp_truncation(256, 256)
-        report = orbit_at_zero(f, shift, 256)
-        assert report.sup_index == 0
-        assert report.bounded
-        for v in report.values:
-            assert abs(v - 1) < mpf("1e-60")
-
     def test_zero_function(self):
         w = DunklWeights(0, 32)
         f = TruncatedSeries({}, trunc_degree=32)
@@ -75,12 +65,15 @@ class TestOrbitAtZero:
 
     def test_sup_tie_guard(self):
         # a rise of ln|v| below 2^(20-prec) is a tie, one above it a new supremum
-        shift = WeightedShift([mpf(1)] * 8)  # d_n = 1, so v_n = c_n
+        w = DunklWeights(0, 8)
         tol = mpf(2) ** (20 - mp.prec)
-        f = TruncatedSeries({0: mpf(1), 2: 1 + tol / 2}, trunc_degree=8)
-        assert orbit_at_zero(f, shift, 8).sup_index == 0
-        f = TruncatedSeries({0: mpf(1), 2: 1 + tol / 2, 5: -(1 + 3 * tol)}, trunc_degree=8)
-        assert orbit_at_zero(f, shift, 8).sup_index == 5
+
+        def orbit_through(targets):  # c_n = target / d_n, so v_n = target up to rounding
+            f = TruncatedSeries({n: t / w.weight(n) for n, t in targets.items()}, trunc_degree=8)
+            return orbit_at_zero(f, w, 8)
+
+        assert orbit_through({0: mpf(1), 2: 1 + tol / 2}).sup_index == 0
+        assert orbit_through({0: mpf(1), 2: 1 + tol / 2, 5: -(1 + 3 * tol)}).sup_index == 5
 
     @pytest.mark.parametrize("n", [1, 17, 64])
     def test_cross_check_catches_corrupted_weight(self, n):
@@ -93,12 +86,22 @@ class TestOrbitAtZero:
         with pytest.raises(RuntimeError, match=f"orbit cross-check failed at n={n}:"):
             orbit_at_zero(f, w, 100)
 
-    def test_table_below_working_precision_raises(self):
+    def test_table_below_ambient_precision_fixes_it(self):
+        # a 128-bit table used at ambient 256 computes what it computes at 128
         with mpmath.workprec(128):
             w = DunklWeights(mpf("0.5"), 128)
         f = exp_truncation(128, 128)
-        with pytest.raises(ValueError, match="built at 128 bits, used at 256 bits"):
-            orbit_at_zero(f, w, 100)
+        grid = standard_r_grid(1, 50, 8)
+        calls = [lambda: orbit_at_zero(f, w, 100).values,
+                 lambda: thm3b_bound_check(f, w, grid, 40),
+                 lambda: windowed_c_star(f, w, grid, (20, 50))]
+        ambient = [call() for call in calls]
+        with mpmath.workprec(128):
+            at_table = [call() for call in calls]
+        assert mp.prec == 256
+        assert [v._mpf_ for v in ambient[0]] == [v._mpf_ for v in at_table[0]]
+        assert ambient[1] == at_table[1]  # the report's mpf fields compare by value
+        assert [c._mpf_ for c in ambient[2]] == [c._mpf_ for c in at_table[2]]
 
     def test_horizon_validation(self):
         w = DunklWeights(0, 32)

@@ -1,19 +1,15 @@
-"""Precision control and exact decimal round trips."""
+"""Exact decimal round trips, and an import that leaves mpmath's precision alone."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
-import pytest
-from mpmath import mp, mpf
+from mpmath import mpf
 
-from dunkldyn.numeric import precision, set_precision, to_decimal
-
-
-def test_precision_management():
-    assert mp.prec == 256
-    with precision(128):
-        assert mp.prec == 128
-    assert mp.prec == 256
-    with pytest.raises(ValueError):
-        set_precision(4)
+import dunkldyn
+from dunkldyn.numeric import to_decimal
 
 
 def test_decimal_round_trip_exact():
@@ -21,3 +17,20 @@ def test_decimal_round_trip_exact():
               mpmath.exp(mpf(12345)), mpf(0)]
     for x in values:
         assert mpf(to_decimal(x)) == x
+
+
+def test_import_leaves_precision_alone():
+    # a fresh interpreter: this one has long since imported the package
+    src = str(Path(dunkldyn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = ("import mpmath, dunkldyn\n"
+             "from dunkldyn.growth import R_GRID_MIN\n"
+             "prec = mpmath.mp.prec\n"
+             "with mpmath.workprec(256):\n"
+             "    same = R_GRID_MIN._mpf_ == mpmath.mpf('0.01')._mpf_\n"
+             "print(prec, same)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["53", "True"]
