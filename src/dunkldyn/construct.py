@@ -739,8 +739,7 @@ def frequency_report(
         )
     if not 0 <= R < mpmath.inf:
         raise ValueError(f"R must be finite and >= 0, got {R}")
-    if w.n_max < f.trunc_degree:
-        raise ValueError(f"weight table n_max={w.n_max} < trunc_degree={f.trunc_degree}")
+    _require_table(w, f.trunc_degree)
     # at R = 0 a slope far below -745 per degree keeps the degree-0 terms only
     ln_R = float(mpmath.ln(R)) if R > 0 else -1e300
     entries = list(f.items())

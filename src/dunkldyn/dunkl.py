@@ -41,6 +41,25 @@ def _check_alpha(alpha) -> mpf:
     return alpha
 
 
+def _at_table_precision(fn):
+    """Run fn under mp.workprec(w.precision_bits), w being its weight table argument or self.
+
+    The context is skipped when the precision already matches, as it does
+    for every call the CLI and the builders make.
+    """
+    at = next(i for i, name in enumerate(inspect.signature(fn).parameters) if name in ("w", "self"))
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        bits = (args[at] if len(args) > at else kwargs["w"]).precision_bits
+        if bits == mp.prec:
+            return fn(*args, **kwargs)
+        with mp.workprec(bits):
+            return fn(*args, **kwargs)
+
+    return call
+
+
 class DunklWeights:
     """Table of ln d_n(alpha) for n = 0..n_max, built by the ratio recurrence.
 
@@ -50,10 +69,9 @@ class DunklWeights:
     read.  One ln is taken per distinct ratio; at integer alpha, a_n for odd n
     is a_(n+2alpha+1), so about half as many logarithms are taken.
 
-    The table fixes the precision of the work done with it: every public
-    function that takes it as ``w`` runs at ``w.precision_bits`` whatever the
-    caller's ambient precision, and leaves that precision as found.  Its own
-    ``weight`` and ``gamma_form_log_weight`` compute at the ambient precision.
+    The table fixes the precision of the work done with it: its methods and
+    every public function that takes it as ``w`` run at ``w.precision_bits``,
+    whatever the caller's ambient precision, and leave that precision as found.
 
     Three routes give ln d_n, each with its own role:
 
@@ -109,12 +127,14 @@ class DunklWeights:
             self._fill(n)
         return self._log_d[n]
 
+    @_at_table_precision
     def weight(self, n: int) -> mpf:
         """d_n = exp(ln d_n); identically zero for n < 0."""
         if n < 0:
             return mpf(0)
         return mpmath.exp(self.log_weight(n))
 
+    @_at_table_precision
     def gamma_form_log_weight(self, n: int) -> mpf:
         """Closed form ln d_n = n ln2 + ln G(floor(n/2)+1) + ln G(floor((n+1)/2)+alpha+1) - ln G(alpha+1)."""
         if not 0 <= n <= self.n_max:
@@ -153,25 +173,6 @@ def _require_table(w: DunklWeights, top: int) -> None:
     """The table must reach d_top."""
     if top > w.n_max:
         raise ValueError(f"weight table too short: need d_{top}, table ends at {w.n_max}")
-
-
-def _at_table_precision(fn):
-    """Run fn under mp.workprec(w.precision_bits), w being its weight table argument.
-
-    The context is skipped when the precision already matches, as it does
-    for every call the CLI and the builders make.
-    """
-    at = list(inspect.signature(fn).parameters).index("w")
-
-    @functools.wraps(fn)
-    def call(*args, **kwargs):
-        bits = (args[at] if len(args) > at else kwargs["w"]).precision_bits
-        if bits == mp.prec:
-            return fn(*args, **kwargs)
-        with mp.workprec(bits):
-            return fn(*args, **kwargs)
-
-    return call
 
 
 @_at_table_precision

@@ -13,6 +13,11 @@ contains the optimizing points.  For a function whose growth keeps filling
 the envelope as r grows, the windowed C_star over an extended grid keeps
 increasing, which is the finite-horizon shadow of the fact that no single
 finite C can work.
+
+M_1 is sampled only where the maximum can lie: a radius whose upper bound on
+ln M_1 (``m1_log_bounds``) plus (alpha+1) ln r - r is _PRUNE_MARGIN below its
+window's best lower bound is skipped.  Rows do not depend on their block, so
+C_star and its first maximizing radius match the exhaustive sweep bit for bit.
 """
 
 from __future__ import annotations
@@ -20,12 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath
+import numpy as np
 from mpmath import mp, mpf
 
 from .dunkl import DunklWeights, _at_table_precision, _require_table, apply_dunkl_direct
 from .growth import lemma1_ratio
-from .means import MeanParams, means_on_grid
+from .means import MeanParams, m1_log_bounds, means_on_grid
 from .series import TruncatedSeries
+
+_PRUNE_MARGIN = 1e-6  # nats; the bounds' float64 rounding is ~1e-11 nats and M_1's ~1e-10
 
 
 def _coeff_orbit_value(c, log_d) -> mpf:
@@ -114,10 +122,25 @@ def _augmented_radii(r_grid, alpha, N: int) -> list:
     return radii
 
 
-def _c_star_terms(f: TruncatedSeries, alpha, radii) -> list:
-    """M_1(f, r) r^(alpha+1) / e^r at each radius, from one M_1 sweep."""
-    results = means_on_grid(f, radii, MeanParams(1))
-    return [res.value * r ** (alpha + 1) / mpmath.exp(r) for r, res in zip(radii, results)]
+def _window_peaks(f: TruncatedSeries, alpha, windows) -> list:
+    """(C, r) per window of sorted radii: the first maximum of M_1(f, r) r^(alpha+1) / e^r."""
+    kept = windows  # a constant series costs means_on_grid no sampling
+    if f.degree() > 0:
+        radii = sorted(set().union(*windows))
+        lower, upper = m1_log_bounds(f, radii)
+        ln_r = np.log([float(r) for r in radii])
+        shift = float(alpha + 1) * ln_r - np.array([float(r) for r in radii])
+        # a few ulps of each sum's largest summand
+        err = 1e-15 * (np.abs(lower) + f.degree() * np.abs(ln_r) + np.abs(shift))
+        bounds = dict(zip(radii, zip(lower + shift - err, upper + shift + err)))
+        kept = []
+        for window in windows:
+            best = max(bounds[r][0] for r in window) - _PRUNE_MARGIN
+            kept.append([r for r in window if bounds[r][1] >= best])
+    sweep = sorted(set().union(*kept))
+    results = means_on_grid(f, sweep, MeanParams(1))
+    terms = {r: res.value * r ** (alpha + 1) / mpmath.exp(r) for r, res in zip(sweep, results)}
+    return [(terms[r], r) for r in (max(rs, key=terms.__getitem__) for rs in kept)]
 
 
 @_at_table_precision
@@ -133,10 +156,7 @@ def thm3b_bound_check(
     """
     if N > f.trunc_degree:
         raise ValueError(f"N={N} exceeds trunc_degree {f.trunc_degree}")
-    radii = _augmented_radii(r_grid, w.alpha, N)
-    terms = _c_star_terms(f, w.alpha, radii)
-    peak = max(range(len(radii)), key=terms.__getitem__)  # first maximum
-    c_star, r_peak = terms[peak], radii[peak]
+    [(c_star, r_peak)] = _window_peaks(f, w.alpha, [_augmented_radii(r_grid, w.alpha, N)])
     orbit = orbit_at_zero(f, w, N)
     # ln|v_n| <= ln C_star + ln lemma1_ratio + 2^(40-prec)
     margin = mpmath.exp(mpf(2) ** (40 - mp.prec))
@@ -153,13 +173,12 @@ def windowed_c_star(
 
     Each window uses the sub-grid r <= r_max and the orbit horizon
     N = floor(r_max - alpha - 1), so the augmented optimizing radii stay
-    inside the window and the values are comparable across windows.  M_1 is
-    measured once on the union of the windows' radii, and each window takes
-    its maximum over its own radii, which equals thm3b_bound_check(...).c_star
-    for that window; the operator cross-check of orbit_at_zero runs once, at
-    the largest horizon.  For a function that keeps filling its growth
-    envelope the sequence must strictly increase; a plateau certifies that
-    the horizon saw the whole function.
+    inside the window and the values are comparable across windows.  One M_1
+    sweep serves every window, and each window's maximum equals
+    thm3b_bound_check(...).c_star for that window; the operator cross-check
+    of orbit_at_zero runs once, at the largest horizon.  For a function that
+    keeps filling its growth envelope the sequence must strictly increase; a
+    plateau certifies that the horizon saw the whole function.
     """
     windows = []
     N_max = 0
@@ -172,7 +191,6 @@ def windowed_c_star(
         N = min(N, f.trunc_degree)
         N_max = max(N_max, N)
         windows.append(_augmented_radii(sub, w.alpha, N))
-    radii = sorted(set().union(*windows))
-    terms = dict(zip(radii, _c_star_terms(f, w.alpha, radii)))
+    peaks = _window_peaks(f, w.alpha, windows)
     orbit_at_zero(f, w, N_max)  # operator cross-check; raises on a mismatch
-    return tuple(max(terms[r] for r in window) for window in windows)
+    return tuple(c for c, _ in peaks)

@@ -369,6 +369,28 @@ def means_on_grid(f: TruncatedSeries, radii, params: MeanParams) -> list[MeanRes
     return out
 
 
+def m1_log_bounds(f: TruncatedSeries, radii) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper): ln max_n |c_n| r^n <= ln M_1(f, r) <= 1/2 ln sum_n |c_n|^2 r^(2n), r > 0.
+
+    The coefficient bound and Cauchy-Schwarz with Parseval, in float64 for a
+    nonzero f, over blocks of about _BLOCK_ELEMENTS terms.  Both bound the
+    trapezoid M_1 of ``means_on_grid`` up to its ~1e-10 relative rounding, as
+    its m > degree samples make the discrete Fourier and Parseval identities exact.
+    """
+    items = list(f.items())
+    log_abs = np.array([_float_ln(abs(c)) for _, c in items])
+    degrees = np.array([n for n, _ in items], dtype=np.float64)
+    ln_r = np.array([_float_ln(mpf(r)) for r in radii])
+    lower, upper = np.empty(len(ln_r)), np.empty(len(ln_r))
+    per_block = max(1, _BLOCK_ELEMENTS // len(items))
+    for start in range(0, len(radii), per_block):
+        block = slice(start, start + per_block)
+        x = log_abs + ln_r[block, None] * degrees
+        top = lower[block] = x.max(axis=1)
+        upper[block] = top + 0.5 * np.log(np.exp(2.0 * (x - top[:, None])).sum(axis=1))
+    return lower, upper
+
+
 def mean_p(f: TruncatedSeries, r, params: MeanParams) -> MeanResult:
     """M_p(f, r) together with a quadrature discrepancy estimate."""
     return means_on_grid(f, [r], params)[0]

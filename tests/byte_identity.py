@@ -5,16 +5,18 @@ twelve subcommands: hc builds at five alphas with their plans read back by
 ``orbit --plan``, fhc builds at p = 1, 2 and inf with
 ``frequency`` and ``decay`` on each, ``weights``, the four ``verify-*``
 commands (``verify-barnes`` at an integer and a fractional order), ``means``
-at p = 1 and 2, and ``apply`` at three precisions.  Rows run in order in
+at p = 1 and 2, ``apply`` at three precisions, and the windowed C_star
+ladder of ``orbit --windows`` on an hc series and on a prime-degree fhc
+series, whose M_1 samples take the split transform.  Rows run in order in
 one directory, and later rows read the files earlier rows wrote.  Every name
 is fixed and relative, because the CSV banner records input and output paths.
 
 Each output must match ``byte_identity.json``.  Most files match by SHA-256.
 The files in ``APPROX`` take their numbers from float64 FFT sums (``means`` at
-p != 2 and ``verify-hy`` at p != 2), whose last bits may differ under another
-numpy build or CPU.  Their banner and header lines must be equal, their
-``exact`` columns equal as text, and every other cell within ``REL`` of the
-largest such cell in its row.
+p != 2, ``verify-hy`` at p != 2 and the M_1 of ``orbit --windows``), whose
+last bits may differ under another numpy build or CPU.  Their banner and
+header lines must be equal, their ``exact`` columns equal as text, and every
+other cell within ``REL`` of the largest such cell in its row.
 
 After a deliberate output change, rewrite the manifest and list each changed
 file in CHANGES.md:
@@ -62,10 +64,13 @@ ROWS = (
     ["means", "--input", "fhc2.series", "--p", "2", "-o", "means2.csv"],
     *[["apply", "--input", "fhc2.series", "--k", "3", "--precision-bits", bits,
        "-o", f"apply{bits}.csv"] for bits in ("128", "256", "512")],
+    *[["orbit", "--input", f"{name}.series", "--windows", "50,100,200,400", "--r-points", "64",
+       "-o", f"{name}-windows.csv"] for name in ("hc0", "fhc1")],
 )
 
 # file -> the columns compared as text; the other cells are compared at REL
-APPROX = {"means1.csv": ("r",), "hy.csv": ("poly", "r")}
+APPROX = {"means1.csv": ("r",), "hy.csv": ("poly", "r"),
+          "hc0-windows.csv": ("rmax",), "fhc1-windows.csv": ("rmax",)}
 
 
 def run_rows(directory) -> None:

@@ -763,7 +763,7 @@ class TestFrequencyScatter:
     def test_rejects_table_shorter_than_series(self):
         f = TruncatedSeries({40: 1}, trunc_degree=64)
         s = FhcSchedule(((F(1),),), (2,), 8, 1, 4096, mpf(1), 2, 1.0)
-        with pytest.raises(ValueError, match="n_max=32 < trunc_degree=64"):
+        with pytest.raises(ValueError, match="weight table too short: need d_64, table ends at 32"):
             frequency_report(f, s, DunklWeights(1, 32), 16, mpf("0.1"), mpf(1), 8)
 
     @pytest.mark.parametrize("args", [(2048, 0), (2048, -3), (0, 64), (-1, 64)])

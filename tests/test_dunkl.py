@@ -184,6 +184,17 @@ class TestTablePrecision:
         assert coefficient_bits(apply_dunkl(f, w, 2)) != coefficient_bits(
             apply_dunkl(f, DunklWeights(mpf("0.5"), 16), 2))
 
+    def test_methods_read_at_table_precision(self):
+        # a 512-bit table read at ambient 53 gives its 512-bit values, not 53-bit ones
+        with mpmath.workprec(512):
+            w = DunklWeights(mpf("0.5"), 16)
+            want = [f(5)._mpf_ for f in (w.log_weight, w.weight, w.gamma_form_log_weight)]
+        with mpmath.workprec(53):
+            got = [f(5) for f in (w.log_weight, w.weight, w.gamma_form_log_weight)]
+            assert mp.prec == 53
+        assert [v._mpf_ for v in got] == want
+        assert all(400 < v.man.bit_length() <= 512 for v in got)
+
     def test_table_above_working_precision_serves(self):
         with mpmath.workprec(512):
             w = DunklWeights(mpf("0.5"), 16)

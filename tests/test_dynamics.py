@@ -2,10 +2,11 @@
 
 import mpmath
 import pytest
-from mpmath import mp, mpf
+from hypothesis import given, settings, strategies as st
+from mpmath import mp, mpc, mpf
 
 from dunkldyn import dynamics
-from dunkldyn.construct import BuilderConfig, build_hypercyclic
+from dunkldyn.construct import BuilderConfig, build_frequently_hypercyclic, build_hypercyclic
 from dunkldyn.dunkl import DunklWeights
 from dunkldyn.dynamics import (
     OrbitReport,
@@ -14,7 +15,8 @@ from dunkldyn.dynamics import (
     thm3b_bound_check,
     windowed_c_star,
 )
-from dunkldyn.growth import RateEnvelope, standard_r_grid
+from dunkldyn.growth import RateEnvelope, lemma1_ratio, standard_r_grid
+from dunkldyn.means import MeanParams, means_on_grid
 from dunkldyn.series import TruncatedSeries, exp_truncation
 
 
@@ -171,3 +173,105 @@ class TestThm3b:
         full = thm3b_bound_check(f, w, grid, int(mpf(400) - mpf("0.5") - 1))
         ladder = windowed_c_star(f, w, grid, (mpf(400),))
         assert abs(ladder[0] - full.c_star) <= full.c_star * mpf("1e-25")
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive C_star sweep, M_1 at every radius: the oracle of the pruned one
+
+WINDOWS = (mpf(50), mpf(100), mpf(200), mpf(400))
+
+
+def _swept_terms(f, alpha, radii) -> list:
+    results = means_on_grid(f, radii, MeanParams(1))
+    return [res.value * r ** (alpha + 1) / mpmath.exp(r) for r, res in zip(radii, results)]
+
+
+def exhaustive_thm3b(f, w, r_grid, N) -> tuple:
+    """(c_star, r_peak, consistent) of thm3b_bound_check from M_1 at every radius."""
+    radii = dynamics._augmented_radii(r_grid, w.alpha, N)
+    terms = _swept_terms(f, w.alpha, radii)
+    peak = max(range(len(radii)), key=terms.__getitem__)  # first maximum
+    margin = mpmath.exp(mpf(2) ** (40 - mp.prec))
+    consistent = all(abs(v) <= terms[peak] * lemma1_ratio(n, w) * margin
+                     for n, v in enumerate(orbit_at_zero(f, w, N).values) if v != 0)
+    return terms[peak], radii[peak], consistent
+
+
+def exhaustive_windowed(f, w, r_grid, r_maxes) -> tuple:
+    """windowed_c_star from M_1 at every radius of the windows' union."""
+    windows = []
+    for r_max in r_maxes:
+        N = min(max(0, int(mpmath.floor(r_max - w.alpha - 1))), f.trunc_degree)
+        windows.append(dynamics._augmented_radii([r for r in r_grid if r <= r_max], w.alpha, N))
+    radii = sorted(set().union(*windows))
+    terms = dict(zip(radii, _swept_terms(f, w.alpha, radii)))
+    return tuple(max(terms[r] for r in window) for window in windows)
+
+
+def _assert_matches_exhaustive(f, w, r_grid, N, r_maxes):
+    report = thm3b_bound_check(f, w, r_grid, N)
+    assert (report.c_star, report.r_peak, report.consistent) == exhaustive_thm3b(f, w, r_grid, N)
+    assert windowed_c_star(f, w, r_grid, r_maxes) == exhaustive_windowed(f, w, r_grid, r_maxes)
+
+
+@pytest.fixture(scope="module")
+def hc_build():
+    w = DunklWeights(0, 4096)
+    f, _ = build_hypercyclic(w, RateEnvelope.log_growth(), 12)
+    return f, w
+
+
+class TestPrunedSweep:
+    """The pruned sweep gives the exhaustive sweep's C_star, r_peak and verdict, bit for bit."""
+
+    def test_hc_build(self, hc_build):
+        f, w = hc_build
+        _assert_matches_exhaustive(f, w, standard_r_grid(points=64), 398, WINDOWS)
+
+    def test_prime_degree_fhc(self):
+        # degree 4079 is prime, so the M_1 samples take the split transform
+        w = DunklWeights(1, 4096)
+        f, _ = build_frequently_hypercyclic(w, mpf(2), RateEnvelope.log_growth(), 3)
+        assert f.degree() == 4079
+        _assert_matches_exhaustive(f, w, standard_r_grid(points=64), 397, WINDOWS)
+
+    @pytest.mark.parametrize("name", ["exp", "spike", "constant", "zero"])
+    def test_special_profiles(self, name):
+        # exp: a near-flat profile, where the brackets overlap over many radii
+        w = DunklWeights(mpf("0.5"), 256)
+        f = {"exp": exp_truncation(256, 256),
+             "spike": TruncatedSeries({40: mpf(2) ** -160}, trunc_degree=256),
+             "constant": TruncatedSeries({0: mpc(3, -4)}, trunc_degree=256),
+             "zero": TruncatedSeries({}, trunc_degree=256)}[name]
+        _assert_matches_exhaustive(f, w, standard_r_grid(points=32), 200, WINDOWS)
+
+    def test_hc_sweep_reaches_few_radii(self, hc_build, monkeypatch):
+        # the growth-sweep job: 464 radii in the windows, a handful sampled
+        f, w = hc_build
+        swept = []
+
+        def spy(f, radii, params):
+            swept.extend(radii)
+            return means_on_grid(f, radii, params)
+
+        monkeypatch.setattr(dynamics, "means_on_grid", spy)
+        windowed_c_star(f, w, standard_r_grid(points=64), WINDOWS)
+        assert 0 < len(swept) <= 10
+
+
+@given(
+    st.dictionaries(st.integers(0, 48),
+                    st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-40, 40)),
+                    min_size=1, max_size=5),
+    st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
+    st.sampled_from(["0", "0.5", "3"]),
+    st.integers(0, 48),
+)
+@settings(deadline=None, max_examples=30)
+def test_pruned_sweep_matches_exhaustive_on_sparse_series(coeffs, radii, alpha, N):
+    mp.prec = 256
+    f = TruncatedSeries({n: mpc(a, b) * mpf(10) ** e for n, (a, b, e) in coeffs.items()},
+                        trunc_degree=48)
+    w = DunklWeights(mpf(alpha), 48)
+    r_grid = sorted({mpf(r) for r in radii})
+    _assert_matches_exhaustive(f, w, r_grid, N, (r_grid[0], r_grid[-1]))

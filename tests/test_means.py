@@ -26,6 +26,7 @@ from dunkldyn.means import (
     conjugate_exponent,
     hausdorff_young_check,
     hausdorff_young_on_grid,
+    m1_log_bounds,
     mean_p,
     means_on_grid,
 )
@@ -115,6 +116,29 @@ def test_mean_dominates_coefficient_bound(coeffs, r_s):
     bound = max(abs(c) * r**n for n, c in f.items())
     got = mean_p(f, r, MeanParams(mpf("1.5"))).value
     assert got >= bound * (1 - mpf("1e-9"))
+
+
+@given(
+    st.dictionaries(st.integers(0, 40),
+                    st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-30, 30)),
+                    min_size=1, max_size=6),
+    st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
+)
+@settings(deadline=None, max_examples=30)
+def test_m1_log_bounds_bracket_the_sampled_mean(coeffs, radii):
+    # the coefficient bound and Parseval bracket the trapezoid M_1 up to float64 rounding
+    mp.prec = 256
+    f = TruncatedSeries({n: mpc(a, b) * mpf(10) ** e for n, (a, b, e) in coeffs.items()},
+                        trunc_degree=40)
+    assume(not f.is_zero())
+    lower, upper = m1_log_bounds(f, radii)
+    ones, twos = means_on_grid(f, radii, MeanParams(1)), means_on_grid(f, radii, MeanParams(2))
+    for r, lo, hi, m1, m2 in zip(radii, lower, upper, ones, twos):
+        r = mpf(r)
+        top = float(mpmath.ln(max(abs(c) * r**n for n, c in f.items())))
+        assert lo == pytest.approx(top, rel=1e-13, abs=1e-11)
+        assert hi == pytest.approx(float(mpmath.ln(m2.value)), rel=1e-13, abs=1e-11)
+        assert lo - 1e-9 <= float(mpmath.ln(m1.value)) <= hi + 1e-9
 
 
 def test_large_p_quadrature_stays_finite():
