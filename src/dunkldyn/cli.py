@@ -32,6 +32,7 @@ from typing import Callable
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import finf, fninf, mpf_rdiv_int, round_nearest
 
 from .construct import (
     BuilderConfig,
@@ -198,9 +199,10 @@ def _fmt(x) -> str:
     """Deterministic CSV number text: full-precision decimal round trip."""
     if isinstance(x, (int, str)):
         return str(x)
-    x = mpf(x)
-    if not mpmath.isfinite(x):
-        return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
+    if type(x) is not mpf:
+        x = mpf(x)
+    if not x._mpf_[1] and x._mpf_[2]:  # inf, -inf and nan: no mantissa, nonzero exponent
+        return {finf: "inf", fninf: "-inf"}.get(x._mpf_, "nan")
     return to_decimal(x)
 
 
@@ -382,7 +384,10 @@ def _cmd_verify_lemma1(config: ExperimentConfig, opt: dict, write) -> None:
     n_max = opt["n"]
     w = DunklWeights(config.alpha_mp(), n_max)
     ratios = [lemma1_ratio(n, w) for n in range(n_max + 1)]
-    write("n,ratio,reciprocal", [(n, x, 1 / x) for n, x in enumerate(ratios)])
+    # 1 / x as mpf.__rtruediv__ computes it
+    write("n,ratio,reciprocal",
+          [(n, x, mp.make_mpf(mpf_rdiv_int(1, x._mpf_, w.precision_bits, round_nearest)))
+           for n, x in enumerate(ratios)])
     ok = all(mpmath.isfinite(x) and x > 0 for x in ratios)
     if ok:
         # the two-sided band must have stabilized: the late-range extremes may

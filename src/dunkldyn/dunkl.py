@@ -25,7 +25,8 @@ import math
 import mpmath
 import numpy as np
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import fone, from_int, mpf_add, mpf_log, mpf_shift, round_nearest
+from mpmath.libmp import (fone, from_int, mpc_mul_mpf, mpf_add, mpf_exp, mpf_log, mpf_shift,
+                          mpf_sub, round_nearest)
 
 from .series import TruncatedSeries
 
@@ -127,12 +128,11 @@ class DunklWeights:
             self._fill(n)
         return self._log_d[n]
 
-    @_at_table_precision
     def weight(self, n: int) -> mpf:
-        """d_n = exp(ln d_n); identically zero for n < 0."""
+        """d_n = exp(ln d_n) at the table's precision; identically zero for n < 0."""
         if n < 0:
             return mpf(0)
-        return mpmath.exp(self.log_weight(n))
+        return mp.make_mpf(mpf_exp(self.log_weight(n)._mpf_, self.precision_bits, round_nearest))
 
     @_at_table_precision
     def gamma_form_log_weight(self, n: int) -> mpf:
@@ -183,12 +183,15 @@ def apply_dunkl(f: TruncatedSeries, w: DunklWeights, k: int = 1) -> TruncatedSer
     if k == 0:
         return f
     _require_table(w, f.degree())
+    prec, log_weight = w.precision_bits, w.log_weight
     table: dict[int, mpc] = {}
     for i, c in f.items():
         if i < k:
             continue  # annihilated: d_{i-k} = 0 convention for i - k < 0
-        factor = mpmath.exp(w.log_weight(i) - w.log_weight(i - k))
-        table[i - k] = c * factor
+        # c * exp(ln d_i - ln d_(i-k)), rounded as the mpf and mpc operators round it
+        factor = mpf_exp(mpf_sub(log_weight(i)._mpf_, log_weight(i - k)._mpf_, prec,
+                                 round_nearest), prec, round_nearest)
+        table[i - k] = mp.make_mpc(mpc_mul_mpf(c._mpc_, factor, prec, round_nearest))
     return TruncatedSeries(table, f.trunc_degree)
 
 

@@ -114,9 +114,16 @@ class Thm3bReport:
     r_peak: mpf  # radius where C_star was attained
 
 
+def _radius_key(r) -> tuple:
+    """Sort key of an mpf radius: rounding to float64 is monotone, so the
+    exact mpf comparison runs only on float ties and the order is sorted()'s."""
+    return float(r), r
+
+
 def _augmented_radii(r_grid, alpha, N: int) -> list:
     """Sorted grid plus every optimizing radius n + alpha + 1, n <= N."""
-    radii = sorted({mpf(r) for r in r_grid} | {n + alpha + 1 for n in range(N + 1)})
+    radii = sorted({mpf(r) for r in r_grid} | {n + alpha + 1 for n in range(N + 1)},
+                   key=_radius_key)
     if not radii or radii[0] <= 0:
         raise ValueError("radius grid must be positive")
     return radii
@@ -126,7 +133,7 @@ def _window_peaks(f: TruncatedSeries, alpha, windows) -> list:
     """(C, r) per window of sorted radii: the first maximum of M_1(f, r) r^(alpha+1) / e^r."""
     kept = windows  # a constant series costs means_on_grid no sampling
     if f.degree() > 0:
-        radii = sorted(set().union(*windows))
+        radii = sorted(set().union(*windows), key=_radius_key)
         lower, upper = m1_log_bounds(f, radii)
         ln_r = np.log([float(r) for r in radii])
         shift = float(alpha + 1) * ln_r - np.array([float(r) for r in radii])
@@ -137,7 +144,7 @@ def _window_peaks(f: TruncatedSeries, alpha, windows) -> list:
         for window in windows:
             best = max(bounds[r][0] for r in window) - _PRUNE_MARGIN
             kept.append([r for r in window if bounds[r][1] >= best])
-    sweep = sorted(set().union(*kept))
+    sweep = sorted(set().union(*kept), key=_radius_key)
     results = means_on_grid(f, sweep, MeanParams(1))
     terms = {r: res.value * r ** (alpha + 1) / mpmath.exp(r) for r, res in zip(sweep, results)}
     return [(terms[r], r) for r in (max(rs, key=terms.__getitem__) for rs in kept)]

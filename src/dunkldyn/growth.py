@@ -12,6 +12,11 @@ the operator with parameter alpha:
 profile is satisfied when its ratio stays at or below 1 from some grid index
 to the end of the grid.  Band and supremum constants that the statements
 leave unnamed are measured and frozen as golden values by the tests.
+
+The scalar loops of the lemma ratios and of the integer-order Mittag-Leffler
+walk run on raw libmp tuples at an explicit precision, skipping mpmath's
+per-operation wrapper.  Each must give the ``_mpf_`` of the mpf expression it
+replaces, bit for bit; that expression lives on in the tests as its oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import (fone, from_int, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_lt, mpf_mul,
+                          mpf_pos, mpf_pow, mpf_rdiv_int, mpf_shift, mpf_sub, round_nearest)
 
 from .dunkl import DunklWeights, _at_table_precision, _check_alpha
 from .means import MeanParams, P_INF, conjugate_exponent, means_on_grid
@@ -157,17 +164,21 @@ def rate_exponent(p, alpha, which: str) -> mpf:
     raise ValueError(f"which must be hc, fhc_upper or fhc_lower, got {which!r}")
 
 
-@_at_table_precision
 def lemma1_ratio(n: int, w: DunklWeights) -> mpf:
     """d_n e^{n+alpha+1} / (n+alpha+1)^{n+alpha+1}, evaluated in log domain.
 
     Two-sided boundedness of this ratio over n is the weight asymptotic; the
     band endpoints are empirical constants frozen by the calibration tests.
+    It is exp(ln d_n + x - x ln x) with x = (n + alpha) + 1, each step
+    rounded at the table's precision.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    x = n + w.alpha + 1
-    return mpmath.exp(w.log_weight(n) + x - x * mpmath.ln(x))
+    prec, rnd = w.precision_bits, round_nearest
+    x = mpf_add(mpf_add(w.alpha._mpf_, from_int(n), prec, rnd), fone, prec, rnd)
+    x_ln_x = mpf_mul(x, mpf_log(x, prec, rnd), prec, rnd)
+    exponent = mpf_sub(mpf_add(w.log_weight(n)._mpf_, x, prec, rnd), x_ln_x, prec, rnd)
+    return mp.make_mpf(mpf_exp(exponent, prec, rnd))
 
 
 def mittag_leffler(z, ml_alpha, theta, beta):
@@ -286,45 +297,52 @@ def _ml_peak_walk(x, m: int, theta, beta, tol) -> mpf:
       only shrinks, and g_n theta^(-beta), the weight's maximum, for beta > 0.
 
     The peak term takes one exp and one loggamma; the walk and the sum run
-    with ML_GUARD_BITS extra bits, so rounding stays far below tol.
+    with ML_GUARD_BITS extra bits, so rounding stays far below tol.  The walk
+    runs on raw tuples, each step rounded as the mpf operators round it.
     """
-    half_tol = tol / 2
-    with mp.workprec(mp.prec + ML_GUARD_BITS):
+    prec, rnd = mp.prec, round_nearest
+    wp = prec + ML_GUARD_BITS
+    half_tol = (tol / 2)._mpf_
+    with mp.workprec(wp):
         n0 = int(mpmath.floor(mpmath.root(x, m) / m))
         g0 = mpmath.exp(n0 * mpmath.ln(x) - mpmath.loggamma(m * n0 + 1))
-        weighted = beta != 0
+        weighted, rising = beta != 0, beta < 0
         t0 = g0 / (n0 + theta) ** beta if weighted else g0
-        weight_max = theta ** -beta if beta > 0 else None
-        total = t0
-        walked = 1
-        for up in (True, False):
-            n, g, t = n0, g0, t0
-            while up or n > 0:
-                # g's ratio for the step away from the peak
-                falling = 1
-                for i in range(1, m + 1):
-                    falling *= m * (n if up else n - 1) + i
-                rho = x / falling if up else falling / x
-                g_next = g * rho
-                n += 1 if up else -1
-                t_next = g_next / (n + theta) ** beta if weighted else g_next
-                if up and beta < 0:
-                    rho = t_next / t
-                # the tail bound is at least t_next, so it is tried only once
-                # t_next itself is below tol/2 of the total
-                cap = half_tol * total
-                if rho < 1 and t_next < cap:
-                    s = g * weight_max if not up and weight_max is not None else t
-                    if s * rho < cap * (1 - rho):
-                        break
-                total += t_next
-                g, t = g_next, t_next
-                walked += 1
-                if walked > ML_MAX_TERMS:
-                    raise RuntimeError(
-                        f"Mittag-Leffler sum not converged within {ML_MAX_TERMS} terms"
-                    )
-    return +total
+        weight_max = (theta ** -beta)._mpf_ if beta > 0 else None
+    x, theta, beta, total = x._mpf_, theta._mpf_, beta._mpf_, t0._mpf_
+    walked = 1
+    for up in (True, False):
+        n, g, t = n0, g0._mpf_, t0._mpf_
+        while up or n > 0:
+            # g's ratio for the step away from the peak
+            falling = 1
+            for i in range(1, m + 1):
+                falling *= m * (n if up else n - 1) + i
+            rho = (mpf_div(x, from_int(falling), wp, rnd) if up
+                   else mpf_rdiv_int(falling, x, wp, rnd))
+            g_next = t_next = mpf_mul(g, rho, wp, rnd)
+            n += 1 if up else -1
+            if weighted:
+                weight = mpf_pow(mpf_add(theta, from_int(n), wp, rnd), beta, wp, rnd)
+                t_next = mpf_div(g_next, weight, wp, rnd)
+            if up and rising:
+                rho = mpf_div(t_next, t, wp, rnd)
+            # the tail bound is at least t_next, so it is tried only once
+            # t_next itself is below tol/2 of the total
+            cap = mpf_mul(half_tol, total, wp, rnd)
+            if mpf_lt(rho, fone) and mpf_lt(t_next, cap):
+                s = mpf_mul(g, weight_max, wp, rnd) if not up and weight_max is not None else t
+                if mpf_lt(mpf_mul(s, rho, wp, rnd),
+                          mpf_mul(cap, mpf_sub(fone, rho, wp, rnd), wp, rnd)):
+                    break
+            total = mpf_add(total, t_next, wp, rnd)
+            g, t = g_next, t_next
+            walked += 1
+            if walked > ML_MAX_TERMS:
+                raise RuntimeError(
+                    f"Mittag-Leffler sum not converged within {ML_MAX_TERMS} terms"
+                )
+    return mp.make_mpf(mpf_pos(total, prec, rnd))
 
 
 def barnes_asymptotic(r, ml_alpha, theta, beta) -> mpf:
@@ -370,25 +388,26 @@ def lemma3_on_grid(radii, q, w: DunklWeights) -> list:
         raise ValueError(f"q must lie in [1, 2], got {q}")
     p = conjugate_exponent(q)
     a = rate_exponent(p, w.alpha, "fhc_upper")
-    cutoff = mpf(2) ** (-mp.prec)
+    prec, rnd = w.precision_bits, round_nearest
     inv_aq = [None]  # a_n^(-q) for n >= 1, extended lazily
     ratios = []
     for r in radii:
-        r_q = r**q
+        r_q = (r**q)._mpf_
         settle_from = int(mpmath.floor(r))  # the cutoff applies for n > r
-        term = total = mpf(1)  # n = 0: r^0 / d_0^q
+        term = total = fone  # n = 0: r^0 / d_0^q
         for n in range(1, w.n_max + 1):
             if n == len(inv_aq):
-                inv_aq.append(w.ratio(n) ** -q)
-            term = term * r_q * inv_aq[n]
-            total += term
-            if n > settle_from and term < cutoff * total:
+                inv_aq.append((w.ratio(n) ** -q)._mpf_)
+            term = mpf_mul(mpf_mul(term, r_q, prec, rnd), inv_aq[n], prec, rnd)
+            total = mpf_add(total, term, prec, rnd)
+            # total 2^-prec is exact, so the shift is the product with the cutoff
+            if n > settle_from and mpf_lt(term, mpf_shift(total, -prec)):
                 break
         else:
             raise ValueError(f"weight table (n_max={w.n_max}) exhausted before the sum "
                              f"settled at r={mpmath.nstr(r, 8)}")
         ln_r = mpmath.ln(r)
-        ratios.append(mpmath.exp(mpmath.ln(total) - q * (r - a * ln_r)))
+        ratios.append(mpmath.exp(mpmath.ln(mp.make_mpf(total)) - q * (r - a * ln_r)))
     return ratios
 
 

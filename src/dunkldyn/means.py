@@ -50,6 +50,10 @@ Parseval likewise drops terms more than (precision + 64) bits below the
 top term.  The p = infinity refine evaluates only the terms that survive
 the window, rotated to a peak's angle through the exact residue (j n)
 mod m, so its phases stay accurate to float64 at any degree.
+
+The sampled routes' per-coefficient table and the Hausdorff-Young left-hand
+terms run on raw libmp tuples; as in ``growth``, each equals the mpf
+expression it replaces bit for bit, and the tests keep that as its oracle.
 """
 
 from __future__ import annotations
@@ -60,6 +64,8 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import (from_float, mpc_abs, mpc_div_mpf, mpc_to_complex, mpf_log, mpf_mul,
+                          mpf_pow, mpf_pow_int, mpf_sub, round_nearest, to_float)
 
 from .series import TruncatedSeries
 
@@ -137,27 +143,31 @@ class _CircleTable:
     n lists the nonzero degrees as ints for mpf arithmetic and degrees as an
     int64 array; log_abs_f holds ln|c_n| rounded to float64, which selects
     candidate terms.  The Parseval route also keeps |c_n|^2; the sampling
-    routes keep ln|c_n| at working precision, its float64 remainder
-    log_abs_lo (so log_abs_f + log_abs_lo is a double-double) and the unit
-    phase c_n/|c_n| in complex128.
+    routes keep ln|c_n| at working precision as an mpf tuple, its float64
+    remainder log_abs_lo (so log_abs_f + log_abs_lo is a double-double) and
+    the unit phase c_n/|c_n| in complex128.
     """
 
     __slots__ = ("n", "degrees", "log_abs_f", "abs2", "log_abs", "log_abs_lo", "phase")
 
     def __init__(self, f: TruncatedSeries, parseval: bool):
         items = list(f.items())
-        mags = [abs(c) for _, c in items]
         self.n = [n for n, _ in items]
         self.degrees = np.array(self.n, dtype=np.int64)
         if parseval:
+            mags = [abs(c) for _, c in items]
             self.log_abs_f = np.array([_float_ln(a) for a in mags])
             self.abs2 = [a**2 for a in mags]
         else:
-            self.log_abs = [mpmath.ln(a) for a in mags]
-            self.log_abs_f = np.array([float(v) for v in self.log_abs])
-            self.log_abs_lo = np.array([float(v - h)
-                                        for v, h in zip(self.log_abs, self.log_abs_f)])
-            self.phase = np.array([complex(c / a) for (_, c), a in zip(items, mags)])
+            prec, rnd = mp.prec, round_nearest
+            mags = [mpc_abs(c._mpc_, prec, rnd) for _, c in items]
+            self.log_abs = [mpf_log(a, prec, rnd) for a in mags]
+            hi = [to_float(v, rnd=rnd) for v in self.log_abs]
+            self.log_abs_f = np.array(hi)
+            self.log_abs_lo = np.array([to_float(mpf_sub(v, from_float(h), prec, rnd), rnd=rnd)
+                                        for v, h in zip(self.log_abs, hi)])
+            self.phase = np.array([mpc_to_complex(mpc_div_mpf(c._mpc_, a, prec, rnd), rnd=rnd)
+                                   for (_, c), a in zip(items, mags)])
 
     def window(self, ln_r: float, width: float):
         """(indices, top): the terms within width nats of the largest |c_n| r^n, and that term."""
@@ -194,7 +204,7 @@ class _CircleTable:
         s, e_1 = _two_sum(s, k * l_1)
         s, e_2 = _two_sum(s, k * l_2)
         rel = s + (e_a + e_1 + e_2 + (self.log_abs_lo[idx] - self.log_abs_lo[top]) + k * l_lo)
-        shift = self.log_abs[top] + self.n[top] * ln_r
+        shift = mp.make_mpf(self.log_abs[top]) + self.n[top] * ln_r
         keep = rel >= _UNDERFLOW_LOG
         sel = idx[keep]
         return shift, (self.degrees[sel], np.exp(rel[keep]) * self.phase[sel])
@@ -429,8 +439,12 @@ def hausdorff_young_on_grid(f: TruncatedSeries, radii, params: MeanParams) -> li
     if not all(r > 0 for r in radii):
         raise ValueError(f"r must be > 0, got {next(r for r in radii if not r > 0)}")
     q = params.q
-    mags = [(n, abs(c)) for n, c in f.items()]
-    lhs = [mpmath.fsum((a * r**n) ** q for n, a in mags) ** (1 / q) if mags else mpf(0)
+    prec, rnd = mp.prec, round_nearest
+    mags = [(n, mpc_abs(c._mpc_, prec, rnd)) for n, c in f.items()]
+    # the terms (|c_n| r^n)^q, rounded as the mpf operators round them
+    lhs = [mpmath.fsum(mp.make_mpf(mpf_pow(mpf_mul(a, mpf_pow_int(r._mpf_, n, prec, rnd), prec,
+                                                   rnd), q._mpf_, prec, rnd))
+                       for n, a in mags) ** (1 / q) if mags else mpf(0)
            for r in radii]
     return [HausdorffYoungResult(x, m.value, m.value - x)
             for x, m in zip(lhs, means_on_grid(f, radii, params))]

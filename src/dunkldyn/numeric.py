@@ -13,17 +13,24 @@ from __future__ import annotations
 
 import math
 
-import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import normalize, round_nearest, to_str
 
 DEFAULT_PRECISION_BITS = 256
 
 
 def to_decimal(x) -> str:
-    """Serialize an mpf as a decimal string that parses back to the same value.
+    """Serialize x, rounded as mpf(x) rounds it, as a decimal string that parses back to it.
 
     ceil(prec log10 2) + 3 digits at the working precision prec suffice for
-    an exact binary->decimal->binary round trip.
+    an exact binary->decimal->binary round trip.  An mpf is rounded by one
+    normalise of its tuple; zero and the special values pass as they are.
     """
-    digits = int(math.ceil(mp.prec * math.log10(2))) + 3
-    return mpmath.libmp.to_str(mpf(x)._mpf_, digits, strip_zeros=True)
+    prec = mp.prec
+    if type(x) is mpf:
+        sign, man, exp, bc = v = x._mpf_
+        if man:
+            v = normalize(sign, man, exp, bc, prec, round_nearest)
+    else:
+        v = mpf(x)._mpf_
+    return to_str(v, int(math.ceil(prec * math.log10(2))) + 3, strip_zeros=True)

@@ -10,6 +10,7 @@ from mpmath import libmp, mp, mpf, mpc
 
 from dunkldyn import dunkl
 from dunkldyn.dunkl import DunklWeights, apply_dunkl, apply_dunkl_direct, right_inverse
+from dunkldyn.growth import lemma1_ratio, lemma3_on_grid
 from dunkldyn.series import TruncatedSeries
 
 ALPHAS = ["-0.49", "0", "0.5", "1", "3"]
@@ -185,12 +186,16 @@ class TestTablePrecision:
             apply_dunkl(f, DunklWeights(mpf("0.5"), 16), 2))
 
     def test_methods_read_at_table_precision(self):
-        # a 512-bit table read at ambient 53 gives its 512-bit values, not 53-bit ones
+        # a 512-bit table read at ambient 53 gives its 512-bit values, not 53-bit ones;
+        # the raw-tuple loops of the lemma ratios take that precision from the table too
+        reads = (lambda w: w.log_weight(5), lambda w: w.weight(5),
+                 lambda w: w.gamma_form_log_weight(5), lambda w: lemma1_ratio(5, w),
+                 lambda w: lemma3_on_grid([mpf("0.5")], 2, w)[0])
         with mpmath.workprec(512):
-            w = DunklWeights(mpf("0.5"), 16)
-            want = [f(5)._mpf_ for f in (w.log_weight, w.weight, w.gamma_form_log_weight)]
+            w = DunklWeights(mpf("0.5"), 200)
+            want = [read(w)._mpf_ for read in reads]
         with mpmath.workprec(53):
-            got = [f(5) for f in (w.log_weight, w.weight, w.gamma_form_log_weight)]
+            got = [read(w) for read in reads]
             assert mp.prec == 53
         assert [v._mpf_ for v in got] == want
         assert all(400 < v.man.bit_length() <= 512 for v in got)
@@ -206,6 +211,38 @@ class TestTablePrecision:
         back = apply_dunkl(right_inverse(f, w, 3), w, 3)
         for n in range(17):
             assert abs(back.coeff(n) - f.coeff(n)) <= abs(f.coeff(n)) * mpf(2) ** (8 - mp.prec)
+
+
+def _apply_dunkl_mpf(f, w, k):
+    """apply_dunkl in mpf and mpc operators: the oracle its raw-tuple loop must equal bit for bit."""
+    with mpmath.workprec(w.precision_bits):
+        table = {i - k: c * mpmath.exp(w.log_weight(i) - w.log_weight(i - k))
+                 for i, c in f.items() if i >= k}
+        return TruncatedSeries(table, f.trunc_degree)
+
+
+class TestRawLoops:
+    @pytest.mark.parametrize("bits", [53, 256, 512])
+    @pytest.mark.parametrize("alpha_s", ALPHAS)
+    def test_weight_equals_exp_of_log_weight(self, alpha_s, bits):
+        with mpmath.workprec(bits):
+            w = DunklWeights(mpf(alpha_s), 600)
+            want = [mpmath.exp(w.log_weight(n))._mpf_ for n in range(601)]
+        assert [w.weight(n)._mpf_ for n in range(601)] == want
+        assert w.weight(-1) == 0
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_apply_dunkl_equals_mpf_operators(self, k, bits):
+        rng = random.Random(k)
+        for alpha_s in ALPHAS:
+            with mpmath.workprec(bits):
+                w = DunklWeights(mpf(alpha_s), 160)
+            coeffs = {n: mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * mpf(10) ** rng.randint(-40, 40)
+                      for n in rng.sample(range(161), 60)}
+            f = TruncatedSeries(coeffs, trunc_degree=160)
+            assert coefficient_bits(apply_dunkl(f, w, k)) == coefficient_bits(
+                _apply_dunkl_mpf(f, w, k))
 
 
 class TestOperator:

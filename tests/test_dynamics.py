@@ -1,5 +1,7 @@
 """Orbit diagnostics at the origin and the growth-constant sweep."""
 
+import math
+
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,9 +188,32 @@ def _swept_terms(f, alpha, radii) -> list:
     return [res.value * r ** (alpha + 1) / mpmath.exp(r) for r, res in zip(radii, results)]
 
 
+def augmented_radii_sorted(r_grid, alpha, N) -> list:
+    """dynamics._augmented_radii by plain sorted(): the oracle of its float-keyed sort."""
+    return sorted({mpf(r) for r in r_grid} | {n + alpha + 1 for n in range(N + 1)})
+
+
+@pytest.mark.parametrize("alpha_s", ["-0.49", "0", "0.3", "3"])
+def test_augmented_radii_sort_equals_plain_sorted(alpha_s):
+    # grid points within a 256-bit ulp of each n + alpha + 1, at its float64
+    # rounding and one float64 step either side: the float64 keys tie, and the
+    # exact comparison must give sorted()'s order
+    alpha = mpf(alpha_s)
+    N = 60
+    grid = []
+    for n in range(N + 1):
+        x = n + alpha + 1
+        near = float(x)
+        grid += [x * (1 - mpf(2) ** -255), x * (1 + mpf(2) ** -255), mpf(near),
+                 mpf(math.nextafter(near, math.inf)), mpf(math.nextafter(near, -math.inf))]
+    got = dynamics._augmented_radii(grid, alpha, N)
+    assert len({float(r) for r in got}) < len(got)  # float64 ties do occur
+    assert [r._mpf_ for r in got] == [r._mpf_ for r in augmented_radii_sorted(grid, alpha, N)]
+
+
 def exhaustive_thm3b(f, w, r_grid, N) -> tuple:
     """(c_star, r_peak, consistent) of thm3b_bound_check from M_1 at every radius."""
-    radii = dynamics._augmented_radii(r_grid, w.alpha, N)
+    radii = augmented_radii_sorted(r_grid, w.alpha, N)
     terms = _swept_terms(f, w.alpha, radii)
     peak = max(range(len(radii)), key=terms.__getitem__)  # first maximum
     margin = mpmath.exp(mpf(2) ** (40 - mp.prec))
@@ -202,7 +227,7 @@ def exhaustive_windowed(f, w, r_grid, r_maxes) -> tuple:
     windows = []
     for r_max in r_maxes:
         N = min(max(0, int(mpmath.floor(r_max - w.alpha - 1))), f.trunc_degree)
-        windows.append(dynamics._augmented_radii([r for r in r_grid if r <= r_max], w.alpha, N))
+        windows.append(augmented_radii_sorted([r for r in r_grid if r <= r_max], w.alpha, N))
     radii = sorted(set().union(*windows))
     terms = dict(zip(radii, _swept_terms(f, w.alpha, radii)))
     return tuple(max(terms[r] for r in window) for window in windows)

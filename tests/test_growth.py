@@ -10,7 +10,9 @@ from mpmath import mp, mpf
 
 from dunkldyn.dunkl import DunklWeights
 from dunkldyn.growth import (
+    ML_GUARD_BITS,
     RateEnvelope,
+    _ml_peak_walk,
     barnes_asymptotic,
     growth_profile,
     lemma1_ratio,
@@ -126,6 +128,18 @@ class TestLemma1Band:
         with pytest.raises(ValueError):
             lemma1_ratio(-1, w)
 
+    @pytest.mark.parametrize("alpha_s", sorted(LEMMA1_BAND))
+    def test_raw_loop_equals_mpf_operators(self, alpha_s):
+        w = DunklWeights(mpf(alpha_s), 2500)
+        assert ([lemma1_ratio(n, w)._mpf_ for n in range(2501)]
+                == [_lemma1_mpf(n, w)._mpf_ for n in range(2501)])
+
+
+def _lemma1_mpf(n, w):
+    """lemma1_ratio in mpf operators: the oracle its raw-tuple loop must equal bit for bit."""
+    x = n + w.alpha + 1
+    return mpmath.exp(w.log_weight(n) + x - x * mpmath.ln(x))
+
 
 class TestMittagLeffler:
     def test_small_argument_against_nsum_oracle(self):
@@ -195,6 +209,56 @@ def _ml_from_zero(x, ml, theta, beta):
             n += 1
 
 
+def _ml_peak_walk_mpf(x, m, theta, beta, tol):
+    """_ml_peak_walk in mpf operators: the oracle its raw-tuple walk must equal bit for bit."""
+    half_tol = tol / 2
+    with mp.workprec(mp.prec + ML_GUARD_BITS):
+        n0 = int(mpmath.floor(mpmath.root(x, m) / m))
+        g0 = mpmath.exp(n0 * mpmath.ln(x) - mpmath.loggamma(m * n0 + 1))
+        weighted = beta != 0
+        t0 = g0 / (n0 + theta) ** beta if weighted else g0
+        weight_max = theta ** -beta if beta > 0 else None
+        total = t0
+        for up in (True, False):
+            n, g, t = n0, g0, t0
+            while up or n > 0:
+                falling = 1
+                for i in range(1, m + 1):
+                    falling *= m * (n if up else n - 1) + i
+                rho = x / falling if up else falling / x
+                g_next = g * rho
+                n += 1 if up else -1
+                t_next = g_next / (n + theta) ** beta if weighted else g_next
+                if up and beta < 0:
+                    rho = t_next / t
+                cap = half_tol * total
+                if rho < 1 and t_next < cap:
+                    s = g * weight_max if not up and weight_max is not None else t
+                    if s * rho < cap * (1 - rho):
+                        break
+                total += t_next
+                g, t = g_next, t_next
+    return +total
+
+
+def _lemma3_mpf(radii, q, w):
+    """lemma3_on_grid in mpf operators: the oracle its raw-tuple loop must equal bit for bit."""
+    p = conjugate_exponent(q)
+    a = rate_exponent(p, w.alpha, "fhc_upper")
+    cutoff = mpf(2) ** (-mp.prec)
+    ratios = []
+    for r in radii:
+        r_q = r**q
+        term = total = mpf(1)
+        for n in range(1, w.n_max + 1):
+            term = term * r_q * w.ratio(n) ** -q
+            total += term
+            if n > int(mpmath.floor(r)) and term < cutoff * total:
+                break
+        ratios.append(mpmath.exp(mpmath.ln(total) - q * (r - a * mpmath.ln(r))))
+    return ratios
+
+
 def _lemma3_exp_loop(r, q, w):
     """The per-term exp(q(n ln r - ln d_n)) sum of Lemma 3, cut off at 2^-prec."""
     p = conjugate_exponent(q)
@@ -246,6 +310,17 @@ class TestPeakWalk:
         want = mpmath.exp(x**2) * mpmath.erfc(-x)
         got = mittag_leffler(x, mpf("0.5"), 1, 0)
         assert abs(got - want) <= want * mpf(2) ** -200
+
+    @pytest.mark.parametrize("theta_s,x_s", [("1", "0.3"), ("1", "50"), ("0.5", "3e3"),
+                                             ("1", "4e4")])
+    @pytest.mark.parametrize("beta_s", ["-1", "0", "1"])
+    @pytest.mark.parametrize("ml", [1, 2])
+    def test_raw_walk_equals_mpf_operators(self, ml, beta_s, theta_s, x_s):
+        x, theta, beta = mpf(x_s), mpf(theta_s), mpf(beta_s)
+        tol = mpf(2) ** (16 - mp.prec)
+        want = _ml_peak_walk_mpf(x, ml, theta, beta, tol)._mpf_
+        assert _ml_peak_walk(x, ml, theta, beta, tol)._mpf_ == want
+        assert mittag_leffler(x, ml, theta, beta)._mpf_ == want
 
     @pytest.mark.parametrize("x_s", ["30", "60"])
     def test_fractional_order_meets_tol_on_the_positive_axis(self, x_s):
@@ -306,6 +381,14 @@ class TestLemma3:
             want = [_lemma3_exp_loop(r, mpf(q_s), w512) for r in radii]
         for g, v in zip(got, want):
             assert abs(g - v) <= v * mpf(2) ** (16 - 256)
+
+    @pytest.mark.parametrize("alpha_s", ["-0.49", "0", "3"])
+    @pytest.mark.parametrize("q_s", ["1", "1.5", "2"])
+    def test_raw_loop_equals_mpf_operators(self, q_s, alpha_s):
+        radii = standard_r_grid(mpf("0.1"), mpf(200), 16)
+        w = DunklWeights(mpf(alpha_s), 900)
+        want = [v._mpf_ for v in _lemma3_mpf(radii, mpf(q_s), w)]
+        assert [v._mpf_ for v in lemma3_on_grid(radii, mpf(q_s), w)] == want
 
     def test_table_exhaustion_raises(self):
         w = DunklWeights(0, 64)

@@ -203,6 +203,20 @@ class TestHausdorffYoung:
                 rhs = mean_p(f, r, params).value
                 assert res == (lhs, rhs, rhs - lhs)
 
+    @pytest.mark.parametrize("p_s", ["1.25", "1.5", "1.7", "2"])
+    def test_lhs_equals_mpf_operators(self, p_s):
+        # the raw-tuple terms against the mpf expression they replace, bit for bit;
+        # q = 5, 3 and 2 take the integer power, q = 17/7 the general one
+        rng = random.Random(5)
+        params = MeanParams(mpf(p_s))
+        q = params.q
+        radii = [mpf("0.01"), mpf("0.5"), mpf(3), mpf(1000)]
+        f = TruncatedSeries({n: mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * mpf(10) ** -n
+                             for n in range(0, 90, 3)}, trunc_degree=90)
+        want = [(mpmath.fsum((abs(c) * r**n) ** q for n, c in f.items()) ** (1 / q))._mpf_
+                for r in radii]
+        assert [res.lhs._mpf_ for res in hausdorff_young_on_grid(f, radii, params)] == want
+
     def test_grid_domain(self):
         f = TruncatedSeries({0: 1, 2: 1}, trunc_degree=8)
         with pytest.raises(ValueError):
@@ -277,6 +291,36 @@ def test_kernel_samples_equal_per_coefficient_reference(name):
         for p in ps:
             want = _quadrature_mean(shift, samples, p).value
             assert abs(got[p][i].value - want) <= want * mpf("1e-14")
+
+
+def _circle_table_fields_mpf(f):
+    """The sampled routes' _CircleTable fields in mpf and mpc operators: the oracle of
+    their raw-tuple build, which must equal it bit for bit."""
+    items = list(f.items())
+    mags = [abs(c) for _, c in items]
+    log_abs = [mpmath.ln(a) for a in mags]
+    log_abs_f = np.array([float(v) for v in log_abs])
+    log_abs_lo = np.array([float(v - h) for v, h in zip(log_abs, log_abs_f)])
+    phase = np.array([complex(c / a) for (_, c), a in zip(items, mags)])
+    return [v._mpf_ for v in log_abs], log_abs_f, log_abs_lo, phase
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("name", list(_SERIES) + ["mixed"])
+def test_circle_table_fields_equal_mpf_operators(name, bits):
+    rng = random.Random(3)
+    with mp.workprec(bits):
+        if name == "mixed":  # real, imaginary, negative and tiny coefficients
+            f = TruncatedSeries({0: -3, 1: mpc(0, 2), 2: mpc(-1, -1), 5: mpf(10) ** -300,
+                                 9: mpc(rng.uniform(-1, 1), 1e-20)}, trunc_degree=16)
+        else:
+            f = _SERIES[name]()
+        table = _CircleTable(f, parseval=False)
+        log_abs, log_abs_f, log_abs_lo, phase = _circle_table_fields_mpf(f)
+    assert table.log_abs == log_abs
+    for got, want in ((table.log_abs_f, log_abs_f), (table.log_abs_lo, log_abs_lo),
+                      (table.phase, phase)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _mpf_peak(f, r, theta, half_width):
