@@ -52,7 +52,6 @@ from .construct import (
     FrequencyReport,
     InfeasibleConstruction,
     OrbitHitReport,
-    TargetEnumeration,
     build_frequently_hypercyclic,
     build_hypercyclic,
     density_decay_check,
@@ -73,7 +72,15 @@ from .dynamics import (
     thm3b_bound_check,
     windowed_c_star,
 )
-from .cli import ExperimentConfig, run
+
+
+def __getattr__(name):
+    # the CLI loads on first use, so `python -m dunkldyn.cli` runs a module not yet imported
+    if name in ("ExperimentConfig", "run"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ALPHA_BOUNDARY_GAP",
@@ -94,7 +101,6 @@ __all__ = [
     "OrbitReport",
     "P_INF",
     "RateEnvelope",
-    "TargetEnumeration",
     "Thm3bReport",
     "TruncatedSeries",
     "apply_dunkl",

@@ -68,10 +68,11 @@ from itertools import product
 import mpmath
 import numpy as np
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import mpf_add, round_nearest, to_float
 
 from .dunkl import DunklWeights, _at_table_precision, _require_table, apply_dunkl, right_inverse
 from .growth import RateEnvelope, rate_exponent, standard_r_grid
-from .means import _BLOCK_ELEMENTS, _circle_rows, circle_max
+from .means import _BLOCK_ELEMENTS, _CircleTable, _circle_rows, circle_max
 from .numeric import to_decimal
 from .series import TruncatedSeries, read_header, read_text
 
@@ -154,51 +155,40 @@ def _rationals_of_height(h: int):
                 yield Fraction(-num, den)
 
 
-class TargetEnumeration:
-    """Deterministic bijection index -> rational polynomial of degree <= max_degree.
+def _targets():
+    """Every rational polynomial of degree <= MAX_DEGREE, once each, after the zero polynomial.
 
-    Index 1 is the zero polynomial.  Stage h >= 1 appends, in order of degree,
-    then leading coefficient, then lower coefficients with the constant term
-    varying fastest, every polynomial whose coefficient data has height
-    max(|num|, den) exactly h.  Each polynomial therefore appears exactly once
-    and every rational polynomial with bounded data is eventually reached.
+    Stage h >= 1 yields, in order of degree, then leading coefficient, then
+    lower coefficients with the constant term varying fastest, every
+    polynomial whose coefficient data has height max(|num|, den) exactly h,
+    so every rational polynomial with bounded data is eventually reached.
     """
-
-    def __init__(self, max_degree: int = MAX_DEGREE):
-        if max_degree < 0:
-            raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-        self.max_degree = max_degree
-        self._cache = [()]
-        self._gen = self._generate()
-
-    def _generate(self):
-        h = 0
-        values = [Fraction(0)]
-        while True:
-            h += 1
-            values = values + list(_rationals_of_height(h))
-            nonzero = [v for v in values if v != 0]
-            for d in range(self.max_degree + 1):
-                for lead in nonzero:
-                    for lower in product(values, repeat=d):
-                        data = lower + (lead,)
-                        if max(max(abs(c.numerator), c.denominator) for c in data) != h:
-                            continue
-                        yield tuple(reversed(lower)) + (lead,)
-
-    def polynomial(self, index: int) -> Polynomial:
-        if index < 1:
-            raise ValueError(f"index must be >= 1, got {index}")
-        while len(self._cache) < index:
-            self._cache.append(next(self._gen))
-        return self._cache[index - 1]
+    h = 0
+    values = [Fraction(0)]
+    while True:
+        h += 1
+        values = values + list(_rationals_of_height(h))
+        nonzero = [v for v in values if v != 0]
+        for d in range(MAX_DEGREE + 1):
+            for lead in nonzero:
+                for lower in product(values, repeat=d):
+                    data = lower + (lead,)
+                    if max(max(abs(c.numerator), c.denominator) for c in data) != h:
+                        continue
+                    yield tuple(reversed(lower)) + (lead,)
 
 
-_TARGETS = TargetEnumeration(MAX_DEGREE)
+_TARGETS = [()]  # the enumeration so far; index 1 is the zero polynomial
+_MORE_TARGETS = _targets()
 
 
 def enumerate_targets(index: int) -> Polynomial:
-    return _TARGETS.polynomial(index)
+    """The deterministic bijection index -> rational polynomial of ``_targets``, from index 1."""
+    if index < 1:
+        raise ValueError(f"index must be >= 1, got {index}")
+    while len(_TARGETS) < index:
+        _TARGETS.append(next(_MORE_TARGETS))
+    return _TARGETS[index - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +281,18 @@ def _phi_at(env: RateEnvelope, w: DunklWeights, r) -> mpf:
 class _NormKernel:
     """Weighted norm sup_r [sum_n |y_n| r^n] r^a / (env(r) e^r) over a radius grid.
 
-    Holds ln r, the penalty a ln r - ln env(r) - r and ln d_n (n <= n_max,
-    from ``w.float_log_weights``) and log_env, ln of env_vals = env on r_grid,
-    as float64 arrays; all work stays in the log domain, so nothing overflows.
+    Holds ln r, the penalty a ln r - ln env(r) - r, logd = ln d_n as the
+    caller passes it (``w.float_log_weights``) and log_env, ln of env_vals =
+    env on r_grid, as float64 arrays; all work stays in the log domain, so
+    nothing overflows.
     """
 
-    def __init__(self, w: DunklWeights, env_vals, a, r_grid, n_max: int):
+    def __init__(self, logd: np.ndarray, env_vals, a, r_grid):
         self.ln_r = np.array([float(mpmath.ln(r)) for r in r_grid])
         self.log_env = np.array([float(mpmath.ln(v)) for v in env_vals])
         r_vals = np.array([float(r) for r in r_grid])
         self.pen = float(a) * self.ln_r - self.log_env - r_vals
-        self.logd = w.float_log_weights(n_max)
+        self.logd = logd
 
     def factor_table(self) -> np.ndarray:
         """g[nu] = max_r r^{nu+a} / (d_nu env(r) e^r), flushed to 0 below e^-745.
@@ -447,15 +438,14 @@ def build_hypercyclic(
     if any(poly_degree(q) > MAX_DEGREE for q in targets):
         raise ValueError(f"targets must have degree <= {MAX_DEGREE}")
 
-    kernel = _NormKernel(w, env_vals, w.alpha + 1, grid, trunc_degree)
+    kernel = _NormKernel(w.float_log_weights(trunc_degree), env_vals, w.alpha + 1, grid)
     if cfg.saturate_envelope:
         filler_degrees, filler_coeffs = _calibrate_fillers(w, env, grid, kernel.log_env)
     else:
         filler_degrees, filler_coeffs = (), ()
 
     # test (c): on the one point R the penalty is -ln Phi(R); ln d_n is shared
-    shadow = _NormKernel(w, (env(mpf(R_BUILD)),), w.alpha + 1, (mpf(R_BUILD),), 0)
-    shadow.logd = kernel.logd
+    shadow = _NormKernel(kernel.logd, (env(mpf(R_BUILD)),), w.alpha + 1, (mpf(R_BUILD),))
 
     positions = []
     budgets = []
@@ -604,7 +594,7 @@ def fuc_tail_norms(
     a = rate_exponent(p, w.alpha, "fhc_upper")
     deg = poly_degree(poly)
     grid = standard_r_grid()
-    kernel = _NormKernel(w, map(env, grid), a, grid, w.n_max)
+    kernel = _NormKernel(w.float_log_weights(w.n_max), map(env, grid), a, grid)
     g = kernel.factor_table()
     suffix = np.concatenate([np.cumsum(g[::-1])[::-1], [0.0]])
     total = 0.0
@@ -644,7 +634,7 @@ def build_frequently_hypercyclic(
         )
 
     a = rate_exponent(p, w.alpha, "fhc_upper")
-    kernel = _NormKernel(w, env_vals, a, grid, trunc_degree)
+    kernel = _NormKernel(w.float_log_weights(trunc_degree), env_vals, a, grid)
     g = kernel.factor_table()
     factors = [kernel.log_factors(q) for q in targets]
 
@@ -719,14 +709,16 @@ def frequency_report(
     0.0999986 from eps.  The unit tests cross-check single rows against the
     working-precision route.
 
-    Unlike the builders' kernel, this reads ln d_n from the mpf table, not
-    from ``DunklWeights.float_log_weights``.  A block coefficient is c_s =
-    q_i d_i / d_s, so ln|c_s| + ln d_s cancels in mpf to the small ln(|q_i|
-    d_i) before it is rounded to float64; on the float64 table the ~1e-11
-    error of ln d_s would survive that cancellation.  On three J = 3 fhc
-    builds (alpha 1 and 0 at p 2, alpha 3 at p 1; R 1, m 64) the float route
-    moves hit-row sups by up to 2.2e-12 absolute, up to 1.6e4 times the sup
-    itself, which could change the counts at a small eps.
+    ln|c_s| and the unit phases come from the sampled means' coefficient
+    table (``means._CircleTable``).  Unlike the builders' kernel, this reads
+    ln d_n from the mpf table, not from ``DunklWeights.float_log_weights``.
+    A block coefficient is c_s = q_i d_i / d_s, so ln|c_s| + ln d_s cancels
+    in mpf to the small ln(|q_i| d_i) before it is rounded to float64; on the
+    float64 table the ~1e-11 error of ln d_s would survive that cancellation.
+    On three J = 3 fhc builds (alpha 1 and 0 at p 2, alpha 3 at p 1; R 1,
+    m 64) the float route moves hit-row sups by up to 2.2e-12 absolute, up
+    to 1.6e4 times the sup itself, which could change the counts at a small
+    eps.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -742,12 +734,12 @@ def frequency_report(
     _require_table(w, f.trunc_degree)
     # at R = 0 a slope far below -745 per degree keeps the degree-0 terms only
     ln_R = float(mpmath.ln(R)) if R > 0 else -1e300
-    entries = list(f.items())
+    table = _CircleTable(f, parseval=False)
+    degrees, phase, prec = table.degrees, table.phase, w.precision_bits
     logd = np.array([float(w.log_weight(n)) for n in range(f.trunc_degree + 1)])
-    degrees = np.array([s for s, _ in entries], dtype=np.int64)
     # ln(|c_s| d_s); the term of Lambda^n f at degree s - n is this minus ln d_(s-n)
-    log_top = np.array([float(mpmath.ln(abs(c)) + w.log_weight(s)) for s, c in entries])
-    phase = np.array([complex(c / abs(c)) for _, c in entries])
+    log_top = np.array([to_float(mpf_add(la, w.log_weight(s)._mpf_, prec, round_nearest),
+                                 rnd=round_nearest) for s, la in zip(table.n, table.log_abs)])
     zs = float(R) * np.exp(2j * np.pi * np.arange(m) / m)
     tvals = [sum((float(c) * zs**i for i, c in enumerate(q)), np.zeros(m, dtype=np.complex128))
              for q in schedule.targets]
@@ -770,7 +762,7 @@ def frequency_report(
         return [int(np.sum(np.max(np.abs(samples - t), axis=1) < float(eps))) for t in tvals]
 
     # rows of a block times the entries, and times the samples, stay within _BLOCK_ELEMENTS
-    per_block = max(1, min(_BLOCK_ELEMENTS // m, _BLOCK_ELEMENTS // max(len(entries), 1)))
+    per_block = max(1, min(_BLOCK_ELEMENTS // m, _BLOCK_ELEMENTS // max(len(table.n), 1)))
     counts = [0] * len(tvals)
     for n in range(1, N_window + 1, per_block):
         hits = block_hits(np.arange(n, min(n + per_block, N_window + 1)))

@@ -175,24 +175,30 @@ def _require_table(w: DunklWeights, top: int) -> None:
         raise ValueError(f"weight table too short: need d_{top}, table ends at {w.n_max}")
 
 
+def _shift(f: TruncatedSeries, w: DunklWeights, offset: int) -> TruncatedSeries:
+    """c_i d_i / d_j at degree j = i + offset, dropping j < 0: the loop of ``apply_dunkl``
+    (offset -k) and ``right_inverse`` (+n), rounded as the mpf and mpc operators round it."""
+    prec, log_weight = w.precision_bits, w.log_weight
+    table: dict[int, mpc] = {}
+    for i, c in f.items():
+        j = i + offset
+        if j < 0:
+            continue
+        factor = mpf_exp(mpf_sub(log_weight(i)._mpf_, log_weight(j)._mpf_, prec, round_nearest),
+                         prec, round_nearest)
+        table[j] = mp.make_mpc(mpc_mul_mpf(c._mpc_, factor, prec, round_nearest))
+    return TruncatedSeries(table, f.trunc_degree)
+
+
 @_at_table_precision
 def apply_dunkl(f: TruncatedSeries, w: DunklWeights, k: int = 1) -> TruncatedSeries:
-    """L^k f via the weight table: c_{n+k} d_{n+k}/d_n lands at degree n."""
+    """L^k f via the weight table: c_{n+k} d_{n+k}/d_n lands at degree n; powers below k vanish."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
         return f
     _require_table(w, f.degree())
-    prec, log_weight = w.precision_bits, w.log_weight
-    table: dict[int, mpc] = {}
-    for i, c in f.items():
-        if i < k:
-            continue  # annihilated: d_{i-k} = 0 convention for i - k < 0
-        # c * exp(ln d_i - ln d_(i-k)), rounded as the mpf and mpc operators round it
-        factor = mpf_exp(mpf_sub(log_weight(i)._mpf_, log_weight(i - k)._mpf_, prec,
-                                 round_nearest), prec, round_nearest)
-        table[i - k] = mp.make_mpc(mpc_mul_mpf(c._mpc_, factor, prec, round_nearest))
-    return TruncatedSeries(table, f.trunc_degree)
+    return _shift(f, w, -k)
 
 
 @_at_table_precision
@@ -233,8 +239,4 @@ def right_inverse(f: TruncatedSeries, w: DunklWeights, n: int = 1) -> TruncatedS
             f"right inverse overflow: degree {d} + shift {n} exceeds trunc_degree {f.trunc_degree}"
         )
     _require_table(w, d + n if d >= 0 else 0)
-    table: dict[int, mpc] = {}
-    for i, c in f.items():
-        factor = mpmath.exp(w.log_weight(i) - w.log_weight(i + n))
-        table[i + n] = c * factor
-    return TruncatedSeries(table, f.trunc_degree)
+    return _shift(f, w, n)

@@ -36,14 +36,6 @@ from .series import TruncatedSeries
 _PRUNE_MARGIN = 1e-6  # nats; the bounds' float64 rounding is ~1e-11 nats and M_1's ~1e-10
 
 
-def _coeff_orbit_value(c, log_d) -> mpf:
-    """v = c * d with d = exp(log_d); complex coefficients are reported by modulus."""
-    if c == 0:
-        return mpf(0)
-    c = mpmath.re(c) if mpmath.im(c) == 0 else abs(c)
-    return c * mpmath.exp(log_d)
-
-
 @dataclass(frozen=True)
 class OrbitReport:
     values: tuple  # mpf v_n, n = 0..N
@@ -68,7 +60,12 @@ def orbit_at_zero(f: TruncatedSeries, w: DunklWeights, N: int) -> OrbitReport:
     if N > f.trunc_degree:
         raise ValueError(f"N={N} exceeds trunc_degree {f.trunc_degree}")
     _require_table(w, N)
-    values = [_coeff_orbit_value(f.coeff(n), w.log_weight(n)) for n in range(N + 1)]
+    # complex coefficients are reported by modulus; d_n is read only where c_n != 0
+    values = [mpf(0)] * (N + 1)
+    for n, c in f.items():
+        if n > N:
+            break
+        values[n] = (mpmath.re(c) if mpmath.im(c) == 0 else abs(c)) * w.weight(n)
 
     tol = mpf(2) ** (32 - mp.prec)
     top = min(N, 64)

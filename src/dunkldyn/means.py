@@ -145,7 +145,8 @@ class _CircleTable:
     candidate terms.  The Parseval route also keeps |c_n|^2; the sampling
     routes keep ln|c_n| at working precision as an mpf tuple, its float64
     remainder log_abs_lo (so log_abs_f + log_abs_lo is a double-double) and
-    the unit phase c_n/|c_n| in complex128.
+    the unit phase c_n/|c_n| in complex128; ``construct.frequency_report``
+    reads log_abs and phase too.
     """
 
     __slots__ = ("n", "degrees", "log_abs_f", "abs2", "log_abs", "log_abs_lo", "phase")
@@ -208,19 +209,6 @@ class _CircleTable:
         keep = rel >= _UNDERFLOW_LOG
         sel = idx[keep]
         return shift, (self.degrees[sel], np.exp(rel[keep]) * self.phase[sel])
-
-    def scaled_circle(self, r: mpf, m: int):
-        """(shift, samples, band) with samples[j] = f(r e^{2 pi i j / m}) e^{-shift}.
-
-        shift and band = (degrees, scaled coefficients) come from ``terms``;
-        band lists the surviving terms, the only ones the p = inf refine
-        evaluates.  samples are float64 complex and agree with evaluating
-        every coefficient at working precision to within 1e-14 of the
-        largest sample.  This is the one-radius case of the row batches of
-        ``means_on_grid``.
-        """
-        shift, band = self.terms(r)
-        return shift, _circle_rows(1, m, 0, *band)[0], band
 
 
 def _has_large_factor(n: int) -> bool:
@@ -422,7 +410,8 @@ def circle_max(f: TruncatedSeries, r, m: int) -> mpf:
         return mpf(0)
     if r == 0:
         return abs(f.coeff(0))
-    shift, samples, _ = _CircleTable(f, parseval=False).scaled_circle(r, m)
+    shift, band = _CircleTable(f, parseval=False).terms(r)
+    samples = _circle_rows(1, m, 0, *band)[0]
     return mpmath.exp(shift) * float(np.max(np.abs(samples)))
 
 

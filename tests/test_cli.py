@@ -637,6 +637,28 @@ class TestBadInputExitsOne:
         assert not (tmp_path / "o.csv").exists()
 
 
+class TestModuleEntryPoint:
+    def test_python_m_runs_without_runtime_warning(self, tmp_path):
+        # the package loads cli on first use, so runpy finds dunkldyn.cli not yet imported
+        src = str(Path(dunkldyn.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out, want = tmp_path / "x.csv", tmp_path / "want.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "dunkldyn.cli",
+             "weights", "--n", "4", "-o", str(out)],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert main(["weights", "--n", "4", "-o", str(want)]) == EXIT_OK
+        assert out.read_text().splitlines()[1:] == want.read_text().splitlines()[1:]
+
+    def test_package_still_exports_run(self):
+        assert dunkldyn.run is run and dunkldyn.ExperimentConfig is ExperimentConfig
+        assert {"run", "ExperimentConfig"} <= set(dunkldyn.__all__)
+        with pytest.raises(AttributeError):
+            dunkldyn.no_such_name
+
+
 class TestPrecisionScope:
     @pytest.mark.parametrize("ambient", [53, 512])
     def test_main_and_run_leave_precision_as_found(self, tmp_path, ambient):

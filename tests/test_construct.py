@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpf_add, round_nearest, to_float
 
 from dunkldyn import construct
 from dunkldyn.construct import (
@@ -24,7 +26,6 @@ from dunkldyn.construct import (
     ConstructionPlan,
     FhcSchedule,
     InfeasibleConstruction,
-    TargetEnumeration,
     _NormKernel,
     _calibrate_fillers,
     _phi_at,
@@ -43,7 +44,7 @@ from dunkldyn.construct import (
 )
 from dunkldyn.dunkl import DunklWeights, apply_dunkl
 from dunkldyn.growth import RateEnvelope, standard_r_grid
-from dunkldyn.means import P_INF
+from dunkldyn.means import P_INF, _CircleTable
 from dunkldyn.series import TruncatedSeries, write_series
 
 F = Fraction
@@ -85,19 +86,9 @@ class TestEnumeration:
             assert len(q) <= 9
             assert all(c in (F(0), F(1), F(-1)) for c in q)
 
-    def test_fresh_instance_matches_module_cache(self):
-        enum = TargetEnumeration()
-        for i in (1, 7, 50, 120):
-            assert enum.polynomial(i) == enumerate_targets(i)
-
     def test_index_validation(self):
         with pytest.raises(ValueError):
             enumerate_targets(0)
-
-    def test_degree_cap(self):
-        enum = TargetEnumeration(max_degree=1)
-        for i in range(1, 60):
-            assert len(enum.polynomial(i)) <= 2
 
 
 class TestPolyHelpers:
@@ -157,7 +148,7 @@ class TestNormKernel:
         w = DunklWeights(mpf(alpha_s), 1024)
         env = RateEnvelope.log_growth()
         grid = standard_r_grid()
-        kernel = _NormKernel(w, map(env, grid), w.alpha + 1, grid, 1024)
+        kernel = _NormKernel(w.float_log_weights(1024), map(env, grid), w.alpha + 1, grid)
         ms = [1, 57, 144, 431, 1000]
         for q in self.TARGETS:
             got = kernel.block_log_norms(q, np.array(ms))
@@ -172,7 +163,7 @@ class TestNormKernel:
         w = DunklWeights(mpf(alpha_s), 1024)
         env = RateEnvelope.log_growth()
         r_build = mpf(R_BUILD)
-        kernel = _NormKernel(w, (env(r_build),), w.alpha + 1, (r_build,), 1024)
+        kernel = _NormKernel(w.float_log_weights(1024), (env(r_build),), w.alpha + 1, (r_build,))
         gaps = [1, 9, 57, 400]
         for q in self.TARGETS:
             got = kernel.block_log_norms(q, np.array(gaps))
@@ -184,7 +175,8 @@ class TestNormKernel:
         # g[nu] is the grid bound of the monomial S^nu 1 = z^nu / d_nu
         w = DunklWeights(mpf("0.5"), 512)
         grid = standard_r_grid()
-        kernel = _NormKernel(w, map(RateEnvelope.log_growth(), grid), 2, grid, 512)
+        env = RateEnvelope.log_growth()
+        kernel = _NormKernel(w.float_log_weights(512), map(env, grid), 2, grid)
         nus = np.arange(1, 513, 37)
         got = np.log(kernel.factor_table()[nus])
         assert np.allclose(got, kernel.block_log_norms((F(1),), nus), rtol=0, atol=1e-12)
@@ -713,6 +705,29 @@ class TestFrequencyScatter:
         w = DunklWeights(1, 4096)
         f, s = build_frequently_hypercyclic(w, 2, RateEnvelope.log_growth(), 3)
         return f, s, w
+
+    @pytest.mark.parametrize("bits", [64, 256, 512])
+    @pytest.mark.parametrize("kind", ["fhc", "wide"])
+    def test_log_terms_and_phases_equal_mpf_operators(self, fhc_build, kind, bits):
+        # ln(|c_s| d_s) and c_s/|c_s| as frequency_report forms them from the circle
+        # table, against the same quantities in mpf and mpc operators
+        f = fhc_build[0]
+        if kind == "wide":  # complex, magnitudes near 1e+-300
+            rng = random.Random(bits)
+            f = TruncatedSeries({n: mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                 * mpf(10) ** rng.choice((-300, 300)) for n in range(0, 4096, 7)},
+                                trunc_degree=4096)
+        with mp.workprec(bits):
+            w = DunklWeights(1, 4096)
+            table = _CircleTable(f, parseval=False)
+            log_top = np.array([to_float(mpf_add(la, w.log_weight(s)._mpf_, bits, round_nearest),
+                                         rnd=round_nearest)
+                                for s, la in zip(table.n, table.log_abs)])
+            want_log_top = np.array([float(mpmath.ln(abs(c)) + w.log_weight(s))
+                                     for s, c in f.items()])
+            want_phase = np.array([complex(c / abs(c)) for _, c in f.items()])
+        assert np.array_equal(log_top, want_log_top)
+        assert np.array_equal(table.phase, want_phase)
 
     def test_peak_memory_at_fhc_defaults(self, fhc_build):
         f, s, w = fhc_build

@@ -244,6 +244,23 @@ class TestRawLoops:
             assert coefficient_bits(apply_dunkl(f, w, k)) == coefficient_bits(
                 _apply_dunkl_mpf(f, w, k))
 
+    @pytest.mark.parametrize("bits", [128, 256, 512])
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    def test_right_inverse_equals_mpf_operators(self, n, bits):
+        # the coefficients carry twice the table's bits, so the product rounds
+        rng = random.Random(n)
+        for alpha_s in ALPHAS:
+            with mpmath.workprec(bits):
+                w = DunklWeights(mpf(alpha_s), 200)
+            with mpmath.workprec(2 * bits):
+                coeffs = {i: mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) / 3
+                          * mpf(10) ** rng.randint(-40, 40) for i in rng.sample(range(161), 60)}
+                f = TruncatedSeries(coeffs, trunc_degree=200)
+            with mpmath.workprec(bits):
+                want = [(i + n, (c * mpmath.exp(w.log_weight(i) - w.log_weight(i + n)))._mpc_)
+                        for i, c in f.items()]
+            assert coefficient_bits(right_inverse(f, w, n)) == want
+
 
 class TestOperator:
     def test_monomial_action(self):

@@ -52,6 +52,30 @@ class TestOrbitAtZero:
             else:
                 assert report.values[n] == 0
 
+    @pytest.mark.parametrize("bits", [128, 256, 512])
+    def test_values_equal_mpf_operators(self, bits):
+        # real coefficients by their real part, complex ones by modulus, zeros as 0
+        with mpmath.workprec(bits):
+            w = DunklWeights(mpf("0.5"), 96)
+        coeffs = {0: mpf(3), 1: mpc(0, 2), 4: mpf("-0.25"), 9: mpc(1, -1) / 7,
+                  30: mpf(10) ** -40, 77: mpf(2) ** 100 / 3, 96: mpf(5)}
+        f = TruncatedSeries(coeffs, trunc_degree=96)
+        report = orbit_at_zero(f, w, 80)
+        with mpmath.workprec(bits):
+            want = [mpf(0)._mpf_] * 81
+            for n, c in f.items():
+                if n <= 80:
+                    c = mpmath.re(c) if mpmath.im(c) == 0 else abs(c)
+                    want[n] = (c * mpmath.exp(w.log_weight(n)))._mpf_
+        assert [v._mpf_ for v in report.values] == want
+
+    def test_fills_the_table_only_to_the_top_nonzero_degree(self):
+        # d_n is read only where c_n != 0; the operator cross-check never reads it
+        w = DunklWeights(0, 4096)
+        f = TruncatedSeries({0: mpf(1), 5: mpf(2), 300: mpf(-1), 3000: mpf(4)}, trunc_degree=4096)
+        orbit_at_zero(f, w, 2000)
+        assert len(w._log_d) == 301
+
     def test_zero_function(self):
         w = DunklWeights(0, 32)
         f = TruncatedSeries({}, trunc_degree=32)

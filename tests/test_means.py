@@ -69,7 +69,8 @@ def test_quadrature_agrees_with_parseval_at_p2():
 
 
 def _quadrature_p2(f, r, m=4096):
-    shift, samples, _ = _CircleTable(f, parseval=False).scaled_circle(mpf(r), m)
+    shift, band = _CircleTable(f, parseval=False).terms(mpf(r))
+    samples = _circle_rows(1, m, 0, *band)[0]
     return _quadrature_mean(shift, samples, mpf(2)).value
 
 
@@ -285,7 +286,8 @@ def test_kernel_samples_equal_per_coefficient_reference(name):
     got = {p: means_on_grid(f, _ORACLE_RADII, MeanParams(p)) for p in ps}
     for i, r in enumerate(_ORACLE_RADII):
         shift, samples = _scaled_circle_per_coefficient(f, r, m)
-        k_shift, k_samples, _ = table.scaled_circle(r, m)
+        k_shift, band = table.terms(r)
+        k_samples = _circle_rows(1, m, 0, *band)[0]
         rescaled = k_samples * float(mpmath.exp(k_shift - shift))
         assert np.max(np.abs(rescaled - samples)) <= 1e-14 * np.max(np.abs(samples))
         for p in ps:
