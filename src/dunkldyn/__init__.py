@@ -25,7 +25,6 @@ from .means import (
     HausdorffYoungResult,
     MeanParams,
     MeanResult,
-    circle_max,
     conjugate_exponent,
     hausdorff_young_check,
     hausdorff_young_on_grid,
@@ -108,7 +107,6 @@ __all__ = [
     "barnes_asymptotic",
     "build_frequently_hypercyclic",
     "build_hypercyclic",
-    "circle_max",
     "conjugate_exponent",
     "density_decay_check",
     "enumerate_targets",

@@ -72,7 +72,7 @@ from mpmath.libmp import mpf_add, round_nearest, to_float
 
 from .dunkl import DunklWeights, _at_table_precision, _require_table, apply_dunkl, right_inverse
 from .growth import RateEnvelope, rate_exponent, standard_r_grid
-from .means import _BLOCK_ELEMENTS, _CircleTable, _circle_rows, circle_max
+from .means import _BLOCK_ELEMENTS, _CircleTable, _circle_rows
 from .numeric import to_decimal
 from .series import TruncatedSeries, read_header, read_text
 
@@ -91,7 +91,6 @@ _FILLER_RATIO = 1.75
 _FILLER_SAT = 0.35
 _SCREEN_MARGIN = 1e-6  # filler screen: relative margin of the float64 room
 _SCREEN_SLACK = 1e-3  # filler screen: 1 - running/cap below which it cancels
-_ORBIT_SAMPLES = 512  # circle samples per residual in verify_orbit_hits
 
 
 class InfeasibleConstruction(Exception):
@@ -512,7 +511,6 @@ class OrbitHitReport:
     noise_floors: tuple
     passed: tuple
     r: mpf
-    samples: int
 
     def all_passed(self) -> bool:
         return all(self.passed)
@@ -525,44 +523,42 @@ def verify_orbit_hits(
     w: DunklWeights,
     env: RateEnvelope | None = None,
 ) -> OrbitHitReport:
-    """delta_k = max |Lambda^{m_k} f - Q_k| over 512 samples of |z| = R against its tail budget.
+    """delta_k = sum_n |r_n| R^n of r = Lambda^{m_k} f - Q_k against its tail budget.
 
     R is the plan's build radius, the circle the builder controlled the shadows on.
-
-    The samples come from ``circle_max`` (scaled float64, one inverse FFT);
-    ``TruncatedSeries.sup_on_disk`` is its working-precision reference.
+    The coefficient sum dominates sup_{|z| = R} |r(z)|, so a pass is certified;
+    it is the quantity the builder's shadow test (c) bounds block by block.
+    ``TruncatedSeries.sup_on_disk`` gives the sampled sup the tests hold it above.
 
     Budget_k = Phi(R) sum_{j>k} eps_j with Phi(R) = env(R) e^R / R^{alpha+1}.
     The last block's tail is empty, so its budget is zero; a rounding floor of
-    a few units in the last place of |Q_k| on the circle is allowed on top of
+    a few units in the last place of sum_i |q_i| R^i is allowed on top of
     every budget, since block coefficients store d-ratios to finite precision
     and an exact zero residual is not representable.
     """
     env = env or RateEnvelope.log_growth()
     R = mpf(plan.r_build)
     phi_R = _phi_at(env, w, R)
+
+    def coefficient_sum(g: TruncatedSeries) -> mpf:
+        return mpmath.fsum(abs(c) * R**n for n, c in g.items())
+
     K = len(plan.targets)
     deltas = []
     budgets = []
     floors = []
     passed = []
     for k in range(1, K + 1):
-        q = plan.targets[k - 1]
-        m_k = plan.positions[k - 1]
-        residual = apply_dunkl(f, w, m_k).add(poly_to_series(q, f.trunc_degree).scale(-1))
-        delta = circle_max(residual, R, _ORBIT_SAMPLES)
+        q = poly_to_series(plan.targets[k - 1], f.trunc_degree)
+        residual = apply_dunkl(f, w, plan.positions[k - 1]).add(q.scale(-1))
+        delta = coefficient_sum(residual)
         budget = phi_R * mpmath.fsum(plan.budgets[k:]) if k < K else mpf(0)
-        q_size = mpmath.fsum(
-            (abs(mpf(c.numerator)) / c.denominator) * R**i for i, c in enumerate(q) if c
-        )
-        floor = (1 + q_size) * mpf(2) ** (40 - mp.prec)
+        floor = (1 + coefficient_sum(q)) * mpf(2) ** (40 - mp.prec)
         deltas.append(delta)
         budgets.append(budget)
         floors.append(floor)
         passed.append(delta <= budget + floor)
-    return OrbitHitReport(
-        tuple(deltas), tuple(budgets), tuple(floors), tuple(passed), R, _ORBIT_SAMPLES
-    )
+    return OrbitHitReport(tuple(deltas), tuple(budgets), tuple(floors), tuple(passed), R)
 
 
 # ---------------------------------------------------------------------------

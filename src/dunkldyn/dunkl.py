@@ -68,7 +68,9 @@ class DunklWeights:
     precision ambient when the table was made (``precision_bits``): each equals
     the eager recurrence's value bit for bit, whatever the precision at the
     read.  One ln is taken per distinct ratio; at integer alpha, a_n for odd n
-    is a_(n+2alpha+1), so about half as many logarithms are taken.
+    is a_(n+2alpha+1), so about half as many logarithms are taken.  The
+    logarithms are memoised by value (``_log``), which ``growth.lemma1_ratio``
+    shares: at integer alpha its x = n + alpha + 1 is often a ratio already met.
 
     The table fixes the precision of the work done with it: its methods and
     every public function that takes it as ``w`` run at ``w.precision_bits``,
@@ -96,23 +98,26 @@ class DunklWeights:
         self.precision_bits = mp.prec
         self._odd_shift = mpf_add(mpf_shift(self.alpha._mpf_, 1), fone, mp.prec, round_nearest)
         self._log_d = [mpf(0)]  # d_0 = 1; later entries fill on first read
-        self._ln = {}  # ln a for each raw ratio a met so far
+        self._ln = {}  # ln a for each raw tuple a met so far (``_log``)
 
     def _raw_ratio(self, n: int) -> tuple:
         """a_n = n (n even), n + 2 alpha + 1 (n odd), at the table's precision."""
         a = from_int(n, self.precision_bits, round_nearest)
         return a if n % 2 == 0 else mpf_add(a, self._odd_shift, self.precision_bits, round_nearest)
 
+    def _log(self, a: tuple) -> tuple:
+        """ln a for a raw tuple a, at the table's precision; one ``mpf_log`` per distinct a."""
+        ln_a = self._ln.get(a)
+        if ln_a is None:
+            ln_a = self._ln[a] = mpf_log(a, self.precision_bits, round_nearest)
+        return ln_a
+
     def _fill(self, n: int) -> None:
         """Extend ln d_k through k = n: ln d_k = ln d_(k-1) + ln a_k."""
-        prec, log_d, ln = self.precision_bits, self._log_d, self._ln
+        prec, log_d = self.precision_bits, self._log_d
         acc = log_d[-1]._mpf_
         for k in range(len(log_d), n + 1):
-            a = self._raw_ratio(k)
-            ln_a = ln.get(a)
-            if ln_a is None:
-                ln_a = ln[a] = mpf_log(a, prec, round_nearest)
-            acc = mpf_add(acc, ln_a, prec, round_nearest)
+            acc = mpf_add(acc, self._log(self._raw_ratio(k)), prec, round_nearest)
             log_d.append(mp.make_mpf(acc))
 
     def ratio(self, n: int) -> mpf:

@@ -57,6 +57,8 @@ def orbit_at_zero(f: TruncatedSeries, w: DunklWeights, N: int) -> OrbitReport:
     step.  A mismatch beyond rounding means the weight table and the
     operator disagree and raises RuntimeError.
     """
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
     if N > f.trunc_degree:
         raise ValueError(f"N={N} exceeds trunc_degree {f.trunc_degree}")
     _require_table(w, N)
@@ -158,6 +160,8 @@ def thm3b_bound_check(
     and consistency |v_n| <= C_star * d_n e^x / x^x for all n <= N is a
     theorem; reporting it as a boolean keeps the implementation falsifiable.
     """
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
     if N > f.trunc_degree:
         raise ValueError(f"N={N} exceeds trunc_degree {f.trunc_degree}")
     [(c_star, r_peak)] = _window_peaks(f, w.alpha, [_augmented_radii(r_grid, w.alpha, N)])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_int, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_lt, mpf_mul,
+from mpmath.libmp import (fone, from_int, mpf_add, mpf_div, mpf_exp, mpf_lt, mpf_mul,
                           mpf_pos, mpf_pow, mpf_rdiv_int, mpf_shift, mpf_sub, round_nearest)
 
 from .dunkl import DunklWeights, _at_table_precision, _check_alpha
@@ -170,13 +170,13 @@ def lemma1_ratio(n: int, w: DunklWeights) -> mpf:
     Two-sided boundedness of this ratio over n is the weight asymptotic; the
     band endpoints are empirical constants frozen by the calibration tests.
     It is exp(ln d_n + x - x ln x) with x = (n + alpha) + 1, each step
-    rounded at the table's precision.
+    rounded at the table's precision; ln x comes from the table's memo.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     prec, rnd = w.precision_bits, round_nearest
     x = mpf_add(mpf_add(w.alpha._mpf_, from_int(n), prec, rnd), fone, prec, rnd)
-    x_ln_x = mpf_mul(x, mpf_log(x, prec, rnd), prec, rnd)
+    x_ln_x = mpf_mul(x, w._log(x), prec, rnd)
     exponent = mpf_sub(mpf_add(w.log_weight(n)._mpf_, x, prec, rnd), x_ln_x, prec, rnd)
     return mp.make_mpf(mpf_exp(exponent, prec, rnd))
 

@@ -20,10 +20,10 @@ cannot move the mean at the float64 noise level, which is what the reported
 discrepancy tracks.
 
 ``_circle_rows`` is the one fold-and-inverse-FFT kernel: it takes flat
-(row, degree, value) arrays and fills the rows of one array.  It has three
-callers: ``means_on_grid`` (a block of radii), ``circle_max`` (one row, the
-sampled maximum of |f| on one circle for the orbit verifier, with no
-refine) and ``construct.frequency_report`` (a block of rows Lambda^n f).
+(row, degree, value) arrays and fills the rows of one array.  It has two
+callers: ``means_on_grid`` (a block of radii) and
+``construct.frequency_report`` (a block of rows Lambda^n f).
+``TruncatedSeries.sup_on_disk`` is the kernel's working-precision oracle.
 Up to 4096 samples it runs one inverse FFT of length m.  Above that,
 ``points_for`` makes m = 8 D with D the degree.  When D has a prime factor of
 at least 191, the kernel computes the same length-m transform as a length-8
@@ -392,27 +392,6 @@ def m1_log_bounds(f: TruncatedSeries, radii) -> tuple[np.ndarray, np.ndarray]:
 def mean_p(f: TruncatedSeries, r, params: MeanParams) -> MeanResult:
     """M_p(f, r) together with a quadrature discrepancy estimate."""
     return means_on_grid(f, [r], params)[0]
-
-
-def circle_max(f: TruncatedSeries, r, m: int) -> mpf:
-    """max_j |f(r e^{2 pi i j / m})| over m circle samples, with no refine.
-
-    The samples come from the same scaled float64 FFT as the sampled means,
-    with degrees folded mod m, so m may lie below the degree.  The result is
-    e^shift times the float64 sampled maximum.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    r = mpf(r)
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    if f.is_zero():
-        return mpf(0)
-    if r == 0:
-        return abs(f.coeff(0))
-    shift, band = _CircleTable(f, parseval=False).terms(r)
-    samples = _circle_rows(1, m, 0, *band)[0]
-    return mpmath.exp(shift) * float(np.max(np.abs(samples)))
 
 
 def hausdorff_young_on_grid(f: TruncatedSeries, radii, params: MeanParams) -> list:

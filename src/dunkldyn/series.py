@@ -124,7 +124,7 @@ class TruncatedSeries:
         Computed per nonzero coefficient with an incremental rotation, so the
         cost is (number of nonzero coefficients) x m regardless of degree.
         This is the working-precision reference that the tests hold the
-        float64 circle sampler (``means.circle_max``) against.
+        float64 circle kernel (``means._circle_rows``) against.
         """
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
@@ -144,8 +144,8 @@ class TruncatedSeries:
     def sup_on_disk(self, r, m: int) -> mpf:
         """max_j |f(r e^(2 pi i j/m))| over m circle samples, at working precision.
 
-        The working-precision reference for ``means.circle_max``, which the
-        verifiers use.
+        The working-precision oracle of ``means._circle_rows``, the float64
+        kernel behind ``means_on_grid`` and ``construct.frequency_report``.
 
         Coefficients whose contribution |c_n| r^n sits more than prec+48 bits
         below the largest are skipped; with m > degree the sampled maximum

@@ -20,6 +20,7 @@ from dunkldyn.construct import (
     build_hypercyclic,
     density_decay_check,
     frequency_report,
+    poly_to_series,
     verify_orbit_hits,
 )
 from dunkldyn.dunkl import DunklWeights, apply_dunkl, apply_dunkl_direct
@@ -255,6 +256,16 @@ def test_07_hypercyclic_build_end_to_end(hc_builds):
     for alpha_s, (f, plan, w, dt) in hc_builds.items():
         build_seconds += dt
         report = verify_orbit_hits(f, plan, w)
+        # each delta_k is a coefficient sum, so it dominates the residual's
+        # sampled sup up to rounding (where the terms line up at a sample, as
+        # for a one-term residual, the two differ in the last bits), and shadow
+        # test (c) keeps it under half the budget
+        ulps = 1 + mpf(2) ** (20 - w.precision_bits)
+        for q, m_k, delta, budget, floor in zip(plan.targets, plan.positions, report.deltas,
+                                                report.budgets, report.noise_floors):
+            residual = apply_dunkl(f, w, m_k).add(poly_to_series(q, f.trunc_degree).scale(-1))
+            ok = ok and residual.sup_on_disk(report.r, 512) <= delta * ulps
+            ok = ok and delta <= budget / 2 + floor
         a = rate_exponent(P_INF, mpf(alpha_s), "hc")
         profile = growth_profile(f, P_INF, a, RateEnvelope.log_growth(),
                                  standard_r_grid())

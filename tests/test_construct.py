@@ -42,7 +42,7 @@ from dunkldyn.construct import (
     verify_orbit_hits,
     write_plan,
 )
-from dunkldyn.dunkl import DunklWeights, apply_dunkl
+from dunkldyn.dunkl import DunklWeights, apply_dunkl, right_inverse
 from dunkldyn.growth import RateEnvelope, standard_r_grid
 from dunkldyn.means import P_INF, _CircleTable
 from dunkldyn.series import TruncatedSeries, write_series
@@ -276,6 +276,19 @@ class TestHypercyclicBuilder:
         assert report.all_passed()
         # the only block reproduces its target up to the noise floor
         assert report.deltas[0] <= report.noise_floors[0]
+
+    def test_residual_that_vanishes_at_every_sample_fails(self):
+        # adding S^(m_1) g makes the residual c (z^512 / 2^512 - 1) + rounding,
+        # which is 0 at all 512 points R e^(2 pi i j / 512) of |z| = R = 2
+        # but has sup 2c there, so a maximum over those samples cannot see it
+        w = DunklWeights(0, 4096)
+        cfg = BuilderConfig(targets=[(F(1),)], saturate_envelope=False)
+        f, plan = build_hypercyclic(w, RateEnvelope.log_growth(), 1, cfg)
+        c = mpf("1e-10")
+        g = TruncatedSeries({0: -c, 512: c / mpf(2) ** 512}, f.trunc_degree)
+        report = verify_orbit_hits(f.add(right_inverse(g, w, plan.positions[0])), plan, w)
+        assert report.passed == (False,)
+        assert abs(report.deltas[0] - 2 * c) <= c * mpf("1e-60")
 
     def test_three_block_build_verifies(self):
         w = DunklWeights(mpf("0.5"), 4096)

@@ -138,6 +138,10 @@ class TestOrbitAtZero:
             orbit_at_zero(f, w, 17)
         with pytest.raises(ValueError):
             orbit_at_zero(TruncatedSeries({0: mpf(1)}, trunc_degree=64), w, 48)
+        for call in (lambda: orbit_at_zero(f, w, -1),
+                     lambda: thm3b_bound_check(f, w, standard_r_grid(mpf(1), mpf(10), 4), -1)):
+            with pytest.raises(ValueError, match="N must be >= 0, got -1"):
+                call()
 
     def test_report_values_length(self):
         w = DunklWeights(0, 32)

@@ -6,8 +6,9 @@ calibration run at 256-bit precision; the tests allow at most 1% drift.
 
 import mpmath
 import pytest
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
+from dunkldyn import dunkl, growth
 from dunkldyn.dunkl import DunklWeights
 from dunkldyn.growth import (
     ML_GUARD_BITS,
@@ -133,6 +134,24 @@ class TestLemma1Band:
         w = DunklWeights(mpf(alpha_s), 2500)
         assert ([lemma1_ratio(n, w)._mpf_ for n in range(2501)]
                 == [_lemma1_mpf(n, w)._mpf_ for n in range(2501)])
+
+    def test_shares_the_tables_logarithms(self, monkeypatch):
+        # at alpha = 0 the table takes ln a for the even a <= 2500 (1250 logs)
+        # and x = n + 1 repeats them for odd n, so the odd x <= 2501 (1251)
+        # are the only new logs: 2501 in all, not 1250 + 2501
+        calls = []
+
+        def counted(x, prec, rnd):
+            calls.append(x)
+            return libmp.mpf_log(x, prec, rnd)
+
+        monkeypatch.setattr(dunkl, "mpf_log", counted)
+        monkeypatch.setattr(growth, "mpf_log", counted, raising=False)
+        w = DunklWeights(0, 2500)
+        w.log_weight(2500)
+        for n in range(2501):
+            lemma1_ratio(n, w)
+        assert len(calls) == len(set(calls)) == 2501
 
 
 def _lemma1_mpf(n, w):

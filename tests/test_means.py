@@ -22,7 +22,6 @@ from dunkldyn.means import (
     _circle_rows,
     _has_large_factor,
     _quadrature_mean,
-    circle_max,
     conjugate_exponent,
     hausdorff_young_check,
     hausdorff_young_on_grid,
@@ -72,6 +71,12 @@ def _quadrature_p2(f, r, m=4096):
     shift, band = _CircleTable(f, parseval=False).terms(mpf(r))
     samples = _circle_rows(1, m, 0, *band)[0]
     return _quadrature_mean(shift, samples, mpf(2)).value
+
+
+def _sampled_max(f, r, m):
+    """max_j |f(r e^{2 pi i j / m})| from the float64 kernel: e^shift times the row's maximum."""
+    shift, band = _CircleTable(f, parseval=False).terms(mpf(r))
+    return mpmath.exp(shift) * float(np.max(np.abs(_circle_rows(1, m, 0, *band)[0])))
 
 
 def test_max_route_on_positive_coefficients():
@@ -415,7 +420,7 @@ def test_batched_blocks_equal_per_radius_mean_p():
     for r in radii[4:]:
         shift, samples = _scaled_circle_per_coefficient(f, r, m)
         want = mpmath.exp(shift) * float(np.max(np.abs(samples)))
-        assert abs(circle_max(f, r, m) - want) <= want * mpf("1e-14")
+        assert abs(_sampled_max(f, r, m) - want) <= want * mpf("1e-14")
 
 
 @pytest.mark.parametrize("m", [8 * 1031, 8 * 4097, 8 * 1024, 8 * 4081, 8 * 600 + 4, 4096])
@@ -461,7 +466,7 @@ def test_circle_max_on_split_transform_matches_evaluate_circle():
         trunc_degree=3 * m)
     r = mpf("0.9999")
     want = max(abs(v) for v in f.evaluate_circle(r, m))
-    assert abs(circle_max(f, r, m) - want) <= want * mpf("1e-14")
+    assert abs(_sampled_max(f, r, m) - want) <= want * mpf("1e-14")
 
 
 @pytest.mark.parametrize("alpha_s", ["0", "0.5"])
@@ -501,11 +506,11 @@ def test_means_nondecreasing_in_p(coeffs, r_s):
 
 
 class TestCircleMax:
-    """circle_max against the working-precision sampled sup of the series module."""
+    """The kernel's sampled circle maximum against the series module's working-precision one."""
 
     @pytest.fixture(scope="class")
     def hc_residuals(self):
-        # the residuals Lambda^{m_k} f - Q_k that verify_orbit_hits measures
+        # the residuals Lambda^{m_k} f - Q_k whose coefficient sums verify_orbit_hits bounds
         w = DunklWeights(0, 4096)
         f, plan = build_hypercyclic(w, RateEnvelope.log_growth(), 12)
         return [
@@ -517,7 +522,7 @@ class TestCircleMax:
         assert len(hc_residuals) == 12
         for res in hc_residuals:
             want = res.sup_on_disk(mpf(2), 512)
-            assert abs(circle_max(res, 2, 512) - want) <= want * mpf("1e-14")
+            assert abs(_sampled_max(res, 2, 512) - want) <= want * mpf("1e-14")
 
     @pytest.mark.parametrize("m", [1, 5, 16])
     def test_degrees_colliding_mod_m_are_summed(self, m):
@@ -525,7 +530,7 @@ class TestCircleMax:
         r = mpf("1.1")
         f = TruncatedSeries({3: 1, 3 + m: 1}, trunc_degree=64)
         want = r**3 + r ** (3 + m)
-        assert abs(circle_max(f, r, m) - want) <= want * mpf("1e-15")
+        assert abs(_sampled_max(f, r, m) - want) <= want * mpf("1e-15")
         assert abs(f.sup_on_disk(r, m) - want) <= want * mpf("1e-60")
 
     def test_degree_above_m_matches_sup_on_disk(self):
@@ -535,16 +540,4 @@ class TestCircleMax:
         )
         for r in (mpf("0.5"), mpf(1), mpf(3)):
             want = f.sup_on_disk(r, 16)
-            assert abs(circle_max(f, r, 16) - want) <= want * mpf("1e-14")
-
-    def test_zero_series_and_zero_radius(self):
-        assert circle_max(TruncatedSeries.zero(16), 2, 8) == 0
-        f = TruncatedSeries({0: mpc(3, 4), 5: 1}, trunc_degree=16)
-        assert circle_max(f, 0, 8) == 5
-
-    def test_rejects_bad_arguments(self):
-        f = TruncatedSeries({1: 1}, trunc_degree=4)
-        with pytest.raises(ValueError):
-            circle_max(f, 1, 0)
-        with pytest.raises(ValueError):
-            circle_max(f, -1, 8)
+            assert abs(_sampled_max(f, r, 16) - want) <= want * mpf("1e-14")
