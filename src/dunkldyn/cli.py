@@ -44,7 +44,6 @@ from .construct import (
     build_frequently_hypercyclic,
     build_hypercyclic,
     poly_label,
-    poly_to_series,
     read_plan,
     verify_orbit_hits,
     write_plan,
@@ -57,7 +56,6 @@ from .growth import (
     lemma1_ratio,
     lemma3_on_grid,
     mittag_leffler,
-    rate_exponent,
     standard_r_grid,
 )
 from .means import P_INF, MeanParams, hausdorff_young_on_grid, means_on_grid
@@ -534,15 +532,13 @@ def _cmd_orbit(config: ExperimentConfig, opt: dict, write) -> None:
           _INPUT,
           _Option("plan", "frequent-hypercyclicity plan file", required=True),
           _Option("eps", "hit radius", parse=mpf, default="0.1"),
-          _Option("r", "radius of the sampled circle", parse=mpf, default="1", lo=0),
+          _Option("r", "radius of the circle", parse=mpf, default="1", lo=0),
           _Option("n_window", "orbit indices checked, at most trunc_degree - block_width "
-                  "of the plan", parse=int, default=2048, lo=1),
-          _Option("samples", "points on the circle", parse=int, default=64, lo=1))
+                  "of the plan", parse=int, default=2048, lo=1))
 def _cmd_frequency(config: ExperimentConfig, opt: dict, write) -> None:
     f, w = _load_series(opt["input"])
     schedule = _read_plan_file(opt["plan"], FhcSchedule, "frequent-hypercyclicity")
-    report = frequency_report(f, schedule, w, opt["n_window"], opt["eps"], opt["r"],
-                              m=opt["samples"])
+    report = frequency_report(f, schedule, w, opt["n_window"], opt["eps"], opt["r"])
     write("j,hit_count,density,nominal_density",
           zip(itertools.count(1), report.counts, report.densities, report.nominal))
     if any(d < nominal / 2 for d, nominal in zip(report.densities, report.nominal)):

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -72,7 +72,7 @@ from mpmath.libmp import mpf_add, round_nearest, to_float
 
 from .dunkl import DunklWeights, _at_table_precision, _require_table, apply_dunkl, right_inverse
 from .growth import RateEnvelope, rate_exponent, standard_r_grid
-from .means import _BLOCK_ELEMENTS, _CircleTable, _circle_rows
+from .means import _BLOCK_ELEMENTS, _CircleTable
 from .numeric import to_decimal
 from .series import TruncatedSeries, read_header, read_text
 
@@ -674,7 +674,6 @@ class FrequencyReport:
     n_window: int
     eps: float
     r: float
-    samples: int
 
 
 @_at_table_precision
@@ -685,25 +684,24 @@ def frequency_report(
     N_window: int,
     eps,
     R,
-    m: int = 64,
 ) -> FrequencyReport:
-    """Per-target fraction of n <= N_window with sup |Lambda^n f - Q_j| < eps.
+    """Per-target count of n <= N_window with certified sup_{|z|=R} |Lambda^n f - Q_j| < eps.
 
-    The sup is over m uniform samples of the circle |z| = R, in scaled
-    float64.  Each term of Lambda^n f, the coefficient c_s d_s / d_(s-n) at
-    degree s - n, is formed in the log domain with its factor R^(s-n); terms
-    below e^-745, which underflow float64, are dropped before exp.  Rows
-    n = 1..N_window go through ``means._circle_rows`` in blocks: a block
-    covers the entries of degree s >= its first n times its rows, masked to
-    s >= n, and holds at most _BLOCK_ELEMENTS terms and _BLOCK_ELEMENTS
-    samples, so memory is bounded by that constant, not by N_window.  Terms
-    are added entry-major, so each cell sums in increasing s.  A block is
-    reduced to per-target hit counts at once and then dropped.  The float
-    error of a row sup is ~1e-15 relative.  In the shipped fhc build
-    (alpha 1, p 2, N_window 2048, eps 0.1, R 1, m 64) the largest hit has
-    sup 1.4e-6 and the smallest miss 0.75, so every row sits at least
-    0.0999986 from eps.  The unit tests cross-check single rows against the
-    working-precision route.
+    Row n is a hit for target j only when S_j(n) = sum_k |a_k - q_k| R^k <
+    eps, with a_k the coefficients of Lambda^n f.  S_j(n) dominates the sup,
+    so a hit is certified and a count can only fall short, which is safe for a
+    lower-density claim.  Each term c_s d_s / d_(s-n) R^(s-n) of a row is
+    formed in float64 in the log domain; terms below e^-745 are dropped before
+    exp, and a term past e^709 raises.  Degrees above the largest target
+    degree add their magnitudes at once; the lower ones, one entry per degree
+    in a row, keep their phases and meet q_k R^k.  So a plain float64 sum is
+    within ~1e-15 relative of S_j(n), and an overflowed sum is a miss.  Rows
+    run in blocks of at most _BLOCK_ELEMENTS terms (the entries of degree s >=
+    the block's first n times its rows), each reduced to hit counts and
+    dropped, so memory does not grow with N_window.  In the shipped fhc build
+    (alpha 1, p 2, N_window 2048, eps 0.1, R 1) the largest hit has S 1.4e-6
+    and the smallest miss 0.75; over seven J = 3 builds at R = 1, 1.5 and 2
+    they are 0.045 and 0.5.
 
     ln|c_s| and the unit phases come from the sampled means' coefficient
     table (``means._CircleTable``).  Unlike the builders' kernel, this reads
@@ -711,13 +709,11 @@ def frequency_report(
     A block coefficient is c_s = q_i d_i / d_s, so ln|c_s| + ln d_s cancels
     in mpf to the small ln(|q_i| d_i) before it is rounded to float64; on the
     float64 table the ~1e-11 error of ln d_s would survive that cancellation.
-    On three J = 3 fhc builds (alpha 1 and 0 at p 2, alpha 3 at p 1; R 1,
-    m 64) the float route moves hit-row sups by up to 2.2e-12 absolute, up
-    to 1.6e4 times the sup itself, which could change the counts at a small
+    On three J = 3 fhc builds (alpha 1 and 0 at p 2, alpha 3 at p 1; R 1)
+    the float route moves hit-row sums by up to 2.2e-12 absolute, up to
+    3.2e4 times the sum itself, which could change the counts at a small
     eps.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     if N_window < 1:
         raise ValueError(f"N_window must be >= 1, got {N_window}")
     if N_window > schedule.trunc_degree - schedule.block_width:
@@ -736,9 +732,10 @@ def frequency_report(
     # ln(|c_s| d_s); the term of Lambda^n f at degree s - n is this minus ln d_(s-n)
     log_top = np.array([to_float(mpf_add(la, w.log_weight(s)._mpf_, prec, round_nearest),
                                  rnd=round_nearest) for s, la in zip(table.n, table.log_abs)])
-    zs = float(R) * np.exp(2j * np.pi * np.arange(m) / m)
-    tvals = [sum((float(c) * zs**i for i, c in enumerate(q)), np.zeros(m, dtype=np.complex128))
-             for q in schedule.targets]
+    # degrees below width can meet a target term; q_k R^k is padded to that width
+    width = max(len(q) for q in schedule.targets)
+    targets = [np.array([float(c) * float(R)**k for k, c in enumerate(q)]
+                        + [0.0] * (width - len(q))) for q in schedule.targets]
 
     def block_hits(ns: np.ndarray) -> list:
         """Per-target hit counts of the rows Lambda^n f, n in ns (consecutive).
@@ -753,20 +750,25 @@ def frequency_report(
             raise ValueError(f"R={R}: a term of Lambda^n f reaches e^{logs.max():.1f}, "
                              "which overflows float64; reduce R")
         owner, row = np.nonzero(logs > -745.0)
-        samples = _circle_rows(len(ns), m, row, deg[owner, row],
-                               phase[first + owner] * np.exp(logs[owner, row]))
-        return [int(np.sum(np.max(np.abs(samples - t), axis=1) < float(eps))) for t in tvals]
+        k, terms = deg[owner, row], np.exp(logs[owner, row])
+        low = k < width
+        high = np.bincount(row[~low], weights=terms[~low], minlength=len(ns))
+        coeffs = np.zeros((len(ns), width), dtype=np.complex128)
+        # a row has one entry per degree, so each cell is set once
+        coeffs[row[low], k[low]] = phase[first + owner[low]] * terms[low]
+        return [int(np.sum(high + np.sum(np.abs(coeffs - t), axis=1) < float(eps)))
+                for t in targets]
 
-    # rows of a block times the entries, and times the samples, stay within _BLOCK_ELEMENTS
-    per_block = max(1, min(_BLOCK_ELEMENTS // m, _BLOCK_ELEMENTS // max(len(table.n), 1)))
-    counts = [0] * len(tvals)
+    # rows of a block times the entries stay within _BLOCK_ELEMENTS
+    per_block = max(1, _BLOCK_ELEMENTS // max(len(table.n), 1))
+    counts = [0] * len(targets)
     for n in range(1, N_window + 1, per_block):
         hits = block_hits(np.arange(n, min(n + per_block, N_window + 1)))
         counts = [c + h for c, h in zip(counts, hits)]
     return FrequencyReport(
         tuple(c / N_window for c in counts),
-        tuple(float(schedule.nominal_density(j)) for j in range(1, len(tvals) + 1)),
-        tuple(counts), N_window, float(eps), float(R), m
+        tuple(float(schedule.nominal_density(j)) for j in range(1, len(targets) + 1)),
+        tuple(counts), N_window, float(eps), float(R)
     )
 
 

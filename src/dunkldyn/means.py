@@ -20,9 +20,8 @@ cannot move the mean at the float64 noise level, which is what the reported
 discrepancy tracks.
 
 ``_circle_rows`` is the one fold-and-inverse-FFT kernel: it takes flat
-(row, degree, value) arrays and fills the rows of one array.  It has two
-callers: ``means_on_grid`` (a block of radii) and
-``construct.frequency_report`` (a block of rows Lambda^n f).
+(row, degree, value) arrays and fills the rows of one array.  It has one
+caller, ``means_on_grid``, which fills a row per radius of a block.
 ``TruncatedSeries.sup_on_disk`` is the kernel's working-precision oracle.
 Up to 4096 samples it runs one inverse FFT of length m.  Above that,
 ``points_for`` makes m = 8 D with D the degree.  When D has a prime factor of
@@ -145,8 +144,9 @@ class _CircleTable:
     candidate terms.  The Parseval route also keeps |c_n|^2; the sampling
     routes keep ln|c_n| at working precision as an mpf tuple, its float64
     remainder log_abs_lo (so log_abs_f + log_abs_lo is a double-double) and
-    the unit phase c_n/|c_n| in complex128; ``construct.frequency_report``
-    reads log_abs and phase too.
+    the unit phase c_n/|c_n| in complex128.  ``construct.frequency_report``
+    reads log_abs and phase too, for the working-precision ln|c_n| + ln d_n
+    and the phases of the low-degree coefficients it compares with targets.
     """
 
     __slots__ = ("n", "degrees", "log_abs_f", "abs2", "log_abs", "log_abs_lo", "phase")

@@ -21,7 +21,6 @@ and ``construct``'s ``dunklplan v1`` alike.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator
 
 import mpmath

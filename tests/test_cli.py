@@ -438,8 +438,7 @@ class TestBuildAndDiagnose:
           for damage in ("truncated", "missing key", "short target line", "zero denominator",
                          "missing file", "precision_bits=0", "precision_bits=-5")),
         ("frequency", "block_width=0"),
-        # an intact plan with an empty circle or window
-        ("frequency", "--samples 0"), ("frequency", "--samples -3"),
+        # an intact plan with an empty window
         ("frequency", "--n-window 0"),
     ])
     def test_malformed_plan_exits_one(self, hc_artifacts, fhc_artifacts, tmp_path,
@@ -487,7 +486,7 @@ class TestBuildAndDiagnose:
         out = tmp_path / "f.csv"
         rc = main(["frequency", "--input", str(fhc_artifacts / "build.series"),
                    "--plan", str(fhc_artifacts / "build.plan"),
-                   "--n-window", "1024", "--samples", "32", "-o", str(out)])
+                   "--n-window", "1024", "-o", str(out)])
         assert rc == EXIT_OK
         _, header, rows = _read_csv(out)
         assert header == "j,hit_count,density,nominal_density"
@@ -498,8 +497,7 @@ class TestBuildAndDiagnose:
         out = tmp_path / "f.csv"
         rc = main(["frequency", "--input", str(fhc_artifacts / "build.series"),
                    "--plan", str(fhc_artifacts / "build.plan"),
-                   "--eps", "1e-30", "--n-window", "512", "--samples", "16",
-                   "-o", str(out)])
+                   "--eps", "1e-30", "--n-window", "512", "-o", str(out)])
         assert rc == EXIT_VERIFY
 
     def test_decay_on_fhc_build(self, fhc_artifacts, tmp_path):

@@ -623,22 +623,49 @@ class TestFhcBuilder:
                     assert abs(got - want) <= abs(want) * mpf(2) ** -230
 
 
+def _row_hits(f, s, w, n, eps, R):
+    """The report's per-target verdicts on row n: the count step from N_window n - 1 to n."""
+    before, after = (frequency_report(f, s, w, N, eps, R).counts for N in (n - 1, n))
+    return [b - a for a, b in zip(before, after)]
+
+
+def _coefficient_sums(f, s, w, n, R):
+    """sum_k |a_k - q_k| R^k of Lambda^n f - Q_j for each target, at working precision."""
+    g = apply_dunkl(f, w, n)
+    return [mpmath.fsum(abs(c) * R**k
+                        for k, c in g.add(poly_to_series(q, f.trunc_degree).scale(-1)).items())
+            for q in s.targets]
+
+
 class TestFrequencyReport:
     def test_hits_match_full_precision_subsample(self):
         w = DunklWeights(1, 4096)
         env = RateEnvelope.log_growth()
         f, s = build_frequently_hypercyclic(w, 2, env, 2)
         eps, R = mpf("0.1"), mpf(1)
-        report = frequency_report(f, s, w, 512, eps, R)
-        # recompute a few n by the mpf route and compare classification
+        # rows m_0 + 8 and m_0 + 24 hit target 1, m_0 + 16 hits target 2, m_0 + 5 hits none
+        verdicts = []
         for n in [s.m_0 + 8, s.m_0 + 16, s.m_0 + 24, s.m_0 + 5]:
-            j = s.target_for(n)
-            if j is None or j > len(s.targets):
-                continue
-            q = poly_to_series(s.targets[j - 1], f.trunc_degree)
-            diff = apply_dunkl(f, w, n).add(q.scale(-1))
-            sup = diff.sup_on_disk(R, 64)
-            assert (sup < eps) == (n in s.positions(j))
+            want = [int(S < eps) for S in _coefficient_sums(f, s, w, n, R)]
+            assert _row_hits(f, s, w, n, eps, R) == want
+            verdicts.append(want)
+        assert verdicts == [[1, 0], [0, 1], [1, 0], [0, 0]]
+
+    def test_hit_that_circle_samples_alias_is_not_counted(self):
+        # Lambda^n g = c (z^64 - 1), so f + g adds that to Lambda^n f - Q_1.  On |z| = 1
+        # that term vanishes at all 64 roots of unity, so a 64-sample maximum
+        # keeps row n a hit; its coefficient sum 2c = 0.4 is above eps
+        w = DunklWeights(1, 4096)
+        f, s = build_frequently_hypercyclic(w, 2, RateEnvelope.log_growth(), 1)
+        eps, R, c = mpf("0.1"), mpf(1), mpf("0.2")
+        n = s.positions(1)[0]
+        assert _row_hits(f, s, w, n, eps, R) == [1]
+        f = f.add(right_inverse(TruncatedSeries({0: -c, 64: c}, f.trunc_degree), w, n))  # f + g
+        diff = apply_dunkl(f, w, n).add(poly_to_series(s.targets[0], f.trunc_degree).scale(-1))
+        roots = [R * mpmath.expj(2 * mpmath.pi * k / 64) for k in range(64)]
+        assert max(abs(diff.evaluate(z)) for z in roots) < eps
+        assert _coefficient_sums(f, s, w, n, R)[0] > eps
+        assert _row_hits(f, s, w, n, eps, R) == [0]
 
     def test_densities_near_nominal(self):
         w = DunklWeights(1, 4096)
@@ -656,12 +683,11 @@ class TestFrequencyReport:
             frequency_report(f, s, w, 5000, mpf("0.1"), mpf(1))
 
 
-def _dense_frequency_counts(f, schedule, w, N_window, eps, R, m):
-    """Hit counts by the dense (N_window + 1) x (trunc + 1) matrix times circle powers."""
+def _dense_frequency_counts(f, schedule, w, N_window, eps, R):
+    """Hit counts by coefficient sums over the dense (N_window + 1) x (trunc + 1) matrix."""
     width = f.trunc_degree + 1
     entries = list(f.items())
-    is_real = all(mpmath.im(c) == 0 for _, c in entries)
-    mat = np.zeros((N_window + 1, width), dtype=np.float64 if is_real else np.complex128)
+    mat = np.zeros((N_window + 1, width), dtype=np.complex128)
     logd = np.array([float(w.log_weight(n)) for n in range(width)])
     for s, c in entries:
         rows = np.arange(1, min(N_window, s) + 1)
@@ -669,24 +695,19 @@ def _dense_frequency_counts(f, schedule, w, N_window, eps, R, m):
             continue
         logs = float(mpmath.ln(abs(c)) + w.log_weight(s)) - logd[s - rows]
         vals = np.where(logs > -745.0, np.exp(np.maximum(logs, -745.0)), 0.0)
-        phase = (1.0 if mpmath.re(c) >= 0 else -1.0) if is_real else complex(c / abs(c))
-        mat[rows, s - rows] = phase * vals
-    zs = float(R) * np.exp(2j * np.pi * np.arange(m) / m)
-    powers = zs[None, :] ** np.arange(width)[:, None]
-    if is_real:
-        samples = (mat @ powers.real) + 1j * (mat @ powers.imag)
-    else:
-        samples = mat @ powers
+        mat[rows, s - rows] = complex(c / abs(c)) * vals
+    powers = float(R) ** np.arange(width)
     counts = []
     for q in schedule.targets:
-        tvals = sum(float(c) * zs**i for i, c in enumerate(q))
-        sup = np.max(np.abs(samples[1:] - tvals), axis=1)
-        counts.append(int(np.sum(sup < float(eps))))
+        diff = mat[1:].copy()
+        diff[:, :len(q)] -= [float(c) for c in q]
+        sums = np.abs(diff) @ powers
+        counts.append(int(np.sum(sums < float(eps))))
     return tuple(counts)
 
 
 class TestFrequencyScatter:
-    """frequency_report's row blocks through means._circle_rows against the dense matrix."""
+    """frequency_report's row blocks against the dense matrix."""
 
     @pytest.fixture(scope="class")
     def small_build(self):
@@ -700,17 +721,18 @@ class TestFrequencyScatter:
         return f, dataclasses.replace(s, trunc_degree=4096), w
 
     @pytest.mark.parametrize("N_window", [64, 2048])
-    @pytest.mark.parametrize("m", [16, 48, 64])  # 48: not a power of two
+    @pytest.mark.parametrize("rows", [16, 48, 64])  # rows per block; 48 leaves a short last one
     @pytest.mark.parametrize("R_s", ["0.5", "1", "1.5"])
     @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_counts_equal_dense_matmul(self, small_build, kind, R_s, m, N_window):
+    def test_counts_equal_dense_matmul(self, small_build, monkeypatch, kind, R_s, rows, N_window):
         f, s, w = small_build
         if kind == "complex":
             f = f.scale(mpc(1, "0.05"))
+        monkeypatch.setattr(construct, "_BLOCK_ELEMENTS", rows * f.n_nonzero())
         R = mpf(R_s)
         for eps_s in ("0.01", "0.1", "1"):
-            got = frequency_report(f, s, w, N_window, mpf(eps_s), R, m).counts
-            assert got == _dense_frequency_counts(f, s, w, N_window, mpf(eps_s), R, m)
+            got = frequency_report(f, s, w, N_window, mpf(eps_s), R).counts
+            assert got == _dense_frequency_counts(f, s, w, N_window, mpf(eps_s), R)
 
     @pytest.fixture(scope="class")
     def fhc_build(self):
@@ -746,7 +768,7 @@ class TestFrequencyScatter:
         f, s, w = fhc_build
         tracemalloc.start()
         try:
-            report = frequency_report(f, s, w, 2048, mpf("0.1"), mpf(1), 64)
+            report = frequency_report(f, s, w, 2048, mpf("0.1"), mpf(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -754,13 +776,13 @@ class TestFrequencyScatter:
         assert peak < 24 * 2**20
 
     def test_peak_memory_does_not_grow_with_window(self, fhc_build):
-        # rows go through the circle kernel in blocks of bounded size
+        # rows run in blocks of bounded size
         f, s, w = fhc_build
         peaks = []
         for N_window in (512, 4088):
             tracemalloc.start()
             try:
-                frequency_report(f, s, w, N_window, mpf("0.1"), mpf(1), 64)
+                frequency_report(f, s, w, N_window, mpf("0.1"), mpf(1))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -769,39 +791,32 @@ class TestFrequencyScatter:
     def test_r_above_one_at_full_truncation(self, fhc_build):
         # (trunc + 1) ln R is 1661 at R = 1.5, yet no term formed exceeds e^1.4
         f, s, w = fhc_build
-        R, eps, m = mpf("1.5"), mpf("0.1"), 64
-        assert frequency_report(f, s, w, 2048, eps, R, m).counts == (117, 58, 29)
-        # the hit flags of row n are the count steps from N_window = n - 1 to n
+        R, eps = mpf("1.5"), mpf("0.1")
+        assert frequency_report(f, s, w, 2048, eps, R).counts == (117, 58, 29)
         n = s.positions(1)[0]
-        before, after = (frequency_report(f, s, w, N, eps, R, m).counts for N in (n - 1, n))
-        g = apply_dunkl(f, w, n)
-        zs = [R * mpmath.expj(2 * mpmath.pi * k / m) for k in range(m)]
-        values = [g.evaluate(z) for z in zs]
-        want = [int(max(abs(v - sum(c * z**i for i, c in enumerate(q)))
-                        for v, z in zip(values, zs)) < eps) for q in s.targets]
-        assert [b - a for a, b in zip(before, after)] == want == [1, 0, 0]
+        want = [int(S < eps) for S in _coefficient_sums(f, s, w, n, R)]
+        assert _row_hits(f, s, w, n, eps, R) == want == [1, 0, 0]
 
     @pytest.mark.parametrize("R_s", ["1000", "inf", "nan", "-1"])
     def test_rejects_r_that_overflows_or_is_not_finite(self, fhc_build, R_s):
         # at R = 1000 a term of Lambda^n f passes e^709; the threshold is R ~ 721
         f, s, w = fhc_build
         with pytest.raises(ValueError):
-            frequency_report(f, s, w, 2048, mpf("0.1"), mpf(R_s), 64)
+            frequency_report(f, s, w, 2048, mpf("0.1"), mpf(R_s))
 
     def test_rejects_table_shorter_than_series(self):
         f = TruncatedSeries({40: 1}, trunc_degree=64)
         s = FhcSchedule(((F(1),),), (2,), 8, 1, 4096, mpf(1), 2, 1.0)
         with pytest.raises(ValueError, match="weight table too short: need d_64, table ends at 32"):
-            frequency_report(f, s, DunklWeights(1, 32), 16, mpf("0.1"), mpf(1), 8)
+            frequency_report(f, s, DunklWeights(1, 32), 16, mpf("0.1"), mpf(1))
 
-    @pytest.mark.parametrize("args", [(2048, 0), (2048, -3), (0, 64), (-1, 64)])
-    def test_rejects_empty_window_or_circle(self, args):
+    @pytest.mark.parametrize("N_window", [0, -1])
+    def test_rejects_empty_window(self, N_window):
         w = DunklWeights(1, 64)
         f = TruncatedSeries({40: 1}, trunc_degree=64)
         s = FhcSchedule(((F(1),),), (2,), 8, 1, 4096, mpf(1), 2, 1.0)
-        N_window, m = args
         with pytest.raises(ValueError):
-            frequency_report(f, s, w, N_window, mpf("0.1"), mpf(1), m)
+            frequency_report(f, s, w, N_window, mpf("0.1"), mpf(1))
 
 
 class TestDensityDecay:

@@ -8,15 +8,9 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from dunkldyn import dynamics
-from dunkldyn.construct import BuilderConfig, build_frequently_hypercyclic, build_hypercyclic
+from dunkldyn.construct import build_frequently_hypercyclic, build_hypercyclic
 from dunkldyn.dunkl import DunklWeights
-from dunkldyn.dynamics import (
-    OrbitReport,
-    Thm3bReport,
-    orbit_at_zero,
-    thm3b_bound_check,
-    windowed_c_star,
-)
+from dunkldyn.dynamics import orbit_at_zero, thm3b_bound_check, windowed_c_star
 from dunkldyn.growth import RateEnvelope, lemma1_ratio, standard_r_grid
 from dunkldyn.means import MeanParams, means_on_grid
 from dunkldyn.series import TruncatedSeries, exp_truncation
