@@ -26,9 +26,7 @@ from .means import (
     MeanParams,
     MeanResult,
     conjugate_exponent,
-    hausdorff_young_check,
     hausdorff_young_on_grid,
-    mean_p,
     means_on_grid,
 )
 from .growth import (
@@ -38,7 +36,6 @@ from .growth import (
     growth_profile,
     lemma1_ratio,
     lemma3_on_grid,
-    lemma3_ratio,
     mittag_leffler,
     rate_exponent,
     standard_r_grid,
@@ -114,12 +111,9 @@ __all__ = [
     "frequency_report",
     "fuc_tail_norms",
     "growth_profile",
-    "hausdorff_young_check",
     "hausdorff_young_on_grid",
     "lemma1_ratio",
     "lemma3_on_grid",
-    "lemma3_ratio",
-    "mean_p",
     "means_on_grid",
     "mittag_leffler",
     "orbit_at_zero",

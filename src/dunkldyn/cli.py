@@ -15,7 +15,9 @@ applies, and the banner entries all come from them.  `run` works under
 Exit codes: 0 success; 1 invalid configuration, option, input file or output
 path, or a library ValueError; 2 infeasible construction; 3 a failed
 verification or a library RuntimeError.  Exits 1 to 3 print one stderr line
-naming the subcommand (argparse usage errors also print the usage).
+naming the subcommand, unrecognized arguments included; argparse's other
+usage errors, such as a missing subcommand or a flag without its value,
+also print the usage.
 """
 
 from __future__ import annotations
@@ -531,7 +533,7 @@ def _cmd_orbit(config: ExperimentConfig, opt: dict, write) -> None:
 @_command("frequency", "orbit-hit densities against the schedule",
           _INPUT,
           _Option("plan", "frequent-hypercyclicity plan file", required=True),
-          _Option("eps", "hit radius", parse=mpf, default="0.1"),
+          _Option("eps", "hit radius", parse=mpf, default="0.1", lo=0, open_lo=True),
           _Option("r", "radius of the circle", parse=mpf, default="1", lo=0),
           _Option("n_window", "orbit indices checked, at most trunc_degree - block_width "
                   "of the plan", parse=int, default=2048, lo=1))
@@ -622,8 +624,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = vars(_build_parser().parse_args(argv))
+    namespace, extra = _build_parser().parse_known_args(argv)
+    args = vars(namespace)
     subcommand, config_path = args.pop("subcommand"), args.pop("config")
+    if extra:
+        print(f"{subcommand}: unrecognized arguments: {' '.join(extra)}", file=sys.stderr)
+        return EXIT_CONFIG
     flag_values = {field: args.pop(field) for field in _FIELD_TYPES}
     try:
         config = load_config(config_path, flag_values, subcommand)

@@ -723,6 +723,8 @@ def frequency_report(
         )
     if not 0 <= R < mpmath.inf:
         raise ValueError(f"R must be finite and >= 0, got {R}")
+    if not eps > 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
     _require_table(w, f.trunc_degree)
     # at R = 0 a slope far below -745 per degree keeps the degree-0 terms only
     ln_R = float(mpmath.ln(R)) if R > 0 else -1e300

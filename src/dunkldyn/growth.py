@@ -361,17 +361,8 @@ def barnes_asymptotic(r, ml_alpha, theta, beta) -> mpf:
 
 
 @_at_table_precision
-def lemma3_ratio(r, q, w: DunklWeights) -> mpf:
-    """[sum_n r^{qn}/d_n^q] / [e^r / r^{alpha+1/2+1/(2p)}]^q with p conjugate to q.
-
-    The one-radius case of ``lemma3_on_grid``, which documents the sum.
-    """
-    return lemma3_on_grid([r], q, w)[0]
-
-
-@_at_table_precision
 def lemma3_on_grid(radii, q, w: DunklWeights) -> list:
-    """``lemma3_ratio`` at each radius, from one a_n^(-q) table for the sweep.
+    """[sum_n r^{qn}/d_n^q] / [e^r / r^{alpha+1/2+1/(2p)}]^q at each radius, p conjugate to q.
 
     The terms r^{qn}/d_n^q run t_0 = 1, t_n = t_(n-1) r^q a_n^(-q) with the
     weight ratios a_n = d_n/d_(n-1), so no term costs an exp; the table of

@@ -30,9 +30,8 @@ step, twiddles and length-D transforms, so a prime D costs a Bluestein
 transform of length D rather than 8 D; when D is smoother, the one length-m
 transform is faster and runs instead.
 
-Every mean goes through ``means_on_grid``, which builds one table per
-call and then evaluates each radius of the grid from it; ``mean_p`` is its
-one-radius case.  Nothing outlives the call.  At each radius a float64 pass
+Every mean goes through ``means_on_grid``: one table per call serves every
+radius, and nothing outlives the call.  At each radius a float64 pass
 over ln|c_n| + n ln r picks the terms within the 700-nat window plus a
 1-nat margin, which dwarfs the ~1e-11 rounding of that pass.  The sampled
 routes then form each candidate's exponent relative to the top term in
@@ -389,11 +388,6 @@ def m1_log_bounds(f: TruncatedSeries, radii) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def mean_p(f: TruncatedSeries, r, params: MeanParams) -> MeanResult:
-    """M_p(f, r) together with a quadrature discrepancy estimate."""
-    return means_on_grid(f, [r], params)[0]
-
-
 def hausdorff_young_on_grid(f: TruncatedSeries, radii, params: MeanParams) -> list:
     """l^q norm of the circle Fourier coefficients against M_p at each radius, 1 < p <= 2.
 
@@ -416,8 +410,3 @@ def hausdorff_young_on_grid(f: TruncatedSeries, radii, params: MeanParams) -> li
            for r in radii]
     return [HausdorffYoungResult(x, m.value, m.value - x)
             for x, m in zip(lhs, means_on_grid(f, radii, params))]
-
-
-def hausdorff_young_check(f: TruncatedSeries, r, params: MeanParams) -> HausdorffYoungResult:
-    """The one-radius case of ``hausdorff_young_on_grid``."""
-    return hausdorff_young_on_grid(f, [r], params)[0]

@@ -21,7 +21,7 @@ and ``construct``'s ``dunklplan v1`` alike.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import mpmath
 from mpmath import mp, mpf, mpc
@@ -37,16 +37,12 @@ class TruncatedSeries:
 
     __slots__ = ("_coeffs", "_trunc_degree")
 
-    def __init__(self, coeffs: dict[int, mpc] | Iterable, trunc_degree: int = DEFAULT_TRUNC_DEGREE):
+    def __init__(self, coeffs: dict[int, mpc], trunc_degree: int = DEFAULT_TRUNC_DEGREE):
         if trunc_degree < 0:
             raise ValueError(f"trunc_degree must be >= 0, got {trunc_degree}")
         table: dict[int, mpc] = {}
-        if isinstance(coeffs, dict):
-            items = coeffs.items()
-        else:
-            items = enumerate(coeffs)
         prec = mp.prec
-        for n, c in items:
+        for n, c in coeffs.items():
             n = int(n)
             if n < 0 or n > trunc_degree:
                 raise ValueError(f"coefficient index {n} outside [0, {trunc_degree}]")
@@ -57,16 +53,6 @@ class TruncatedSeries:
                 table[n] = c
         self._coeffs = table
         self._trunc_degree = int(trunc_degree)
-
-    @classmethod
-    def zero(cls, trunc_degree: int = DEFAULT_TRUNC_DEGREE) -> "TruncatedSeries":
-        return cls({}, trunc_degree)
-
-    @classmethod
-    def monomial(cls, k: int, c=1, trunc_degree: int = DEFAULT_TRUNC_DEGREE) -> "TruncatedSeries":
-        if k > trunc_degree:
-            raise ValueError(f"monomial degree {k} exceeds trunc_degree {trunc_degree}")
-        return cls({k: mpc(c)}, trunc_degree)
 
     @property
     def trunc_degree(self) -> int:

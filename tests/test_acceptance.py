@@ -35,7 +35,7 @@ from dunkldyn.growth import (
     rate_exponent,
     standard_r_grid,
 )
-from dunkldyn.means import MeanParams, P_INF, hausdorff_young_check
+from dunkldyn.means import MeanParams, P_INF, hausdorff_young_on_grid
 from dunkldyn.series import TruncatedSeries, exp_truncation, write_series
 from fractions import Fraction as F
 
@@ -239,7 +239,7 @@ def test_06_hausdorff_young():
         params = MeanParams(mpf(p_s))
         for f in polys:
             for r in radii:
-                res = hausdorff_young_check(f, r, params)
+                res = hausdorff_young_on_grid(f, [r], params)[0]
                 worst_margin = min(worst_margin, res.margin / res.rhs)
                 ok = ok and res.margin >= -mpf("1e-6") * res.rhs
                 if p_s == "2":

@@ -623,6 +623,14 @@ class TestBadInputExitsOne:
             o.resolve(value, ExperimentConfig())
         assert exc.value.field == option and "finite" in str(exc.value)
 
+    @pytest.mark.parametrize("argv", [
+        ["weights", "--n", "4", "--bogus", "1"],
+        # a removed flag; the files need not exist, as it is refused before any is read
+        ["frequency", "--input", "f.series", "--plan", "f.plan", "--samples", "64"],
+    ], ids=" ".join)
+    def test_unrecognized_arguments(self, tmp_path, capsys, argv):
+        self._exits_one(capsys, argv, tmp_path / "x.csv")
+
     def test_unwritable_output(self, tmp_path, capsys):
         self._exits_one(capsys, ["weights", "--n", "4"], tmp_path / "missing" / "w.csv")
 

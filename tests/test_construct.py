@@ -818,6 +818,15 @@ class TestFrequencyScatter:
         with pytest.raises(ValueError):
             frequency_report(f, s, w, N_window, mpf("0.1"), mpf(1))
 
+    @pytest.mark.parametrize("eps", [0, -1, mpf("nan")])
+    def test_rejects_eps_that_no_sum_can_beat(self, eps):
+        # no coefficient sum is below eps <= 0, so every count would read 0
+        w = DunklWeights(1, 64)
+        f = TruncatedSeries({40: 1}, trunc_degree=64)
+        s = FhcSchedule(((F(1),),), (2,), 8, 1, 4096, mpf(1), 2, 1.0)
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            frequency_report(f, s, w, 16, eps, mpf(1))
+
 
 class TestDensityDecay:
     def test_sparse_build_sigma_vanishes(self):

@@ -18,7 +18,6 @@ from dunkldyn.growth import (
     growth_profile,
     lemma1_ratio,
     lemma3_on_grid,
-    lemma3_ratio,
     mittag_leffler,
     rate_exponent,
     standard_r_grid,
@@ -35,7 +34,7 @@ LEMMA1_BAND = {
     "3": ("0.0655065493588", "0.379937687303"),
 }
 
-# golden sup of lemma3_ratio over r in [0.1, 200], 256 log points
+# golden sup of lemma3_on_grid over r in [0.1, 200], 256 log points
 LEMMA3_SUP = {
     ("1", "-0.49"): "0.987617399698",
     ("1", "0"): "0.797385413973",
@@ -387,7 +386,7 @@ class TestLemma3:
         w = DunklWeights(mpf("0.5"), 700)
         radii = list(reversed(standard_r_grid(mpf("0.1"), mpf(200), 12)))
         for q in (mpf(1), mpf("1.5"), mpf(2)):
-            assert lemma3_on_grid(radii, q, w) == [lemma3_ratio(r, q, w) for r in radii]
+            assert lemma3_on_grid(radii, q, w) == [lemma3_on_grid([r], q, w)[0] for r in radii]
 
     @pytest.mark.parametrize("alpha_s", ["-0.49", "0", "3"])
     @pytest.mark.parametrize("q_s", ["1", "1.5", "2"])
@@ -412,14 +411,14 @@ class TestLemma3:
     def test_table_exhaustion_raises(self):
         w = DunklWeights(0, 64)
         with pytest.raises(ValueError):
-            lemma3_ratio(mpf(150), 1, w)
+            lemma3_on_grid([mpf(150)], 1, w)
 
     def test_q_domain(self):
         w = DunklWeights(0, 64)
         with pytest.raises(ValueError):
-            lemma3_ratio(mpf(1), mpf("2.5"), w)
+            lemma3_on_grid([mpf(1)], mpf("2.5"), w)
         with pytest.raises(ValueError):
-            lemma3_ratio(mpf(-1), 1, w)
+            lemma3_on_grid([mpf(-1)], 1, w)
 
 
 class TestGrowthProfile:

@@ -23,10 +23,8 @@ from dunkldyn.means import (
     _has_large_factor,
     _quadrature_mean,
     conjugate_exponent,
-    hausdorff_young_check,
     hausdorff_young_on_grid,
     m1_log_bounds,
-    mean_p,
     means_on_grid,
 )
 from dunkldyn.series import TruncatedSeries, exp_truncation
@@ -53,7 +51,7 @@ def test_parseval_exact_small_case():
     # f = 1 + 2z at r: M_2 = sqrt(1 + 4 r^2)
     f = TruncatedSeries({0: 1, 1: 2}, trunc_degree=8)
     r = mpf("1.5")
-    got = mean_p(f, r, MeanParams(2)).value
+    got = means_on_grid(f, [r], MeanParams(2))[0].value
     want = mpmath.sqrt(1 + 4 * r**2)
     assert abs(got - want) < want * mpf(2) ** -240
 
@@ -62,7 +60,7 @@ def test_quadrature_agrees_with_parseval_at_p2():
     # independent route check: force the quadrature path with q=2
     f = TruncatedSeries({0: 1, 3: -2, 7: mpc(0, 1), 12: mpf("0.125")}, trunc_degree=16)
     for r in (mpf("0.5"), mpf(1), mpf(4)):
-        parseval = mean_p(f, r, MeanParams(2)).value
+        parseval = means_on_grid(f, [r], MeanParams(2))[0].value
         quad = _quadrature_p2(f, r)
         assert abs(quad - parseval) <= parseval * mpf("1e-12")
 
@@ -83,23 +81,23 @@ def test_max_route_on_positive_coefficients():
     # all-positive coefficients put the max at theta = 0: M_inf = f(r)
     f = TruncatedSeries({0: 1, 2: 3, 5: mpf("0.5")}, trunc_degree=8)
     r = mpf("1.25")
-    got = mean_p(f, r, MeanParams(P_INF)).value
+    got = means_on_grid(f, [r], MeanParams(P_INF))[0].value
     want = f.evaluate(r).real
     assert abs(got - want) <= want * mpf("1e-12")
 
 
 def test_constant_and_zero_radius():
     f = TruncatedSeries({0: -3}, trunc_degree=4)
-    assert mean_p(f, mpf(2), MeanParams(mpf("1.5"))).value == 3
+    assert means_on_grid(f, [mpf(2)], MeanParams(mpf("1.5")))[0].value == 3
     g = TruncatedSeries({0: 2, 3: 1}, trunc_degree=4)
-    assert mean_p(g, mpf(0), MeanParams(2)).value == 2
+    assert means_on_grid(g, [mpf(0)], MeanParams(2))[0].value == 2
 
 
 def test_mean_monotone_in_p():
     # M_1 <= M_1.5 <= M_2 <= M_inf at fixed r
     f = TruncatedSeries({0: 1, 1: -1, 4: 2, 9: mpf("0.01")}, trunc_degree=16)
     r = mpf(2)
-    vals = [mean_p(f, r, MeanParams(p)).value
+    vals = [means_on_grid(f, [r], MeanParams(p))[0].value
             for p in (mpf(1), mpf("1.5"), mpf(2), P_INF)]
     slack = mpf("1e-10")
     for a, b in zip(vals, vals[1:]):
@@ -120,7 +118,7 @@ def test_mean_dominates_coefficient_bound(coeffs, r_s):
         return
     r = mpf(r_s)
     bound = max(abs(c) * r**n for n, c in f.items())
-    got = mean_p(f, r, MeanParams(mpf("1.5"))).value
+    got = means_on_grid(f, [r], MeanParams(mpf("1.5")))[0].value
     assert got >= bound * (1 - mpf("1e-9"))
 
 
@@ -152,16 +150,16 @@ def test_large_p_quadrature_stays_finite():
     f = exp_truncation(40, 64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = mean_p(f, 30, MeanParams(400))
+        res = means_on_grid(f, [30], MeanParams(400))[0]
     assert mpmath.isfinite(res.value) and mpmath.isfinite(res.richardson_err)
-    m2 = mean_p(f, 30, MeanParams(2)).value
-    m_inf = mean_p(f, 30, MeanParams(P_INF)).value
+    m2 = means_on_grid(f, [30], MeanParams(2))[0].value
+    m_inf = means_on_grid(f, [30], MeanParams(P_INF))[0].value
     assert m2 <= res.value <= m_inf * (1 + mpf("1e-12"))
 
 
 def test_richardson_error_small_for_smooth_integrand():
     f = exp_truncation(64, trunc_degree=64)
-    res = mean_p(f, mpf(3), MeanParams(mpf("1.25")))
+    res = means_on_grid(f, [mpf(3)], MeanParams(mpf("1.25")))[0]
     assert res.richardson_err <= res.value * mpf("1e-12")
 
 
@@ -169,7 +167,7 @@ class TestHausdorffYoung:
     def test_p2_equality(self):
         # at p = 2 both sides are the same Parseval quantity
         f = TruncatedSeries({0: 1, 2: -3, 5: 2}, trunc_degree=8)
-        res = hausdorff_young_check(f, mpf("1.5"), MeanParams(2))
+        res = hausdorff_young_on_grid(f, [mpf("1.5")], MeanParams(2))[0]
         assert abs(res.margin) <= res.rhs * mpf("1e-12")
 
     def test_margin_nonnegative_for_sample_polys(self):
@@ -181,14 +179,14 @@ class TestHausdorffYoung:
         for p in (mpf("1.25"), mpf("1.5")):
             for f in polys:
                 for r in (mpf("0.5"), mpf(1), mpf(5)):
-                    res = hausdorff_young_check(f, r, MeanParams(p))
+                    res = hausdorff_young_on_grid(f, [r], MeanParams(p))[0]
                     assert res.margin >= -res.rhs * mpf("1e-6")
 
     def test_monomial_equality_any_p(self):
         # single term: lhs = rhs = |c| r^n exactly, margin ~ 0
-        f = TruncatedSeries.monomial(4, -3, trunc_degree=8)
+        f = TruncatedSeries({4: -3}, trunc_degree=8)
         for p in (mpf("1.25"), mpf(2)):
-            res = hausdorff_young_check(f, mpf(2), MeanParams(p))
+            res = hausdorff_young_on_grid(f, [mpf(2)], MeanParams(p))[0]
             assert abs(res.margin) <= res.rhs * mpf("1e-9")
 
     @pytest.mark.parametrize("p_s", ["1.25", "1.5", "2"])
@@ -203,10 +201,10 @@ class TestHausdorffYoung:
             f = TruncatedSeries({n: mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                                  for n in range(degree + 1)}, trunc_degree=64)
             got = hausdorff_young_on_grid(f, radii, params)
-            assert got == [hausdorff_young_check(f, r, params) for r in radii]
+            assert got == [hausdorff_young_on_grid(f, [r], params)[0] for r in radii]
             for r, res in zip(radii, got):
                 lhs = mpmath.fsum((abs(c) * r**n) ** q for n, c in f.items()) ** (1 / q)
-                rhs = mean_p(f, r, params).value
+                rhs = means_on_grid(f, [r], params)[0].value
                 assert res == (lhs, rhs, rhs - lhs)
 
     @pytest.mark.parametrize("p_s", ["1.25", "1.5", "1.7", "2"])
@@ -233,9 +231,7 @@ class TestHausdorffYoung:
             with pytest.raises(ValueError):
                 hausdorff_young_on_grid(f, [mpf(1), mpf(r)], MeanParams(mpf("1.5")))
             with pytest.raises(ValueError):
-                hausdorff_young_check(f, mpf(r), MeanParams(mpf("1.5")))
-        with pytest.raises(ValueError):
-            hausdorff_young_check(f, mpf(1), MeanParams(P_INF))
+                hausdorff_young_on_grid(f, [mpf(r)], MeanParams(mpf("1.5")))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +391,7 @@ def test_max_route_resolves_near_tied_peaks():
     best_sample_peak = _mpf_peak(f, r, 2 * mp.pi * j / m, 2 * mp.pi / m)
     peak = _mpf_global_max(f, r, m)
     assert best_sample_peak < peak * (1 - mpf("1e-12"))
-    got = mean_p(f, r, MeanParams(P_INF)).value
+    got = means_on_grid(f, [r], MeanParams(P_INF))[0].value
     assert abs(got - peak) <= peak * mpf("1e-14")
 
 
@@ -404,7 +400,7 @@ def test_grid_equals_per_radius_mean_p():
     radii = [mpf(0), mpf("0.02"), mpf(1), mpf(45), mpf(3000)]
     for p in (mpf(1), mpf("1.5"), mpf(2), mpf(64), P_INF):
         params = MeanParams(p)
-        assert means_on_grid(f, radii, params) == [mean_p(f, r, params) for r in radii]
+        assert means_on_grid(f, radii, params) == [means_on_grid(f, [r], params)[0] for r in radii]
 
 
 def test_batched_blocks_equal_per_radius_mean_p():
@@ -416,7 +412,7 @@ def test_batched_blocks_equal_per_radius_mean_p():
     assert _BLOCK_ELEMENTS // m < len(radii) - 1 < 2 * (_BLOCK_ELEMENTS // m)
     for p in (mpf(1), mpf("1.5"), P_INF):
         params = MeanParams(p)
-        assert means_on_grid(f, radii, params) == [mean_p(f, r, params) for r in radii]
+        assert means_on_grid(f, radii, params) == [means_on_grid(f, [r], params)[0] for r in radii]
     for r in radii[4:]:
         shift, samples = _scaled_circle_per_coefficient(f, r, m)
         want = mpmath.exp(shift) * float(np.max(np.abs(samples)))
@@ -497,12 +493,37 @@ def test_means_nondecreasing_in_p(coeffs, r_s):
     f = TruncatedSeries({n: mpc(a, b) for n, (a, b) in coeffs.items()}, trunc_degree=24)
     assume(f.degree() > 0)
     r = mpf(r_s)
-    vals = [mean_p(f, r, MeanParams(p)).value for p in _P_LADDER]
+    vals = [means_on_grid(f, [r], MeanParams(p))[0].value for p in _P_LADDER]
     slack = 1 + mpf("1e-12")
     for a, b in zip(vals, vals[1:]):
         assert a <= b * slack
     assert vals[5] <= vals[6] * slack  # M_1000 <= M_inf
     assert abs(_quadrature_p2(f, r) - vals[2]) <= vals[2] * mpf("1e-12")
+
+
+@pytest.mark.parametrize("degree,split", [(4096, False), (4079, True)])
+def test_means_invariant_under_rotation_and_conjugation(degree, split):
+    # f(z e^{i phi}) and conj f(conj z) take |f|'s values on every circle, so M_p
+    # is unchanged; phi = 1/7 is no multiple of 2 pi / m, so the rotated samples
+    # are not a permutation of f's.  At r >= 1 the top term is at least 70 times
+    # the other 40 together, so |f|^p is smooth enough for the trapezoid rule on
+    # m = 8 * degree points to be exact in float64 (its aliasing is about
+    # 70^-8); at r = 1.25 the degrees below about 1000 fall outside the window
+    rng = random.Random(degree)
+    coeffs = {n: mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+              for n in rng.sample(range(degree), 40)}
+    coeffs[degree] = mpc(4000)
+    f = TruncatedSeries(coeffs, trunc_degree=degree)
+    assert _has_large_factor(MeanParams(1).points_for(f) // 8) == split
+    phi = mpf(1) / 7
+    images = [TruncatedSeries({n: c * mpmath.expj(n * phi) for n, c in coeffs.items()}, degree),
+              TruncatedSeries({n: mpmath.conj(c) for n, c in coeffs.items()}, degree)]
+    radii = [mpf(1), mpf("1.01"), mpf("1.25")]
+    for p in (mpf(1), mpf("1.5"), mpf(3), P_INF):
+        want = means_on_grid(f, radii, MeanParams(p))
+        for g in images:
+            for a, b in zip(want, means_on_grid(g, radii, MeanParams(p))):
+                assert abs(b.value - a.value) <= a.value * mpf("1e-13")
 
 
 class TestCircleMax:

@@ -56,11 +56,9 @@ class TestBasics:
             TruncatedSeries({9: 1}, trunc_degree=8)
         with pytest.raises(ValueError):
             TruncatedSeries({-1: 1}, trunc_degree=8)
-        with pytest.raises(ValueError):
-            TruncatedSeries.monomial(10, 1, trunc_degree=4)
 
     def test_zero_series(self):
-        z = TruncatedSeries.zero(16)
+        z = TruncatedSeries({}, 16)
         assert z.is_zero() and z.degree() == -1
         assert z.evaluate(mpf(3)) == 0
         assert z.sup_on_disk(mpf(2), 8) == 0
@@ -72,7 +70,7 @@ class TestBasics:
         assert h.coeff(2) == 0 and h.coeff(0) == 1 and h.coeff(4) == 1
         assert f.scale(2).coeff(2) == 6
         with pytest.raises(ValueError):
-            f.add(TruncatedSeries.zero(9))
+            f.add(TruncatedSeries({}, 9))
 
 
 @given(
