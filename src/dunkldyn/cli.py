@@ -7,17 +7,18 @@ config means byte-identical output: all numeric text is produced at fixed
 precision with deterministic tie-breaks, and file writes go through a single
 code path.
 
-Each subcommand declares its options once, as `_Option` entries: the
-argparse flags and their --help defaults, the defaults and range checks `run`
-applies, and the banner entries all come from them.  `run` works under
+Each config field and subcommand option is declared once, as an `_Option`
+row: the flags and their --help defaults, the range checks, the defaults
+`run` applies and the banner entries all come from it; argparse only splits
+argv into text, and refuses abbreviated flags.  `run` works under
 `mp.workprec(config.precision_bits)` and leaves the ambient precision as found.
 
 Exit codes: 0 success; 1 invalid configuration, option, input file or output
 path, or a library ValueError; 2 infeasible construction; 3 a failed
 verification or a library RuntimeError.  Exits 1 to 3 print one stderr line
-naming the subcommand, unrecognized arguments included; argparse's other
-usage errors, such as a missing subcommand or a flag without its value,
-also print the usage.
+naming the subcommand, unrecognized or abbreviated flags included.  Only a
+missing or unknown subcommand, or a flag given without its value, also
+prints the usage.
 """
 
 from __future__ import annotations
@@ -84,6 +85,75 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
+class _Option:
+    """One config field or subcommand option.  ``parse`` turns the value as
+    given (text, or what a caller passes to `run`) into the value read, which
+    must be finite (hi = P_INF admits inf) and lie in [lo, hi], lo excluded when
+    ``open_lo``; lo and hi may name an ExperimentConfig field.  A required value
+    may not be empty.  A default of None leaves an option to the body, and the
+    help says how it picks it; config fields take ExperimentConfig's defaults."""
+
+    name: str
+    help: str
+    parse: Callable = str
+    default: object = None
+    lo: object = None
+    hi: object = None
+    open_lo: bool = False
+    required: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def resolve(self, given, config: ExperimentConfig):
+        """The parsed and range-checked value; None when not given."""
+        if given is None or self.required and given == "":
+            if self.required:
+                raise ConfigError(f"{self.flag} is required", field=self.name)
+            return None
+        try:
+            value = self.parse(given)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{self.flag}: not a number: {given!r}", field=self.name)
+        if not isinstance(value, str) and self.hi is not P_INF and not all(
+                mpmath.isfinite(v) for v in (value if isinstance(value, list) else [value])):
+            raise ConfigError(f"{self.flag} must be finite, got {given}", field=self.name)
+        lo, hi = (self.parse(getattr(config, b)) if isinstance(b, str) else b
+                  for b in (self.lo, self.hi))
+        above_lo = lo is None or (value > lo if self.open_lo else value >= lo)
+        if not (above_lo and (hi is None or value <= hi)):
+            rule = (f"lie in [{self.lo}, {self.hi}]" if self.hi is not None
+                    else f"be {'>' if self.open_lo else '>='} {self.lo}")
+            raise ConfigError(f"{self.flag} must {rule}, got {value}", field=self.name)
+        return value
+
+
+def _read_p(text: str):
+    """The exponent p as runs compute with it: P_INF for the text 'inf', else
+    mpf(text) at the working precision, whose float64 value must be finite."""
+    if text == "inf":
+        return P_INF
+    if not math.isfinite(float(text)):
+        raise ConfigError(f"--p must be a finite float64 number or inf, got {text}", field="p")
+    return mpf(text)
+
+
+# one row per ExperimentConfig field, in its order
+_CONFIG_OPTIONS = (
+    _Option("alpha", "Dunkl parameter", parse=float, lo=-0.5 + ALPHA_BOUNDARY_GAP, open_lo=True),
+    _Option("p", "exponent of the integral means M_p", parse=_read_p, lo=1, hi=P_INF),
+    _Option("precision_bits", "working precision in bits", parse=int, lo=64),
+    _Option("trunc_degree", "truncation degree of series and weight tables", parse=int, lo=1),
+    _Option("r_min", "smallest grid radius", parse=float, lo=0, open_lo=True),
+    _Option("r_max", "largest grid radius", parse=float, lo="r_min", open_lo=True),
+    _Option("r_points", "number of grid radii", parse=int, lo=2),
+    _Option("seed", "random seed", parse=int, lo=0),
+    _Option("output", "output CSV path", required=True),
+)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     alpha: str = "0"
     p: str = "2"
@@ -95,43 +165,17 @@ class ExperimentConfig:
     seed: int = 0
     output: str = "dunkldyn.csv"
 
-    def validate(self) -> None:
-        if not self._finite("alpha") > -0.5 + ALPHA_BOUNDARY_GAP:
-            raise ConfigError(f"alpha must exceed -1/2 + {ALPHA_BOUNDARY_GAP}, "
-                              f"got {self.alpha}", field="alpha")
-        try:  # float() also reads "inf"
-            pv = float(self.p)
-        except ValueError:
-            raise ConfigError(f"not a number or 'inf': {self.p!r}", field="p")
-        if not pv >= 1:
-            raise ConfigError(f"p must lie in [1, inf], got {self.p}", field="p")
-        for name, lo in (("precision_bits", 64), ("trunc_degree", 1), ("r_points", 2),
-                         ("seed", 0)):
-            if getattr(self, name) < lo:
-                raise ConfigError(f"{name} must be >= {lo}, got {getattr(self, name)}",
-                                  field=name)
-        if not 0 < self._finite("r_min") < self._finite("r_max"):
-            raise ConfigError(f"need 0 < r_min < r_max, got {self.r_min}, {self.r_max}",
-                              field="r_min")
-        if not self.output:
-            raise ConfigError("output path must not be empty", field="output")
-
-    def _finite(self, name: str) -> float:
-        """The value of a number field, which must be a finite float64."""
-        text = getattr(self, name)
-        try:
-            x = float(text)
-        except ValueError:
-            raise ConfigError(f"not a number: {text!r}", field=name)
-        if not math.isfinite(x):
-            raise ConfigError(f"{name} must be a finite float64 number, got {text}", field=name)
-        return x
+    def validate(self) -> ExperimentConfig:
+        """This config with each field checked by its `_CONFIG_OPTIONS` row and
+        the int fields read; a ConfigError names the first bad field."""
+        values = {o.name: o.resolve(getattr(self, o.name), self) for o in _CONFIG_OPTIONS}
+        return replace(self, **{k: v for k, v in values.items() if _FIELD_TYPES[k] is int})
 
     def alpha_mp(self) -> mpf:
         return mpf(self.alpha)
 
     def p_mp(self):
-        return P_INF if self.p == "inf" else mpf(self.p)
+        return _read_p(self.p)
 
     def r_grid(self):
         return standard_r_grid(mpf(self.r_min), mpf(self.r_max), self.r_points)
@@ -189,10 +233,8 @@ def load_config(config_path: str | None, flag_values: dict,
     cfg = ExperimentConfig(**_SUBCOMMAND_GRID_DEFAULTS.get(subcommand, {}))
     if config_path:
         cfg = replace(cfg, **read_config_file(config_path))
-    cfg = replace(cfg, **{key: _coerce(key, value) if isinstance(value, str) else value
-                          for key, value in flag_values.items() if value is not None})
-    cfg.validate()
-    return cfg
+    cfg = replace(cfg, **{key: value for key, value in flag_values.items() if value is not None})
+    return cfg.validate()
 
 
 def _fmt(x) -> str:
@@ -281,49 +323,6 @@ def _write_beside(config: ExperimentConfig, f: TruncatedSeries, alpha, plan=None
 def _numbers(text: str) -> list:
     """Comma-separated numbers, read at the working precision."""
     return [mpf(s) for s in text.split(",")]
-
-
-@dataclass(frozen=True)
-class _Option:
-    """One subcommand option.  ``parse`` turns the value as given (flag text,
-    or what a caller passes to `run`) into the value the body reads, which
-    must lie in [lo, hi], lo excluded when ``open_lo``; hi may name an
-    ExperimentConfig field.  A default of None leaves the value to the body,
-    and the help says how the body picks it."""
-
-    name: str
-    help: str
-    parse: Callable = str
-    default: object = None
-    lo: object = None
-    hi: object = None
-    open_lo: bool = False
-    required: bool = False
-
-    @property
-    def flag(self) -> str:
-        return "--" + self.name.replace("_", "-")
-
-    def resolve(self, given, config: ExperimentConfig):
-        """The parsed and range-checked value; None when not given."""
-        if given is None:
-            if self.required:
-                raise ConfigError(f"{self.flag} is required", field=self.name)
-            return None
-        try:
-            value = self.parse(given)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{self.flag}: not a number: {given!r}", field=self.name)
-        if not isinstance(value, str) and not all(
-                mpmath.isfinite(v) for v in (value if isinstance(value, list) else [value])):
-            raise ConfigError(f"{self.flag} must be finite, got {given}", field=self.name)
-        hi = getattr(config, self.hi) if isinstance(self.hi, str) else self.hi
-        above_lo = self.lo is None or (value > self.lo if self.open_lo else value >= self.lo)
-        if not (above_lo and (hi is None or value <= hi)):
-            rule = (f"lie in [{self.lo}, {self.hi}]" if self.hi is not None
-                    else f"be {'>' if self.open_lo else '>='} {self.lo}")
-            raise ConfigError(f"{self.flag} must {rule}, got {value}", field=self.name)
-        return value
 
 
 # subcommand name -> (body, help line, options), in --help order
@@ -572,7 +571,7 @@ def run(subcommand: str, config: ExperimentConfig, options: dict | None = None) 
     try:
         if subcommand not in _COMMANDS:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
-        config.validate()
+        config = config.validate()
         body, _, table = _COMMANDS[subcommand]
         given = {o.name: o.default for o in table}
         given.update({k: v for k, v in (options or {}).items() if v is not None})
@@ -605,21 +604,20 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """Config flags from the ExperimentConfig fields, then each subcommand's
-    own options; every help line shows the default.  Built once: parsing
-    leaves the parser unchanged."""
-    parser = _Parser(prog="dunkldyn", description=__doc__.splitlines()[0])
+    """The config flags, then each subcommand's own options, all as plain
+    text for `_Option.resolve` to check; every help line shows the default.
+    Flags are never abbreviated.  Built once: parsing leaves the parser
+    unchanged."""
+    parser = _Parser(prog="dunkldyn", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, help_text, table) in _COMMANDS.items():
-        s = sub.add_parser(name, help=help_text)
+        s = sub.add_parser(name, help=help_text, allow_abbrev=False)
         s.add_argument("--config", metavar="FILE", help="key=value config file")
         defaults = {**ExperimentConfig().as_dict(), **_SUBCOMMAND_GRID_DEFAULTS.get(name, {})}
-        for field, kind in _FIELD_TYPES.items():
-            flags = ("-o", "--output") if field == "output" else ("--" + field.replace("_", "-"),)
-            s.add_argument(*flags, dest=field, type=kind, help=f"(default: {defaults[field]})")
-        for o in table:
-            s.add_argument(o.flag, dest=o.name, required=o.required,
-                           help=o.help if o.default is None else f"{o.help} (default: {o.default})")
+        for o in (*_CONFIG_OPTIONS, *table):
+            default = defaults.get(o.name, o.default)
+            s.add_argument(*(("-o",) if o.name == "output" else ()), o.flag, dest=o.name,
+                           help=o.help if default is None else f"{o.help} (default: {default})")
     return parser
 
 

@@ -14,6 +14,7 @@ from mpmath import mp, mpf
 import dunkldyn
 from dunkldyn.cli import (
     _COMMANDS,
+    _CONFIG_OPTIONS,
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -60,6 +61,14 @@ class TestConfig:
         cfg = ExperimentConfig(p="inf")
         cfg.validate()
         assert cfg.p_mp() == mpf("inf")
+
+    @pytest.mark.parametrize("p", ["1e400", "Infinity", "nan", "INF"])
+    def test_p_checked_is_p_computed(self, p):
+        # validate and p_mp read p with one function: only the text 'inf' is inf
+        for check in (ExperimentConfig(p=p).validate, ExperimentConfig(p=p).p_mp):
+            with pytest.raises(ConfigError) as exc:
+                check()
+            assert exc.value.field == "p"
 
     def test_p_below_one_rejected(self):
         with pytest.raises(ConfigError):
@@ -551,8 +560,9 @@ class TestRunApi:
         assert run("weights", cfg, {"n": 4}) == EXIT_OK
 
     def test_argparse_error_exits_one(self):
+        # a flag without its value is one of the few errors argparse still owns
         with pytest.raises(SystemExit) as exc:
-            main(["weights", "--precision-bits", "many"])
+            main(["weights", "--n"])
         assert exc.value.code == EXIT_CONFIG
 
     def test_missing_subcommand_exits_one(self):
@@ -562,17 +572,19 @@ class TestRunApi:
 
 
 def _option_cases():
-    """A non-numeric value for each number-valued option of every subcommand,
-    and a value just outside its range where the option declares one."""
-    for sub, (_, _, table) in _COMMANDS.items():
-        for o in table:
-            if o.parse is str:
-                continue
-            yield sub, o.flag, "abc"
-            if o.lo is not None:
-                yield sub, o.flag, str(o.lo if o.open_lo else o.lo - 1)
-            elif o.hi is not None and not isinstance(o.hi, str):
-                yield sub, o.flag, str(o.hi + 1)
+    """A non-numeric value for each number-valued config field (given to
+    weights) and option of every subcommand, and a value just outside its
+    range where the row declares one that names no field."""
+    rows = [("weights", o) for o in _CONFIG_OPTIONS]
+    rows += [(sub, o) for sub, (_, _, table) in _COMMANDS.items() for o in table]
+    for sub, o in rows:
+        if o.parse is str:
+            continue
+        yield sub, o.flag, "abc"
+        if o.lo is not None and not isinstance(o.lo, str):
+            yield sub, o.flag, str(o.lo if o.open_lo else o.lo - 1)
+        elif o.hi is not None and not isinstance(o.hi, str):
+            yield sub, o.flag, str(o.hi + 1)
 
 
 class TestBadInputExitsOne:
@@ -584,6 +596,7 @@ class TestBadInputExitsOne:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"{argv[0]}: ")
         assert not out.exists()
+        return err
 
     @pytest.mark.parametrize("sub,flag,value", list(_option_cases()))
     def test_option_from_the_table(self, tmp_path, capsys, sub, flag, value):
@@ -625,11 +638,29 @@ class TestBadInputExitsOne:
 
     @pytest.mark.parametrize("argv", [
         ["weights", "--n", "4", "--bogus", "1"],
+        # abbreviations of --precision-bits and --n-window
+        ["weights", "--n", "4", "--precision-bit", "64"],
+        ["frequency", "--input", "f.series", "--plan", "f.plan", "--n", "100"],
         # a removed flag; the files need not exist, as it is refused before any is read
         ["frequency", "--input", "f.series", "--plan", "f.plan", "--samples", "64"],
     ], ids=" ".join)
     def test_unrecognized_arguments(self, tmp_path, capsys, argv):
-        self._exits_one(capsys, argv, tmp_path / "x.csv")
+        assert "unrecognized arguments" in self._exits_one(capsys, argv, tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("p", ["1e400", "Infinity"])
+    def test_p_neither_inf_nor_a_finite_float64(self, tmp_path, capsys, p):
+        # 1e400 once passed the check as inf and ran as mpf 1e400; Infinity passed
+        # it and failed later.  The file need not exist: p is refused before it is read.
+        err = self._exits_one(capsys, ["means", "--input", "f.series", "--p", p],
+                              tmp_path / "x.csv")
+        assert "--p must be a finite float64 number or inf" in err
+
+    def test_missing_or_empty_required_value(self, tmp_path, capsys):
+        err = self._exits_one(capsys, ["means"], tmp_path / "x.csv")
+        assert "--input is required" in err
+        assert main(["weights", "--n", "4", "-o", ""]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--output is required" in err
 
     def test_unwritable_output(self, tmp_path, capsys):
         self._exits_one(capsys, ["weights", "--n", "4"], tmp_path / "missing" / "w.csv")

@@ -501,20 +501,31 @@ def test_means_nondecreasing_in_p(coeffs, r_s):
     assert abs(_quadrature_p2(f, r) - vals[2]) <= vals[2] * mpf("1e-12")
 
 
-@pytest.mark.parametrize("degree,split", [(4096, False), (4079, True)])
-def test_means_invariant_under_rotation_and_conjugation(degree, split):
-    # f(z e^{i phi}) and conj f(conj z) take |f|'s values on every circle, so M_p
-    # is unchanged; phi = 1/7 is no multiple of 2 pi / m, so the rotated samples
-    # are not a permutation of f's.  At r >= 1 the top term is at least 70 times
-    # the other 40 together, so |f|^p is smooth enough for the trapezoid rule on
-    # m = 8 * degree points to be exact in float64 (its aliasing is about
-    # 70^-8); at r = 1.25 the degrees below about 1000 fall outside the window
+_PRODUCTION_DEGREES = pytest.mark.parametrize("degree,split", [(4096, False), (4079, True)])
+
+
+def _top_heavy_series(degree: int, split: bool):
+    """40 random coefficients below ``degree`` and 4000 at it.  At r >= 1 the top
+    term is at least 70 times the other 40 together, so |f|^p is smooth enough
+    for the trapezoid rule on m = 8 * degree points to be exact in float64 (its
+    aliasing is about 70^-8); at r = 1.25 the degrees below about 1000 fall
+    outside the window.  ``split`` says whether m takes the split transform.
+    Returns the coefficients and the series."""
     rng = random.Random(degree)
     coeffs = {n: mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
               for n in rng.sample(range(degree), 40)}
     coeffs[degree] = mpc(4000)
     f = TruncatedSeries(coeffs, trunc_degree=degree)
     assert _has_large_factor(MeanParams(1).points_for(f) // 8) == split
+    return coeffs, f
+
+
+@_PRODUCTION_DEGREES
+def test_means_invariant_under_rotation_and_conjugation(degree, split):
+    # f(z e^{i phi}) and conj f(conj z) take |f|'s values on every circle, so M_p
+    # is unchanged; phi = 1/7 is no multiple of 2 pi / m, so the rotated samples
+    # are not a permutation of f's
+    coeffs, f = _top_heavy_series(degree, split)
     phi = mpf(1) / 7
     images = [TruncatedSeries({n: c * mpmath.expj(n * phi) for n, c in coeffs.items()}, degree),
               TruncatedSeries({n: mpmath.conj(c) for n, c in coeffs.items()}, degree)]
@@ -524,6 +535,25 @@ def test_means_invariant_under_rotation_and_conjugation(degree, split):
         for g in images:
             for a, b in zip(want, means_on_grid(g, radii, MeanParams(p))):
                 assert abs(b.value - a.value) <= a.value * mpf("1e-13")
+
+
+@_PRODUCTION_DEGREES
+def test_means_dilation_monotonicity_and_hardy_convexity(degree, split):
+    # M_p(f(lam .), r / lam) = M_p(f, r); M_p(f, r) does not fall as r grows; and
+    # ln M_p is convex in ln r (Hardy), checked as a second difference on radii
+    # equally spaced in ln r.  Nine radii fill three row blocks of at most four.
+    coeffs, f = _top_heavy_series(degree, split)
+    lam = mpf("1.7")
+    dilated = TruncatedSeries({n: c * lam**n for n, c in coeffs.items()}, degree)
+    radii = [mpmath.exp(k * mpmath.ln(mpf("1.25")) / 8) for k in range(9)]
+    for p in (mpf(1), mpf("1.5"), mpf(3), P_INF):
+        want = means_on_grid(f, radii, MeanParams(p))
+        got = means_on_grid(dilated, [r / lam for r in radii], MeanParams(p))
+        for a, b in zip(want, got):
+            assert abs(b.value - a.value) <= a.value * mpf("1e-13")
+        logs = [mpmath.ln(res.value) for res in want]
+        assert all(a <= b for a, b in zip(logs, logs[1:]))
+        assert all(a - 2 * b + c >= -mpf("1e-12") for a, b, c in zip(logs, logs[1:], logs[2:]))
 
 
 class TestCircleMax:
