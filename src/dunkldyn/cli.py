@@ -35,7 +35,7 @@ from typing import Callable
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import finf, fninf, mpf_rdiv_int, round_nearest
+from mpmath.libmp import finf, fninf, mpf_cmp, mpf_rdiv_int, round_nearest
 
 from .construct import (
     BuilderConfig,
@@ -115,7 +115,8 @@ class _Option:
         try:
             value = self.parse(given)
         except (TypeError, ValueError):
-            raise ConfigError(f"{self.flag}: not a number: {given!r}", field=self.name)
+            kind = "an integer" if self.parse is int else "a number"
+            raise ConfigError(f"{self.flag}: not {kind}: {given!r}", field=self.name)
         if not isinstance(value, str) and self.hi is not P_INF and not all(
                 mpmath.isfinite(v) for v in (value if isinstance(value, list) else [value])):
             raise ConfigError(f"{self.flag} must be finite, got {given}", field=self.name)
@@ -377,6 +378,17 @@ def _cmd_means(config: ExperimentConfig, opt: dict, write) -> None:
     write("r,M_p,richardson_err", rows, alpha=to_decimal(alpha))
 
 
+def _raw_extremes(values: list) -> tuple:
+    """(min, max) of raw mpf tuples as mpf, in one pass of ``mpf_cmp``."""
+    lo = hi = values[0]
+    for v in values[1:]:
+        if mpf_cmp(v, lo) < 0:
+            lo = v
+        elif mpf_cmp(v, hi) > 0:
+            hi = v
+    return mp.make_mpf(lo), mp.make_mpf(hi)
+
+
 @_command("verify-lemma1", "weight comparison ratio stays in band",
           _Option("n", "largest index", parse=int, default=5000, lo=8))
 def _cmd_verify_lemma1(config: ExperimentConfig, opt: dict, write) -> None:
@@ -387,13 +399,15 @@ def _cmd_verify_lemma1(config: ExperimentConfig, opt: dict, write) -> None:
     write("n,ratio,reciprocal",
           [(n, x, mp.make_mpf(mpf_rdiv_int(1, x._mpf_, w.precision_bits, round_nearest)))
            for n, x in enumerate(ratios)])
-    ok = all(mpmath.isfinite(x) and x > 0 for x in ratios)
+    raw = [x._mpf_ for x in ratios]
+    # finite and > 0: sign 0 and a mantissa (zero, inf and nan have none)
+    ok = all(not x[0] and x[1] for x in raw)
     if ok:
         # the two-sided band must have stabilized: the late-range extremes may
         # not escape the early-range extremes by more than 1%
         half = n_max // 2
-        early_lo, early_hi = min(ratios[: half + 1]), max(ratios[: half + 1])
-        late_lo, late_hi = min(ratios[half:]), max(ratios[half:])
+        early_lo, early_hi = _raw_extremes(raw[: half + 1])
+        late_lo, late_hi = _raw_extremes(raw[half:])
         ok = late_hi <= early_hi * mpf("1.01") and late_lo >= early_lo / mpf("1.01")
     if not ok:
         raise RuntimeError("ratio left its stabilized band")

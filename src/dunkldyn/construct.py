@@ -68,7 +68,8 @@ from itertools import product
 import mpmath
 import numpy as np
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import mpf_add, round_nearest, to_float
+from mpmath.libmp import (fone, from_int, fzero, mpc_abs, mpf_add, mpf_div, mpf_exp, mpf_gt,
+                          mpf_le, mpf_log, mpf_pow, round_nearest, to_float)
 
 from .dunkl import DunklWeights, _at_table_precision, _require_table, apply_dunkl, right_inverse
 from .growth import RateEnvelope, rate_exponent, standard_r_grid
@@ -791,7 +792,9 @@ def density_decay_check(f: TruncatedSeries, w: DunklWeights, q, M: int) -> Densi
     Each orbit event |c_n d_n| > 1 contributes more than one to the sum, so
     the event density can never exceed sigma_m; vanishing sigma therefore
     forces the event density to vanish, the obstruction that rules out
-    frequent hypercyclicity below the critical rate.
+    frequent hypercyclicity below the critical rate.  The loop runs on raw
+    libmp tuples at the table's precision, each step rounded as the mpf
+    operators round it; the tests keep the mpf loop as its oracle.
     """
     q = mpf(q)
     if not 1 <= q <= 2:
@@ -801,23 +804,29 @@ def density_decay_check(f: TruncatedSeries, w: DunklWeights, q, M: int) -> Densi
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     _require_table(w, M)
+    prec, rnd = w.precision_bits, round_nearest
+    q = q._mpf_
     sigma = []
     events = []
-    running = mpf(0)
+    running = fzero
     event_count = 0
     coeffs = dict(f.items())
     for n in range(1, M + 1):
         c = coeffs.get(n)
         if c is not None:
-            v = mpmath.exp(mpmath.ln(abs(c)) + w.log_weight(n))
-            running += v**q
-            if v > 1:
+            # v = exp(ln|c_n| + ln d_n); running += v^q
+            v = mpf_exp(mpf_add(mpf_log(mpc_abs(c._mpc_, prec, rnd), prec, rnd),
+                                w.log_weight(n)._mpf_, prec, rnd), prec, rnd)
+            running = mpf_add(running, mpf_pow(v, q, prec, rnd), prec, rnd)
+            if mpf_gt(v, fone):
                 event_count += 1
-        sigma.append(running / n)
-        events.append(mpf(event_count) / n)
-    slack = mpf(2) ** (24 - mp.prec)
-    holds = all(e <= s + slack for e, s in zip(events, sigma))
-    return DensityDecayReport(tuple(sigma), tuple(events), holds)
+        n_mpf = from_int(n)
+        sigma.append(mpf_div(running, n_mpf, prec, rnd))
+        events.append(mpf_div(from_int(event_count, prec, rnd), n_mpf, prec, rnd))
+    slack = (mpf(2) ** (24 - prec))._mpf_
+    holds = all(mpf_le(e, mpf_add(s, slack, prec, rnd)) for e, s in zip(events, sigma))
+    return DensityDecayReport(tuple(map(mp.make_mpf, sigma)), tuple(map(mp.make_mpf, events)),
+                              holds)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath import mp, mpf
 
 import dunkldyn
+from dunkldyn import cli
 from dunkldyn.cli import (
     _COMMANDS,
     _CONFIG_OPTIONS,
@@ -295,6 +296,21 @@ class TestVerifyCommands:
         _, header, rows = _read_csv(out)
         assert header == "n,ratio,reciprocal"
         assert len(rows) == 1201
+
+    @pytest.mark.parametrize("ratio,want", [
+        (lambda n: 1 + mpf(n % 7) / 100, EXIT_OK),  # both halves span [1, 1.06]
+        (lambda n: mpf("1.01") if n == 64 else mpf(1), EXIT_OK),  # late max at the bound
+        (lambda n: mpf("1.0101") if n == 64 else mpf(1), EXIT_VERIFY),  # and just past it
+        (lambda n: 1 + mpf(n) / 1000, EXIT_VERIFY),  # the band drifts up
+        (lambda n: 1 - mpf(n) / 100, EXIT_VERIFY),  # and down
+        (lambda n: mpf(-1) if n == 3 else mpf(1), EXIT_VERIFY),
+        (lambda n: mpmath.inf if n == 40 else mpf(1), EXIT_VERIFY),
+        (lambda n: mpmath.nan if n == 40 else mpf(1), EXIT_VERIFY),
+    ])
+    def test_lemma1_band_verdict(self, tmp_path, monkeypatch, ratio, want):
+        # n = 64 splits into the early ratios 0..32 and the late ones 32..64
+        monkeypatch.setattr(cli, "lemma1_ratio", lambda n, w: ratio(n))
+        assert main(["verify-lemma1", "--n", "64", "-o", str(tmp_path / "l1.csv")]) == want
 
     def test_lemma3_grid(self, tmp_path):
         out = tmp_path / "l3.csv"
@@ -646,6 +662,16 @@ class TestBadInputExitsOne:
     ], ids=" ".join)
     def test_unrecognized_arguments(self, tmp_path, capsys, argv):
         assert "unrecognized arguments" in self._exits_one(capsys, argv, tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("argv,want", [
+        (["weights", "--precision-bits", "1.5"], "--precision-bits: not an integer: '1.5'"),
+        (["weights", "--n", "2.0"], "--n: not an integer: '2.0'"),
+        (["weights", "--trunc-degree", "abc"], "--trunc-degree: not an integer: 'abc'"),
+        (["weights", "--alpha", "x"], "--alpha: not a number: 'x'"),
+        (["verify-lemma3", "--q", "abc"], "--q: not a number: 'abc'"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_unparsable_value_names_what_was_expected(self, tmp_path, capsys, argv, want):
+        assert want in self._exits_one(capsys, argv, tmp_path / "x.csv")
 
     @pytest.mark.parametrize("p", ["1e400", "Infinity"])
     def test_p_neither_inf_nor_a_finite_float64(self, tmp_path, capsys, p):

@@ -828,7 +828,49 @@ class TestFrequencyScatter:
             frequency_report(f, s, w, 16, eps, mpf(1))
 
 
+def _density_decay_mpf(f, w, q, M):
+    """density_decay_check's loop in mpf operators at the table's precision: the
+    oracle of its raw-tuple loop, which must equal it bit for bit."""
+    with mp.workprec(w.precision_bits):
+        q = mpf(q)
+        sigma, events = [], []
+        running, event_count = mpf(0), 0
+        coeffs = dict(f.items())
+        for n in range(1, M + 1):
+            c = coeffs.get(n)
+            if c is not None:
+                v = mpmath.exp(mpmath.ln(abs(c)) + w.log_weight(n))
+                running += v**q
+                if v > 1:
+                    event_count += 1
+            sigma.append(running / n)
+            events.append(mpf(event_count) / n)
+        slack = mpf(2) ** (24 - mp.prec)
+        holds = all(e <= s + slack for e, s in zip(events, sigma))
+    return [s._mpf_ for s in sigma], [e._mpf_ for e in events], holds
+
+
 class TestDensityDecay:
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_equals_mpf_operators(self, bits):
+        # real and complex coefficients, events on both sides of |c_n| d_n = 1,
+        # and an fhc build, at q = 1, 1.5 and 2
+        with mp.workprec(bits):
+            w = DunklWeights(1, 4096)
+            small = TruncatedSeries(
+                {1: mpc(1, -2), 3: -mpmath.exp(-w.log_weight(3)) / 3,
+                 7: mpc(0, 5) * mpmath.exp(-w.log_weight(7)), 8: mpf(10) ** -40,
+                 20: mpmath.exp(-w.log_weight(20))}, trunc_degree=64)
+            fhc, _ = build_frequently_hypercyclic(w, 2, RateEnvelope.log_growth(), 1,
+                                                  cfg=BuilderConfig(block_width=2))
+        for f, M in ((small, 64), (fhc, 2048)):
+            for q in (1, mpf("1.5"), 2):
+                got = density_decay_check(f, w, q, M)
+                sigma, events, holds = _density_decay_mpf(f, w, q, M)
+                assert [s._mpf_ for s in got.sigma] == sigma
+                assert [e._mpf_ for e in got.event_density] == events
+                assert got.bound_holds == holds
+
     def test_sparse_build_sigma_vanishes(self):
         w = DunklWeights(0, 4096)
         env = RateEnvelope.log_growth()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import mpc_abs, mpc_div_mpf, mpc_to_complex, round_nearest
 
 from dunkldyn.construct import build_hypercyclic, poly_to_series
 from dunkldyn.dunkl import DunklWeights, apply_dunkl
@@ -305,6 +306,8 @@ def _circle_table_fields_mpf(f):
     log_abs_f = np.array([float(v) for v in log_abs])
     log_abs_lo = np.array([float(v - h) for v, h in zip(log_abs, log_abs_f)])
     phase = np.array([complex(c / a) for (_, c), a in zip(items, mags)])
+    if all(c.imag == 0 for _, c in items):  # a real series keeps float64 phases
+        phase = phase.real
     return [v._mpf_ for v in log_abs], log_abs_f, log_abs_lo, phase
 
 
@@ -324,6 +327,27 @@ def test_circle_table_fields_equal_mpf_operators(name, bits):
     for got, want in ((table.log_abs_f, log_abs_f), (table.log_abs_lo, log_abs_lo),
                       (table.phase, phase)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bits", [53, 64, 256])
+def test_real_series_phases_equal_mpc_division(bits):
+    # a real series' phases are float64 without the division, a complex one's
+    # complex128 from it; both equal mpc_to_complex(mpc_div_mpf(c, |c|)).  The
+    # coefficients are set at 300 bits, so at 53 bits |1 + 2^-53 + 2^-80| rounds
+    # up and c / |c| rounds to 1 - 2^-53, not 1
+    with mp.workprec(300):
+        real = {0: mpf(-3), 1: mpf(2) ** -1000, 2: 1 + mpf(2) ** -53 + mpf(2) ** -80,
+                3: -(1 + mpf(2) ** -64 + mpf(2) ** -90), 5: mpf(10) ** -300, 7: -mpf(1) / 3}
+        series = [TruncatedSeries(real, trunc_degree=8),
+                  TruncatedSeries({**real, 4: mpc(1, 2) / 3}, trunc_degree=8)]
+    prec, rnd = bits, round_nearest
+    for f, dtype in zip(series, (np.float64, np.complex128)):
+        with mp.workprec(bits):
+            table = _CircleTable(f, parseval=False)
+        want = np.array([mpc_to_complex(mpc_div_mpf(c._mpc_, mpc_abs(c._mpc_, prec, rnd), prec,
+                                                    rnd), rnd=rnd) for _, c in f.items()])
+        assert table.phase.dtype == dtype and np.array_equal(table.phase, want)
+    assert (table.phase[2] != 1) == (bits == 53)
 
 
 def _mpf_peak(f, r, theta, half_width):
@@ -442,6 +466,56 @@ def test_circle_rows_equal_one_length_m_transform(m):
         assert np.array_equal(got, want)
     else:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [8 * 1031, 8 * 4097])
+def test_circle_rows_real_route_equals_length_m_transform(m):
+    # float64 values on the split take five length-m/8 transforms and fill the
+    # other three columns by conjugate symmetry: within 1e-14 of each row's
+    # maximum of the one length-m transform and of the complex route, and each
+    # row equal to its one-row call
+    rng = np.random.default_rng(m + 1)
+    n_rows, n_terms = 3, 2000
+    rows = rng.integers(0, n_rows, n_terms)
+    degrees = rng.integers(0, 3 * m, n_terms)
+    scaled = rng.standard_normal(n_terms)
+    coeffs = np.zeros((n_rows, m), dtype=np.complex128)
+    np.add.at(coeffs, (rows, degrees % m), scaled)
+    want = np.fft.ifft(coeffs, axis=-1, norm="forward")
+    got = _circle_rows(n_rows, m, rows, degrees, scaled)
+    complex_route = _circle_rows(n_rows, m, rows, degrees, scaled.astype(np.complex128))
+    assert got.shape == (n_rows, m) and got.dtype == np.complex128
+    for i in range(n_rows):
+        top = np.max(np.abs(want[i]))
+        assert np.max(np.abs(got[i] - want[i])) <= 1e-14 * top
+        assert np.max(np.abs(got[i] - complex_route[i])) <= 1e-14 * top
+        mine = rows == i
+        assert np.array_equal(_circle_rows(1, m, 0, degrees[mine], scaled[mine])[0], got[i])
+
+
+def test_real_series_blocks_equal_per_radius_mean_p():
+    # a real series of prime degree 1031 samples m = 8 * 1031 points on the
+    # split's real route; 20 radii with r = 0 inside fill two blocks.  Its
+    # rotation e^{i/3} f has complex coefficients and the same |f|, so the
+    # complex route gives the same means
+    rng = random.Random(1031)
+    coeffs = {n: mpf(rng.uniform(-1, 1)) / (1 + n) for n in rng.sample(range(1031), 60)}
+    coeffs[1031] = mpf("0.002")
+    f = TruncatedSeries(coeffs, trunc_degree=1031)
+    rotated = TruncatedSeries({n: c * mpmath.expj(mpf(1) / 3) for n, c in coeffs.items()}, 1031)
+    assert _CircleTable(f, parseval=False).phase.dtype == np.float64
+    assert _CircleTable(rotated, parseval=False).phase.dtype == np.complex128
+    m = MeanParams(1).points_for(f)
+    assert m == 8 * 1031 and _has_large_factor(1031)
+    radii = [mpf(10) ** (mpf(k) / 8) for k in range(-8, 11)]
+    radii.insert(5, mpf(0))
+    assert _BLOCK_ELEMENTS // m < len(radii) - 1 < 2 * (_BLOCK_ELEMENTS // m)
+    for p in (mpf(1), mpf("1.5"), P_INF):
+        params = MeanParams(p)
+        got = means_on_grid(f, radii, params)
+        assert got == [means_on_grid(f, [r], params)[0] for r in radii]
+        for a, b in zip(got, means_on_grid(rotated, radii, params)):
+            assert abs(b.value - a.value) <= a.value * mpf("1e-13")
 
 
 def test_split_gate_is_largest_prime_factor_bound():
