@@ -73,7 +73,7 @@ from mpmath.libmp import (fone, from_int, fzero, mpc_abs, mpf_add, mpf_div, mpf_
 
 from .dunkl import DunklWeights, _at_table_precision, _require_table, apply_dunkl, right_inverse
 from .growth import RateEnvelope, rate_exponent, standard_r_grid
-from .means import _BLOCK_ELEMENTS, _CircleTable
+from .means import _BLOCK_ELEMENTS, _log_abs_and_phase
 from .numeric import to_decimal
 from .series import TruncatedSeries, read_header, read_text
 
@@ -704,9 +704,9 @@ def frequency_report(
     and the smallest miss 0.75; over seven J = 3 builds at R = 1, 1.5 and 2
     they are 0.045 and 0.5.
 
-    ln|c_s| and the unit phases come from the sampled means' coefficient
-    table (``means._CircleTable``).  Unlike the builders' kernel, this reads
-    ln d_n from the mpf table, not from ``DunklWeights.float_log_weights``.
+    ln|c_s| and the unit phases come from ``means._log_abs_and_phase``, as in
+    the sampled means' coefficient table.  Unlike the builders' kernel, this
+    reads ln d_n from the mpf table, not from ``DunklWeights.float_log_weights``.
     A block coefficient is c_s = q_i d_i / d_s, so ln|c_s| + ln d_s cancels
     in mpf to the small ln(|q_i| d_i) before it is rounded to float64; on the
     float64 table the ~1e-11 error of ln d_s would survive that cancellation.
@@ -729,12 +729,13 @@ def frequency_report(
     _require_table(w, f.trunc_degree)
     # at R = 0 a slope far below -745 per degree keeps the degree-0 terms only
     ln_R = float(mpmath.ln(R)) if R > 0 else -1e300
-    table = _CircleTable(f, parseval=False)
-    degrees, phase, prec = table.degrees, table.phase, w.precision_bits
+    items = list(f.items())
+    log_abs, phase = _log_abs_and_phase(items)
+    degrees, prec = np.array([s for s, _ in items], dtype=np.int64), w.precision_bits
     logd = np.array([float(w.log_weight(n)) for n in range(f.trunc_degree + 1)])
     # ln(|c_s| d_s); the term of Lambda^n f at degree s - n is this minus ln d_(s-n)
     log_top = np.array([to_float(mpf_add(la, w.log_weight(s)._mpf_, prec, round_nearest),
-                                 rnd=round_nearest) for s, la in zip(table.n, table.log_abs)])
+                                 rnd=round_nearest) for (s, _), la in zip(items, log_abs)])
     # degrees below width can meet a target term; q_k R^k is padded to that width
     width = max(len(q) for q in schedule.targets)
     targets = [np.array([float(c) * float(R)**k for k, c in enumerate(q)]
@@ -763,7 +764,7 @@ def frequency_report(
                 for t in targets]
 
     # rows of a block times the entries stay within _BLOCK_ELEMENTS
-    per_block = max(1, _BLOCK_ELEMENTS // max(len(table.n), 1))
+    per_block = max(1, _BLOCK_ELEMENTS // max(len(items), 1))
     counts = [0] * len(targets)
     for n in range(1, N_window + 1, per_block):
         hits = block_hits(np.arange(n, min(n + per_block, N_window + 1)))

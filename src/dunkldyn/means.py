@@ -4,7 +4,7 @@ Routes by exponent:
 
 * p = 2 goes through the Parseval closed form, summed at working precision.
   This is the anchor the quadrature route is tested against.
-* p = infinity samples |f| on a uniform circle grid and sharpens the three
+* p = infinity samples |f| on a uniform circle grid and sharpens up to the three
   highest local maxima of the samples with a golden-section pass each.
 * other p use trapezoidal quadrature of |f|^p on the same grid.  For a smooth
   periodic integrand the uniform trapezoid rule converges faster than any
@@ -36,25 +36,26 @@ is decided once per call, by the table, so a row's samples never depend on
 the other radii of its block.
 
 Every mean goes through ``means_on_grid``: one table per call serves every
-radius, and nothing outlives the call.  At each radius a float64 pass
-over ln|c_n| + n ln r picks the terms within the 700-nat window plus a
-1-nat margin, which dwarfs the ~1e-11 rounding of that pass.  The sampled
-routes then form each candidate's exponent relative to the top term in
-double-double arithmetic (``_CircleTable.terms``); only the shift is an mpf
-operation.  Their samples agree with a working-precision evaluation of
-every coefficient to within 1e-14 of the largest sample, where plain
-float64 exponents miss by up to ~2e-12 on degree-4000 series.  The scaled
-terms of a block of radii fill the rows of one array of about
-_BLOCK_ELEMENTS = 2^17 complex values (2 MB), which one transform along
-the rows serves.  At most two arrays of that size are alive at once (the
-split path drops each step's input once the next step has run; on the real
-route the input holds float64 values and the two middle steps 5/8 of the
-samples, so at most 1 5/8 arrays are), plus two complex vectors of length D
-for the twiddles.
-Parseval likewise drops terms more than (precision + 64) bits below the
-top term.  The p = infinity refine evaluates only the terms that survive
-the window, rotated to a peak's angle through the exact residue (j n)
-mod m, so its phases stay accurate to float64 at any degree.
+radius, and nothing outlives the call.  The sampled routes take a block of
+radii, as many as fill about _BLOCK_ELEMENTS = 2^17 complex samples (2 MB),
+through three array steps, each over the whole block and each keeping a
+row's numbers apart from the other rows', so a mean does not depend on its block:
+
+1. terms (``_CircleTable.block_terms``): a float64 pass over ln|c_n| + n ln r
+   picks each radius' terms within the 700-nat window plus a 1-nat margin,
+   which dwarfs the ~1e-11 rounding of that pass, and forms each exponent
+   relative to the row's top term in double-double arithmetic; ln r and the
+   shift are the only mpf operations.  The samples agree with a
+   working-precision evaluation of every coefficient to within 1e-14 of the
+   largest sample, where plain float64 exponents miss by ~2e-12 at degree 4000;
+2. transform: one ``_circle_rows`` call.  At most two block-sized arrays are
+   alive in it (1 5/8 on the real route), plus two length-D twiddle vectors;
+3. reduce: ``_quadrature_means`` raises the block's |samples| to the power p
+   once; ``_max_means`` refines the candidate peaks of every row in one
+   lockstep golden section, each on its band rotated to the peak's angle
+   through the exact residue (j n) mod m, accurate to float64 at any degree.
+
+Parseval likewise drops terms more than (precision + 64) bits below the top term.
 
 The sampled routes' per-coefficient table and the Hausdorff-Young left-hand
 terms run on raw libmp tuples; as in ``growth``, each equals the mpf
@@ -86,7 +87,7 @@ _BLOCK_ELEMENTS = 1 << 17  # complex values per batched inverse FFT (2 MB; 4 MB 
 _MIN_POINTS = 4096  # circle samples of the smallest grid; above it m = 8 * degree
 _POINTS_PER_DEGREE = 8  # circle samples per coefficient degree; also the split's short length
 _SPLIT_MIN_FACTOR = 191  # the split pays only when m/8 has a prime factor at least this large
-_REFINED_PEAKS = 3  # local maxima of the p = inf samples that get a refine
+_REFINED_PEAKS = 3  # most local maxima of a p = inf row that get a refine
 
 
 def conjugate_exponent(p):
@@ -143,22 +144,38 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
+def _log_abs_and_phase(items):
+    """(ln|c_n| as raw mpf tuples, c_n/|c_n| in float64 if every c_n is real, else
+    complex128) over the (n, c_n) items, at working precision.  A real phase is
+    sign(c_n), with no division, whenever |c_n| keeps c_n's mantissa; it equals
+    the complex one's real part either way.  ``construct.frequency_report``
+    reads both too."""
+    prec, rnd = mp.prec, round_nearest
+    mags = [mpc_abs(c._mpc_, prec, rnd) for _, c in items]
+    log_abs = [mpf_log(a, prec, rnd) for a in mags]
+    reals = [c._mpc_[0] for _, c in items if c._mpc_[1] == fzero]
+    if len(reals) == len(items):
+        # c/|c| is exactly sign(c) when |c| kept c's mantissa
+        phase = np.array([(-1.0 if x[0] else 1.0) if a[1] == x[1]
+                          else to_float(mpf_div(x, a, prec, rnd), rnd=rnd)
+                          for x, a in zip(reals, mags)])
+    else:
+        phase = np.array([mpc_to_complex(mpc_div_mpf(c._mpc_, a, prec, rnd), rnd=rnd)
+                          for (_, c), a in zip(items, mags)])
+    return log_abs, phase
+
+
 class _CircleTable:
     """Per-coefficient data of one series, shared by every radius of a call.
 
     n lists the nonzero degrees as ints for mpf arithmetic and degrees as an
     int64 array; log_abs_f holds ln|c_n| rounded to float64, which selects
     candidate terms.  The Parseval route also keeps |c_n|^2; the sampling
-    routes keep ln|c_n| at working precision as an mpf tuple, its float64
-    remainder log_abs_lo (so log_abs_f + log_abs_lo is a double-double) and
-    the unit phase c_n/|c_n| rounded to complex128.  When every coefficient is
-    real the phases are float64 instead, and ``terms`` then returns float64
-    values, which send ``_circle_rows`` down the split's real route.  Such a
-    phase is sign(c_n), with no division, whenever |c_n| keeps c_n's mantissa
-    (always, unless c_n has more bits than the working precision); the values
-    equal the complex ones' real parts either way.  ``construct.frequency_report``
-    reads log_abs and phase too, for the working-precision ln|c_n| + ln d_n
-    and the phases of the low-degree coefficients it compares with targets.
+    routes keep ln|c_n| as an mpf tuple and the unit phase
+    (``_log_abs_and_phase``), and the float64 remainder log_abs_lo (so
+    log_abs_f + log_abs_lo is a double-double), which ``block_terms`` reads
+    for a block of radii at once.  Real phases make its values float64, which
+    send ``_circle_rows`` down the split's real route.
     """
 
     __slots__ = ("n", "degrees", "log_abs_f", "abs2", "log_abs", "log_abs_lo", "phase")
@@ -172,62 +189,54 @@ class _CircleTable:
             self.log_abs_f = np.array([_float_ln(a) for a in mags])
             self.abs2 = [a**2 for a in mags]
         else:
-            prec, rnd = mp.prec, round_nearest
-            mags = [mpc_abs(c._mpc_, prec, rnd) for _, c in items]
-            self.log_abs = [mpf_log(a, prec, rnd) for a in mags]
-            hi = [to_float(v, rnd=rnd) for v in self.log_abs]
+            self.log_abs, self.phase = _log_abs_and_phase(items)
+            hi = [to_float(v, rnd=round_nearest) for v in self.log_abs]
             self.log_abs_f = np.array(hi)
+            prec, rnd = mp.prec, round_nearest
             self.log_abs_lo = np.array([to_float(mpf_sub(v, from_float(h), prec, rnd), rnd=rnd)
                                         for v, h in zip(self.log_abs, hi)])
-            reals = [c._mpc_[0] for _, c in items if c._mpc_[1] == fzero]
-            if len(reals) == len(items):
-                # c/|c| is exactly sign(c) when |c| kept c's mantissa
-                self.phase = np.array([(-1.0 if x[0] else 1.0) if a[1] == x[1]
-                                       else to_float(mpf_div(x, a, prec, rnd), rnd=rnd)
-                                       for x, a in zip(reals, mags)])
-            else:
-                self.phase = np.array([mpc_to_complex(mpc_div_mpf(c._mpc_, a, prec, rnd), rnd=rnd)
-                                       for (_, c), a in zip(items, mags)])
-
-    def window(self, ln_r: float, width: float):
-        """(indices, top): the terms within width nats of the largest |c_n| r^n, and that term."""
-        approx = self.log_abs_f + self.degrees * ln_r
-        top = int(np.argmax(approx))
-        return np.flatnonzero(approx >= approx[top] - width), top
 
     def parseval(self, r: mpf) -> mpf:
         """M_2 = (sum |c_n|^2 r^(2n))^(1/2), without terms below the working precision."""
+        approx = self.log_abs_f + self.degrees * _float_ln(r)
         width = (mp.prec + 64) * _LN2 / 2 + _WINDOW_MARGIN
-        idx, _ = self.window(_float_ln(r), width)
+        idx = np.flatnonzero(approx >= approx.max() - width)
         return mpmath.sqrt(mpmath.fsum(self.abs2[i] * r ** (2 * self.n[i]) for i in idx))
 
-    def terms(self, r: mpf):
-        """(shift, (degrees, scaled)): the terms c_n r^n e^{-shift} of the 700-nat window.
+    def block_terms(self, radii):
+        """(shifts, (rows, degrees, scaled)): the terms c_n r_i^n e^{-shift_i} of each
+        radius' 700-nat window, flat in row order, as ``_circle_rows`` takes them.
 
-        shift = ln|c_top| + n_top ln r in mpf for the largest term of the
-        float64 pass.  Each other exponent is (ln|c_n| - ln|c_top|) +
-        (n - n_top) ln r, summed exactly by two-sum from the (hi, lo) logs and
-        from ln r split into two 26-bit halves, whose products with an integer
-        below 2^26 are exact, plus its float64 remainder; it is then within an
-        ulp of the exact value.  A term the float64 pass misordered against
-        c_top, within ~1e-11 nats, gets an exponent just above 0.
+        shift_i = ln|c_top| + n_top ln r_i in mpf for the largest term of the
+        float64 pass.  Each exponent is (ln|c_n| - ln|c_top|) + (n - n_top) ln r_i,
+        summed exactly by two-sum from the (hi, lo) logs and from ln r_i split
+        into two 26-bit halves, whose products with an integer below 2^26 are
+        exact, plus its float64 remainder: within an ulp of the exact value.  A
+        term the float64 pass misordered against c_top, within ~1e-11 nats,
+        gets an exponent just above 0.  Every operation is elementwise over a
+        2-D (radius, coefficient) pass, so a row's terms do not depend on its block.
         """
-        ln_r = mpmath.ln(r)
-        l_hi = float(ln_r)
-        l_lo = float(ln_r - l_hi)
+        ln_r = [mpmath.ln(r) for r in radii]
+        hi = [float(x) for x in ln_r]
+        l_lo = np.array([float(x - h) for x, h in zip(ln_r, hi)])
+        l_hi = np.array(hi)
         c = _SPLIT * l_hi
         l_1 = c - (c - l_hi)
         l_2 = l_hi - l_1
-        idx, top = self.window(l_hi, _WINDOW_MARGIN - _UNDERFLOW_LOG)
-        k = (self.degrees[idx] - self.degrees[top]).astype(np.float64)
-        s, e_a = _two_sum(self.log_abs_f[idx], -self.log_abs_f[top])
-        s, e_1 = _two_sum(s, k * l_1)
-        s, e_2 = _two_sum(s, k * l_2)
-        rel = s + (e_a + e_1 + e_2 + (self.log_abs_lo[idx] - self.log_abs_lo[top]) + k * l_lo)
-        shift = mp.make_mpf(self.log_abs[top]) + self.n[top] * ln_r
+        approx = self.log_abs_f + l_hi[:, None] * self.degrees
+        top = np.argmax(approx, axis=1)
+        floor = approx[np.arange(len(hi)), top] - (_WINDOW_MARGIN - _UNDERFLOW_LOG)
+        rows, idx = np.nonzero(approx >= floor[:, None])
+        t = top[rows]
+        k = (self.degrees[idx] - self.degrees[t]).astype(np.float64)
+        s, e_a = _two_sum(self.log_abs_f[idx], -self.log_abs_f[t])
+        s, e_1 = _two_sum(s, k * l_1[rows])
+        s, e_2 = _two_sum(s, k * l_2[rows])
+        rel = s + (e_a + e_1 + e_2 + (self.log_abs_lo[idx] - self.log_abs_lo[t]) + k * l_lo[rows])
+        shifts = [mp.make_mpf(self.log_abs[i]) + self.n[i] * x for i, x in zip(top.tolist(), ln_r)]
         keep = rel >= _UNDERFLOW_LOG
         sel = idx[keep]
-        return shift, (self.degrees[sel], np.exp(rel[keep]) * self.phase[sel])
+        return shifts, (rows[keep], self.degrees[sel], np.exp(rel[keep]) * self.phase[sel])
 
 
 def _has_large_factor(n: int) -> bool:
@@ -269,7 +278,8 @@ def _circle_rows(n_rows: int, m: int, rows, degrees, scaled) -> np.ndarray:
     D - 1 - a] for b >= 5.  At D = 4079 on blocks of four rows it takes
     about 0.7 of the complex split's time, 0.4 of the unsplit one's (medians
     of 150 interleaved calls on a shared 2-core Xeon VM: 18.5, 10.6 and 7.5
-    ms).  A row's samples depend on its own values only.
+    ms).  A row's samples depend on its own values only.  ``means_on_grid``
+    passes it ``_CircleTable.block_terms``' arrays and its rows to a reducer.
     """
     short = _POINTS_PER_DEGREE
     split = m > _MIN_POINTS and not m % short and _has_large_factor(m // short)
@@ -301,83 +311,100 @@ def _circle_rows(n_rows: int, m: int, rows, degrees, scaled) -> np.ndarray:
     return out.transpose(0, 2, 1).reshape(n_rows, m)
 
 
-def _refine_max(degrees: np.ndarray, coeffs: np.ndarray, half_width: float) -> float:
-    """Golden-section maximization of |sum_n coeffs_n e^{i n t}| over |t| <= half_width."""
+def _quadrature_means(shifts, samples: np.ndarray, p) -> list[MeanResult]:
+    """Trapezoid value of M_p on each row of samples with its m-vs-m/2 discrepancy.
 
-    def value(t: float) -> float:
-        return abs(np.dot(coeffs, np.exp(1j * t * degrees)))
-
-    a, b = -half_width, half_width
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = value(x1)
-    f2 = value(x2)
-    for _ in range(48):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = value(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = value(x1)
-    return max(f1, f2)
-
-
-def _quadrature_mean(shift: mpf, samples: np.ndarray, p) -> MeanResult:
-    """Trapezoid value of M_p on the samples with the m-vs-m/2 discrepancy."""
-    mags = np.abs(samples)
-    top = float(np.max(mags))
-    mags /= top  # keeps mags**p in [0, 1] however large p is
-    p_f = float(p)
-    fine = top * float(np.mean(mags**p_f) ** (1.0 / p_f))
-    coarse = top * float(np.mean(mags[::2] ** p_f) ** (1.0 / p_f))
-    scale = mpmath.exp(shift)
-    return MeanResult(mpf(fine) * scale, abs(mpf(fine - coarse)) * scale)
-
-
-def _max_mean(shift: mpf, samples: np.ndarray, band) -> MeanResult:
-    """Largest sample sharpened by a golden-section pass at each of the highest peaks.
-
-    The _REFINED_PEAKS highest cyclic local maxima of |samples| are refined,
-    highest first, over their two cells, so a nearly tied peak cannot hide
-    the global maximum.  A peak is skipped when |f|, which moves at most
-    sum_n |n - n_top| |scaled_n| per radian, cannot pass the best value
-    within 2 pi / m of it.  The band's terms are rotated to the peak's angle
-    2 pi j / m through the exact residue (j n) mod m, so the refine only
-    forms e^{i n t} for |t| <= 2 pi / m and its phases keep full float64
-    accuracy at any degree.
+    |samples| / top is raised to the power p once, and the coarse mean reads
+    its even columns.  Row sums, roots and top * are per row.
     """
-    m = len(samples)
     mags = np.abs(samples)
-    top = float(np.max(mags))
-    coarse_half = float(np.max(mags[::2]))
-    peaks = np.flatnonzero((mags >= np.roll(mags, 1)) & (mags >= np.roll(mags, -1)))
-    if len(peaks) > _REFINED_PEAKS:
-        peaks = peaks[np.argpartition(mags[peaks], -_REFINED_PEAKS)[-_REFINED_PEAKS:]]
-    peaks = peaks[np.argsort(-mags[peaks], kind="stable")]
-    degrees, scaled = band
+    top = mags.max(axis=1)
+    mags /= top[:, None]  # keeps mags**p in [0, 1] however large p is
+    p_f = float(p)
+    mags **= p_f
+    out = []
+    for shift, t, fine, coarse in zip(shifts, top.tolist(), mags.mean(axis=1),
+                                      mags[:, ::2].mean(axis=1)):
+        fine, coarse = t * float(fine ** (1.0 / p_f)), t * float(coarse ** (1.0 / p_f))
+        scale = mpmath.exp(shift)
+        out.append(MeanResult(mpf(fine) * scale, abs(mpf(fine - coarse)) * scale))
+    return out
+
+
+def _max_means(shifts, samples: np.ndarray, rows, degrees, scaled) -> list[MeanResult]:
+    """Largest sample of each row sharpened by golden-section passes at its highest peaks.
+
+    The candidates are each row's _REFINED_PEAKS highest cyclic local maxima
+    of |samples| whose value plus climb exceeds the row's largest sample;
+    climb = (2 pi / m) sum_n |n - n_top| |scaled_n| bounds how far |f| rises
+    within 2 pi / m of a peak, so a nearly tied peak cannot hide the maximum.
+    (A peak below the row's best refined value is refined too, and cannot
+    move it.)  All candidates of the block run the 48 steps of one golden
+    section over their two cells in lockstep, one array expression per step,
+    each on its row's terms rotated to the peak's angle 2 pi j / m through
+    the exact residue (j n) mod m: so e^{i n t} is only formed for |t| <=
+    2 pi / m.  Each candidate sums its own band alone (``np.add.reduceat``).
+    """
+    n_rows, m = samples.shape
+    mags = np.abs(samples)
+    top = mags.max(axis=1)
+    coarse_half = mags[:, ::2].max(axis=1)
     half_width = 2.0 * math.pi / m
+    starts = np.searchsorted(rows, np.arange(n_rows))  # every row keeps its top term
     size = np.abs(scaled)
-    climb = half_width * float(np.dot(np.abs(degrees - degrees[np.argmax(size)]), size))
-    best = top
-    for j in peaks:
-        if mags[j] + climb > best:
-            rotated = scaled * np.exp(2j * np.pi * ((int(j) * degrees) % m) / m)
-            best = max(best, _refine_max(degrees, rotated, half_width))
-    scale = mpmath.exp(shift)
-    err = (abs(mpf(best - top)) + abs(mpf(best - coarse_half))) * scale
-    return MeanResult(mpf(best) * scale, err)
+    hit = np.flatnonzero(size == np.maximum.reduceat(size, starts)[rows])
+    n_top = degrees[hit[np.searchsorted(rows[hit], np.arange(n_rows))]]
+    climb = half_width * np.add.reduceat(np.abs(degrees - n_top[rows]) * size, starts)
+    # the cyclic local maxima that pass the candidate test, by row, highest
+    # first, ties to the first column; the first _REFINED_PEAKS of each row
+    cand, peaks = np.nonzero(mags + climb[:, None] > top[:, None])
+    height = mags[cand, peaks]
+    local = (height >= mags[cand, peaks - 1]) & (height >= mags[cand, (peaks + 1) % m])
+    cand, peaks, height = cand[local], peaks[local], height[local]
+    order = np.lexsort((-height, cand))
+    cand, peaks = cand[order], peaks[order]
+    keep = np.arange(len(cand)) - np.searchsorted(cand, cand) < _REFINED_PEAKS
+    cand, peaks = cand[keep], peaks[keep]
+    best = top.copy()
+    if len(cand):
+        lengths = np.diff(np.append(starts, len(rows)))[cand]
+        first = np.cumsum(lengths) - lengths
+        owner = np.repeat(np.arange(len(cand)), lengths)
+        band = np.arange(len(owner)) - (first - starts[cand])[owner]
+        n = degrees[band]
+        rotated = scaled[band] * np.exp(2j * np.pi * ((peaks[owner] * n) % m) / m)
+
+        def value(t: np.ndarray) -> np.ndarray:
+            return np.abs(np.add.reduceat(rotated * np.exp(1j * (t[owner] * n)), first))
+
+        a, b = np.full(len(cand), -half_width), np.full(len(cand), half_width)
+        x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        f1, f2 = value(x1), value(x2)
+        for _ in range(48):
+            right = f1 < f2  # the maximum lies in [x1, b]
+            a = np.where(right, x1, a)
+            b = np.where(right, b, x2)
+            x = np.where(right, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
+            f = value(x)
+            x1, x2 = np.where(right, x2, x), np.where(right, x, x1)
+            f1, f2 = np.where(right, f2, f), np.where(right, f, f1)
+        np.maximum.at(best, cand, np.maximum(f1, f2))
+    out = []
+    for shift, v, t, c in zip(shifts, best.tolist(), top.tolist(), coarse_half.tolist()):
+        scale = mpmath.exp(shift)
+        out.append(MeanResult(mpf(v) * scale, (abs(mpf(v - t)) + abs(mpf(v - c))) * scale))
+    return out
 
 
 def means_on_grid(f: TruncatedSeries, radii, params: MeanParams) -> list[MeanResult]:
     """M_p(f, r) with its quadrature discrepancy at every radius of the grid.
 
     The coefficient table is built once per call and read at each radius;
-    nothing is cached beyond the call.  The sampled routes run one
-    ``_circle_rows`` transform per block of radii, about _BLOCK_ELEMENTS
-    samples per block; a row's samples do not depend on the block it shares.
-    It takes no weight table, so it works at the caller's ambient precision.
+    nothing is cached beyond the call.  The sampled routes run a block of
+    radii at a time through the table's block terms, one ``_circle_rows``
+    transform and one reducer per route; a radius' result does not depend on
+    its block.  It takes no weight table, so it works at the caller's ambient
+    precision.
     """
     radii = [mpf(r) for r in radii]
     for r in radii:
@@ -396,16 +423,14 @@ def means_on_grid(f: TruncatedSeries, radii, params: MeanParams) -> list[MeanRes
     per_block = max(1, _BLOCK_ELEMENTS // m)
     for start in range(0, len(live), per_block):
         block = live[start:start + per_block]
-        terms = [table.terms(radii[i]) for i in block]
-        bands = [band for _, band in terms]
-        rows = np.repeat(np.arange(len(block)), [len(degrees) for degrees, _ in bands])
-        samples = _circle_rows(len(block), m, rows, np.concatenate([d for d, _ in bands]),
-                               np.concatenate([v for _, v in bands]))
-        for i, (shift, band), row in zip(block, terms, samples):
-            if params.p == P_INF:
-                out[i] = _max_mean(shift, row, band)
-            else:
-                out[i] = _quadrature_mean(shift, row, params.p)
+        shifts, (rows, degrees, scaled) = table.block_terms([radii[i] for i in block])
+        samples = _circle_rows(len(block), m, rows, degrees, scaled)
+        if params.p == P_INF:
+            results = _max_means(shifts, samples, rows, degrees, scaled)
+        else:
+            results = _quadrature_means(shifts, samples, params.p)
+        for i, res in zip(block, results):
+            out[i] = res
     return out
 
 

@@ -25,6 +25,7 @@ from typing import Iterator
 
 import mpmath
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_str, round_nearest
 
 from .numeric import to_decimal
 
@@ -259,6 +260,8 @@ def _parse_series(lines: list) -> tuple[TruncatedSeries, mpf, int]:
             if n <= last_n:
                 raise ValueError("coefficient indices must increase")
             last_n = n
-            table[n] = mpc(mpf(parts[1]), mpf(parts[2]))
+            # what mpc(mpf(re), mpf(im)) rounds to at these bits, without its conversions
+            table[n] = mp.make_mpc((from_str(parts[1], bits, round_nearest),
+                                    from_str(parts[2], bits, round_nearest)))
         series = TruncatedSeries(table, trunc_degree=last_n)
     return series, alpha, bits

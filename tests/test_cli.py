@@ -271,6 +271,22 @@ class TestSeriesCommands:
         assert f"{inp}: n_coeffs=99 but 3 coefficient lines" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["means", "orbit"])
+    def test_malformed_decimal_exits_one(self, tmp_path, capsys, subcommand):
+        # a coefficient decimal the reader cannot parse names the file in one line
+        inp = self._write_input(tmp_path, {0: 1, 2: 1})
+        lines = Path(inp).read_text().splitlines()
+        assert lines[4] == "0 1.0 0.0"
+        lines[4] = "0 1.5x 0.0"
+        Path(inp).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.csv"
+        rc = main([subcommand, "--input", inp, "-o", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'input'" in err
+        assert f"{inp}: could not convert string to float: '1.5x'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", ["means", "apply"])
     @pytest.mark.parametrize("bits", ["0", "-5"])
     def test_series_precision_below_8_exits_one(self, tmp_path, capsys, subcommand, bits):

@@ -44,7 +44,7 @@ from dunkldyn.construct import (
 )
 from dunkldyn.dunkl import DunklWeights, apply_dunkl, right_inverse
 from dunkldyn.growth import RateEnvelope, standard_r_grid
-from dunkldyn.means import P_INF, _CircleTable
+from dunkldyn.means import P_INF, _log_abs_and_phase
 from dunkldyn.series import TruncatedSeries, write_series
 
 F = Fraction
@@ -744,8 +744,8 @@ class TestFrequencyScatter:
     @pytest.mark.parametrize("bits", [64, 256, 512])
     @pytest.mark.parametrize("kind", ["fhc", "wide"])
     def test_log_terms_and_phases_equal_mpf_operators(self, fhc_build, kind, bits):
-        # ln(|c_s| d_s) and c_s/|c_s| as frequency_report forms them from the circle
-        # table, against the same quantities in mpf and mpc operators
+        # ln(|c_s| d_s) and c_s/|c_s| as frequency_report forms them from the shared
+        # helper, against the same quantities in mpf and mpc operators
         f = fhc_build[0]
         if kind == "wide":  # complex, magnitudes near 1e+-300
             rng = random.Random(bits)
@@ -754,15 +754,15 @@ class TestFrequencyScatter:
                                 trunc_degree=4096)
         with mp.workprec(bits):
             w = DunklWeights(1, 4096)
-            table = _CircleTable(f, parseval=False)
+            log_abs, phase = _log_abs_and_phase(list(f.items()))
             log_top = np.array([to_float(mpf_add(la, w.log_weight(s)._mpf_, bits, round_nearest),
                                          rnd=round_nearest)
-                                for s, la in zip(table.n, table.log_abs)])
+                                for (s, _), la in zip(f.items(), log_abs)])
             want_log_top = np.array([float(mpmath.ln(abs(c)) + w.log_weight(s))
                                      for s, c in f.items()])
             want_phase = np.array([complex(c / abs(c)) for _, c in f.items()])
         assert np.array_equal(log_top, want_log_top)
-        assert np.array_equal(table.phase, want_phase)
+        assert np.array_equal(phase, want_phase)
 
     def test_peak_memory_at_fhc_defaults(self, fhc_build):
         f, s, w = fhc_build

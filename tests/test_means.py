@@ -22,7 +22,8 @@ from dunkldyn.means import (
     _CircleTable,
     _circle_rows,
     _has_large_factor,
-    _quadrature_mean,
+    _max_means,
+    _quadrature_means,
     conjugate_exponent,
     hausdorff_young_on_grid,
     m1_log_bounds,
@@ -66,16 +67,80 @@ def test_quadrature_agrees_with_parseval_at_p2():
         assert abs(quad - parseval) <= parseval * mpf("1e-12")
 
 
+def _one_row(f, r, m):
+    """(shifts, samples, band): the float64 kernel's one-row block at radius r."""
+    shifts, band = _CircleTable(f, parseval=False).block_terms([mpf(r)])
+    return shifts, _circle_rows(1, m, *band), band
+
+
 def _quadrature_p2(f, r, m=4096):
-    shift, band = _CircleTable(f, parseval=False).terms(mpf(r))
-    samples = _circle_rows(1, m, 0, *band)[0]
-    return _quadrature_mean(shift, samples, mpf(2)).value
+    shifts, samples, _ = _one_row(f, r, m)
+    return _quadrature_means(shifts, samples, mpf(2))[0].value
 
 
 def _sampled_max(f, r, m):
     """max_j |f(r e^{2 pi i j / m})| from the float64 kernel: e^shift times the row's maximum."""
-    shift, band = _CircleTable(f, parseval=False).terms(mpf(r))
-    return mpmath.exp(shift) * float(np.max(np.abs(_circle_rows(1, m, 0, *band)[0])))
+    shifts, samples, _ = _one_row(f, r, m)
+    return mpmath.exp(shifts[0]) * float(np.max(np.abs(samples[0])))
+
+
+def _quadrature_mean(shift, samples, p):
+    """The per-row trapezoid M_p and m-vs-m/2 discrepancy: the oracle of the block reducer."""
+    mags = np.abs(samples)
+    top = float(np.max(mags))
+    mags /= top
+    p_f = float(p)
+    fine = top * float(np.mean(mags**p_f) ** (1.0 / p_f))
+    coarse = top * float(np.mean(mags[::2] ** p_f) ** (1.0 / p_f))
+    scale = mpmath.exp(shift)
+    return mpf(fine) * scale, abs(mpf(fine - coarse)) * scale
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _refine_max(degrees, coeffs, half_width):
+    """Golden-section maximization of |sum_n coeffs_n e^{i n t}| over |t| <= half_width,
+    one scalar evaluation at a time: the oracle of the block reducer's lockstep passes."""
+
+    def value(t):
+        return abs(np.dot(coeffs, np.exp(1j * t * degrees)))
+
+    a, b = -half_width, half_width
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1 = value(x1)
+    f2 = value(x2)
+    for _ in range(48):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = value(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = value(x1)
+    return max(f1, f2)
+
+
+def _max_mean(samples, band):
+    """The per-row p = inf value in float64, relative to the row's shift: the three
+    highest peaks refined highest first, each skipped when its climb bound cannot
+    pass the running best."""
+    m = len(samples)
+    mags = np.abs(samples)
+    peaks = np.flatnonzero((mags >= np.roll(mags, 1)) & (mags >= np.roll(mags, -1)))
+    peaks = peaks[np.argsort(-mags[peaks], kind="stable")][:3]
+    degrees, scaled = band
+    half_width = 2.0 * math.pi / m
+    size = np.abs(scaled)
+    climb = half_width * float(np.dot(np.abs(degrees - degrees[np.argmax(size)]), size))
+    best = float(np.max(mags))
+    for j in peaks:
+        if mags[j] + climb > best:
+            rotated = scaled * np.exp(2j * np.pi * ((int(j) * degrees) % m) / m)
+            best = max(best, _refine_max(degrees, rotated, half_width))
+    return best
 
 
 def test_max_route_on_positive_coefficients():
@@ -282,18 +347,16 @@ def test_kernel_samples_equal_per_coefficient_reference(name):
     # shift, stay within 1e-14 of the largest sample (plain float64
     # exponents miss by ~4e-14 on exp(256)), and the means within 1e-14
     f = _SERIES[name]()
-    table = _CircleTable(f, parseval=False)
     ps = (mpf(1), mpf("1.5"), mpf(3))
     m = MeanParams(1).points_for(f)
     got = {p: means_on_grid(f, _ORACLE_RADII, MeanParams(p)) for p in ps}
     for i, r in enumerate(_ORACLE_RADII):
         shift, samples = _scaled_circle_per_coefficient(f, r, m)
-        k_shift, band = table.terms(r)
-        k_samples = _circle_rows(1, m, 0, *band)[0]
-        rescaled = k_samples * float(mpmath.exp(k_shift - shift))
+        k_shifts, k_samples, _ = _one_row(f, r, m)
+        rescaled = k_samples[0] * float(mpmath.exp(k_shifts[0] - shift))
         assert np.max(np.abs(rescaled - samples)) <= 1e-14 * np.max(np.abs(samples))
         for p in ps:
-            want = _quadrature_mean(shift, samples, p).value
+            want, _ = _quadrature_mean(shift, samples, p)
             assert abs(got[p][i].value - want) <= want * mpf("1e-14")
 
 
@@ -384,19 +447,23 @@ def _mpf_global_max(f, r, m):
     return max(_mpf_peak(f, r, 2 * mp.pi * j / fine_m, 2 * mp.pi / fine_m) for j in peaks)
 
 
-def test_max_route_matches_mpf_maximum():
-    # the kernel refines the highest peaks of its samples: within 1e-14 of
-    # the global mpf maximum
+def _max_route_cases():
+    """(series, radii) pairs on which the p = inf route is held to references."""
     rng = np.random.default_rng(5)
     poly = TruncatedSeries(
         {n: mpc(*rng.uniform(-1, 1, 2)) for n in range(0, 40, 3)}, trunc_degree=64)
     # comparable terms near degree 2048: |f| hinges on phases n t with n t ~ 1e4
     high = TruncatedSeries({n: mpc(*rng.uniform(-1, 1, 2)) for n in range(2000, 2048, 4)},
                            trunc_degree=2048)
-    cases = [(poly, (mpf("0.3"), mpf(1), mpf(7))),
-             (_sparse_high_degree(), (mpf("0.5"), mpf(30), mpf(1000), mpf(100000))),
-             (high, (mpf(1), mpf(2)))]
-    for f, radii in cases:
+    return [(poly, (mpf("0.3"), mpf(1), mpf(7))),
+            (_sparse_high_degree(), (mpf("0.5"), mpf(30), mpf(1000), mpf(100000))),
+            (high, (mpf(1), mpf(2)))]
+
+
+def test_max_route_matches_mpf_maximum():
+    # the kernel refines the highest peaks of its samples: within 1e-14 of
+    # the global mpf maximum
+    for f, radii in _max_route_cases():
         params = MeanParams(P_INF)
         m = params.points_for(f)
         for r, res in zip(radii, means_on_grid(f, radii, params)):
@@ -417,6 +484,52 @@ def test_max_route_resolves_near_tied_peaks():
     assert best_sample_peak < peak * (1 - mpf("1e-12"))
     got = means_on_grid(f, [r], MeanParams(P_INF))[0].value
     assert abs(got - peak) <= peak * mpf("1e-14")
+
+
+def test_lockstep_refine_matches_scalar_refine():
+    # the block reducer's lockstep golden sections against the scalar passes run
+    # one peak at a time, highest first, on the max-route cases: within 1e-15
+    for f, radii in _max_route_cases() + [(exp_truncation(256), (mpf(3), mpf(40)))]:
+        m = MeanParams(P_INF).points_for(f)
+        got = means_on_grid(f, radii, MeanParams(P_INF))
+        for r, res in zip(radii, got):
+            shifts, samples, (_, degrees, scaled) = _one_row(f, r, m)
+            want = mpf(_max_mean(samples[0], (degrees, scaled))) * mpmath.exp(shifts[0])
+            assert abs(res.value - want) <= want * mpf("1e-15")
+
+
+@pytest.mark.parametrize("p_s", ["1", "1.5", "3", "64"])
+def test_quadrature_reducer_equals_per_row_formula(p_s):
+    # one block of eight rows through the reducer, bit for bit the per-row formula
+    f = _sparse_high_degree()
+    m = MeanParams(1).points_for(f)
+    radii = [mpf(10) ** (mpf(k) / 2) for k in range(-3, 5)]
+    assert len(radii) == _BLOCK_ELEMENTS // m
+    shifts, band = _CircleTable(f, parseval=False).block_terms(radii)
+    samples = _circle_rows(len(radii), m, *band)
+    got = _quadrature_means(shifts, samples, mpf(p_s))
+    for shift, row, res in zip(shifts, samples, got):
+        assert (res.value, res.richardson_err) == _quadrature_mean(shift, row, mpf(p_s))
+
+
+@pytest.mark.parametrize("p_s", ["1", "1.5", "inf"])
+def test_block_of_uneven_bands_equals_one_row_calls(p_s):
+    # six radii of one block whose windows keep from under 100 to all 2401 terms:
+    # each row equals its one-row call, so no sum groups a row's terms with
+    # another row's, however their bands differ in width
+    f = _dense_high_degree()
+    params = MeanParams(P_INF if p_s == "inf" else mpf(p_s))
+    m = params.points_for(f)
+    radii = [mpf(100000), mpf("0.01"), mpf(30), mpf("0.1"), mpf(1000), mpf(1)]
+    assert len(radii) == _BLOCK_ELEMENTS // m
+    shifts, (rows, degrees, scaled) = _CircleTable(f, parseval=False).block_terms(radii)
+    widths = np.bincount(rows)
+    assert widths.max() >= 10 * widths.min()
+    got = means_on_grid(f, radii, params)
+    assert got == [means_on_grid(f, [r], params)[0] for r in radii]
+    if params.p == P_INF:
+        samples = _circle_rows(len(radii), m, rows, degrees, scaled)
+        assert _max_means(shifts, samples, rows, degrees, scaled) == got
 
 
 def test_grid_equals_per_radius_mean_p():

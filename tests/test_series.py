@@ -169,6 +169,37 @@ class TestPersistence:
         g, _, _ = read_series(path)
         assert g.trunc_degree == 100
 
+    @pytest.mark.parametrize("bits", [53, 256, 512])
+    def test_reader_tuples_equal_mpf_route(self, tmp_path, bits):
+        # the reader parses each decimal with from_str at the header's bits; its
+        # coefficients must equal mpc(mpf(re), mpf(im)) there, tuple for tuple.
+        # Decimal exponents (counting the fraction digits) at or below 400 scale by
+        # an exact power of ten, above 400 by mpf_pow_int; zeros and signs included
+        pairs = [("0", "-0"), ("1", "0"), ("-1.25", "3.5e-3"), ("0.0", "-7"),
+                 ("0.1", "-0.30000000000000000000000000000000000000000000000001"),
+                 ("6.02214076e+23", "-1e400"), ("1e401", "-2.5e-401"),
+                 ("-7.000000000000000000000000000000000000000000000000001e-350", "9.99e450"),
+                 ("12345678901234567890123456789012345678901234567890e-390", "-0.0e5"),
+                 ("-3.14159265358979323846264338327950288419716939937510582e-420", "1/3")]
+        rows = [f"{n} {re} {im}" for n, (re, im) in enumerate(pairs)]
+        path = tmp_path / "f.series"
+        path.write_text("\n".join(["dunklseries v1", "alpha=0", f"precision_bits={bits}",
+                                   f"n_coeffs={len(rows)}", *rows]) + "\n")
+        f, _, got_bits = read_series(path)
+        assert got_bits == bits and f.trunc_degree == len(pairs) - 1
+        with mp.workprec(bits):
+            want = [mpc(mpf(re), mpf(im)) for re, im in pairs]
+        assert f.n_nonzero() == sum(1 for c in want if c)
+        for n, c in enumerate(want):
+            assert f.coeff(n)._mpc_ == c._mpc_
+
+    def test_rejects_malformed_decimal(self, tmp_path):
+        path = tmp_path / "bad.series"
+        for bad in ("1.5x", "1e", "--2", "0x10"):
+            path.write_text(f"dunklseries v1\nalpha=0\nprecision_bits=256\nn_coeffs=1\n0 1 {bad}\n")
+            with pytest.raises(ValueError, match=f"^{path}: "):
+                read_series(path)
+
     def test_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.series"
         path.write_text("not a series\n")
