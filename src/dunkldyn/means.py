@@ -6,7 +6,8 @@ Routes by exponent:
   This is the anchor the quadrature route is tested against.
 * p = infinity samples |f| on a uniform circle grid and sharpens up to the three
   highest local maxima of the samples with a golden-section pass each.
-* other p use trapezoidal quadrature of |f|^p on the same grid.  For a smooth
+* other p use trapezoidal quadrature of |f|^p on a uniform grid whose length
+  each radius sets from its own band of terms (below).  For a smooth
   periodic integrand the uniform trapezoid rule converges faster than any
   power of 1/m, so the m-versus-m/2 discrepancy reported next to each value
   is an honest error proxy.
@@ -21,25 +22,44 @@ discrepancy tracks.
 
 ``_circle_rows`` is the one fold-and-inverse-FFT kernel: it takes flat
 (row, degree, value) arrays and fills the rows of one array.  It has one
-caller, ``means_on_grid``, which fills a row per radius of a block.
-``TruncatedSeries.sup_on_disk`` is the kernel's working-precision oracle.
-Up to 4096 samples it runs one inverse FFT of length m.  Above that,
-``points_for`` makes m = 8 D with D the degree.  When D has a prime factor of
-at least 191, the kernel computes the same length-m transform as a length-8
-step, twiddles and length-D transforms, so a prime D costs a Bluestein
-transform of length D rather than 8 D; when D is smoother, the one length-m
-transform is faster and runs instead.  A series with real coefficients, as
-every built series is, has f(conj z) = conj f(z), so its split takes a
-length-8 real FFT and five of the eight length-D transforms and fills the
-other three eighths of the samples by conjugation.  Whether a series is real
-is decided once per call, by the table, so a row's samples never depend on
-the other radii of its block.
+caller, ``means_on_grid`` (and through it ``_band_local_means``), which
+fills a row per radius.  ``TruncatedSeries.sup_on_disk`` is the kernel's working-precision
+oracle.  ``points_for`` gives the series' full length m: 4096 samples, or
+m = 8 D with D the degree above that.  Up to 4096 samples the kernel runs one
+inverse FFT of length m.  Above that, when D has a prime factor of at least
+191, it computes the same length-m transform as a length-8 step, twiddles
+and length-D transforms, so a prime D costs a Bluestein transform of length
+D rather than 8 D; when D is smoother, the one length-m transform is faster
+and runs instead.  A series with real coefficients, as every built series
+is, has f(conj z) = conj f(z), so its split takes a length-8 real FFT and
+five of the eight length-D transforms and fills the other three eighths of
+the samples by conjugation.  Whether a series is real is decided once per
+call, by the table, so a row's samples never depend on the other radii of
+its block.
+
+Band-local lengths.  A row's samples come only from the terms of its 700-nat
+window, whose degrees span far fewer than D on a sparse series (a median of
+140 on a built fhc series of degree 4079).  |f| on the circle is
+|z^(-n_lo) f|, a polynomial of degree span, so the span and not D sets the
+trapezoid's accuracy.  So, except at p = infinity, on a series whose m is
+above 4096 each row first takes its own m_W samples: the smallest even
+5-smooth number of at least max(64, 8 (span + 1)), with span the largest
+minus the smallest degree the row keeps.  The row stands there when its
+m_W-vs-m_W/2 discrepancy is below 1e-14 of its value; otherwise it tries
+2 m_W if that is below m, and then falls back to m, where its value is the
+full-length one bit for bit.  Accepted rows stay within 1e-15 relative of
+the full-length value, and their discrepancy column is the m_W-vs-m_W/2 one.
+A series with m = 4096 (degree at most 512) keeps m on every row: half the
+rows of a random low-degree polynomial fail the test, as its zeros near the
+circle make |f|^p rough, and would pay for three transforms.  p = infinity
+keeps m, since a coarser grid can rank its narrow peaks differently.
 
 Every mean goes through ``means_on_grid``: one table per call serves every
 radius, and nothing outlives the call.  The sampled routes take a block of
-radii, as many as fill about _BLOCK_ELEMENTS = 2^17 complex samples (2 MB),
-through three array steps, each over the whole block and each keeping a
-row's numbers apart from the other rows', so a mean does not depend on its block:
+radii, as many as fill _BLOCK_ELEMENTS = 2^17 complex samples (2 MB) at m or,
+when rows go band-local, about _TABLE_ELEMENTS table entries, through three
+array steps, each keeping a row's numbers apart from the other rows', so a
+mean does not depend on its block:
 
 1. terms (``_CircleTable.block_terms``): a float64 pass over ln|c_n| + n ln r
    picks each radius' terms within the 700-nat window plus a 1-nat margin,
@@ -48,12 +68,16 @@ row's numbers apart from the other rows', so a mean does not depend on its block
    shift are the only mpf operations.  The samples agree with a
    working-precision evaluation of every coefficient to within 1e-14 of the
    largest sample, where plain float64 exponents miss by ~2e-12 at degree 4000;
-2. transform: one ``_circle_rows`` call.  At most two block-sized arrays are
-   alive in it (1 5/8 on the real route), plus two length-D twiddle vectors;
-3. reduce: ``_quadrature_means`` raises the block's |samples| to the power p
-   once; ``_max_means`` refines the candidate peaks of every row in one
-   lockstep golden section, each on its band rotated to the peak's angle
-   through the exact residue (j n) mod m, accurate to float64 at any degree.
+2. transform: the rows of one length in batches of at most _BLOCK_ELEMENTS
+   samples, one ``_circle_rows`` call each; a block whose rows all take m is
+   one batch.  At most two batch-sized arrays are alive in it (1 5/8 on the
+   real route), plus two length-D twiddle vectors;
+3. reduce, per batch: ``_quadrature_floats`` (behind ``_quadrature_means``)
+   raises the batch's |samples| to the power p once; ``_max_means`` refines
+   the candidate peaks of every row in one lockstep golden section, each on
+   its band rotated to the peak's angle through the exact residue (j n) mod
+   m, accurate to float64 at any degree.  A quadrature row's mpf result is
+   formed once, when it stands.
 
 Parseval likewise drops terms more than (precision + 64) bits below the top term.
 
@@ -84,10 +108,14 @@ _LN2 = math.log(2.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SPLIT = 2.0**27 + 1.0  # Veltkamp splitter: a float64 into two 26-bit halves
 _BLOCK_ELEMENTS = 1 << 17  # complex values per batched inverse FFT (2 MB; 4 MB with its output)
-_MIN_POINTS = 4096  # circle samples of the smallest grid; above it m = 8 * degree
-_POINTS_PER_DEGREE = 8  # circle samples per coefficient degree; also the split's short length
+_TABLE_ELEMENTS = 1 << 14  # (radius, coefficient) entries per block; block_terms holds
+                           # several arrays of that size at once
+_MIN_POINTS = 4096  # the smallest full grid; above it m = 8 * degree and rows go band-local
+_POINTS_PER_DEGREE = 8  # circle samples per degree of D or of a band; the split's short length
 _SPLIT_MIN_FACTOR = 191  # the split pays only when m/8 has a prime factor at least this large
 _REFINED_PEAKS = 3  # most local maxima of a p = inf row that get a refine
+_MIN_BAND_POINTS = 64  # fewest circle samples of a band-local row
+_BAND_ACCEPT = 1e-14  # relative m-vs-m/2 discrepancy below which a band-local row stands
 
 
 def conjugate_exponent(p):
@@ -113,7 +141,10 @@ class MeanParams:
         self.q = conjugate_exponent(p)
 
     def points_for(self, f: TruncatedSeries) -> int:
-        """Circle sample count: 4096, or eight points per coefficient degree if more."""
+        """The full circle sample count m: 4096, or eight points per coefficient degree
+        if more.  Every p = inf row takes m, and so does every quadrature row of a
+        series with m = 4096; above that a quadrature row takes m only when its
+        band-local lengths fail (see the module docstring)."""
         return max(_MIN_POINTS, _POINTS_PER_DEGREE * max(f.degree(), 1))
 
     def __repr__(self) -> str:
@@ -250,9 +281,10 @@ def _has_large_factor(n: int) -> bool:
 def _circle_rows(n_rows: int, m: int, rows, degrees, scaled) -> np.ndarray:
     """samples[i, j] = sum of scaled_t e^{2 pi i j degrees_t / m} over the t with rows_t = i.
 
-    Degrees are folded mod m, so any m >= 1 is sampled exactly; for m above
-    the degree the fold is a plain placement.  ``np.add.at`` adds the terms
-    of a cell in the order given.  Up to _MIN_POINTS samples, when 8 does not
+    Degrees are folded mod m, so any m >= 1 is sampled exactly; when m
+    exceeds the span of a row's degrees, as the full m and every band-local
+    length do, no two of its terms share a cell.  ``np.add.at``
+    adds the terms of a cell in the order given.  Up to _MIN_POINTS samples, when 8 does not
     divide m, or when D = m/8 has no prime factor of at least
     _SPLIT_MIN_FACTOR, one inverse FFT of length m runs along the rows.
     Otherwise the same transform is split in four steps (Bailey):
@@ -278,8 +310,10 @@ def _circle_rows(n_rows: int, m: int, rows, degrees, scaled) -> np.ndarray:
     D - 1 - a] for b >= 5.  At D = 4079 on blocks of four rows it takes
     about 0.7 of the complex split's time, 0.4 of the unsplit one's (medians
     of 150 interleaved calls on a shared 2-core Xeon VM: 18.5, 10.6 and 7.5
-    ms).  A row's samples depend on its own values only.  ``means_on_grid``
-    passes it ``_CircleTable.block_terms``' arrays and its rows to a reducer.
+    ms).  A band-local length is 5-smooth, so it always takes the one
+    length-m transform.  A row's samples depend on its own values only.
+    Its callers pass it one batch's rows of ``_CircleTable.block_terms``'
+    arrays and its rows to a reducer.
     """
     short = _POINTS_PER_DEGREE
     split = m > _MIN_POINTS and not m % short and _has_large_factor(m // short)
@@ -311,8 +345,9 @@ def _circle_rows(n_rows: int, m: int, rows, degrees, scaled) -> np.ndarray:
     return out.transpose(0, 2, 1).reshape(n_rows, m)
 
 
-def _quadrature_means(shifts, samples: np.ndarray, p) -> list[MeanResult]:
-    """Trapezoid value of M_p on each row of samples with its m-vs-m/2 discrepancy.
+def _quadrature_floats(samples: np.ndarray, p) -> list[tuple[float, float]]:
+    """(fine, coarse) per row of samples: the trapezoid M_p on all m samples and on
+    the even m/2, relative to the row's shift.
 
     |samples| / top is raised to the power p once, and the coarse mean reads
     its even columns.  Row sums, roots and top * are per row.
@@ -322,13 +357,20 @@ def _quadrature_means(shifts, samples: np.ndarray, p) -> list[MeanResult]:
     mags /= top[:, None]  # keeps mags**p in [0, 1] however large p is
     p_f = float(p)
     mags **= p_f
-    out = []
-    for shift, t, fine, coarse in zip(shifts, top.tolist(), mags.mean(axis=1),
-                                      mags[:, ::2].mean(axis=1)):
-        fine, coarse = t * float(fine ** (1.0 / p_f)), t * float(coarse ** (1.0 / p_f))
-        scale = mpmath.exp(shift)
-        out.append(MeanResult(mpf(fine) * scale, abs(mpf(fine - coarse)) * scale))
-    return out
+    return [(t * float(fine ** (1.0 / p_f)), t * float(coarse ** (1.0 / p_f)))
+            for t, fine, coarse in zip(top.tolist(), mags.mean(axis=1), mags[:, ::2].mean(axis=1))]
+
+
+def _quadrature_result(shift: mpf, fine: float, coarse: float) -> MeanResult:
+    """e^shift fine with the m-vs-m/2 discrepancy e^shift |fine - coarse|."""
+    scale = mpmath.exp(shift)
+    return MeanResult(mpf(fine) * scale, abs(mpf(fine - coarse)) * scale)
+
+
+def _quadrature_means(shifts, samples: np.ndarray, p) -> list[MeanResult]:
+    """Trapezoid value of M_p on each row of samples with its m-vs-m/2 discrepancy."""
+    return [_quadrature_result(shift, fine, coarse)
+            for shift, (fine, coarse) in zip(shifts, _quadrature_floats(samples, p))]
 
 
 def _max_means(shifts, samples: np.ndarray, rows, degrees, scaled) -> list[MeanResult]:
@@ -396,15 +438,92 @@ def _max_means(shifts, samples: np.ndarray, rows, degrees, scaled) -> list[MeanR
     return out
 
 
+def _even_smooth_below(limit: int) -> np.ndarray:
+    """The even 5-smooth numbers 2^a 3^b 5^c (a >= 1) below limit, ascending."""
+    out = []
+    two = 2
+    while two < limit:
+        three = two
+        while three < limit:
+            five = three
+            while five < limit:
+                out.append(five)
+                five *= 5
+            three *= 3
+        two *= 2
+    return np.array(sorted(out), dtype=np.int64)
+
+
+def _band_points(starts: np.ndarray, degrees: np.ndarray, m: int) -> np.ndarray:
+    """Each row's first sample count: the smallest even 5-smooth number of at least
+    max(64, 8 (span + 1)), with span the largest minus the smallest degree of the
+    row's terms degrees[starts[i]:starts[i + 1]]; m where that is not below m."""
+    first = starts[:-1]
+    span = np.maximum.reduceat(degrees, first) - np.minimum.reduceat(degrees, first)
+    smooth = _even_smooth_below(m)
+    at = np.searchsorted(smooth, np.maximum(_MIN_BAND_POINTS, _POINTS_PER_DEGREE * (span + 1)))
+    return np.where(at < len(smooth), smooth[np.minimum(at, len(smooth) - 1)], m)
+
+
+def _take_rows(terms, starts: np.ndarray, batch: np.ndarray):
+    """The (rows, degrees, scaled) terms of the rows ``batch`` of a block, in their
+    order and renumbered 0, 1, ... in batch order, as ``_circle_rows`` takes them."""
+    _, degrees, scaled = terms
+    first = starts[batch]
+    lengths = starts[batch + 1] - first
+    owner = np.repeat(np.arange(len(batch)), lengths)
+    idx = np.arange(len(owner)) + np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+    return owner, degrees[idx], scaled[idx]
+
+
+def _band_local_means(shifts, terms, m: int, p):
+    """(results, points): the trapezoid M_p at each row of a block of
+    ``block_terms`` and the number of circle samples its value came from.
+
+    A row first takes the ``_band_points`` of its own terms, m_W, and stands
+    when its discrepancy is below _BAND_ACCEPT of its value; otherwise it tries
+    2 m_W if that is below m, and then m, where it gives the bits of the
+    full-length path.  Rows of one length run in batches of at most
+    _BLOCK_ELEMENTS samples, one ``_circle_rows`` call and one reducer each; a
+    row's length depends on its own terms only, so its result still does not
+    depend on its block.
+    """
+    n_rows = len(shifts)
+    rows, degrees, _ = terms
+    starts = np.searchsorted(rows, np.arange(n_rows + 1))  # every row keeps its top term
+    points = _band_points(starts, degrees, m)
+    pending: dict[int, list[int]] = {}
+    for i, length in enumerate(points.tolist()):
+        pending.setdefault(length, []).append(i)
+    results = [None] * n_rows
+    while pending:
+        length = min(pending)
+        group = np.array(sorted(pending.pop(length)))
+        per_batch = max(1, _BLOCK_ELEMENTS // length)
+        for start in range(0, len(group), per_batch):
+            batch = group[start:start + per_batch]
+            samples = _circle_rows(len(batch), length, *_take_rows(terms, starts, batch))
+            for i, (fine, coarse) in zip(batch.tolist(), _quadrature_floats(samples, p)):
+                if length == m or abs(fine - coarse) < _BAND_ACCEPT * fine:
+                    points[i] = length
+                    results[i] = _quadrature_result(shifts[i], fine, coarse)
+                else:
+                    pending.setdefault(2 * length if 2 * length < m else m, []).append(i)
+    return results, points
+
+
 def means_on_grid(f: TruncatedSeries, radii, params: MeanParams) -> list[MeanResult]:
     """M_p(f, r) with its quadrature discrepancy at every radius of the grid.
 
     The coefficient table is built once per call and read at each radius;
     nothing is cached beyond the call.  The sampled routes run a block of
-    radii at a time through the table's block terms, one ``_circle_rows``
-    transform and one reducer per route; a radius' result does not depend on
-    its block.  It takes no weight table, so it works at the caller's ambient
-    precision.
+    radii at a time through the table's block terms.  When every row takes m,
+    a block is as many radii as fill _BLOCK_ELEMENTS samples, through one
+    ``_circle_rows`` transform and one reducer per route; band-local rows
+    come as many radii as fill about _TABLE_ELEMENTS table entries, which
+    ``_band_local_means`` runs in batches of rows of one length.  A radius'
+    result does not depend on its block.  It takes no weight table, so it
+    works at the caller's ambient precision.
     """
     radii = [mpf(r) for r in radii]
     for r in radii:
@@ -418,17 +537,22 @@ def means_on_grid(f: TruncatedSeries, radii, params: MeanParams) -> list[MeanRes
     if parseval:
         return [MeanResult(table.parseval(r), mpf(0)) if r else constant for r in radii]
     m = params.points_for(f)
+    band_local = params.p != P_INF and m > _MIN_POINTS
     out = [constant] * len(radii)
     live = [i for i, r in enumerate(radii) if r]
-    per_block = max(1, _BLOCK_ELEMENTS // m)
+    # a block of radii is one batch when every row takes m, and many batches otherwise
+    per_block = max(1, _TABLE_ELEMENTS // len(table.n) if band_local else _BLOCK_ELEMENTS // m)
     for start in range(0, len(live), per_block):
         block = live[start:start + per_block]
-        shifts, (rows, degrees, scaled) = table.block_terms([radii[i] for i in block])
-        samples = _circle_rows(len(block), m, rows, degrees, scaled)
-        if params.p == P_INF:
-            results = _max_means(shifts, samples, rows, degrees, scaled)
+        shifts, terms = table.block_terms([radii[i] for i in block])
+        if band_local:
+            results, _ = _band_local_means(shifts, terms, m, params.p)
         else:
-            results = _quadrature_means(shifts, samples, params.p)
+            samples = _circle_rows(len(block), m, *terms)
+            if params.p == P_INF:
+                results = _max_means(shifts, samples, *terms)
+            else:
+                results = _quadrature_means(shifts, samples, params.p)
         for i, res in zip(block, results):
             out[i] = res
     return out
@@ -439,8 +563,10 @@ def m1_log_bounds(f: TruncatedSeries, radii) -> tuple[np.ndarray, np.ndarray]:
 
     The coefficient bound and Cauchy-Schwarz with Parseval, in float64 for a
     nonzero f, over blocks of about _BLOCK_ELEMENTS terms.  Both bound the
-    trapezoid M_1 of ``means_on_grid`` up to its ~1e-10 relative rounding, as
-    its m > degree samples make the discrete Fourier and Parseval identities exact.
+    trapezoid M_1 of ``means_on_grid`` up to its ~1e-10 relative rounding:
+    each row's sample count, the full m or a band-local m_W > span, exceeds
+    the span of the degrees it keeps, so the folded band is injective
+    and the discrete Fourier and Parseval identities are exact.
     """
     items = list(f.items())
     log_abs = np.array([_float_ln(abs(c)) for _, c in items])

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 
 import mpmath
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import mpc_abs, mpc_div_mpf, mpc_to_complex, round_nearest
 
-from dunkldyn.construct import build_hypercyclic, poly_to_series
+from dunkldyn.construct import build_frequently_hypercyclic, build_hypercyclic, poly_to_series
 from dunkldyn.dunkl import DunklWeights, apply_dunkl
 from dunkldyn.dynamics import thm3b_bound_check, windowed_c_star
 from dunkldyn.growth import RateEnvelope, standard_r_grid
@@ -20,9 +21,12 @@ from dunkldyn.means import (
     P_INF,
     MeanParams,
     _CircleTable,
+    _band_local_means,
+    _band_points,
     _circle_rows,
     _has_large_factor,
     _max_means,
+    _quadrature_floats,
     _quadrature_means,
     conjugate_exponent,
     hausdorff_young_on_grid,
@@ -779,3 +783,172 @@ class TestCircleMax:
         for r in (mpf("0.5"), mpf(1), mpf(3)):
             want = f.sup_on_disk(r, 16)
             assert abs(_sampled_max(f, r, 16) - want) <= want * mpf("1e-14")
+
+
+# ---------------------------------------------------------------------------
+# band-local lengths: quadrature rows sampled on their own band, not on m = 8 D
+
+
+def _full_length_means(f, radii, p):
+    """Every row on m = points_for(f) samples, blocks of _BLOCK_ELEMENTS // m rows
+    through ``_circle_rows`` and the full-length reducer: the oracle of band-local rows."""
+    m = MeanParams(1).points_for(f)
+    table = _CircleTable(f, parseval=False)
+    per_block = max(1, _BLOCK_ELEMENTS // m)
+    out = []
+    for start in range(0, len(radii), per_block):
+        shifts, band = table.block_terms(radii[start:start + per_block])
+        samples = _circle_rows(len(shifts), m, *band)
+        out += (_max_means(shifts, samples, *band) if p == P_INF
+                else _quadrature_means(shifts, samples, p))
+    return out
+
+
+def _band_case(name):
+    """(series, radii): a built fhc series of prime degree 4079 on the sweep grid;
+    on the oracle radii, the dense series of smooth degree 2400 = 2^5 3 5^2, or 60
+    random real terms below the prime degree 1031."""
+    if name == "fhc":
+        f, _ = build_frequently_hypercyclic(DunklWeights(1, 4096), 2, RateEnvelope.log_growth(), 3)
+        assert f.degree() == 4079
+        return f, standard_r_grid(points=64)
+    if name == "dense":
+        return _dense_high_degree(), _ORACLE_RADII
+    rng = random.Random(1031)
+    coeffs = {n: mpf(rng.uniform(-1, 1)) / (1 + n) for n in rng.sample(range(1031), 60)}
+    coeffs[1031] = mpf("0.002")
+    return TruncatedSeries(coeffs, trunc_degree=1031), _ORACLE_RADII
+
+
+_BAND_CASES = pytest.mark.parametrize("name", ["fhc", "dense", "random"])
+
+
+def _mpf_pair(res):
+    return res.value._mpf_, res.richardson_err._mpf_
+
+
+@_BAND_CASES
+def test_band_local_rows_match_full_length_oracle(name):
+    # accepted rows within 1e-15 of the full-length value; rows that fall back
+    # equal it bit for bit; both kinds occur on each series, and on the fhc one a
+    # p = 3 row stands only at twice its first length
+    f, radii = _band_case(name)
+    m = MeanParams(1).points_for(f)
+    shifts, terms = _CircleTable(f, parseval=False).block_terms(radii)
+    first = _band_points(np.searchsorted(terms[0], np.arange(len(radii) + 1)), terms[1], m)
+    retried = 0
+    for p in (mpf(1), mpf("1.5"), mpf(3)):
+        got, points = _band_local_means(shifts, terms, m, p)
+        assert got == means_on_grid(f, radii, MeanParams(p))
+        assert 0 < np.count_nonzero(points == m) < len(radii)
+        retried += np.count_nonzero((points == 2 * first) & (points < m))
+        for res, want, n in zip(got, _full_length_means(f, radii, p), points):
+            if n == m:
+                assert _mpf_pair(res) == _mpf_pair(want)
+            else:
+                assert abs(res.value - want.value) <= want.value * mpf("1e-15")
+    assert retried or name != "fhc"
+
+
+def test_max_route_and_smallest_grid_keep_full_length_bits():
+    # every p = inf row takes m; a series with m = 4096 keeps m on every row at every p
+    f, radii = _band_case("fhc")
+    got = means_on_grid(f, radii, MeanParams(P_INF))
+    want = _full_length_means(f, radii, P_INF)
+    assert [_mpf_pair(r) for r in got] == [_mpf_pair(r) for r in want]
+    rng = random.Random(64)
+    poly = TruncatedSeries({n: mpf(rng.uniform(-1, 1)) for n in range(65)}, trunc_degree=64)
+    radii = [mpf("0.5"), mpf(1), mpf(5), mpf(30)]
+    for g in (poly, exp_truncation(256), _top_heavy_series(512, False)[1]):
+        assert MeanParams(1).points_for(g) == 4096
+        for p in (mpf(1), mpf("1.5"), mpf(3), P_INF):
+            got = means_on_grid(g, radii, MeanParams(p))
+            want = _full_length_means(g, radii, p)
+            assert [_mpf_pair(r) for r in got] == [_mpf_pair(r) for r in want]
+
+
+@_BAND_CASES
+def test_band_length_keeps_discrete_parseval_exact(name):
+    # p = 2 through the quadrature reducer at each accepted row's own length equals
+    # Parseval: the m_W-point mean of |f|^2 is sum |c_n r^n|^2 only while no two of
+    # the row's degrees fold onto one cell
+    f, radii = _band_case(name)
+    m = MeanParams(1).points_for(f)
+    shifts, (rows, degrees, scaled) = _CircleTable(f, parseval=False).block_terms(radii)
+    parseval = _CircleTable(f, parseval=True)
+    lengths = set()
+    for p in (mpf(1), mpf("1.5"), mpf(3)):
+        _, points = _band_local_means(shifts, (rows, degrees, scaled), m, p)
+        lengths |= {(i, int(n)) for i, n in enumerate(points) if n < m}
+    assert len({n for _, n in lengths}) > 1
+    for i, n in sorted(lengths):
+        mine = rows == i
+        samples = _circle_rows(1, n, 0, degrees[mine], scaled[mine])
+        ((fine, _),) = _quadrature_floats(samples, 2)
+        want = parseval.parseval(radii[i])
+        assert abs(mpf(fine) * mpmath.exp(shifts[i]) - want) <= want * mpf("1e-13")
+
+
+def _is_even_smooth(n):
+    if n % 2:
+        return False
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_band_points_rule():
+    # span = largest minus smallest degree a row keeps, in any order; its length
+    # is the smallest even 5-smooth number >= max(64, 8 (span + 1)), or m when
+    # that is not below m
+    m = 8 * 4079
+    bands = [(5,), (3, 143), (0, 143), (0, 144), (10, 17), (10, 18), (50, 10, 30),
+             (0, 4078), (4079, 0, 2000)]
+    want = [64, 1152, 1152, 1200, 64, 72, 360, m, m]
+    degrees = np.array([n for band in bands for n in band])
+    starts = np.cumsum([0] + [len(band) for band in bands])
+    assert _band_points(starts, degrees, m).tolist() == want
+    spans = np.arange(4100)
+    pairs = np.stack([np.full(len(spans), 7), spans + 7], axis=1).ravel()  # rows (7, 7 + span)
+    got = _band_points(np.arange(0, len(pairs) + 1, 2), pairs, m)
+    for span, n in zip(spans.tolist(), got.tolist()):
+        need = max(64, 8 * (span + 1))
+        first = next(k for k in range(need, 2 * need + 2) if _is_even_smooth(k))
+        assert n == (first if first < m else m)
+
+
+@given(
+    st.sampled_from([64, 509, 512, 521, 600, 1031, 1200]),  # prime and smooth, both sides of 512
+    st.dictionaries(st.integers(0, 1199),
+                    st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-60, 0)),
+                    min_size=1, max_size=24),
+    st.booleans(),
+    st.lists(st.sampled_from([0, 0.05, 0.7, 1, 1.3, 4, 30, 250, 2000, 1e5]), min_size=1,
+             max_size=8),
+    st.sampled_from(["1", "1.5", "3"]),
+)
+@settings(deadline=None, max_examples=40)
+def test_band_local_rows_do_not_couple(degree, coeffs, real, radii, p_s):
+    # each radius' result equals its one-radius call bit for bit, whatever the
+    # other radii, their number and order: grouping rows by length, batching them
+    # and retrying the ones that fail couples no row to another
+    f = TruncatedSeries({n % degree: mpc(a, 0 if real else b) * mpf(10) ** e
+                         for n, (a, b, e) in coeffs.items()} | {degree: mpc(1)}, degree)
+    params = MeanParams(mpf(p_s))
+    assert means_on_grid(f, radii, params) == [means_on_grid(f, [r], params)[0] for r in radii]
+
+
+def test_band_local_memory_is_bounded_by_the_block_budget():
+    # the fhc series at p = 1 over 512 radii: blocks of radii, batches of one
+    # length, the retries and the fallback rows all stay within a few batch
+    # budgets of _BLOCK_ELEMENTS complex samples (the peak measures about 2.7)
+    f, _ = _band_case("fhc")
+    radii = standard_r_grid(points=512)
+    tracemalloc.start()
+    try:
+        means_on_grid(f, radii, MeanParams(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * _BLOCK_ELEMENTS * 16
