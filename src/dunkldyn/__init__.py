@@ -53,7 +53,6 @@ from .construct import (
     density_decay_check,
     enumerate_targets,
     frequency_report,
-    fuc_tail_norms,
     poly_label,
     poly_normalize,
     poly_to_series,
@@ -109,7 +108,6 @@ __all__ = [
     "enumerate_targets",
     "exp_truncation",
     "frequency_report",
-    "fuc_tail_norms",
     "growth_profile",
     "hausdorff_young_on_grid",
     "lemma1_ratio",

@@ -21,7 +21,6 @@ replaces, bit for bit; that expression lives on in the tests as its oracle.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import mpmath
@@ -33,8 +32,6 @@ from .dunkl import DunklWeights, _at_table_precision, _check_alpha
 from .means import MeanParams, P_INF, conjugate_exponent, means_on_grid
 from .numeric import DEFAULT_PRECISION_BITS
 from .series import TruncatedSeries
-
-ENVELOPE_KINDS = ("to_infinity", "to_zero", "constant")
 
 with mp.workprec(DEFAULT_PRECISION_BITS):  # 0.01 is inexact: fix its bits at the default
     R_GRID_MIN = mpf("0.01")
@@ -59,22 +56,18 @@ def standard_r_grid(r_min=R_GRID_MIN, r_max=R_GRID_MAX, points=R_GRID_POINTS):
 
 
 class RateEnvelope:
-    """Positive comparison function of r with a declared limiting behavior.
+    """A phi: positive, nondecreasing and escaping comparison function of r.
 
-    kind "to_infinity" is a phi (nondecreasing, escaping), "to_zero" a psi
-    (nonincreasing, vanishing), "constant" a plain C.  The limit claims are
-    checked as finite-horizon monotonicity on whatever grid the envelope is
-    validated against.
+    The limit claims are checked as finite-horizon monotonicity on whatever
+    grid the envelope is validated against; the builders validate it on
+    their radius grid and refuse one that does not grow there.
     """
 
-    __slots__ = ("kind", "_fn", "label")
+    __slots__ = ("_fn", "label")
 
-    def __init__(self, kind: str, fn, label: str = ""):
-        if kind not in ENVELOPE_KINDS:
-            raise ValueError(f"kind must be one of {ENVELOPE_KINDS}, got {kind!r}")
-        self.kind = kind
+    def __init__(self, fn, label: str = "phi"):
         self._fn = fn
-        self.label = label or kind
+        self.label = label
 
     def __call__(self, r) -> mpf:
         return mpf(self._fn(mpf(r)))
@@ -82,62 +75,19 @@ class RateEnvelope:
     @classmethod
     def log_growth(cls) -> "RateEnvelope":
         """phi(r) = ln(e + r): monotone, positive at 0, unbounded."""
-        return cls("to_infinity", lambda r: mpmath.ln(mpmath.e + r), "ln(e+r)")
-
-    @classmethod
-    def constant(cls, value) -> "RateEnvelope":
-        value = mpf(value)
-        if not value > 0:
-            raise ValueError(f"constant envelope must be positive, got {value}")
-        return cls("constant", lambda r, v=value: v, f"C={mpmath.nstr(value, 8)}")
-
-    @classmethod
-    def decaying_log(cls) -> "RateEnvelope":
-        """psi(r) = 1/ln(e + r): positive, nonincreasing, vanishing."""
-        return cls("to_zero", lambda r: 1 / mpmath.ln(mpmath.e + r), "1/ln(e+r)")
-
-    @classmethod
-    def from_samples(cls, kind: str, r_grid, values, label: str = "") -> "RateEnvelope":
-        """Piecewise-linear envelope through (r_grid, values), clamped outside."""
-        r_grid = [mpf(r) for r in r_grid]
-        values = [mpf(v) for v in values]
-        if len(r_grid) != len(values) or len(r_grid) < 2:
-            raise ValueError("need matching r/value samples, at least two")
-        if any(b <= a for a, b in zip(r_grid, r_grid[1:])):
-            raise ValueError("sample radii must be strictly increasing")
-
-        def fn(r, xs=r_grid, ys=values):
-            if r <= xs[0]:
-                return ys[0]
-            if r >= xs[-1]:
-                return ys[-1]
-            i = bisect.bisect_right(xs, r)
-            t = (r - xs[i - 1]) / (xs[i] - xs[i - 1])
-            return ys[i - 1] + t * (ys[i] - ys[i - 1])
-
-        env = cls(kind, fn, label or f"sampled[{len(r_grid)}]")
-        env.validate_on(r_grid)
-        return env
+        return cls(lambda r: mpmath.ln(mpmath.e + r), "ln(e+r)")
 
     def validate_on(self, r_grid) -> list:
-        """Check positivity and the kind's monotonicity; return env(r) over r_grid."""
+        """Check positivity and growth; return env(r) over r_grid."""
         vals = [self(r) for r in r_grid]
         if any(not v > 0 for v in vals):
             raise ValueError(f"envelope {self.label!r} not positive on the grid")
-        pairs = zip(vals, vals[1:])
-        if self.kind == "to_infinity":
-            if any(b < a for a, b in pairs) or not vals[-1] > vals[0]:
-                raise ValueError(f"envelope {self.label!r} not growing on the grid")
-        elif self.kind == "to_zero":
-            if any(b > a for a, b in pairs) or not vals[-1] < vals[0]:
-                raise ValueError(f"envelope {self.label!r} not decaying on the grid")
-        else:
-            if any(b != a for a, b in pairs):
-                raise ValueError(f"envelope {self.label!r} not constant on the grid")
+        if any(b < a for a, b in zip(vals, vals[1:])) or not vals[-1] > vals[0]:
+            raise ValueError(f"envelope {self.label!r} not growing on the grid")
         return vals
 
     def __repr__(self) -> str:
-        return f"RateEnvelope({self.kind}, {self.label!r})"
+        return f"RateEnvelope({self.label!r})"
 
 
 def rate_exponent(p, alpha, which: str) -> mpf:
@@ -411,9 +361,6 @@ class GrowthProfile:
     exponent: mpf
     p: object
     satisfied_from: int | None
-
-    def satisfied(self) -> bool:
-        return self.satisfied_from is not None
 
 
 def growth_profile(f: TruncatedSeries, p, a, env: RateEnvelope, r_grid) -> GrowthProfile:

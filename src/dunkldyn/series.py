@@ -73,9 +73,6 @@ class TruncatedSeries:
         """Largest n with c_n != 0, or -1 for the zero series."""
         return max(self._coeffs) if self._coeffs else -1
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if other.trunc_degree != self.trunc_degree:
             raise ValueError(

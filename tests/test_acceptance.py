@@ -269,7 +269,7 @@ def test_07_hypercyclic_build_end_to_end(hc_builds):
         a = rate_exponent(P_INF, mpf(alpha_s), "hc")
         profile = growth_profile(f, P_INF, a, RateEnvelope.log_growth(),
                                  standard_r_grid())
-        ok = ok and report.all_passed() and profile.satisfied()
+        ok = ok and report.all_passed() and profile.satisfied_from is not None
         notes.append(
             f"a={alpha_s}: budgets ok={report.all_passed()}, "
             f"profile from index {profile.satisfied_from}"
@@ -324,7 +324,7 @@ def test_09_frequent_build_end_to_end(fhc_builds):
         a = rate_exponent(p, mpf(1), "fhc_upper")
         profile = growth_profile(f, p, a, RateEnvelope.log_growth(),
                                  standard_r_grid())
-        ok = ok and dens_ok and profile.satisfied()
+        ok = ok and dens_ok and profile.satisfied_from is not None
         ratios = ", ".join(
             mpmath.nstr(mpf(d) / mpf(nom), 3)
             for d, nom in zip(report.densities, report.nominal)

@@ -1,5 +1,6 @@
 """Builders and their verifiers: enumeration, placements, schedules, plans."""
 
+import bisect
 import dataclasses
 import math
 import random
@@ -34,7 +35,6 @@ from dunkldyn.construct import (
     density_decay_check,
     enumerate_targets,
     frequency_report,
-    fuc_tail_norms,
     poly_label,
     poly_normalize,
     poly_to_series,
@@ -212,6 +212,17 @@ class TestNormKernel:
         assert max(b - a for a, b in zip(plan.positions, plan.positions[1:])) > 64
 
 
+@pytest.mark.parametrize("build", [
+    lambda w, env: build_hypercyclic(w, env, 1),
+    lambda w, env: build_frequently_hypercyclic(w, 2, env, 1),
+], ids=["hc", "fhc"])
+def test_builders_refuse_a_decaying_envelope(build):
+    # the growth check of validate_on on the build grid is the builders' envelope check
+    env = RateEnvelope(lambda r: 1 / (1 + r), "1/(1+r)")
+    with pytest.raises(ValueError, match="not growing"):
+        build(DunklWeights(0, 4096), env)
+
+
 class TestHypercyclicBuilder:
     # positions of the default K = 12 build (fillers, standard grid, trunc 4096)
     POSITIONS_GOLDEN = {
@@ -384,8 +395,20 @@ def _log_env(env, grid):
 
 
 def _sampled_envelope():
-    return RateEnvelope.from_samples(
-        "to_infinity", [mpf("0.001"), 1, 10, 100, 2000], [1, mpf("1.5"), 2, 4, 9])
+    """Piecewise-linear phi through five samples, clamped outside them."""
+    xs = [mpf("0.001"), mpf(1), mpf(10), mpf(100), mpf(2000)]
+    ys = [mpf(1), mpf("1.5"), mpf(2), mpf(4), mpf(9)]
+
+    def fn(r):
+        if r <= xs[0]:
+            return ys[0]
+        if r >= xs[-1]:
+            return ys[-1]
+        i = bisect.bisect_right(xs, r)
+        t = (r - xs[i - 1]) / (xs[i] - xs[i - 1])
+        return ys[i - 1] + t * (ys[i] - ys[i - 1])
+
+    return RateEnvelope(fn, "sampled[5]")
 
 
 class TestFillerCalibration:
@@ -538,11 +561,25 @@ class TestFhcSchedule:
 
     def test_positions_match_target_for(self):
         s = self._schedule()
+
+        def target_for(n):
+            # the residue rule: n = m_0 + k B serves target v_2(k) + 1, if there is one
+            off = n - s.m_0
+            if off <= 0 or off % s.block_width:
+                return None
+            k = off // s.block_width
+            j = (k & -k).bit_length()
+            return j if j <= len(s.targets) else None
+
         for j in range(1, 4):
             for n in s.positions(j):
-                assert s.target_for(n) == j
-        assert s.target_for(s.m_0) is None
-        assert s.target_for(s.m_0 + 3) is None
+                assert target_for(n) == j
+        assert target_for(s.m_0) is None
+        assert target_for(s.m_0 + 3) is None
+        # every placement of some target within the horizon is one of positions()
+        placed = {n for j in range(1, 4) for n in s.positions(j)}
+        assert placed == {n for n in range(s.trunc_degree - s.block_width + 1)
+                          if target_for(n) is not None}
 
     def test_nominal_density(self):
         s = self._schedule()
@@ -583,14 +620,13 @@ class TestFhcBuilder:
         def build_and_count():
             f, schedule = build_frequently_hypercyclic(w, 2, env, 1)
             report = frequency_report(f, schedule, w, 256, mpf("0.1"), 1)
-            return _coefficient_bits(f), schedule, report, fuc_tail_norms((F(1),), w, 2, env, 64)
+            return _coefficient_bits(f), schedule, report
 
         ambient = build_and_count()
         with mpmath.workprec(128):
             at_table = build_and_count()
         assert mp.prec == 256
-        assert ambient[:3] == at_table[:3]
-        assert ambient[3]._mpf_ == at_table[3]._mpf_
+        assert ambient == at_table
 
     def test_block_width_must_clear_degrees(self):
         w = DunklWeights(0, 4096)
@@ -927,33 +963,3 @@ class TestDensityDecay:
         assert [s._mpf_ for s in ambient.sigma] == [s._mpf_ for s in at_table.sigma]
         assert [e._mpf_ for e in ambient.event_density] == [
             e._mpf_ for e in at_table.event_density]
-
-
-class TestTailNorms:
-    def test_monotone_in_n(self):
-        w = DunklWeights(0, 4096)
-        env = RateEnvelope.log_growth()
-        vals = [fuc_tail_norms((F(1),), w, 2, env, N) for N in (50, 100, 200, 400)]
-        for a, b in zip(vals, vals[1:]):
-            assert b <= a
-
-    def test_threshold_golden(self):
-        # smallest N with tail <= 1e-6 for target "1", alpha 0, p 2: N = 496
-        w = DunklWeights(0, 4096)
-        env = RateEnvelope.log_growth()
-        assert fuc_tail_norms((F(1),), w, 2, env, 496) <= mpf("1e-6")
-        assert fuc_tail_norms((F(1),), w, 2, env, 495) > mpf("1e-6")
-
-    def test_zero_target(self):
-        w = DunklWeights(0, 4096)
-        env = RateEnvelope.log_growth()
-        assert fuc_tail_norms((), w, 2, env, 10) == 0
-
-    @pytest.mark.parametrize("N", [50, 400, 496])
-    def test_sum_runs_to_the_table_horizon(self, N):
-        # the terms past degree 1024 underflow, so a 1024 table sums the same tail
-        env = RateEnvelope.log_growth()
-        want = fuc_tail_norms((F(1),), DunklWeights(0, 4096), 2, env, N)
-        got = fuc_tail_norms((F(1),), DunklWeights(0, 1024), 2, env, N)
-        assert want > 0
-        assert abs(got - want) <= want * mpf("1e-15")

