@@ -15,22 +15,35 @@ File format ``dunklseries v1``::
 Coefficient lines are sparse (zeros omitted), except that the final line always
 carries n = trunc_degree so the truncation order survives the round trip.
 Decimals are written with enough digits to reparse to the exact binary value.
-Readers skip blank lines.  ``read_text`` and ``read_header`` read this format
-and ``construct``'s ``dunklplan v1`` alike.
+Readers skip blank lines.
+
+The reader gives each decimal the tuple that mpmath's ``from_str`` gives at
+the header's ``precision_bits``, bit for bit, but mostly without calling it:
+``_decimal_reader`` multiplies a decimal man 10^-k out in integers against a
+fixed-point 5^-k and rounds it there when that value is provably farther
+than about 2^-(bits+5) relative from every rounding midpoint.  Text outside
+its ASCII grammar, a decimal whose exponent net of its fraction digits is not
+negative, and a decimal that close to a midpoint go to ``from_str``.
+``read_text`` and ``read_header`` read this format and ``construct``'s
+``dunklplan v1`` alike.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_str, round_nearest
+from mpmath.libmp import from_str, fzero, round_nearest
 
 from .numeric import to_decimal
 
 DEFAULT_TRUNC_DEGREE = 4096
 _ZERO = mpc(0)  # every missing coefficient; mpc values are immutable
+# [-]digits[.digits][e[-]digits] in ASCII digits; the caps keep int() within its digit limit
+_DECIMAL = re.compile(r"(-?)([0-9]{1,1000})(?:\.([0-9]{1,1000}))?(?:e(-?[0-9]{1,1000}))?")
+_GUARD_BITS = 64  # bits of the reader's fixed-point 5^-k beyond the header's precision
 
 
 class TruncatedSeries:
@@ -239,12 +252,81 @@ def read_series(path: str) -> tuple[TruncatedSeries, mpf, int]:
     return read_text(path, "dunklseries v1", _parse_series)
 
 
+def _decimal_reader(bits: int):
+    """A function text -> from_str(text, bits, round_nearest), bit for bit, for one read.
+
+    A text in the ``_DECIMAL`` grammar is D = man 10^-k = man 5^-k 2^-k; zero,
+    however spelt, is ``fzero``.  For 0 < k < 2^(_GUARD_BITS - 9) and W = bits
+    + _GUARD_BITS, 5^-k is taken as P, the product over the set bits j of k of
+    W-bit truncations of 5^(-2^j), each the square of the one before and built
+    once per read, truncated to W bits after each factor.  Truncation lowers a
+    value by less than 2^(1-W) relative and squaring doubles an error, so
+    5^-k (1 - 2k 2^(1-W)) < P <= 5^-k.  With Y = man P of L bits and s = L -
+    bits, D then lies less than k 2^(L+3-W) <= 2^(s-6) units above Y.
+
+    ``from_str`` rounds D correctly when its own exponent is at most 400 in
+    magnitude.  Beyond that it returns RN_bits(D (1 + delta)) with
+    -2^-(bits+7) < delta <= 0: ``from_int`` truncates man at bits + 10 (by less
+    than 2^-(bits+9) relative), ``mpf_div`` truncates 1 / 10^n at bits + 10
+    (2^-(bits+9)) from ``mpf_pow_int``'s 10^n rounded up at bits + 15
+    (2^-(bits+14), its inner steps adding under 2^-(bits+40)), and the last
+    ``mpf_mul`` rounds to nearest.  Its argument is thus less than 2^(s-6)
+    units below D.
+
+    So D and from_str's argument lie within 2^(s-6) units of Y.  When Y's s low
+    bits differ from 2^(s-1) by more than 2^(s-5), no midpoint of the bits-bit
+    grid lies that near (across a power of two the nearest midpoint is 2^(s-2)
+    or 2^s away), and Y rounded to nearest is from_str's tuple, also at a
+    binade edge.  Every other decimal, text outside the grammar and k <= 0 go
+    to ``from_str``.
+    """
+    width = bits + _GUARD_BITS
+    squares = [((1 << (width + 2)) // 5, -(width + 2))]  # (man, exp) of 5^(-2^j), man W bits
+
+    def read(text: str):
+        match = _DECIMAL.fullmatch(text)
+        if match is None:
+            return from_str(text, bits, round_nearest)
+        sign, whole, frac, exp = match.groups()
+        man = int(whole + (frac or ""))
+        if not man:
+            return fzero  # from_str's tuple for every spelling of zero
+        k = len(frac or "") - int(exp or 0)
+        if k <= 0 or k >> (_GUARD_BITS - 9):
+            return from_str(text, bits, round_nearest)
+        while k >> len(squares):
+            sq_man, sq_exp = squares[-1]
+            sq_man *= sq_man
+            drop = sq_man.bit_length() - width
+            squares.append((sq_man >> drop, 2 * sq_exp + drop))
+        p_man, p_exp = 1, -k
+        for (sq_man, sq_exp), bit in zip(squares, bin(k)[:1:-1]):  # bits of k, lowest first
+            if bit == "1":
+                p_man *= sq_man
+                drop = p_man.bit_length() - width
+                p_man >>= drop
+                p_exp += sq_exp + drop
+        y = man * p_man
+        drop = y.bit_length() - bits
+        tail = y & ((1 << drop) - 1)
+        if abs(2 * tail - (1 << drop)) <= 1 << (drop - 4):
+            return from_str(text, bits, round_nearest)  # within 2^(s-5) of a midpoint
+        # RN_bits(y), normalised as mpmath keeps a tuple: odd mantissa and its bit count
+        y = (y >> drop) + (2 * tail > 1 << drop)
+        zeros = (y & -y).bit_length() - 1
+        y >>= zeros
+        return (1 if sign else 0, y, p_exp + drop + zeros, y.bit_length())
+
+    return read
+
+
 def _parse_series(lines: list) -> tuple[TruncatedSeries, mpf, int]:
     head = read_header(lines, ("alpha", "precision_bits", "n_coeffs"))
     bits = int(head["precision_bits"])
     n_coeffs = int(head["n_coeffs"])
     if len(lines) != n_coeffs:
         raise ValueError(f"n_coeffs={n_coeffs} but {len(lines)} coefficient lines")
+    read = _decimal_reader(bits)
     with mp.workprec(bits):
         alpha = mpf(head["alpha"])
         table: dict[int, mpc] = {}
@@ -258,7 +340,6 @@ def _parse_series(lines: list) -> tuple[TruncatedSeries, mpf, int]:
                 raise ValueError("coefficient indices must increase")
             last_n = n
             # what mpc(mpf(re), mpf(im)) rounds to at these bits, without its conversions
-            table[n] = mp.make_mpc((from_str(parts[1], bits, round_nearest),
-                                    from_str(parts[2], bits, round_nearest)))
+            table[n] = mp.make_mpc((read(parts[1]), read(parts[2])))
         series = TruncatedSeries(table, trunc_degree=last_n)
     return series, alpha, bits

@@ -24,6 +24,7 @@ from dunkldyn.means import (
     _band_local_means,
     _band_points,
     _circle_rows,
+    _estimate_log_abs,
     _has_large_factor,
     _max_means,
     _quadrature_floats,
@@ -955,3 +956,106 @@ def test_band_local_memory_is_bounded_by_the_block_budget():
     finally:
         tracemalloc.stop()
     assert peak < 4 * _BLOCK_ELEMENTS * 16
+
+
+# ---------------------------------------------------------------------------
+# the sampled table keeps only the coefficients its call's radii can reach
+
+
+@pytest.mark.parametrize("bits", [53, 256, 1024])
+def test_log_abs_estimate_is_float64_accurate(bits):
+    # real, imaginary and complex coefficients, parts of very different sizes,
+    # tiny and huge ones: within 1e-15 relative (1e-11 nats at |ln|c|| = 1e4)
+    with mp.workprec(bits):
+        values = [mpc(3), mpc(-0.25), mpc(0, 2), mpc(0, -mpf(10) ** -4000), mpc(1, 1),
+                  mpc(-3, 4), mpc(mpf(10) ** 300, mpf(10) ** -300), mpc(1e-20, -7),
+                  mpc(mpf(2) ** -30000, -mpf(3) ** -9000), mpc(mpf(10) ** 4000, 1)]
+        for c in values:
+            want = mpmath.ln(abs(c))
+            assert abs(_estimate_log_abs(c) - want) <= 1e-15 * max(1, abs(want)), c
+        assert all(math.isnan(_estimate_log_abs(mpc(x, 1))) for x in (mpmath.inf, mpmath.nan))
+
+
+def _reduced_terms_equal_full(f, radii):
+    """The table of the coefficients ``radii`` can reach and the table of all of
+    them give equal shifts and block terms, bit for bit; returns both tables."""
+    radii = [mpf(r) for r in radii]
+    full = _CircleTable(f, parseval=False)
+    reduced = _CircleTable(f, parseval=False, radii=radii)
+    (want_shifts, want), (got_shifts, got) = full.block_terms(radii), reduced.block_terms(radii)
+    assert [s._mpf_ for s in got_shifts] == [s._mpf_ for s in want_shifts]
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert reduced.phase.dtype == full.phase.dtype
+    assert set(reduced.n) <= set(full.n)
+    return full, reduced
+
+
+def _sweep_series(name):
+    env = RateEnvelope.log_growth()
+    if name == "fhc":
+        return build_frequently_hypercyclic(DunklWeights(1, 4096), 2, env, 3)[0]
+    if name == "hc":
+        return build_hypercyclic(DunklWeights(0, 4096), env, 12)[0]
+    return exp_truncation(256)
+
+
+@pytest.mark.parametrize("name", ["fhc", "hc", "exp"])
+def test_reduced_table_equals_full_table_on_sweep_series(name):
+    # the growth sweep's series on 8-, 64- and 256-point grids; the fhc table
+    # keeps 128 of its 427 coefficients on each
+    f = _sweep_series(name)
+    for points in (8, 64, 256):
+        full, reduced = _reduced_terms_equal_full(f, standard_r_grid(points=points))
+        if name == "fhc":
+            assert (len(full.n), len(reduced.n)) == (427, 128)
+
+
+@given(
+    st.sampled_from([64, 509, 1031]),
+    st.dictionaries(st.integers(0, 1030),
+                    st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-900, 0)),
+                    min_size=1, max_size=30),
+    st.booleans(),
+    st.lists(st.sampled_from([0.05, 0.7, 1, 1.3, 4, 30, 250, 2000, 1e5]), min_size=1,
+             max_size=6),
+)
+@settings(deadline=None, max_examples=60)
+def test_reduced_table_equals_full_table(degree, coeffs, real, radii):
+    # magnitudes down to 1e-900 put coefficients on both sides of the window
+    f = TruncatedSeries({n % degree: mpc(a, 0 if real else b) * mpf(10) ** e
+                         for n, (a, b, e) in coeffs.items()} | {degree: mpc(1)}, degree)
+    _reduced_terms_equal_full(f, radii)
+
+
+def test_complex_series_with_a_real_reach_keeps_the_complex_route():
+    # the one complex coefficient lies thousands of nats below the window at
+    # every radius: the table drops it, but the series stays complex
+    f = TruncatedSeries({0: mpf(3), 2: mpf(-1), 5: mpf("0.5"), 9: mpc(1, 1) * mpf(10) ** -3000},
+                        trunc_degree=16)
+    full, reduced = _reduced_terms_equal_full(f, [mpf("0.5"), mpf(2), mpf(10)])
+    assert reduced.n == [0, 2, 5]
+    assert full.phase.dtype == reduced.phase.dtype == np.complex128
+    real = TruncatedSeries({n: f.coeff(n) for n in (0, 2, 5)}, trunc_degree=16)
+    assert _CircleTable(real, parseval=False).phase.dtype == np.float64
+
+
+def test_reach_keeps_the_window_and_its_edge():
+    # at r = 1, coefficients 699.5, 700.5 and 701.5 nats below the top: the
+    # table keeps the first two (700 nats plus the 1-nat guard), block_terms
+    # the first alone
+    f = TruncatedSeries({0: mpf(1), **{n: mpmath.exp(-mpf(x)) for n, x in
+                                      ((3, "699.5"), (5, "700.5"), (7, "701.5"))}}, 16)
+    _, reduced = _reduced_terms_equal_full(f, [mpf(1)])
+    assert reduced.n == [0, 3, 5]
+    assert reduced.block_terms([mpf(1)])[1][1].tolist() == [0, 3]
+    # terms |c_n| r^n spaced 2e-14 nats apart across the 700-nat edge, where
+    # the float64 estimates and the mpf logs that block_terms reads can order a
+    # term differently against the edge: the guard keeps each one block_terms
+    # keeps.  Without it, r = 0.5 and r = 2 lose terms
+    for r in (mpf("0.5"), mpf(1), mpf(2)):
+        edge = {10 + i: mpmath.exp(-700 - (i - 20) * mpf("2e-14") - (10 + i) * mpmath.ln(r))
+                for i in range(41)}
+        _, reduced = _reduced_terms_equal_full(TruncatedSeries({0: mpf(1), **edge}, 64), [r])
+        kept = set(reduced.block_terms([r])[1][1].tolist())
+        assert 0 < len(kept & set(edge)) < len(edge)

@@ -6,9 +6,14 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_str, fzero, round_nearest
 
+import dunkldyn.series
+from byte_identity import ROWS
+from dunkldyn.cli import main
 from dunkldyn.series import (
     TruncatedSeries,
+    _decimal_reader,
     exp_truncation,
     read_series,
     write_series,
@@ -216,3 +221,143 @@ class TestPersistence:
         path.write_text("dunklseries v1\nalpha=0\nprecision_bits=256\nn_coeffs=1\n0 1/0 0\n")
         with pytest.raises(ValueError, match="denominator 0"):
             read_series(path)
+
+
+# ---------------------------------------------------------------------------
+# the series reader's decimals: from_str's tuples, mostly without from_str
+
+_READER_BITS = (53, 64, 128, 256, 512)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The texts the reader sends to from_str, in order."""
+    seen = []
+
+    def counting(text, prec, rnd):
+        seen.append(text)
+        return from_str(text, prec, rnd)
+
+    monkeypatch.setattr(dunkldyn.series, "from_str", counting)
+    return seen
+
+
+def _leading_digits(num, nd):
+    """(d, e) with d the nd leading decimal digits of the integer num > 0, truncated,
+    and num = d 10^e + (less than 10^e)."""
+    length = int(num.bit_length() * 0.30102999566398) + 1
+    while 10 ** (length - 1) > num:
+        length -= 1
+    while 10**length <= num:
+        length += 1
+    if length <= nd:
+        return num, 0
+    return num // 10 ** (length - nd), length - nd
+
+
+def _scientific(digits: int, e10: int, sign: str = "") -> str:
+    """digits 10^e10 written as d.ddde<exponent>, as to_decimal writes it."""
+    text = str(digits)
+    return f"{sign}{text[0]}.{text[1:] or '0'}e{e10 + len(text) - 1}"
+
+
+def _random_decimal(rng: random.Random, bits: int) -> str:
+    """A decimal whose from_str exponent (fraction digits counted) is at most 400 in
+    magnitude, or beyond -400, half of them in to_decimal's layout."""
+    n_digits = rng.randint(1, 3 * bits // 10 + 20)
+    digits = rng.randint(10 ** (n_digits - 1), 10**n_digits - 1)
+    e10 = rng.randint(-400, -1) if rng.random() < 0.5 else rng.randint(-30000, -401)
+    sign = rng.choice(("", "-"))
+    if rng.random() < 0.5:
+        return _scientific(digits, e10, sign)
+    point = rng.randint(0, n_digits)
+    text = str(digits)
+    whole, frac = text[:point] or "0", text[point:]
+    return f"{sign}{whole}{'.' + frac if frac else ''}e{e10 + len(frac)}"
+
+
+@pytest.mark.parametrize("bits", _READER_BITS)
+def test_random_decimals_equal_from_str(bits, fallbacks):
+    # 4000 decimals per precision, 20k in all, on both sides of from_str's
+    # exponent cut at 400.  Only those within 1/32 of a unit in the last place of
+    # a midpoint take from_str: at most 1/16 of long random mantissas, and none
+    # of a written file's (below)
+    rng = random.Random(bits)
+    read = _decimal_reader(bits)
+    texts = [_random_decimal(rng, bits) for _ in range(4000)]
+    assert [read(t) for t in texts] == [from_str(t, bits, round_nearest) for t in texts]
+    assert 0 < len(fallbacks) < len(texts) / 12
+
+
+def _near_midpoints(rng: random.Random, bits: int):
+    """(text, midpoint) pairs: decimals at or within a few units of their last digit of
+    a rounding midpoint (midpoint True), or of a power of two (False).  The midpoints
+    sit in a binade, just below a power of two and just above one."""
+    nd_min = int((bits + 8) * 0.30102999566398) + 3
+    for _ in range(300):
+        e2 = rng.choice((rng.randint(-1300, -bits), rng.randint(-30000, -1300)))
+        man = rng.getrandbits(bits - 1) | 1 << (bits - 1)
+        kind = rng.randrange(4)
+        num, e2 = ((2 * man + 1, e2 - 1), (1, e2), ((1 << bits + 1) - 1, e2 - bits - 1),
+                   ((1 << bits) + 1, e2 - bits))[kind]
+        # num 2^e2 = num 5^-e2 10^e2, exact in decimal
+        digits, e10 = _leading_digits(num * 5 ** -e2, rng.randint(nd_min, nd_min + 30))
+        yield _scientific(digits + rng.choice((-2, -1, 0, 0, 1, 2)), e2 + e10,
+                          rng.choice(("", "-"))), kind != 1
+
+
+@pytest.mark.parametrize("bits", _READER_BITS)
+def test_decimals_near_midpoints_and_binade_edges(bits, fallbacks):
+    # a decimal this close to a midpoint goes to from_str, exact ties (round half
+    # to even) included; one this close to a power of two rounds on the fast path
+    # to the power of two, from below or above
+    rng = random.Random(-bits)
+    read = _decimal_reader(bits)
+    for text, midpoint in _near_midpoints(rng, bits):
+        before = len(fallbacks)
+        assert read(text) == from_str(text, bits, round_nearest), text
+        assert len(fallbacks) - before == midpoint, text
+    # exact ties (2 k + 1) 2^-(bits + 3) with 2 k + 1 of bits + 1 bits, written in full
+    ties = [f"{(2 * k + 1) * 5 ** (bits + 3)}e-{bits + 3}"
+            for k in range(2 ** (bits - 1), 2 ** (bits - 1) + 4)]
+    before = len(fallbacks)
+    assert [read(t) for t in ties] == [from_str(t, bits, round_nearest) for t in ties]
+    assert len(fallbacks) - before == len(ties)
+
+
+@pytest.mark.parametrize("bits", _READER_BITS)
+def test_texts_outside_the_grammar_go_to_from_str(bits, fallbacks):
+    # a sign +, an upper-case E, underscores, non-ASCII digits, a missing digit on
+    # either side of the point, the special values and net exponents of at least 0
+    # all take from_str; every spelling of zero is its zero, without it
+    texts = ["+1.5", "1.5E-3", "1_0", "1_0.5e-3", "\u0661\u0662.5e-3", "\uff11.5", "1.", ".5",
+             "-.5e-3", "inf", "-inf", "nan", "1.5e3", "1e401", "2.5e+3", "-7e1", "3.25e2",
+             "1234.5e3"]
+    read = _decimal_reader(bits)
+    assert [read(t) for t in texts] == [from_str(t, bits, round_nearest) for t in texts]
+    assert fallbacks == texts
+    zeros = ["0", "-0", "0.0", "-0.0", "0.000e-500", "-00.0e7", "0e401"]
+    assert [read(t) for t in zeros] == [from_str(t, bits, round_nearest) for t in zeros]
+    assert fallbacks == texts
+
+
+def test_byte_identity_series_files_read_as_from_str(tmp_path, monkeypatch, fallbacks):
+    # every .series file that the byte-identity matrix writes: each decimal equals
+    # from_str's tuple at the header's bits, and none of them needs from_str
+    monkeypatch.chdir(tmp_path)
+    for argv in ROWS:
+        if argv[0].startswith("build-"):
+            assert main(argv) == 0
+    paths = sorted(tmp_path.glob("*.series"))
+    assert len(paths) == 8
+    for path in paths:
+        lines = path.read_text().splitlines()
+        bits = int(lines[2].removeprefix("precision_bits="))
+        texts = [t for line in lines[4:] for t in line.split()[1:]]
+        read = _decimal_reader(bits)
+        want = [from_str(t, bits, round_nearest) for t in texts]
+        assert [read(t) for t in texts] == want
+        f, _, _ = read_series(path)
+        pairs = [(want[i], want[i + 1]) for i in range(0, len(want), 2)]
+        assert [c._mpc_ for _, c in f.items()] == [pair for pair in pairs if pair != (fzero, fzero)]
+    assert fallbacks == []
