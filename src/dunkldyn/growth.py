@@ -11,10 +11,12 @@ the operator with parameter alpha:
 "Sufficiently large r" statements are operationalized on a bounded grid: a
 profile is satisfied when its ratio stays at or below 1 from some grid index
 to the end of the grid.  Band and supremum constants that the statements
-leave unnamed are measured and frozen as golden values by the tests.
+leave unnamed are measured and frozen as golden values by the tests.  The
+Mittag-Leffler kernel sum behind the Barnes asymptotics is taken only at real
+r > 0, the one place the growth statements read it.
 
-The scalar loops of the lemma ratios and of the integer-order Mittag-Leffler
-walk run on raw libmp tuples at an explicit precision, skipping mpmath's
+The scalar loops of the lemma ratios and of the Mittag-Leffler peak walk run
+on raw libmp tuples at an explicit precision, skipping mpmath's
 per-operation wrapper.  Each must give the ``_mpf_`` of the mpf expression it
 replaces, bit for bit; that expression lives on in the tests as its oracle.
 """
@@ -25,8 +27,9 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_int, mpf_add, mpf_div, mpf_exp, mpf_lt, mpf_mul,
-                          mpf_pos, mpf_pow, mpf_rdiv_int, mpf_shift, mpf_sub, round_nearest)
+from mpmath.libmp import (fone, from_int, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_loggamma,
+                          mpf_lt, mpf_mul, mpf_pos, mpf_pow, mpf_rdiv_int, mpf_shift, mpf_sub,
+                          round_nearest)
 
 from .dunkl import DunklWeights, _at_table_precision, _check_alpha
 from .means import MeanParams, P_INF, conjugate_exponent, means_on_grid
@@ -39,9 +42,7 @@ R_GRID_MAX = mpf(400)
 R_GRID_POINTS = 256
 
 ML_MAX_TERMS = 10**6
-ML_QUIET_STREAK = 8
 ML_GUARD_BITS = 32
-ML_MAX_PASSES = 6  # precision raises of the from-zero loop before it gives up
 
 
 def standard_r_grid(r_min=R_GRID_MIN, r_max=R_GRID_MAX, points=R_GRID_POINTS):
@@ -131,29 +132,14 @@ def lemma1_ratio(n: int, w: DunklWeights) -> mpf:
     return mp.make_mpf(mpf_exp(exponent, prec, rnd))
 
 
-def mittag_leffler(z, ml_alpha, theta, beta):
-    """E(z) = sum_n z^n / ((n+theta)^beta Gamma(ml_alpha n + 1)).
+def mittag_leffler(z, ml_alpha, theta, beta) -> mpf:
+    """E(z) = sum_n z^n / ((n+theta)^beta Gamma(ml_alpha n + 1)) for real z > 0.
 
-    It takes no weight table, so prec is the caller's ambient precision.
-    Two routes, each accurate to about tol = 2^(16-prec) relative:
-
-    * integer ml_alpha with z real and > 0, where every term is positive,
-      takes the peak walk (``_ml_peak_walk``): the sum starts at the largest
-      term n0 = floor(z^(1/ml_alpha)/ml_alpha) and walks both ways with the
-      exact term recurrence.  Each side stops once a geometric bound on
-      everything it has not summed falls below tol/2 of the running total,
-      so the two truncated tails together are below tol of the sum;
-    * non-integer ml_alpha, and any z off the positive real axis, where
-      terms can cancel, sum from n = 0 until the upcoming term stays below
-      tol times the running sum for 8 consecutive indices.  Integer
-      ml_alpha uses the exact term recurrence there too, general ml_alpha
-      computes each Gamma factor once, for the upcoming term, and as its
-      terms fall slowly past tol, runs at ML_GUARD_BITS more bits and stops
-      at tol 2^-ML_GUARD_BITS.  The loop also sums S = sum |t_n|; when its
-      rounding S 2^-wp exceeds tol |sum|, as on the negative axis where
-      e^-200 is summed from terms near e^200, it reruns with the missing
-      bits plus ML_GUARD_BITS, at most ML_MAX_PASSES times.  Terms that
-      still rise at n = ML_MAX_TERMS raise ValueError before the loop.
+    It takes no weight table, so prec is the caller's ambient precision; the
+    sum is accurate to about tol = 2^(16-prec) relative.  z must be real,
+    finite and > 0: there every term is positive, and ``_ml_peak_walk`` sums
+    outward from the largest.  Any other z, and a non-integer ml_alpha whose
+    terms peak past n = ML_MAX_TERMS, raise ValueError.
     """
     ml_alpha = mpf(ml_alpha)
     if not 0 < ml_alpha <= 2:
@@ -162,124 +148,93 @@ def mittag_leffler(z, ml_alpha, theta, beta):
     if not theta > 0:
         raise ValueError(f"theta must be > 0, got {theta}")
     beta = mpf(beta)
-    tol = mpf(2) ** (16 - mp.prec)
     z = mpmath.mpmathify(z)
-
-    int_alpha = int(ml_alpha) if ml_alpha == int(ml_alpha) else None
-    if int_alpha is not None and mpmath.im(z) == 0 and mpmath.re(z) > 0:
-        return _ml_peak_walk(mpmath.re(z), int_alpha, theta, beta, tol)
-    # |z|^n / Gamma(ml n + 1) rises through N = ML_MAX_TERMS if ln|z| >= ml (ln y - 1/(2y)),
-    # y = ml N + 1 (ln Gamma is convex, psi(y) < ln y - 1/(2y)); then each sum before N is at
-    # most e^spread times the next term, so none settles when e^spread < 1/tol
-    y = ml_alpha * ML_MAX_TERMS + 1
-    spread = mpmath.ln(ML_MAX_TERMS) + max(beta, 0) * mpmath.ln(1 + ML_MAX_TERMS / theta)
-    if mpmath.ln(abs(z)) >= ml_alpha * (mpmath.ln(y) - 1 / (2 * y)) and spread < -mpmath.ln(tol):
-        raise ValueError(f"Mittag-Leffler terms at z={mpmath.nstr(z, 8)} still rise at "
-                         f"n = {ML_MAX_TERMS} for ml_alpha={mpmath.nstr(ml_alpha, 8)}")
-    # terms of opposite sign cancel: the loop's rounding is about mass 2^-wp,
-    # where mass = sum |t_n|, so rerun it with the bits the cancellation ate
-    guard = ML_GUARD_BITS if int_alpha is None else 0
-    wp = mp.prec + guard
-    for _ in range(ML_MAX_PASSES):
-        with mp.workprec(wp):
-            total, mass = _ml_from_zero(z, ml_alpha, int_alpha, theta, beta, tol * 2.0**-guard)
-            noise = mass * mpf(2) ** -wp
-            if noise <= tol * abs(total):
-                break
-            shortfall = noise / (tol * abs(total)) if total else mpf(2) ** wp
-            wp += int(mpmath.ceil(mpmath.log(shortfall, 2))) + ML_GUARD_BITS
-    else:
-        raise RuntimeError(
-            f"Mittag-Leffler sum at z={mpmath.nstr(z, 8)} lost to cancellation "
-            f"after {ML_MAX_PASSES} passes"
-        )
-    if mpmath.im(z) == 0 and mpmath.re(z) >= 0:
-        return mpmath.re(+total)
-    return +total
+    if mpmath.im(z) != 0 or not 0 < mpmath.re(z) < mpmath.inf:
+        raise ValueError(f"z must be real, finite and > 0, got {z}")
+    ml = int(ml_alpha) if ml_alpha == int(ml_alpha) else ml_alpha
+    return _ml_peak_walk(mpmath.re(z), ml, theta, beta, mpf(2) ** (16 - mp.prec))
 
 
-def _ml_from_zero(z, ml_alpha, int_alpha, theta, beta, tol):
-    """(sum, sum of |terms|) of the series from n = 0, stopped as in mittag_leffler."""
-    total = mpmath.mpc(0)
-    mass = mpf(0)
-    power_over_gamma = mpf(1)  # z^n / Gamma(ml_alpha n + 1) along the loop
-    streak = 0
-    for n in range(ML_MAX_TERMS):
-        term = power_over_gamma
-        if int_alpha is None:
-            power_over_gamma = z ** (n + 1) / mpmath.gamma(ml_alpha * (n + 1) + 1)
-        else:
-            denom = mpf(1)
-            for i in range(int_alpha):
-                denom *= int_alpha * n + 1 + i
-            power_over_gamma = power_over_gamma * z / denom
-        if beta != 0:
-            term = term / (n + theta) ** beta
-        total += term
-        mass += abs(term)
-        upcoming = abs(power_over_gamma)
-        if beta > 0:
-            upcoming = upcoming / (n + 1 + theta) ** beta
-        elif beta < 0:
-            upcoming = upcoming * (n + 1 + theta) ** (-beta)
-        if upcoming < tol * abs(total):
-            streak += 1
-            if streak >= ML_QUIET_STREAK:
-                return total, mass
-        else:
-            streak = 0
-    raise RuntimeError(
-        f"Mittag-Leffler sum not converged within {ML_MAX_TERMS} terms"
-    )
+def _ml_peak_walk(x, ml, theta, beta, tol) -> mpf:
+    """sum_n x^n / ((n+theta)^beta Gamma(ml n + 1)) for x > 0, from its peak.
 
-
-def _ml_peak_walk(x, m: int, theta, beta, tol) -> mpf:
-    """sum_n x^n / ((n+theta)^beta (mn)!) for x > 0 and integer m, from its peak.
-
-    With g_n = x^n/(mn)! the terms are t_n = g_n (n+theta)^(-beta).  g's ratio
-    rho_n = g_(n+1)/g_n = x/((mn+1)...(mn+m)) falls with n, so g_(n+k) <=
-    g_n rho_n^k above n and g_(n-k) <= g_n (1/rho_(n-1))^k below it.  Each
-    side bounds what it has not summed by s rho/(1 - rho), rho < 1:
+    ml is a Python int at integer order, else an mpf.  With g_n =
+    x^n/Gamma(ml n + 1) the terms are t_n = g_n (n+theta)^(-beta).  g's ratio
+    rho_n = g_(n+1)/g_n = x Gamma(ml n + 1)/Gamma(ml n + ml + 1) falls with n
+    at any ml > 0 (ln Gamma is convex), so g_(n+k) <= g_n rho_n^k above n and
+    g_(n-k) <= g_n (1/rho_(n-1))^k below it.  Each side bounds what it has not
+    summed by s rho/(1 - rho), rho < 1:
 
     * upward, s = t_n; rho is g's ratio for beta >= 0, where the weight only
       shrinks, and the actual term ratio for beta < 0, which then falls too;
     * downward, rho is g's ratio; s = t_n for beta <= 0, where the weight
       only shrinks, and g_n theta^(-beta), the weight's maximum, for beta > 0.
 
-    The peak term takes one exp and one loggamma; the walk and the sum run
-    with ML_GUARD_BITS extra bits, so rounding stays far below tol.  The walk
-    runs on raw tuples, each step rounded as the mpf operators round it.
+    The walk starts at n0 = floor(x^(1/ml)/ml), near the largest term, whose g
+    is exp(n0 ln x - loggamma(ml n0 + 1)).  At integer order each step
+    multiplies g by the exact ratio x/((ml n+1)...(ml n+ml)), and each side
+    stops once its bound is below tol/2 of the running total.  At other
+    orders each step takes its g from that same formula, so rounding does not
+    build up along the walk, and each side stops at tol 2^-ML_GUARD_BITS,
+    which keeps the sum within an ulp of its closed form at ml = 1/2.  There
+    n0 must not pass ML_MAX_TERMS, or ValueError is raised before any term is
+    summed; that also keeps each g's rounding, about n ln x 2^-wp, far below
+    tol.  The walk and the sum run with ML_GUARD_BITS extra bits on raw
+    tuples, each step rounded as the mpf operators round it.
     """
     prec, rnd = mp.prec, round_nearest
     wp = prec + ML_GUARD_BITS
-    half_tol = (tol / 2)._mpf_
+    integer = isinstance(ml, int)
     with mp.workprec(wp):
-        n0 = int(mpmath.floor(mpmath.root(x, m) / m))
-        g0 = mpmath.exp(n0 * mpmath.ln(x) - mpmath.loggamma(m * n0 + 1))
-        weighted, rising = beta != 0, beta < 0
-        t0 = g0 / (n0 + theta) ** beta if weighted else g0
+        if integer:
+            n0 = int(mpmath.floor(mpmath.root(x, ml) / ml))
+            cut = tol / 2
+        else:
+            peak = x ** (1 / ml) / ml  # not mpmath.root, which gives root(x, 0.5) = 1
+            if peak > ML_MAX_TERMS:
+                raise ValueError(f"Mittag-Leffler terms at z={mpmath.nstr(x, 8)} peak past "
+                                 f"n = {ML_MAX_TERMS} for ml_alpha={mpmath.nstr(ml, 8)}")
+            n0 = int(peak)
+            cut = tol * mpf(2) ** -ML_GUARD_BITS
         weight_max = (theta ** -beta)._mpf_ if beta > 0 else None
-    x, theta, beta, total = x._mpf_, theta._mpf_, beta._mpf_, t0._mpf_
+    weighted, rising = beta != 0, beta < 0
+    x, theta, beta, cut = x._mpf_, theta._mpf_, beta._mpf_, cut._mpf_
+    ml_ = from_int(ml) if integer else ml._mpf_
+    ln_x = mpf_log(x, wp, rnd)
+
+    def g_at(n):
+        y = mpf_add(mpf_mul(ml_, from_int(n), wp, rnd), fone, wp, rnd)
+        return mpf_exp(mpf_sub(mpf_mul(from_int(n), ln_x, wp, rnd),
+                               mpf_loggamma(y, wp, rnd), wp, rnd), wp, rnd)
+
+    def weight(n):
+        return mpf_pow(mpf_add(theta, from_int(n), wp, rnd), beta, wp, rnd)
+
+    g0 = g_at(n0)
+    total = t0 = mpf_div(g0, weight(n0), wp, rnd) if weighted else g0
     walked = 1
     for up in (True, False):
-        n, g, t = n0, g0._mpf_, t0._mpf_
+        n, g, t = n0, g0, t0
         while up or n > 0:
             # g's ratio for the step away from the peak
-            falling = 1
-            for i in range(1, m + 1):
-                falling *= m * (n if up else n - 1) + i
-            rho = (mpf_div(x, from_int(falling), wp, rnd) if up
-                   else mpf_rdiv_int(falling, x, wp, rnd))
-            g_next = t_next = mpf_mul(g, rho, wp, rnd)
-            n += 1 if up else -1
-            if weighted:
-                weight = mpf_pow(mpf_add(theta, from_int(n), wp, rnd), beta, wp, rnd)
-                t_next = mpf_div(g_next, weight, wp, rnd)
+            if integer:
+                falling = 1
+                for i in range(1, ml + 1):
+                    falling *= ml * (n if up else n - 1) + i
+                rho = (mpf_div(x, from_int(falling), wp, rnd) if up
+                       else mpf_rdiv_int(falling, x, wp, rnd))
+                g_next = mpf_mul(g, rho, wp, rnd)
+                n += 1 if up else -1
+            else:
+                n += 1 if up else -1
+                g_next = g_at(n)
+                rho = mpf_div(g_next, g, wp, rnd)
+            t_next = mpf_div(g_next, weight(n), wp, rnd) if weighted else g_next
             if up and rising:
                 rho = mpf_div(t_next, t, wp, rnd)
             # the tail bound is at least t_next, so it is tried only once
-            # t_next itself is below tol/2 of the total
-            cap = mpf_mul(half_tol, total, wp, rnd)
+            # t_next itself is below the cut of the total
+            cap = mpf_mul(cut, total, wp, rnd)
             if mpf_lt(rho, fone) and mpf_lt(t_next, cap):
                 s = mpf_mul(g, weight_max, wp, rnd) if not up and weight_max is not None else t
                 if mpf_lt(mpf_mul(s, rho, wp, rnd),

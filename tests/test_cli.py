@@ -362,10 +362,10 @@ class TestVerifyCommands:
         assert header == "poly,r,lhs,rhs,margin"
         assert len(rows) == 15
 
-    def test_barnes_tiny_ml_alpha_exits_one_at_once(self, tmp_path):
-        # the terms still rise at ML_MAX_TERMS, so the from-zero loop could
-        # only run out of terms; the console entry point runs in a child
-        # process so that a loop that does run fails on the timeout
+    @staticmethod
+    def _barnes_refused_at_once(tmp_path, *flags):
+        # the console entry point runs in a child process, so that a sum
+        # that does start walking fails on the timeout
         out = tmp_path / "b.csv"
         src = str(Path(dunkldyn.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -373,13 +373,24 @@ class TestVerifyCommands:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from dunkldyn.cli import main; sys.exit(main(sys.argv[1:]))",
-             "verify-barnes", "--ml-alpha", "1e-9", "--r-min", "1", "--r-max", "2",
-             "--r-points", "2", "-o", str(out)],
+             "verify-barnes", *flags, "-o", str(out)],
             capture_output=True, text=True, timeout=5, env=env)
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("verify-barnes: ")
         assert "ml_alpha" in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_barnes_tiny_ml_alpha_exits_one_at_once(self, tmp_path):
+        # the terms peak near n = 1e9 at r = 1, past ML_MAX_TERMS
+        self._barnes_refused_at_once(tmp_path, "--ml-alpha", "1e-9", "--r-min", "1",
+                                     "--r-max", "2", "--r-points", "2")
+
+    def test_barnes_far_peak_behind_a_dip_exits_one_at_once(self, tmp_path):
+        # at r = 3 the (n + 1)^-200 weight makes the terms dip after n = 0 and
+        # rise again toward a peak near n = 5e49; a sum stopped in the dip
+        # would write 1.0
+        self._barnes_refused_at_once(tmp_path, "--ml-alpha", "0.01", "--beta", "200",
+                                     "--r-min", "1", "--r-max", "3", "--r-points", "2")
 
     def test_barnes_ratio(self, tmp_path):
         out = tmp_path / "b.csv"
