@@ -61,6 +61,12 @@ def _at_table_precision(fn):
     return call
 
 
+def _gamma_form(alpha: mpf, n: int) -> mpf:
+    """``DunklWeights.gamma_form_log_weight`` at the ambient precision."""
+    return (n * mpmath.ln(mpf(2)) + mpmath.loggamma(mpf(n // 2) + 1)
+            + mpmath.loggamma(mpf((n + 1) // 2) + alpha + 1) - mpmath.loggamma(alpha + 1))
+
+
 class DunklWeights:
     """Table of ln d_n(alpha) for n = 0..n_max, built by the ratio recurrence.
 
@@ -81,7 +87,7 @@ class DunklWeights:
     * the mpf ratio recurrence (``log_weight``) gives every value the package
       writes or computes with at working precision;
     * the mpf closed Gamma form (``gamma_form_log_weight``) is its independent
-      oracle; the two agree to within a few ulps;
+      oracle, within a few ulps, and starts Lemma 3's walks from a peak;
     * the float64 closed Gamma form (``float_log_weights``) is the input of
       the float64 kernels, the builders' weighted-norm kernel above all.  It
       never touches the mpf table, so a builder fills that table only as far
@@ -120,12 +126,6 @@ class DunklWeights:
             acc = mpf_add(acc, self._log(self._raw_ratio(k)), prec, round_nearest)
             log_d.append(mp.make_mpf(acc))
 
-    def ratio(self, n: int) -> mpf:
-        """a_n = d_n / d_{n-1} for 1 <= n <= n_max."""
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"ratio index {n} outside [1, {self.n_max}]")
-        return mp.make_mpf(self._raw_ratio(n))
-
     def log_weight(self, n: int) -> mpf:
         if not 0 <= n <= self.n_max:
             raise IndexError(f"weight index {n} outside [0, {self.n_max}]")
@@ -144,12 +144,7 @@ class DunklWeights:
         """Closed form ln d_n = n ln2 + ln G(floor(n/2)+1) + ln G(floor((n+1)/2)+alpha+1) - ln G(alpha+1)."""
         if not 0 <= n <= self.n_max:
             raise IndexError(f"weight index {n} outside [0, {self.n_max}]")
-        return (
-            n * mpmath.ln(mpf(2))
-            + mpmath.loggamma(mpf(n // 2) + 1)
-            + mpmath.loggamma(mpf((n + 1) // 2) + self.alpha + 1)
-            - mpmath.loggamma(self.alpha + 1)
-        )
+        return _gamma_form(self.alpha, n)
 
     def float_log_weights(self, n: int) -> np.ndarray:
         """ln d_k for k = 0..n as float64, from the closed Gamma form.

@@ -15,14 +15,16 @@ leave unnamed are measured and frozen as golden values by the tests.  The
 Mittag-Leffler kernel sum behind the Barnes asymptotics is taken only at real
 r > 0, the one place the growth statements read it.
 
-The scalar loops of the lemma ratios and of the Mittag-Leffler peak walk run
-on raw libmp tuples at an explicit precision, skipping mpmath's
-per-operation wrapper.  Each must give the ``_mpf_`` of the mpf expression it
-replaces, bit for bit; that expression lives on in the tests as its oracle.
+The lemma ratios and ``_peak_walk``, which sums both kernel sums out from near
+their largest term, run on raw libmp tuples at an explicit precision, skipping
+mpmath's per-operation wrapper; each gives the ``_mpf_`` of the mpf expression
+it replaces, bit for bit, and that expression is its oracle in the tests.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -31,7 +33,7 @@ from mpmath.libmp import (fone, from_int, mpf_add, mpf_div, mpf_exp, mpf_log, mp
                           mpf_lt, mpf_mul, mpf_pos, mpf_pow, mpf_rdiv_int, mpf_shift, mpf_sub,
                           round_nearest)
 
-from .dunkl import DunklWeights, _at_table_precision, _check_alpha
+from .dunkl import DunklWeights, _at_table_precision, _check_alpha, _gamma_form
 from .means import MeanParams, P_INF, conjugate_exponent, means_on_grid
 from .numeric import DEFAULT_PRECISION_BITS
 from .series import TruncatedSeries
@@ -41,7 +43,7 @@ with mp.workprec(DEFAULT_PRECISION_BITS):  # 0.01 is inexact: fix its bits at th
 R_GRID_MAX = mpf(400)
 R_GRID_POINTS = 256
 
-ML_MAX_TERMS = 10**6
+_WALK_MAX_TERMS = 10**6
 ML_GUARD_BITS = 32
 
 
@@ -138,8 +140,8 @@ def mittag_leffler(z, ml_alpha, theta, beta) -> mpf:
     It takes no weight table, so prec is the caller's ambient precision; the
     sum is accurate to about tol = 2^(16-prec) relative.  z must be real,
     finite and > 0: there every term is positive, and ``_ml_peak_walk`` sums
-    outward from the largest.  Any other z, and a non-integer ml_alpha whose
-    terms peak past n = ML_MAX_TERMS, raise ValueError.
+    outward from the largest.  Any other z, and a sum whose walk would pass
+    _WALK_MAX_TERMS terms, raise ValueError.
     """
     ml_alpha = mpf(ml_alpha)
     if not 0 < ml_alpha <= 2:
@@ -155,50 +157,61 @@ def mittag_leffler(z, ml_alpha, theta, beta) -> mpf:
     return _ml_peak_walk(mpmath.re(z), ml, theta, beta, mpf(2) ** (16 - mp.prec))
 
 
-def _ml_peak_walk(x, ml, theta, beta, tol) -> mpf:
-    """sum_n x^n / ((n+theta)^beta Gamma(ml n + 1)) for x > 0, from its peak.
+def _peak_walk(n0, width, t0, side, cut_bits, wp, what) -> tuple:
+    """The raw sum of positive terms t_n, n >= 0, walked out both ways from t0 = t_(n0).
 
-    ml is a Python int at integer order, else an mpf.  With g_n =
-    x^n/Gamma(ml n + 1) the terms are t_n = g_n (n+theta)^(-beta).  g's ratio
-    rho_n = g_(n+1)/g_n = x Gamma(ml n + 1)/Gamma(ml n + ml + 1) falls with n
-    at any ml > 0 (ln Gamma is convex), so g_(n+k) <= g_n rho_n^k above n and
-    g_(n-k) <= g_n (1/rho_(n-1))^k below it.  Each side bounds what it has not
-    summed by s rho/(1 - rho), rho < 1:
-
-    * upward, s = t_n; rho is g's ratio for beta >= 0, where the weight only
-      shrinks, and the actual term ratio for beta < 0, which then falls too;
-    * downward, rho is g's ratio; s = t_n for beta <= 0, where the weight
-      only shrinks, and g_n theta^(-beta), the weight's maximum, for beta > 0.
-
-    The walk starts at n0 = floor(x^(1/ml)/ml), near the largest term, whose g
-    is exp(n0 ln x - loggamma(ml n0 + 1)).  At integer order each step
-    multiplies g by the exact ratio x/((ml n+1)...(ml n+ml)), and each side
-    stops once its bound is below tol/2 of the running total.  At other
-    orders each step takes its g from that same formula, so rounding does not
-    build up along the walk, and each side stops at tol 2^-ML_GUARD_BITS,
-    which keeps the sum within an ulp of its closed form at ml = 1/2.  There
-    n0 must not pass ML_MAX_TERMS, or ValueError is raised before any term is
-    summed; that also keeps each g's rounding, about n ln x 2^-wp, far below
-    tol.  The walk and the sum run with ML_GUARD_BITS extra bits on raw
-    tuples, each step rounded as the mpf operators round it.
+    side(up) yields the terms n0+1, n0+2, ... or n0-1, ..., 0, each with None
+    where the side cannot stop yet, else a callable giving its tail bound (s,
+    rho), read at once: for rho < 1 that term and the later ones are at most s
+    rho, s rho^2, ....  A side stops, leaving the term out, once the term and
+    s rho/(1 - rho) are both below 2^-cut_bits of the running total, summed at
+    wp bits.  A side walks about width terms; past _WALK_MAX_TERMS, estimated
+    or walked, it raises ValueError(what).
     """
-    prec, rnd = mp.prec, round_nearest
-    wp = prec + ML_GUARD_BITS
+    too_long = ValueError(f"{what}: its walk from the peak would pass {_WALK_MAX_TERMS} terms")
+    if width + min(n0, width) > _WALK_MAX_TERMS:
+        raise too_long
+    total, rnd = t0, round_nearest
+    for up in (True, False):
+        for k, (t, bound) in enumerate(side(up)):
+            if bound and mpf_lt(t, cap := mpf_shift(total, -cut_bits)):  # bound >= t
+                s, rho = bound()
+                if mpf_lt(rho, fone) and mpf_lt(mpf_mul(s, rho, wp, rnd), mpf_mul(
+                        cap, mpf_sub(fone, rho, wp, rnd), wp, rnd)):
+                    break
+            if k == _WALK_MAX_TERMS:
+                raise too_long
+            total = mpf_add(total, t, wp, rnd)
+    return total
+
+
+def _ml_peak_walk(x, ml, theta, beta, tol) -> mpf:
+    """sum_n x^n / ((n+theta)^beta Gamma(ml n + 1)) for x > 0, by ``_peak_walk``.
+
+    ml is a Python int at integer order, else an mpf; tol is a power of two;
+    all runs ML_GUARD_BITS above prec.  With g_n = x^n/Gamma(ml n + 1), t_n =
+    g_n (n+theta)^(-beta); g's ratio x Gamma(ml n + 1)/Gamma(ml n + ml + 1)
+    falls with n (ln Gamma is convex).  Upward, s = t_n, with g's ratio as rho
+    for beta >= 0 and the term ratio, which then falls too, for beta < 0.
+    Downward, rho is g's ratio, with s = t_n for beta <= 0 and g_n
+    theta^(-beta), the weight's maximum, for beta > 0.  The walk starts at n0
+    = floor(x^(1/ml)/ml) with g = exp(n0 ln x - loggamma(ml n0 + 1)), where ln
+    g curves by about ml/n0, so width = sqrt(4 cut_bits ln2 n0/ml).  At
+    integer order g steps by the exact ratio x/((ml n+1)...(ml n+ml)) and the
+    cut is tol/2.  At other orders each g comes from that formula, so no
+    rounding builds up, and the cut is tol 2^-ML_GUARD_BITS, which keeps the
+    sum within an ulp of its closed form at ml = 1/2.
+    """
+    prec, wp, rnd = mp.prec, mp.prec + ML_GUARD_BITS, round_nearest
     integer = isinstance(ml, int)
     with mp.workprec(wp):
-        if integer:
-            n0 = int(mpmath.floor(mpmath.root(x, ml) / ml))
-            cut = tol / 2
-        else:
-            peak = x ** (1 / ml) / ml  # not mpmath.root, which gives root(x, 0.5) = 1
-            if peak > ML_MAX_TERMS:
-                raise ValueError(f"Mittag-Leffler terms at z={mpmath.nstr(x, 8)} peak past "
-                                 f"n = {ML_MAX_TERMS} for ml_alpha={mpmath.nstr(ml, 8)}")
-            n0 = int(peak)
-            cut = tol * mpf(2) ** -ML_GUARD_BITS
+        peak = mpmath.root(x, ml) / ml if integer else x ** (1 / ml) / ml  # root(x, 0.5) = 1
+        cut_bits = 1 - mpmath.mag(tol) + (1 if integer else ML_GUARD_BITS)
+        width = mpmath.sqrt(4 * cut_bits * mpmath.ln(2) * peak / ml)
         weight_max = (theta ** -beta)._mpf_ if beta > 0 else None
+    what = f"Mittag-Leffler sum at z={mpmath.nstr(x, 8)} for ml_alpha={mpmath.nstr(ml, 8)}"
     weighted, rising = beta != 0, beta < 0
-    x, theta, beta, cut = x._mpf_, theta._mpf_, beta._mpf_, cut._mpf_
+    x, theta, beta = x._mpf_, theta._mpf_, beta._mpf_
     ml_ = from_int(ml) if integer else ml._mpf_
     ln_x = mpf_log(x, wp, rnd)
 
@@ -210,44 +223,33 @@ def _ml_peak_walk(x, ml, theta, beta, tol) -> mpf:
     def weight(n):
         return mpf_pow(mpf_add(theta, from_int(n), wp, rnd), beta, wp, rnd)
 
+    n0 = int(min(peak, _WALK_MAX_TERMS**2))  # a wider peak passes the cap, width > peak^(1/2)
     g0 = g_at(n0)
-    total = t0 = mpf_div(g0, weight(n0), wp, rnd) if weighted else g0
-    walked = 1
-    for up in (True, False):
+    t0 = mpf_div(g0, weight(n0), wp, rnd) if weighted else g0
+
+    def side(up):
         n, g, t = n0, g0, t0
+
+        def bound():
+            return (t if up or weight_max is None else mpf_mul(g, weight_max, wp, rnd)), rho
+
         while up or n > 0:
-            # g's ratio for the step away from the peak
-            if integer:
-                falling = 1
-                for i in range(1, ml + 1):
-                    falling *= ml * (n if up else n - 1) + i
+            if integer:  # g's ratio for the step away from the peak
+                falling = math.prod(ml * (n if up else n - 1) + i for i in range(1, ml + 1))
                 rho = (mpf_div(x, from_int(falling), wp, rnd) if up
                        else mpf_rdiv_int(falling, x, wp, rnd))
                 g_next = mpf_mul(g, rho, wp, rnd)
-                n += 1 if up else -1
-            else:
-                n += 1 if up else -1
+            n += 1 if up else -1
+            if not integer:
                 g_next = g_at(n)
                 rho = mpf_div(g_next, g, wp, rnd)
             t_next = mpf_div(g_next, weight(n), wp, rnd) if weighted else g_next
             if up and rising:
                 rho = mpf_div(t_next, t, wp, rnd)
-            # the tail bound is at least t_next, so it is tried only once
-            # t_next itself is below the cut of the total
-            cap = mpf_mul(cut, total, wp, rnd)
-            if mpf_lt(rho, fone) and mpf_lt(t_next, cap):
-                s = mpf_mul(g, weight_max, wp, rnd) if not up and weight_max is not None else t
-                if mpf_lt(mpf_mul(s, rho, wp, rnd),
-                          mpf_mul(cap, mpf_sub(fone, rho, wp, rnd), wp, rnd)):
-                    break
-            total = mpf_add(total, t_next, wp, rnd)
+            yield t_next, bound
             g, t = g_next, t_next
-            walked += 1
-            if walked > ML_MAX_TERMS:
-                raise RuntimeError(
-                    f"Mittag-Leffler sum not converged within {ML_MAX_TERMS} terms"
-                )
-    return mp.make_mpf(mpf_pos(total, prec, rnd))
+
+    return mp.make_mpf(mpf_pos(_peak_walk(n0, width, t0, side, cut_bits, wp, what), prec, rnd))
 
 
 def barnes_asymptotic(r, ml_alpha, theta, beta) -> mpf:
@@ -269,11 +271,14 @@ def barnes_asymptotic(r, ml_alpha, theta, beta) -> mpf:
 def lemma3_on_grid(radii, q, w: DunklWeights) -> list:
     """[sum_n r^{qn}/d_n^q] / [e^r / r^{alpha+1/2+1/(2p)}]^q at each radius, p conjugate to q.
 
-    The terms r^{qn}/d_n^q run t_0 = 1, t_n = t_(n-1) r^q a_n^(-q) with the
-    weight ratios a_n = d_n/d_(n-1), so no term costs an exp; the table of
-    a_n^(-q) is built once per call and extended as far as the radii need.
-    A sum stops at the first n > r whose term is below 2^-prec of the running
-    total; exhausting the weight table first is an error.
+    Each sum is a ``_peak_walk`` at the table's precision: t_(n+1) = t_n r^q
+    a_(n+1)^(-q) up, t_(n-1) = t_n / r^q / a_n^(-q) down, a_n^(-q) taken once
+    per call from the ratio formula (``_raw_ratio``), so n_max 0 serves any r.
+    As k <= a_k <= k + 2 alpha + 1, s = t_n with rho = (r/(n+1))^q up and
+    ((n+2 alpha+1)/r)^q down bound the tails, and the cut leaves out terms
+    below half an ulp.  A sum starts at n0 = floor(r) if width = sqrt(4 ln2
+    prec r) < n0 (r > 710 at 256 bits), with t_(n0) from the closed Gamma
+    form at ML_GUARD_BITS more bits, and else walks up from t_0 = 1.
     """
     radii = [mpf(r) for r in radii]
     for r in radii:
@@ -282,28 +287,37 @@ def lemma3_on_grid(radii, q, w: DunklWeights) -> list:
     q = mpf(q)
     if not 1 <= q <= 2:
         raise ValueError(f"q must lie in [1, 2], got {q}")
-    p = conjugate_exponent(q)
-    a = rate_exponent(p, w.alpha, "fhc_upper")
-    prec, rnd = w.precision_bits, round_nearest
-    inv_aq = [None]  # a_n^(-q) for n >= 1, extended lazily
+    a = rate_exponent(conjugate_exponent(q), w.alpha, "fhc_upper")
+    prec, rnd, four_l = w.precision_bits, round_nearest, 4 * w.precision_bits * math.log(2)
+    inv_a_q = functools.lru_cache(maxsize=1 << 16)(
+        lambda n: (mp.make_mpf(w._raw_ratio(n)) ** -q)._mpf_)
+
+    def side(up):  # the walk at the radius of the loop below
+        n, t = n0, t0
+
+        def bound():
+            return t, ((r / n if up else (n + 2 * w.alpha + 2) / r) ** q)._mpf_
+
+        while up or n > 0:
+            if up:
+                n += 1
+                t_next = mpf_mul(mpf_mul(t, r_q, prec, rnd), inv_a_q(n), prec, rnd)
+            else:
+                t_next = mpf_div(mpf_div(t, r_q, prec, rnd), inv_a_q(n), prec, rnd)
+                n -= 1
+            yield t_next, (None if up and n <= floor_r else bound)  # up to r, rho >= 1
+            t = t_next
+
     ratios = []
     for r in radii:
-        r_q = (r**q)._mpf_
-        settle_from = int(mpmath.floor(r))  # the cutoff applies for n > r
-        term = total = fone  # n = 0: r^0 / d_0^q
-        for n in range(1, w.n_max + 1):
-            if n == len(inv_aq):
-                inv_aq.append((w.ratio(n) ** -q)._mpf_)
-            term = mpf_mul(mpf_mul(term, r_q, prec, rnd), inv_aq[n], prec, rnd)
-            total = mpf_add(total, term, prec, rnd)
-            # total 2^-prec is exact, so the shift is the product with the cutoff
-            if n > settle_from and mpf_lt(term, mpf_shift(total, -prec)):
-                break
-        else:
-            raise ValueError(f"weight table (n_max={w.n_max}) exhausted before the sum "
-                             f"settled at r={mpmath.nstr(r, 8)}")
-        ln_r = mpmath.ln(r)
-        ratios.append(mpmath.exp(mpmath.ln(mp.make_mpf(total)) - q * (r - a * ln_r)))
+        r_q, floor_r, width = (r**q)._mpf_, int(r), math.sqrt(four_l * float(r))
+        n0, t0 = floor_r if width < floor_r else 0, fone  # t_0 = r^0 / d_0^q
+        if n0:
+            with mp.workprec(prec + ML_GUARD_BITS):
+                t0 = mpf_exp((q * (n0 * mpmath.ln(r) - _gamma_form(w.alpha, n0)))._mpf_, prec, rnd)
+        total = _peak_walk(n0, width, t0, side, prec + 1, prec,
+                           f"Lemma 3 sum at r={mpmath.nstr(r, 8)}")
+        ratios.append(mpmath.exp(mpmath.ln(mp.make_mpf(total)) - q * (r - a * mpmath.ln(r))))
     return ratios
 
 

@@ -22,7 +22,6 @@ from dunkldyn.cli import (
     EXIT_VERIFY,
     ConfigError,
     ExperimentConfig,
-    _lemma3_n_max,
     _roundtrip_check,
     load_config,
     main,
@@ -33,6 +32,23 @@ from dunkldyn.construct import read_plan, verify_orbit_hits
 from dunkldyn.dunkl import ALPHA_BOUNDARY_GAP, DunklWeights, apply_dunkl
 from dunkldyn.growth import lemma3_on_grid
 from dunkldyn.series import TruncatedSeries, read_series, write_series
+
+
+def _child_env():
+    """The environment of a child process that imports this dunkldyn."""
+    src = str(Path(dunkldyn.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+def _main_in_child(*args, timeout):
+    """cli.main(args) in a child process: (exit code, stderr, the child's peak RSS in MB)."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import resource, sys; from dunkldyn.cli import main; code = main(sys.argv[1:]); "
+         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)", *args],
+        capture_output=True, text=True, timeout=timeout, env=_child_env())
+    return proc.returncode, proc.stderr, int(proc.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
 
 
 def _read_csv(path):
@@ -340,12 +356,29 @@ class TestVerifyCommands:
 
     @pytest.mark.parametrize("prec", [64, 256, 1024])
     def test_lemma3_table_lets_every_sum_settle(self, prec):
-        # q = 1 and alpha at the boundary, where a_n ~ n, decay the slowest
+        # q = 1 and alpha at the boundary, where a_n ~ n, decay the slowest; the
+        # sums read the weight ratios, not the table, so n_max 0 serves them all
         alpha = mpf(-0.5) + 2 * ALPHA_BOUNDARY_GAP
         with mp.workprec(prec):
             for r_max in ("0.01", "1", "200", "3000"):
-                w = DunklWeights(alpha, _lemma3_n_max(float(r_max), prec))
+                w = DunklWeights(alpha, 0)
                 assert mpmath.isfinite(lemma3_on_grid([mpf(r_max)], 1, w)[0])
+
+    def test_lemma3_far_radius_is_cheap(self, tmp_path):
+        # r = 1e7 is summed from its peak: about 1.2e5 terms and no table sized by r
+        code, err, rss_mb = _main_in_child(
+            "verify-lemma3", "--r-min", "1", "--r-max", "1e7", "--r-points", "4",
+            "-o", str(tmp_path / "l3.csv"), timeout=10)
+        assert code == EXIT_OK and err == ""
+        assert rss_mb < 100
+
+    def test_lemma3_walk_past_the_cap_exits_one(self, tmp_path):
+        out = tmp_path / "l3.csv"
+        code, err, _ = _main_in_child("verify-lemma3", "--r-min", "1", "--r-max", "1e15",
+                                      "--r-points", "4", "-o", str(out), timeout=5)
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("verify-lemma3: ") and "r=" in err
+        assert not out.exists()
 
     def test_lemma3_table_does_not_follow_trunc_degree(self, tmp_path):
         out = tmp_path / "l3.csv"
@@ -364,25 +397,23 @@ class TestVerifyCommands:
 
     @staticmethod
     def _barnes_refused_at_once(tmp_path, *flags):
-        # the console entry point runs in a child process, so that a sum
-        # that does start walking fails on the timeout
+        # in a child process, so that a sum that does start walking fails on the timeout
         out = tmp_path / "b.csv"
-        src = str(Path(dunkldyn.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from dunkldyn.cli import main; sys.exit(main(sys.argv[1:]))",
-             "verify-barnes", *flags, "-o", str(out)],
-            capture_output=True, text=True, timeout=5, env=env)
-        assert proc.returncode == EXIT_CONFIG
-        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("verify-barnes: ")
-        assert "ml_alpha" in proc.stderr and "Traceback" not in proc.stderr
+        code, err, _ = _main_in_child("verify-barnes", *flags, "-o", str(out), timeout=5)
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("verify-barnes: ")
+        assert "ml_alpha" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_barnes_tiny_ml_alpha_exits_one_at_once(self, tmp_path):
-        # the terms peak near n = 1e9 at r = 1, past ML_MAX_TERMS
+        # the terms peak near n = 1e9 at r = 1, and the walk around them passes the cap
         self._barnes_refused_at_once(tmp_path, "--ml-alpha", "1e-9", "--r-min", "1",
+                                     "--r-max", "2", "--r-points", "2")
+
+    def test_barnes_wide_peak_exits_one_at_once(self, tmp_path):
+        # the terms peak near n = 9.7e5 at r = 1.0069, under the cap, but the
+        # walk around the peak would pass it
+        self._barnes_refused_at_once(tmp_path, "--ml-alpha", "0.001", "--r-min", "1.0069",
                                      "--r-max", "2", "--r-points", "2")
 
     def test_barnes_far_peak_behind_a_dip_exits_one_at_once(self, tmp_path):
@@ -730,14 +761,11 @@ class TestBadInputExitsOne:
 class TestModuleEntryPoint:
     def test_python_m_runs_without_runtime_warning(self, tmp_path):
         # the package loads cli on first use, so runpy finds dunkldyn.cli not yet imported
-        src = str(Path(dunkldyn.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         out, want = tmp_path / "x.csv", tmp_path / "want.csv"
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "dunkldyn.cli",
              "weights", "--n", "4", "-o", str(out)],
-            capture_output=True, text=True, timeout=60, env=env)
+            capture_output=True, text=True, timeout=60, env=_child_env())
         assert proc.returncode == EXIT_OK, proc.stderr
         assert main(["weights", "--n", "4", "-o", str(want)]) == EXIT_OK
         assert out.read_text().splitlines()[1:] == want.read_text().splitlines()[1:]

@@ -55,12 +55,9 @@ class TestWeights:
 
     def test_ratio_accessor(self):
         w = DunklWeights(mpf("0.5"), 10)
-        # a_1 = 1 + 2(0.5) + 1 = 3, a_2 = 2, a_3 = 3 + 2 = 5
-        assert abs(w.ratio(1) - 3) < mpf(2) ** -250
-        assert abs(w.ratio(2) - 2) < mpf(2) ** -250
-        assert abs(w.ratio(3) - 5) < mpf(2) ** -250
-        with pytest.raises(IndexError):
-            w.ratio(0)
+        # a_1 = 1 + 2(0.5) + 1 = 3, a_2 = 2, a_3 = 3 + 2 = 5, past n_max too
+        want = [libmp.from_int(n) for n in (3, 2, 5, 12)]
+        assert [w._raw_ratio(n) for n in (1, 2, 3, 12)] == want
         with pytest.raises(IndexError):
             w.log_weight(11)
 
@@ -88,7 +85,7 @@ class TestLazyTable:
             for n in range(self.N + 1):
                 assert w.log_weight(n)._mpf_ == log_d[n]._mpf_
                 if n:
-                    assert w.ratio(n)._mpf_ == ratios[n]._mpf_
+                    assert w._raw_ratio(n) == ratios[n]._mpf_
 
     @pytest.mark.parametrize("bits", [53, 256, 1024])
     @pytest.mark.parametrize("alpha_s", ALPHAS + ["0.3"])
@@ -103,13 +100,13 @@ class TestLazyTable:
                 for n in order:
                     assert w.log_weight(n)._mpf_ == log_d[n]._mpf_
                     if n:
-                        assert w.ratio(n)._mpf_ == ratios[n]._mpf_
+                        assert w._raw_ratio(n) == ratios[n]._mpf_
 
     def test_reading_k_fills_nothing_past_k(self):
         w = DunklWeights(mpf("0.3"), 100)
         filled = lambda: len(w._log_d) - 1
         assert filled() == 0
-        w.ratio(90)
+        w._raw_ratio(90)
         w.gamma_form_log_weight(90)
         assert filled() == 0
         w.log_weight(17)

@@ -4,6 +4,8 @@ The band endpoints and sups below are golden values from the first
 calibration run at 256-bit precision; the tests allow at most 1% drift.
 """
 
+import time
+
 import mpmath
 import pytest
 from mpmath import libmp, mp, mpf
@@ -270,7 +272,7 @@ def _lemma3_mpf(radii, q, w):
         r_q = r**q
         term = total = mpf(1)
         for n in range(1, w.n_max + 1):
-            term = term * r_q * w.ratio(n) ** -q
+            term = term * r_q * mp.make_mpf(w._raw_ratio(n)) ** -q
             total += term
             if n > int(mpmath.floor(r)) and term < cutoff * total:
                 break
@@ -361,7 +363,7 @@ class TestPeakWalk:
 
 
 class TestFromZeroReach:
-    """Sums whose terms peak past n = ML_MAX_TERMS at non-integer order are refused at once."""
+    """Sums whose walk from the peak would pass the term cap are refused at once."""
 
     @pytest.mark.parametrize("z,ml", [(1, "1e-9"), (2, "1e-9"), (mpf("1e4"), "0.5")])
     def test_rising_terms_raise(self, z, ml):
@@ -375,6 +377,14 @@ class TestFromZeroReach:
         # of the dip would return 1
         with pytest.raises(ValueError, match="ml_alpha"):
             mittag_leffler(z, mpf(ml), 1, beta)
+
+    def test_wide_peak_below_the_cap_is_refused_at_once(self):
+        # the terms peak near n = 9.7e5, under the cap, but about 3e4 on either
+        # side of it are needed: sized by the walk, not by the peak alone
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="ml_alpha"):
+            mittag_leffler(mpf("1.0069"), mpf("0.001"), 1, 0)
+        assert time.perf_counter() - start < 1
 
     def test_settling_sums_still_run(self):
         # |z| < 1: the terms fall from n = 0 however small ml is
@@ -420,10 +430,36 @@ class TestLemma3:
         want = [v._mpf_ for v in _lemma3_mpf(radii, mpf(q_s), w)]
         assert [v._mpf_ for v in lemma3_on_grid(radii, mpf(q_s), w)] == want
 
-    def test_table_exhaustion_raises(self):
-        w = DunklWeights(0, 64)
-        with pytest.raises(ValueError):
-            lemma3_on_grid([mpf(150)], 1, w)
+    @pytest.mark.parametrize("alpha_s", ["-0.49", "0", "0.5", "3"])
+    @pytest.mark.parametrize("q_s", ["1", "1.5", "2"])
+    def test_peak_walk_against_sum_from_zero(self, q_s, alpha_s):
+        # at 64 bits the sums start at floor(r) from r = 178 on, at 256 bits from 710
+        q = mpf(q_s)
+        for prec, radii in ((64, standard_r_grid(200, 3000, 4)), (256, (mpf(1000), mpf(3000)))):
+            with mp.workprec(prec):
+                radii = [+r for r in radii]
+                got = lemma3_on_grid(radii, q, DunklWeights(mpf(alpha_s), 0))
+                # the oracle needs enough weights for every sum from zero to settle
+                n_max = int(radii[-1] + 2 * mpmath.sqrt(radii[-1] * prec)) + prec + 2
+                want = _lemma3_mpf(radii, q, DunklWeights(mpf(alpha_s), n_max))
+                tol = mpf(2) ** (16 - prec)
+                assert all(abs(g - v) <= v * tol for g, v in zip(got, want))
+
+    def test_peak_term_keeps_its_guard_bits(self):
+        # n0 ln r is about 2^17.6 at r = 2e4: taken at 64 bits, with no guard
+        # bits, its rounding alone is three times the tolerance 2^(16-64)
+        radii = [mpf(20000)]
+        with mp.workprec(64):
+            got = lemma3_on_grid(radii, mpf("1.5"), DunklWeights(mpf("0.5"), 0))[0]
+            want = _lemma3_mpf(radii, mpf("1.5"), DunklWeights(mpf("0.5"), 22000))[0]
+            assert abs(got - want) <= want * mpf(2) ** (16 - 64)
+
+    def test_walk_past_the_cap_raises(self):
+        # about 2 sqrt(4 ln2 256 r) = 1.7e9 terms at r = 1e15
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"r=1\.0e\+15"):
+            lemma3_on_grid([mpf(1), mpf("1e15")], 1, DunklWeights(0, 0))
+        assert time.perf_counter() - start < 1
 
     def test_q_domain(self):
         w = DunklWeights(0, 64)
