@@ -520,8 +520,8 @@ def _cmd_orbit(config: ExperimentConfig, opt: dict, write) -> None:
 
     N = min(f.trunc_degree, 2048) if opt["n"] is None else opt["n"]
     report = orbit_at_zero(f, w, N)
-    # ln|v_n|; mpmath gives ln 0 = -inf for a zero orbit value
-    rows = [(n, mpmath.ln(abs(v))) for n, v in enumerate(report.values)]
+    # ln|v_n|, with -inf (mpmath's ln 0) for a zero orbit value
+    rows = [(n, mpmath.ln(abs(v)) if v else mp.ninf) for n, v in enumerate(report.values)]
     write("n,log_abs_orbit", rows, n=N, sup_index=report.sup_index,
           bounded=int(report.bounded), **shown)
 

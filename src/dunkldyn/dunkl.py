@@ -206,21 +206,32 @@ def apply_dunkl_direct(f: TruncatedSeries, w: DunklWeights, k: int = 1) -> Trunc
     """L^k f from the defining coefficient formula, independent of the d_n table.
 
     One step sends c to c' with c'_n = (n+1) c_{n+1} + (2 alpha + 1) c_{n+1}
-    when n+1 is odd; iterating k times gives the oracle for L^k.
+    when n+1 is odd; iterating k times gives the oracle for L^k.  It runs on
+    raw tuples, rounded as the mpf and mpc operators round c * (mpf(i) + (2
+    alpha + 1)), and forms each factor once for all k steps.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    two_alpha_plus_1 = 2 * w.alpha + 1
-    out = f
+    if k == 0:
+        return f
+    prec, rnd = mp.prec, round_nearest
+    two_alpha_plus_1 = (2 * w.alpha + 1)._mpf_
+    factors: dict[int, tuple] = {}
+    table = {i: c._mpc_ for i, c in f.items()}
     for _ in range(k):
-        table: dict[int, mpc] = {}
-        for i, c in out.items():
+        step = {}
+        for i, c in table.items():
             if i < 1:
                 continue
-            factor = mpf(i) if i % 2 == 0 else mpf(i) + two_alpha_plus_1
-            table[i - 1] = c * factor
-        out = TruncatedSeries(table, f.trunc_degree)
-    return out
+            factor = factors.get(i)
+            if factor is None:
+                factor = from_int(i, prec, rnd)
+                if i % 2:
+                    factor = mpf_add(factor, two_alpha_plus_1, prec, rnd)
+                factors[i] = factor
+            step[i - 1] = mpc_mul_mpf(c, factor, prec, rnd)
+        table = step
+    return TruncatedSeries({i: mp.make_mpc(c) for i, c in table.items()}, f.trunc_degree)
 
 
 @_at_table_precision

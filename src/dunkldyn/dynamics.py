@@ -14,19 +14,25 @@ the envelope as r grows, the windowed C_star over an extended grid keeps
 increasing, which is the finite-horizon shadow of the fact that no single
 finite C can work.
 
-M_1 is sampled only where the maximum can lie: a radius whose upper bound on
-ln M_1 (``m1_log_bounds``) plus (alpha+1) ln r - r is _PRUNE_MARGIN below its
+The radii are built once per call: the sorted union of the grid and the
+optimizing radii, told apart by their raw tuples.  Each window is a boolean
+mask over that union (grid points up to its r_max, optimizing radii up to its
+horizon), and the float64 bounds are arrays over it.  M_1 is sampled only
+where the maximum can lie: a radius whose upper bound on ln M_1
+(``m1_log_bounds``) plus (alpha+1) ln r - r is _PRUNE_MARGIN below its
 window's best lower bound is skipped.  Rows do not depend on their block, so
 C_star and its first maximizing radius match the exhaustive sweep bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import fone, from_int, mpf_add, round_nearest
 
 from .dunkl import DunklWeights, _at_table_precision, _require_table, apply_dunkl_direct
 from .growth import lemma1_ratio
@@ -64,10 +70,12 @@ def orbit_at_zero(f: TruncatedSeries, w: DunklWeights, N: int) -> OrbitReport:
     _require_table(w, N)
     # complex coefficients are reported by modulus; d_n is read only where c_n != 0
     values = [mpf(0)] * (N + 1)
+    support = []
     for n, c in f.items():
         if n > N:
             break
         values[n] = (mpmath.re(c) if mpmath.im(c) == 0 else abs(c)) * w.weight(n)
+        support.append(n)
 
     tol = mpf(2) ** (32 - mp.prec)
     top = min(N, 64)
@@ -89,18 +97,14 @@ def orbit_at_zero(f: TruncatedSeries, w: DunklWeights, N: int) -> OrbitReport:
 
     # a strict increase smaller than the arithmetic noise is a tie, not a
     # new supremum; without the guard a constant orbit's sup index wanders.
-    # The guard is ln|v| > ln(running) + 2^(20-prec).
+    # A new supremum needs ln|v| > ln|v_sup| + 2^(20-prec), |v| above bar.
     tie = mpmath.exp(mpf(2) ** (20 - mp.prec))
     sup_index = 0
-    running = abs(values[0])
-    last_new_sup = 0
-    for n in range(1, N + 1):
-        v = abs(values[n])
-        if v > running * tie:
-            running = v
-            sup_index = n
-            last_new_sup = n
-    bounded = last_new_sup <= (3 * N) // 4
+    bar = abs(values[0]) * tie
+    for n in support:  # a zero v_n never passes bar >= 0, nor v_0 its own bar
+        if abs(values[n]) > bar:
+            sup_index, bar = n, abs(values[n]) * tie
+    bounded = sup_index <= (3 * N) // 4  # the last new supremum
     return OrbitReport(tuple(values), sup_index, bounded)
 
 
@@ -113,40 +117,49 @@ class Thm3bReport:
     r_peak: mpf  # radius where C_star was attained
 
 
-def _radius_key(r) -> tuple:
-    """Sort key of an mpf radius: rounding to float64 is monotone, so the
-    exact mpf comparison runs only on float ties and the order is sorted()'s."""
-    return float(r), r
+def _radius_union(r_grid, alpha, N: int) -> tuple:
+    """The sorted union of the grid and every optimizing radius n + alpha + 1, n <= N.
 
-
-def _augmented_radii(r_grid, alpha, N: int) -> list:
-    """Sorted grid plus every optimizing radius n + alpha + 1, n <= N."""
-    radii = sorted({mpf(r) for r in r_grid} | {n + alpha + 1 for n in range(N + 1)},
-                   key=_radius_key)
-    if not radii or radii[0] <= 0:
+    Returns (radii, is_grid, n_opt): the mpf radii in increasing order, which
+    of them are grid points, and the n of each optimizing radius (N + 1 for
+    one that is none).  Radii are told apart by their raw tuples, and each
+    n + alpha + 1 rounds as the mpf operators round it.  A positive tuple
+    (0, man, exp, bc) is man 2^exp with an odd man, so (exp + bc, man shifted
+    to a common bit count) orders the union exactly, in integers.
+    """
+    prec, rnd = mp.prec, round_nearest
+    grid = {mpf(r)._mpf_ for r in r_grid}
+    if any(sign or not man for sign, man, _, _ in grid):  # also rejects +-inf and nan
         raise ValueError("radius grid must be positive")
-    return radii
+    n_opt = {}
+    for n in range(N, -1, -1):  # should two n round alike, the smaller one stays
+        n_opt[mpf_add(mpf_add(alpha._mpf_, from_int(n), prec, rnd), fone, prec, rnd)] = n
+    union = grid | n_opt.keys()
+    bits = max(bc for _, _, _, bc in union)
+    radii = sorted(union, key=lambda t: (t[2] + t[3], t[1] << (bits - t[3])))
+    return ([mp.make_mpf(t) for t in radii], np.array([t in grid for t in radii]),
+            np.array([n_opt.get(t, N + 1) for t in radii]))
 
 
-def _window_peaks(f: TruncatedSeries, alpha, windows) -> list:
-    """(C, r) per window of sorted radii: the first maximum of M_1(f, r) r^(alpha+1) / e^r."""
+def _window_peaks(f: TruncatedSeries, alpha, radii, windows) -> list:
+    """(C, r) per window, a boolean mask over the sorted radii: the first maximum of
+    M_1(f, r) r^(alpha+1) / e^r over the window, every radius being in some window."""
     kept = windows  # a constant series costs means_on_grid no sampling
     if f.degree() > 0:
-        radii = sorted(set().union(*windows), key=_radius_key)
         lower, upper = m1_log_bounds(f, radii)
-        ln_r = np.log([float(r) for r in radii])
-        shift = float(alpha + 1) * ln_r - np.array([float(r) for r in radii])
+        r_float = np.array([float(r) for r in radii])
+        ln_r = np.log(r_float)
+        shift = float(alpha + 1) * ln_r - r_float
         # a few ulps of each sum's largest summand
         err = 1e-15 * (np.abs(lower) + f.degree() * np.abs(ln_r) + np.abs(shift))
-        bounds = dict(zip(radii, zip(lower + shift - err, upper + shift + err)))
-        kept = []
-        for window in windows:
-            best = max(bounds[r][0] for r in window) - _PRUNE_MARGIN
-            kept.append([r for r in window if bounds[r][1] >= best])
-    sweep = sorted(set().union(*kept), key=_radius_key)
-    results = means_on_grid(f, sweep, MeanParams(1))
-    terms = {r: res.value * r ** (alpha + 1) / mpmath.exp(r) for r, res in zip(sweep, results)}
-    return [(terms[r], r) for r in (max(rs, key=terms.__getitem__) for rs in kept)]
+        lower, upper = lower + shift - err, upper + shift + err
+        kept = [window & (upper >= lower[window].max() - _PRUNE_MARGIN) for window in windows]
+    sweep = np.flatnonzero(np.logical_or.reduce(kept)).tolist()
+    results = means_on_grid(f, [radii[i] for i in sweep], MeanParams(1))
+    terms = {i: res.value * radii[i] ** (alpha + 1) / mpmath.exp(radii[i])
+             for i, res in zip(sweep, results)}
+    peaks = [max(np.flatnonzero(mask).tolist(), key=terms.__getitem__) for mask in kept]
+    return [(terms[i], radii[i]) for i in peaks]
 
 
 @_at_table_precision
@@ -164,7 +177,8 @@ def thm3b_bound_check(
         raise ValueError(f"N must be >= 0, got {N}")
     if N > f.trunc_degree:
         raise ValueError(f"N={N} exceeds trunc_degree {f.trunc_degree}")
-    [(c_star, r_peak)] = _window_peaks(f, w.alpha, [_augmented_radii(r_grid, w.alpha, N)])
+    radii, _, _ = _radius_union(r_grid, w.alpha, N)
+    [(c_star, r_peak)] = _window_peaks(f, w.alpha, radii, [np.ones(len(radii), dtype=bool)])
     orbit = orbit_at_zero(f, w, N)
     # ln|v_n| <= ln C_star + ln lemma1_ratio + 2^(40-prec)
     margin = mpmath.exp(mpf(2) ** (40 - mp.prec))
@@ -181,24 +195,27 @@ def windowed_c_star(
 
     Each window uses the sub-grid r <= r_max and the orbit horizon
     N = floor(r_max - alpha - 1), so the augmented optimizing radii stay
-    inside the window and the values are comparable across windows.  One M_1
-    sweep serves every window, and each window's maximum equals
+    inside the window and the values are comparable across windows; r_maxes
+    may come in any order.  One union of radii and one M_1 sweep serve every
+    window, and each window's maximum equals
     thm3b_bound_check(...).c_star for that window; the operator cross-check
     of orbit_at_zero runs once, at the largest horizon.  For a function that
     keeps filling its growth envelope the sequence must strictly increase; a
     plateau certifies that the horizon saw the whole function.
     """
+    r_maxes = [mpf(r_max) for r_max in r_maxes]
+    horizons = [min(max(0, int(mpmath.floor(r_max - w.alpha - 1))), f.trunc_degree)
+                for r_max in r_maxes]
+    N_max, top = max(horizons, default=0), max(r_maxes, default=mpf(0))
+    radii, is_grid, n_opt = _radius_union([r for r in map(mpf, r_grid) if r <= top], w.alpha,
+                                          N_max)
+    position = np.arange(len(radii))
     windows = []
-    N_max = 0
-    for r_max in r_maxes:
-        r_max = mpf(r_max)
-        sub = [r for r in r_grid if mpf(r) <= r_max]
-        if not sub:
+    for r_max, N in zip(r_maxes, horizons):
+        cut = bisect.bisect_right(radii, r_max)
+        if not is_grid[:cut].any():
             raise ValueError(f"no grid points at or below r_max={r_max}")
-        N = max(0, int(mpmath.floor(r_max - w.alpha - 1)))
-        N = min(N, f.trunc_degree)
-        N_max = max(N_max, N)
-        windows.append(_augmented_radii(sub, w.alpha, N))
-    peaks = _window_peaks(f, w.alpha, windows)
+        windows.append((is_grid & (position < cut)) | (n_opt <= N))
+    peaks = _window_peaks(f, w.alpha, radii, windows)
     orbit_at_zero(f, w, N_max)  # operator cross-check; raises on a mismatch
     return tuple(c for c, _ in peaks)

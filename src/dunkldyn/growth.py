@@ -31,7 +31,7 @@ import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import (fone, from_int, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_loggamma,
                           mpf_lt, mpf_mul, mpf_pos, mpf_pow, mpf_rdiv_int, mpf_shift, mpf_sub,
-                          round_nearest)
+                          round_nearest, to_float)
 
 from .dunkl import DunklWeights, _at_table_precision, _check_alpha, _gamma_form
 from .means import MeanParams, P_INF, conjugate_exponent, means_on_grid
@@ -185,6 +185,44 @@ def _peak_walk(n0, width, t0, side, cut_bits, wp, what) -> tuple:
     return total
 
 
+def _up_side_outruns_cap(ln_x: float, ml: float, theta: tuple, beta: float, n0: int,
+                         cut_bits: int) -> bool:
+    """Whether the up side of ``_ml_peak_walk`` from n0 surely walks past _WALK_MAX_TERMS.
+
+    g's step ratio rho_n = x Gamma(y)/Gamma(y + ml), y = ml n + 1, falls with
+    n, and as ln t - 1/t < psi(t) < ln t, ln x - ml ln(y + ml) <= ln rho_n <=
+    ln x - ml (ln y - 1/y).  When the first term ratio (rho_(n0), times
+    ((n0+1+theta)/(n0+theta))^(-beta) for beta < 0) is below 1, the terms fall
+    from t0, the running total stays below t0/(1 - that ratio), and every term
+    up to n0 + K + 1, K = _WALK_MAX_TERMS, is at least t0 rho_(n0+K)^(K+1)
+    ((n0+theta)/(n0+K+1+theta))^max(beta, 0).  No such term can stop the side
+    when that bound is 1 nat above 2^-cut_bits of the total bound.  It runs in
+    float64, each bound widened by 1e-15 of its summands' sizes.
+    """
+    K = _WALK_MAX_TERMS
+
+    def ln_at(n):  # ln(n + theta)
+        return to_float(mpf_log(mpf_add(theta, from_int(n), 53, round_nearest), 53, round_nearest))
+
+    y0, yK = ml * n0 + 1, ml * (n0 + K) + 1
+    first = ln_x - ml * (math.log(y0) - 1 / y0)
+    slack = abs(ln_x) + ml * (abs(math.log(y0)) + 1 / y0 + 1)
+    if beta < 0 and first < 0:  # the weight only raises the ratio
+        lo, hi = ln_at(n0), ln_at(n0 + 1)
+        first -= beta * (hi - lo)
+        slack -= beta * (abs(hi) + abs(lo))
+    first += 1e-15 * slack
+    if not first < 0:
+        return False
+    drop = (K + 1) * (ln_x - ml * math.log(yK + ml))
+    slack = (K + 1) * (abs(ln_x) + ml * (math.log(yK + ml) + 1))
+    if beta > 0:
+        lo, hi = ln_at(n0), ln_at(n0 + K + 1)
+        drop -= beta * (hi - lo)
+        slack += beta * (abs(hi) + abs(lo))
+    return drop - 1e-15 * slack > 1 - math.log(-math.expm1(first)) - cut_bits * math.log(2)
+
+
 def _ml_peak_walk(x, ml, theta, beta, tol) -> mpf:
     """sum_n x^n / ((n+theta)^beta Gamma(ml n + 1)) for x > 0, by ``_peak_walk``.
 
@@ -196,7 +234,9 @@ def _ml_peak_walk(x, ml, theta, beta, tol) -> mpf:
     Downward, rho is g's ratio, with s = t_n for beta <= 0 and g_n
     theta^(-beta), the weight's maximum, for beta > 0.  The walk starts at n0
     = floor(x^(1/ml)/ml) with g = exp(n0 ln x - loggamma(ml n0 + 1)), where ln
-    g curves by about ml/n0, so width = sqrt(4 cut_bits ln2 n0/ml).  At
+    g curves by about ml/n0, so width = sqrt(4 cut_bits ln2 n0/ml).  That
+    is 0 at n0 = 0, so a sum whose up side ``_up_side_outruns_cap`` shows to
+    pass the term cap gets an infinite width, which ``_peak_walk`` refuses.  At
     integer order g steps by the exact ratio x/((ml n+1)...(ml n+ml)) and the
     cut is tol/2.  At other orders each g comes from that formula, so no
     rounding builds up, and the cut is tol 2^-ML_GUARD_BITS, which keeps the
@@ -224,6 +264,8 @@ def _ml_peak_walk(x, ml, theta, beta, tol) -> mpf:
         return mpf_pow(mpf_add(theta, from_int(n), wp, rnd), beta, wp, rnd)
 
     n0 = int(min(peak, _WALK_MAX_TERMS**2))  # a wider peak passes the cap, width > peak^(1/2)
+    if _up_side_outruns_cap(to_float(ln_x), float(ml), theta, to_float(beta), n0, cut_bits):
+        width = math.inf
     g0 = g_at(n0)
     t0 = mpf_div(g0, weight(n0), wp, rnd) if weighted else g0
 

@@ -416,6 +416,11 @@ class TestVerifyCommands:
         self._barnes_refused_at_once(tmp_path, "--ml-alpha", "0.001", "--r-min", "1.0069",
                                      "--r-max", "2", "--r-points", "2")
 
+    def test_barnes_slow_fall_from_zero_exits_one_at_once(self, tmp_path):
+        # at r = 0.9999 the terms peak at n = 0 and fall like 0.9999^n, past the cap
+        self._barnes_refused_at_once(tmp_path, "--ml-alpha", "1e-9", "--r-min", "0.5",
+                                     "--r-max", "0.9999", "--r-points", "2")
+
     def test_barnes_far_peak_behind_a_dip_exits_one_at_once(self, tmp_path):
         # at r = 3 the (n + 1)^-200 weight makes the terms dip after n = 0 and
         # rise again toward a peak near n = 5e49; a sum stopped in the dip

@@ -218,6 +218,19 @@ def _apply_dunkl_mpf(f, w, k):
         return TruncatedSeries(table, f.trunc_degree)
 
 
+def _apply_dunkl_direct_mpf(f, w, k):
+    """apply_dunkl_direct in mpf and mpc operators: the oracle its raw-tuple loop must equal
+    bit for bit."""
+    with mpmath.workprec(w.precision_bits):
+        two_alpha_plus_1 = 2 * w.alpha + 1
+        out = f
+        for _ in range(k):
+            out = TruncatedSeries(
+                {i - 1: c * (mpf(i) if i % 2 == 0 else mpf(i) + two_alpha_plus_1)
+                 for i, c in out.items() if i >= 1}, f.trunc_degree)
+        return out
+
+
 class TestRawLoops:
     @pytest.mark.parametrize("bits", [53, 256, 512])
     @pytest.mark.parametrize("alpha_s", ALPHAS)
@@ -240,6 +253,23 @@ class TestRawLoops:
             f = TruncatedSeries(coeffs, trunc_degree=160)
             assert coefficient_bits(apply_dunkl(f, w, k)) == coefficient_bits(
                 _apply_dunkl_mpf(f, w, k))
+
+    @pytest.mark.parametrize("ambient", [None, 1024], ids=["at-table", "table-below-ambient"])
+    @pytest.mark.parametrize("bits", [128, 256, 512])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_apply_dunkl_direct_equals_mpf_operators(self, k, bits, ambient):
+        # the coefficients carry twice the table's bits, so the first step rounds them
+        rng = random.Random(k)
+        for alpha_s in ALPHAS + ["0.3"]:
+            with mpmath.workprec(bits):
+                w = DunklWeights(mpf(alpha_s), 0)  # the direct route reads no weight
+            with mpmath.workprec(2 * bits):
+                coeffs = {i: mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) / 3
+                          * mpf(10) ** rng.randint(-40, 40) for i in rng.sample(range(161), 60)}
+                f = TruncatedSeries(coeffs, trunc_degree=160)
+            with mpmath.workprec(ambient or bits):
+                got = apply_dunkl_direct(f, w, k)
+            assert coefficient_bits(got) == coefficient_bits(_apply_dunkl_direct_mpf(f, w, k))
 
     @pytest.mark.parametrize("bits", [128, 256, 512])
     @pytest.mark.parametrize("n", [1, 2, 3, 40])

@@ -144,6 +144,41 @@ class TestOrbitAtZero:
         assert len(report.values) == 21
 
 
+def dense_sup_scan(values, N) -> tuple:
+    """(sup_index, bounded) by a scan of every n <= N: the oracle of orbit_at_zero's
+    scan of the support alone."""
+    tie = mpmath.exp(mpf(2) ** (20 - mp.prec))
+    sup_index, running, last_new_sup = 0, abs(values[0]), 0
+    for n in range(1, N + 1):
+        v = abs(values[n])
+        if v > running * tie:
+            running, sup_index, last_new_sup = v, n, n
+    return sup_index, last_new_sup <= (3 * N) // 4
+
+
+@given(
+    st.dictionaries(st.integers(0, 40),
+                    st.tuples(st.integers(0, 1), st.integers(-2, 2), st.integers(18, 22),
+                              st.integers(-1, 7)),
+                    max_size=12),
+    st.integers(0, 40),
+)
+@settings(deadline=None, max_examples=100)
+def test_support_scan_equals_dense_scan(targets, N):
+    # |v_n| = 2^g (1 + m 2^(e-prec)) up to rounding, so rises straddle the tie
+    # guard's 2^(20-prec); phase -1 is a real coefficient, 0..7 a complex one at
+    # that multiple of pi/4
+    mp.prec = 256
+    w = DunklWeights(mpf("0.5"), 40)
+    coeffs = {}
+    for n, (g, m, e, phase) in targets.items():
+        v = mpf(2) ** g * (1 + m * mpf(2) ** (e - mp.prec))
+        unit = mpf(-1) if phase < 0 else mpmath.expjpi(mpf(phase) / 4)
+        coeffs[n] = unit * v / w.weight(n)
+    report = orbit_at_zero(TruncatedSeries(coeffs, trunc_degree=40), w, N)
+    assert (report.sup_index, report.bounded) == dense_sup_scan(report.values, N)
+
+
 class TestThm3b:
     def test_constant_function_peak(self):
         # M_1(1, r) = 1, so the sweep maximizes r^(a+1) e^(-r) at r = a+1
@@ -211,15 +246,15 @@ def _swept_terms(f, alpha, radii) -> list:
 
 
 def augmented_radii_sorted(r_grid, alpha, N) -> list:
-    """dynamics._augmented_radii by plain sorted(): the oracle of its float-keyed sort."""
+    """dynamics._radius_union's radii by plain sorted(): the oracle of its integer-keyed sort."""
     return sorted({mpf(r) for r in r_grid} | {n + alpha + 1 for n in range(N + 1)})
 
 
 @pytest.mark.parametrize("alpha_s", ["-0.49", "0", "0.3", "3"])
 def test_augmented_radii_sort_equals_plain_sorted(alpha_s):
     # grid points within a 256-bit ulp of each n + alpha + 1, at its float64
-    # rounding and one float64 step either side: the float64 keys tie, and the
-    # exact comparison must give sorted()'s order
+    # rounding and one float64 step either side: their float64 values tie, and
+    # the union must still come out in sorted()'s order, each n + alpha + 1 once
     alpha = mpf(alpha_s)
     N = 60
     grid = []
@@ -228,9 +263,13 @@ def test_augmented_radii_sort_equals_plain_sorted(alpha_s):
         near = float(x)
         grid += [x * (1 - mpf(2) ** -255), x * (1 + mpf(2) ** -255), mpf(near),
                  mpf(math.nextafter(near, math.inf)), mpf(math.nextafter(near, -math.inf))]
-    got = dynamics._augmented_radii(grid, alpha, N)
+    got, is_grid, n_opt = dynamics._radius_union(grid, alpha, N)
     assert len({float(r) for r in got}) < len(got)  # float64 ties do occur
     assert [r._mpf_ for r in got] == [r._mpf_ for r in augmented_radii_sorted(grid, alpha, N)]
+    grid_bits = {mpf(r)._mpf_ for r in grid}
+    assert is_grid.tolist() == [r._mpf_ in grid_bits for r in got]
+    assert [n for n in n_opt.tolist() if n <= N] == list(range(N + 1))
+    assert all(got[i] == n + alpha + 1 for i, n in enumerate(n_opt.tolist()) if n <= N)
 
 
 def exhaustive_thm3b(f, w, r_grid, N) -> tuple:
@@ -292,6 +331,13 @@ class TestPrunedSweep:
              "zero": TruncatedSeries({}, trunc_degree=256)}[name]
         _assert_matches_exhaustive(f, w, standard_r_grid(points=32), 200, WINDOWS)
 
+    def test_windows_in_any_order(self, hc_build):
+        # descending, repeated, and one window (r_max 1.5) whose horizon is N = 0
+        f, w = hc_build
+        r_maxes = (mpf(400), mpf(50), mpf(50), mpf("1.5"), mpf(200))
+        grid = standard_r_grid(points=64)
+        assert windowed_c_star(f, w, grid, r_maxes) == exhaustive_windowed(f, w, grid, r_maxes)
+
     def test_hc_sweep_reaches_few_radii(self, hc_build, monkeypatch):
         # the growth-sweep job: 464 radii in the windows, a handful sampled
         f, w = hc_build
@@ -313,12 +359,15 @@ class TestPrunedSweep:
     st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
     st.sampled_from(["0", "0.5", "3"]),
     st.integers(0, 48),
+    st.data(),
 )
 @settings(deadline=None, max_examples=30)
-def test_pruned_sweep_matches_exhaustive_on_sparse_series(coeffs, radii, alpha, N):
+def test_pruned_sweep_matches_exhaustive_on_sparse_series(coeffs, radii, alpha, N, data):
     mp.prec = 256
     f = TruncatedSeries({n: mpc(a, b) * mpf(10) ** e for n, (a, b, e) in coeffs.items()},
                         trunc_degree=48)
     w = DunklWeights(mpf(alpha), 48)
     r_grid = sorted({mpf(r) for r in radii})
-    _assert_matches_exhaustive(f, w, r_grid, N, (r_grid[0], r_grid[-1]))
+    # windows in any order, repeats allowed; a grid point below alpha + 2 has N = 0
+    r_maxes = data.draw(st.lists(st.sampled_from(r_grid), min_size=1, max_size=4))
+    _assert_matches_exhaustive(f, w, r_grid, N, r_maxes)

@@ -386,6 +386,37 @@ class TestFromZeroReach:
             mittag_leffler(mpf("1.0069"), mpf("0.001"), 1, 0)
         assert time.perf_counter() - start < 1
 
+    def test_slow_fall_from_a_peak_at_zero_is_refused_at_once(self):
+        # the terms peak at n = 0, where the curvature width is 0, and fall
+        # like 0.9999^n: about 1.9e6 of them are above the cut
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="ml_alpha"):
+            mittag_leffler(mpf("0.9999"), mpf("1e-9"), 1, 0)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("beta", [-1, 0, 2])
+    def test_up_front_refusal_only_where_the_walk_passes_the_cap(self, monkeypatch, beta):
+        # with the cap at 2000 terms, a sum falling from n = 0 that is refused
+        # before its first step also passes the cap when walked
+        monkeypatch.setattr(growth, "_WALK_MAX_TERMS", 2000)
+        sure = growth._up_side_outruns_cap
+        verdicts = []
+        monkeypatch.setattr(growth, "_up_side_outruns_cap",
+                            lambda *args: verdicts.append(sure(*args)) or verdicts[-1])
+        for c in (0.005, 0.01, 0.015, 0.02, 0.025, 0.03, 0.04, 0.05):
+            with mp.workprec(64):
+                x = mpmath.exp(-mpf(c))
+                try:
+                    mittag_leffler(x, mpf("1e-9"), 1000, beta)
+                except ValueError:
+                    pass
+                if verdicts[-1]:
+                    with monkeypatch.context() as walk:
+                        walk.setattr(growth, "_up_side_outruns_cap", lambda *args: False)
+                        with pytest.raises(ValueError, match="ml_alpha"):
+                            mittag_leffler(x, mpf("1e-9"), 1000, beta)
+        assert verdicts[0] and not verdicts[-1]
+
     def test_settling_sums_still_run(self):
         # |z| < 1: the terms fall from n = 0 however small ml is
         got = mittag_leffler(mpf("0.5"), mpf("1e-9"), 1, 0)
