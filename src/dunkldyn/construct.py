@@ -294,11 +294,18 @@ class _NormKernel:
     def factor_table(self) -> np.ndarray:
         """g[nu] = max_r r^{nu+a} / (d_nu env(r) e^r), flushed to 0 below e^-745.
 
-        The norm bound of S^n y is then sum_i |y_i| d_i g[n+i].
+        The norm bound of S^n y is then sum_i |y_i| d_i g[n+i].  ln d_nu is
+        subtracted after the max over r, from one nu x R array built in place:
+        fl(y - c) is nondecreasing in y, so max_r fl(y_r - c) = fl(max_r y_r - c)
+        and g equals the table of fl(fl(nu ln r + pen) - ln d_nu) maxed over r
+        bit for bit.  The array is not split into cache-sized chunks: with
+        glibc, smaller temporaries keep its mmap threshold low, and the 2-4 MB
+        temporaries of ``means`` that follow in the same process then fault in
+        fresh pages.
         """
-        nu = np.arange(self.logd.size)
-        logs = nu[:, None] * self.ln_r[None, :] + self.pen[None, :] - self.logd[:, None]
-        log_g = np.max(logs, axis=1)
+        logs = np.arange(self.logd.size)[:, None] * self.ln_r
+        logs += self.pen
+        log_g = logs.max(axis=1) - self.logd
         return np.where(log_g > -745.0, np.exp(np.maximum(log_g, -745.0)), 0.0)
 
     def log_factors(self, poly: Polynomial) -> tuple:

@@ -25,12 +25,15 @@ import math
 import mpmath
 import numpy as np
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import (fone, from_int, mpc_mul_mpf, mpf_add, mpf_exp, mpf_log, mpf_shift,
-                          mpf_sub, round_nearest)
+from mpmath.libmp import (fone, from_int, from_man_exp, ln2_fixed, mpc_mul_mpf, mpf_add, mpf_exp,
+                          mpf_log, mpf_shift, mpf_sub, round_nearest)
+from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, log_taylor_cached
+from mpmath.libmp.libmpf import lshift
 
 from .series import TruncatedSeries
 
 ALPHA_BOUNDARY_GAP = 1e-12
+_LOG_LN2_ONLY_MAG = 10000  # above this magnitude mpf_log may take ln a as mag * ln 2
 
 
 def _check_alpha(alpha) -> mpf:
@@ -73,10 +76,13 @@ class DunklWeights:
     Entries fill on first read, in index order up to the index read, at the
     precision ambient when the table was made (``precision_bits``): each equals
     the eager recurrence's value bit for bit, whatever the precision at the
-    read.  One ln is taken per distinct ratio; at integer alpha, a_n for odd n
-    is a_(n+2alpha+1), so about half as many logarithms are taken.  The
-    logarithms are memoised by value (``_log``), which ``growth.lemma1_ratio``
-    shares: at integer alpha its x = n + alpha + 1 is often a ratio already met.
+    read.  The logarithms are memoised by value (``_log``), and each is formed
+    from one Taylor sum per odd mantissa (``_ln_new``): ratios o 2^e that share
+    o share the sum, so at integer alpha, whose ratios are all even, about a
+    quarter as many sums are taken as there are ratios.  When 2 alpha + 1 is an
+    integer, the fill keys the memo by the Python int a_n, so it forms no
+    tuple for a ratio it has met.  ``growth.lemma1_ratio`` shares the memo:
+    at integer alpha its x = n + alpha + 1 is often a ratio already met.
 
     The table fixes the precision of the work done with it: its methods and
     every public function that takes it as ``w`` run at ``w.precision_bits``,
@@ -94,7 +100,8 @@ class DunklWeights:
       as its mpf work reads it.
     """
 
-    __slots__ = ("alpha", "n_max", "_log_d", "_ln", "_odd_shift", "precision_bits")
+    __slots__ = ("alpha", "n_max", "_log_d", "_ln", "_taylor", "_odd_shift", "_int_shift",
+                 "precision_bits")
 
     def __init__(self, alpha, n_max: int):
         self.alpha = _check_alpha(alpha)
@@ -103,25 +110,71 @@ class DunklWeights:
         self.n_max = int(n_max)
         self.precision_bits = mp.prec
         self._odd_shift = mpf_add(mpf_shift(self.alpha._mpf_, 1), fone, mp.prec, round_nearest)
+        _, man, exp, _ = self._odd_shift
+        self._int_shift = man << exp if exp >= 0 else None  # 2 alpha + 1 when it is an integer
         self._log_d = [mpf(0)]  # d_0 = 1; later entries fill on first read
-        self._ln = {}  # ln a for each raw tuple a met so far (``_log``)
+        self._ln = {}  # ln a per value met: the int for an integer below 2^prec, else the tuple
+        self._taylor = {}  # mpf_log's fixed-point Taylor sum per odd mantissa (``_ln_new``)
 
     def _raw_ratio(self, n: int) -> tuple:
         """a_n = n (n even), n + 2 alpha + 1 (n odd), at the table's precision."""
         a = from_int(n, self.precision_bits, round_nearest)
         return a if n % 2 == 0 else mpf_add(a, self._odd_shift, self.precision_bits, round_nearest)
 
+    def _ln_new(self, a: tuple) -> tuple:
+        """ln a for a raw tuple a, at the table's precision, equal to ``mpf_log``'s bit for bit.
+
+        For a = o 2^e with o odd of b bits, 2 < a < 2^10000 and wp = prec + 20
+        at most LOG_TAYLOR_PREC, mpmath 1.3's ``libelefun.mpf_log`` returns
+        ``from_man_exp(log_taylor_cached(lshift(o, wp - b), wp) + (e + b)
+        ln2_fixed(wp), -wp, prec)``.  The Taylor sum depends on o alone, so it
+        is taken once per odd mantissa and the same integer is rounded here.
+        Every other a (1, powers of two, 1 < a < 2, and wp above
+        LOG_TAYLOR_PREC) goes to ``mpf_log`` itself.
+        """
+        sign, man, exp, bc = a
+        prec = self.precision_bits
+        wp, mag = prec + 20, exp + bc
+        if sign or man <= 1 or not 2 <= mag <= _LOG_LN2_ONLY_MAG or wp > LOG_TAYLOR_PREC:
+            return mpf_log(a, prec, round_nearest)
+        taylor = self._taylor.get(man)
+        if taylor is None:
+            taylor = self._taylor[man] = log_taylor_cached(lshift(man, wp - bc), wp)
+        return from_man_exp(taylor + mag * ln2_fixed(wp), -wp, prec, round_nearest)
+
+    def _log_int(self, m: int) -> tuple:
+        """ln m for an int 0 < m < 2^prec, memoised under m."""
+        ln_m = self._ln.get(m)
+        if ln_m is None:
+            zeros = (m & -m).bit_length() - 1
+            ln_m = self._ln[m] = self._ln_new((0, m >> zeros, zeros, m.bit_length() - zeros))
+        return ln_m
+
     def _log(self, a: tuple) -> tuple:
-        """ln a for a raw tuple a, at the table's precision; one ``mpf_log`` per distinct a."""
+        """ln a for a raw tuple a, at the table's precision, memoised by value; an
+        integer below 2^prec is keyed by its int, as the fill keys its ratios."""
+        sign, man, exp, bc = a
+        if man and not sign and exp >= 0 and exp + bc <= self.precision_bits:
+            return self._log_int(man << exp)
         ln_a = self._ln.get(a)
         if ln_a is None:
-            ln_a = self._ln[a] = mpf_log(a, self.precision_bits, round_nearest)
+            ln_a = self._ln[a] = self._ln_new(a)
         return ln_a
 
     def _fill(self, n: int) -> None:
-        """Extend ln d_k through k = n: ln d_k = ln d_(k-1) + ln a_k."""
-        prec, log_d = self.precision_bits, self._log_d
+        """Extend ln d_k through k = n: ln d_k = ln d_(k-1) + ln a_k.
+
+        With 2 alpha + 1 an integer s and n + s < 2^prec, every a_k is the int
+        k or k + s exactly, and is looked up as that int.
+        """
+        prec, log_d, ln, shift = self.precision_bits, self._log_d, self._ln, self._int_shift
         acc = log_d[-1]._mpf_
+        if shift is not None and n + shift < 1 << prec:
+            for k in range(len(log_d), n + 1):
+                a = k + shift if k & 1 else k
+                acc = mpf_add(acc, ln.get(a) or self._log_int(a), prec, round_nearest)
+                log_d.append(mp.make_mpf(acc))
+            return
         for k in range(len(log_d), n + 1):
             acc = mpf_add(acc, self._log(self._raw_ratio(k)), prec, round_nearest)
             log_d.append(mp.make_mpf(acc))

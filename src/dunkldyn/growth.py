@@ -123,7 +123,11 @@ def lemma1_ratio(n: int, w: DunklWeights) -> mpf:
     Two-sided boundedness of this ratio over n is the weight asymptotic; the
     band endpoints are empirical constants frozen by the calibration tests.
     It is exp(ln d_n + x - x ln x) with x = (n + alpha) + 1, each step
-    rounded at the table's precision; ln x comes from the table's memo.
+    rounded at the table's precision; ln x comes from the table's memo
+    (``DunklWeights._log``), which keys an integer x by its int, as the fill
+    keys its ratios, and takes one Taylor sum per odd mantissa: at integer
+    alpha x is often a ratio already met, and at half-integer alpha x = o/2
+    shares the sum of the odd ratio o.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

@@ -100,8 +100,8 @@ import mpmath
 import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import (from_float, fzero, mpc_abs, mpc_div_mpf, mpc_to_complex, mpf_div,
-                          mpf_log, mpf_mul, mpf_pow, mpf_pow_int, mpf_sub, round_nearest,
-                          to_float)
+                          mpf_log, mpf_mul, mpf_pow, mpf_pow_int, mpf_sqrt, mpf_sub, mpf_sum,
+                          round_nearest, to_float)
 
 from .series import TruncatedSeries
 
@@ -272,7 +272,7 @@ class _CircleTable:
         if parseval:
             mags = [abs(c) for _, c in items]
             self.log_abs_f = np.array([_float_ln(a) for a in mags])
-            self.abs2 = [a**2 for a in mags]
+            self.abs2 = [mpf_pow_int(a._mpf_, 2, mp.prec, round_nearest) for a in mags]
         else:
             real = all(c._mpc_[1] == fzero for _, c in items)
             if radii is not None:
@@ -287,11 +287,19 @@ class _CircleTable:
         self.degrees = np.array(self.n, dtype=np.int64)
 
     def parseval(self, r: mpf) -> mpf:
-        """M_2 = (sum |c_n|^2 r^(2n))^(1/2), without terms below the working precision."""
+        """M_2 = (sum |c_n|^2 r^(2n))^(1/2), without terms below the working precision.
+
+        On raw tuples, rounded as ``mpmath.sqrt(mpmath.fsum(|c_n|**2 * r**(2n)))``
+        rounds it: each term is an ``mpf_mul`` of two ``mpf_pow_int`` results,
+        and ``fsum`` is ``mpf_sum`` over them.
+        """
         approx = self.log_abs_f + self.degrees * _float_ln(r)
         width = (mp.prec + 64) * _LN2 / 2 + _WINDOW_MARGIN
         idx = np.flatnonzero(approx >= approx.max() - width)
-        return mpmath.sqrt(mpmath.fsum(self.abs2[i] * r ** (2 * self.n[i]) for i in idx))
+        prec, rnd, x = mp.prec, round_nearest, r._mpf_
+        terms = [mpf_mul(self.abs2[i], mpf_pow_int(x, 2 * self.n[i], prec, rnd), prec, rnd)
+                 for i in idx.tolist()]
+        return mp.make_mpf(mpf_sqrt(mpf_sum(terms, prec, rnd), prec, rnd))
 
     def block_terms(self, radii):
         """(shifts, (rows, degrees, scaled)): the terms c_n r_i^n e^{-shift_i} of each

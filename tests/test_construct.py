@@ -43,7 +43,7 @@ from dunkldyn.construct import (
     write_plan,
 )
 from dunkldyn.dunkl import DunklWeights, apply_dunkl, right_inverse
-from dunkldyn.growth import RateEnvelope, standard_r_grid
+from dunkldyn.growth import RateEnvelope, rate_exponent, standard_r_grid
 from dunkldyn.means import P_INF, _log_abs_and_phase
 from dunkldyn.series import TruncatedSeries, write_series
 
@@ -180,6 +180,27 @@ class TestNormKernel:
         nus = np.arange(1, 513, 37)
         got = np.log(kernel.factor_table()[nus])
         assert np.allclose(got, kernel.block_log_norms((F(1),), nus), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("points", [None, 16])
+    @pytest.mark.parametrize("alpha_s", ["-0.49", "0", "1", "3"])
+    def test_factor_table_equals_the_three_operation_table(self, alpha_s, points):
+        # ln d_nu taken off after the max over r gives the same bits as taking it
+        # off every entry first, on the kernels both builders make (hc: a = alpha
+        # + 1 on the grid and on the one point R; fhc: a = the fhc_upper rate)
+        w = DunklWeights(mpf(alpha_s), 4096)
+        env = RateEnvelope.log_growth()
+        grid = standard_r_grid() if points is None else standard_r_grid(points=points)
+        logd = w.float_log_weights(4096)
+        r_build = mpf(R_BUILD)
+        kernels = [_NormKernel(logd, map(env, grid), w.alpha + 1, grid),
+                   _NormKernel(logd, (env(r_build),), w.alpha + 1, (r_build,)),
+                   _NormKernel(logd, map(env, grid), rate_exponent(2, w.alpha, "fhc_upper"), grid)]
+        for kernel in kernels:
+            nu = np.arange(logd.size)
+            logs = nu[:, None] * kernel.ln_r[None, :] + kernel.pen[None, :] - logd[:, None]
+            log_g = np.max(logs, axis=1)
+            want = np.where(log_g > -745.0, np.exp(np.maximum(log_g, -745.0)), 0.0)
+            assert np.array_equal(kernel.factor_table(), want)
 
     def test_scan_returns_smallest_admissible_m(self):
         # brute force with the mpf reference: every block sits at the first m

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import libmp, mp, mpf, mpc
+from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, log_taylor_cached
 
 from dunkldyn import dunkl
 from dunkldyn.dunkl import DunklWeights, apply_dunkl, apply_dunkl_direct, right_inverse
@@ -73,11 +74,18 @@ def eager_table(alpha, n_max):
     return ratios, log_d
 
 
+# straddles the Taylor route's last precision, LOG_TAYLOR_PREC - 20 = 2480
+TAYLOR_BITS = [24, 53, 113, 256, 512, 2479, 2480, 2481, 2600]
+# every alpha at 53, 256 and 1024 bits; the Taylor straddle at integer,
+# half-integer and non-integer 2 alpha + 1
+EAGER_CASES = ([(a, b) for a in ALPHAS + ["0.3"] for b in (1024, 256, 53)]
+               + [(a, b) for a in ("0.5", "1", "0.3") for b in TAYLOR_BITS if b not in (53, 256)])
+
+
 class TestLazyTable:
     N = 300
 
-    @pytest.mark.parametrize("bits", [53, 256, 1024])
-    @pytest.mark.parametrize("alpha_s", ALPHAS + ["0.3"])
+    @pytest.mark.parametrize("alpha_s, bits", EAGER_CASES)
     def test_bit_identical_to_eager_recurrence(self, alpha_s, bits):
         with mpmath.workprec(bits):
             ratios, log_d = eager_table(alpha_s, self.N)
@@ -119,20 +127,80 @@ class TestLazyTable:
         assert filled() == 100
 
     def test_integer_alpha_takes_one_ln_per_distinct_ratio(self, monkeypatch):
-        # alpha = 1: a_n = n + 3 for odd n is the even ratio a_(n+3), so the
-        # 300 ratios hold the 150 even integers up to 300 plus 302
-        calls = []
-
-        def counting_log(x, prec, rnd):
-            calls.append(x)
-            return libmp.mpf_log(x, prec, rnd)
-
-        monkeypatch.setattr(dunkl, "mpf_log", counting_log)
+        # alpha = 1: a_n = n + 3 for odd n is the even ratio a_(n+3), so the 300
+        # ratios are the 151 even integers 2..302: the 8 powers of two go to
+        # mpf_log, and the other 143 share 75 Taylor sums, one per odd o in 3..151
+        sums, logs = count_logs(monkeypatch)
         DunklWeights(1, 300).log_weight(300)
-        assert len(calls) == len(set(calls)) == 151
-        calls.clear()
+        assert len(sums) == len(set(sums)) == 75
+        assert len(logs) == len(set(logs)) == 8
+        # alpha = 0.3: the even n share 74 sums (odd o in 3..149) and 8 fallbacks;
+        # each n + 1.6 for odd n has its own 256-bit mantissa and sum
+        sums.clear()
+        logs.clear()
         DunklWeights(mpf("0.3"), 300).log_weight(300)
-        assert len(calls) == 300
+        assert len(sums) == len(set(sums)) == 74 + 150
+        assert len(logs) == 8
+
+
+def count_logs(monkeypatch):
+    """(Taylor sums, mpf_log fallbacks) the weight table takes, as lists of their arguments."""
+    sums, logs = [], []
+
+    def taylor(x, prec):
+        sums.append(x)
+        return log_taylor_cached(x, prec)
+
+    def log(x, prec, rnd):
+        logs.append(x)
+        return libmp.mpf_log(x, prec, rnd)
+
+    monkeypatch.setattr(dunkl, "log_taylor_cached", taylor)
+    monkeypatch.setattr(dunkl, "mpf_log", log)
+    return sums, logs
+
+
+def log_arguments(bits):
+    """Raw tuples at bits: integers up to 2^17, half-integers, n + 0.51, 1, powers of
+    two, 1 < a < 2, both sides of 2^10000 and random 256-bit mantissas."""
+    rng = random.Random(bits)
+    ints = list(range(1, 301)) + [2**k + d for k in range(9, 18) for d in (-1, 0, 1)]
+    ints += [rng.randrange(1, 2**17) for _ in range(100)]
+    with mpmath.workprec(bits):
+        values = [mpf(n) for n in ints] + [mpf(n) + mpf(0.5) for n in range(1, 100)]
+        values += [mpf(n) + mpf("0.51") for n in range(100)]
+        values += [mpf(2) ** k for k in (-3, 1, 64, 9999)] + [1 + mpf(rng.random()) for _ in range(30)]
+        values += [3 * mpf(2) ** k for k in (9998, 9999)]  # magnitude 10000, and 10001
+        values += [mpf(rng.getrandbits(256) | 1) * mpf(2) ** rng.randrange(-300, 300) for _ in range(60)]
+    return [v._mpf_ for v in values]
+
+
+class TestTaylorLogs:
+    @pytest.mark.parametrize("bits", TAYLOR_BITS)
+    def test_log_equals_mpf_log(self, bits):
+        with mpmath.workprec(bits):
+            w = DunklWeights(1, 4)
+        values = log_arguments(bits)
+        want = [libmp.mpf_log(a, bits, libmp.round_nearest) for a in values]
+        assert [w._log(a) for a in values] == want
+        assert [w._log(a) for a in reversed(values)] == want[::-1]  # from the memo
+        assert bool(w._taylor) == (bits + 20 <= LOG_TAYLOR_PREC)
+
+    @pytest.mark.parametrize("alpha", ["-0.49", "0", "0.3", "0.5", "1", "3",
+                                       mpf(-0.5) + mpf("2e-12")])
+    def test_table_to_4096_equals_eager_recurrence(self, alpha):
+        n = 4096
+        _, log_d = eager_table(alpha, n)
+        w = DunklWeights(mpf(alpha), n)
+        w.log_weight(n // 3)  # two fills, the second from a filled prefix
+        assert [w.log_weight(k)._mpf_ for k in range(n + 1)] == [x._mpf_ for x in log_d]
+
+    def test_integer_ratios_past_the_precision_take_the_tuple_route(self):
+        # at 12 bits the ratios pass 2^12 = 4096, where from_int rounds them
+        with mpmath.workprec(12):
+            _, log_d = eager_table("1", 4200)
+            w = DunklWeights(1, 4200)
+        assert [w.log_weight(k)._mpf_ for k in range(4201)] == [x._mpf_ for x in log_d]
 
 
 class TestFloatLogWeights:

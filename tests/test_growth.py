@@ -9,6 +9,7 @@ import time
 import mpmath
 import pytest
 from mpmath import libmp, mp, mpf
+from mpmath.libmp.libelefun import log_taylor_cached
 
 from dunkldyn import dunkl, growth
 from dunkldyn.dunkl import DunklWeights
@@ -131,22 +132,30 @@ class TestLemma1Band:
                 == [_lemma1_mpf(n, w)._mpf_ for n in range(2501)])
 
     def test_shares_the_tables_logarithms(self, monkeypatch):
-        # at alpha = 0 the table takes ln a for the even a <= 2500 (1250 logs)
-        # and x = n + 1 repeats them for odd n, so the odd x <= 2501 (1251)
-        # are the only new logs: 2501 in all, not 1250 + 2501
-        calls = []
+        # at alpha = 0 the table takes ln a for the even a <= 2500, and x = n + 1
+        # adds the odd x <= 2501 and x = 1 under the same int keys: the 2501
+        # values 1..2501 take 1250 Taylor sums (one per odd o in 3..2501) and
+        # 12 mpf_log fallbacks (1 and the 11 powers of two up to 2048), not
+        # one log each for the 1250 ratios plus the 2501 x
+        sums, logs = [], []
+
+        def taylor(x, prec):
+            sums.append(x)
+            return log_taylor_cached(x, prec)
 
         def counted(x, prec, rnd):
-            calls.append(x)
+            logs.append(x)
             return libmp.mpf_log(x, prec, rnd)
 
+        monkeypatch.setattr(dunkl, "log_taylor_cached", taylor)
         monkeypatch.setattr(dunkl, "mpf_log", counted)
         monkeypatch.setattr(growth, "mpf_log", counted, raising=False)
         w = DunklWeights(0, 2500)
         w.log_weight(2500)
         for n in range(2501):
             lemma1_ratio(n, w)
-        assert len(calls) == len(set(calls)) == 2501
+        assert len(sums) == len(set(sums)) == 1250
+        assert len(logs) == len(set(logs)) == 12
 
 
 def _lemma1_mpf(n, w):

@@ -25,6 +25,7 @@ from dunkldyn.means import (
     _band_points,
     _circle_rows,
     _estimate_log_abs,
+    _float_ln,
     _has_large_factor,
     _max_means,
     _quadrature_floats,
@@ -61,6 +62,27 @@ def test_parseval_exact_small_case():
     got = means_on_grid(f, [r], MeanParams(2))[0].value
     want = mpmath.sqrt(1 + 4 * r**2)
     assert abs(got - want) < want * mpf(2) ** -240
+
+
+@pytest.mark.parametrize("name", ["fhc", "complex"])
+def test_parseval_rows_equal_mpf_operators(name):
+    # the raw-tuple row equals sqrt(fsum(|c_n|**2 * r**(2n))) over the kept
+    # terms, as the mpf operators round it, bit for bit
+    if name == "fhc":
+        f, radii = _band_case("fhc")
+    else:
+        rng = random.Random(7)
+        f = TruncatedSeries({n: mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) / (1 + n) ** 3
+                             for n in rng.sample(range(400), 80)}, trunc_degree=400)
+        radii = [mpf(r) for r in ("0.01", "0.5", "1", "3.7", "40")]
+    table = _CircleTable(f, parseval=True)
+    items = list(f.items())
+    width = (mp.prec + 64) * math.log(2.0) / 2 + 1.0
+    for r in radii:
+        approx = table.log_abs_f + table.degrees * _float_ln(r)
+        kept = np.flatnonzero(approx >= approx.max() - width)
+        want = mpmath.sqrt(mpmath.fsum(abs(items[i][1]) ** 2 * r ** (2 * items[i][0]) for i in kept))
+        assert table.parseval(r)._mpf_ == want._mpf_
 
 
 def test_quadrature_agrees_with_parseval_at_p2():
