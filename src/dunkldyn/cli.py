@@ -35,7 +35,7 @@ from typing import Callable
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import finf, fninf, mpf_cmp, mpf_rdiv_int, round_nearest
+from mpmath.libmp import finf, fninf, mpf_cmp, mpf_exp, mpf_rdiv_int, round_nearest
 
 from .construct import (
     BuilderConfig,
@@ -352,7 +352,10 @@ _INPUT = _Option("input", "series file", required=True)
 def _cmd_weights(config: ExperimentConfig, opt: dict, write) -> None:
     n = config.trunc_degree if opt["n"] is None else opt["n"]
     w = DunklWeights(config.alpha_mp(), n)
-    rows = [(k, w.weight(k), w.log_weight(k)) for k in range(n + 1)]
+    log_d = w._raw_log_weight
+    log_d(n)  # one fill; each row then reads its entry once, as weight(k) would exponentiate it
+    rows = [(k, mp.make_mpf(mpf_exp(t, w.precision_bits, round_nearest)), mp.make_mpf(t))
+            for k, t in enumerate(map(log_d, range(n + 1)))]
     write("n,d_n,log_d_n", rows, n=n)
 
 

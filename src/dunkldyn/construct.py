@@ -670,7 +670,9 @@ def frequency_report(
 
     ln|c_s| and the unit phases come from ``means._log_abs_and_phase``, as in
     the sampled means' coefficient table.  Unlike the builders' kernel, this
-    reads ln d_n from the mpf table, not from ``DunklWeights.float_log_weights``.
+    reads ln d_n from the mpf table, not from ``DunklWeights.float_log_weights``:
+    ln d_s as raw tuples, and float(ln d_n) from one fill of the table as
+    ``DunklWeights._float_view`` rounds its tuples, with no mpf formed.
     A block coefficient is c_s = q_i d_i / d_s, so ln|c_s| + ln d_s cancels
     in mpf to the small ln(|q_i| d_i) before it is rounded to float64; on the
     float64 table the ~1e-11 error of ln d_s would survive that cancellation.
@@ -696,9 +698,9 @@ def frequency_report(
     items = list(f.items())
     log_abs, phase = _log_abs_and_phase(items)
     degrees, prec = np.array([s for s, _ in items], dtype=np.int64), w.precision_bits
-    logd = np.array([float(w.log_weight(n)) for n in range(f.trunc_degree + 1)])
+    logd = w._float_view(f.trunc_degree)
     # ln(|c_s| d_s); the term of Lambda^n f at degree s - n is this minus ln d_(s-n)
-    log_top = np.array([to_float(mpf_add(la, w.log_weight(s)._mpf_, prec, round_nearest),
+    log_top = np.array([to_float(mpf_add(la, w._raw_log_weight(s), prec, round_nearest),
                                  rnd=round_nearest) for (s, _), la in zip(items, log_abs)])
     # degrees below width can meet a target term; q_k R^k is padded to that width
     width = max(len(q) for q in schedule.targets)
@@ -776,12 +778,14 @@ def density_decay_check(f: TruncatedSeries, w: DunklWeights, q, M: int) -> Densi
     running = fzero
     event_count = 0
     coeffs = dict(f.items())
+    log_d = w._raw_log_weight
+    log_d(max((n for n in coeffs if n <= M), default=0))  # one fill, not one per read
     for n in range(1, M + 1):
         c = coeffs.get(n)
         if c is not None:
             # v = exp(ln|c_n| + ln d_n); running += v^q
             v = mpf_exp(mpf_add(mpf_log(mpc_abs(c._mpc_, prec, rnd), prec, rnd),
-                                w.log_weight(n)._mpf_, prec, rnd), prec, rnd)
+                                log_d(n), prec, rnd), prec, rnd)
             running = mpf_add(running, mpf_pow(v, q, prec, rnd), prec, rnd)
             if mpf_gt(v, fone):
                 event_count += 1

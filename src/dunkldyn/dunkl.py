@@ -25,8 +25,8 @@ import math
 import mpmath
 import numpy as np
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import (fone, from_int, from_man_exp, ln2_fixed, mpc_mul_mpf, mpf_add, mpf_exp,
-                          mpf_log, mpf_shift, mpf_sub, round_nearest)
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, ln2_fixed, mpc_mul_mpf, mpf_add,
+                          mpf_exp, mpf_log, mpf_shift, mpf_sub, round_nearest, to_float)
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, log_taylor_cached
 from mpmath.libmp.libmpf import lshift
 
@@ -84,6 +84,13 @@ class DunklWeights:
     tuple for a ratio it has met.  ``growth.lemma1_ratio`` shares the memo:
     at integer alpha its x = n + alpha + 1 is often a ratio already met.
 
+    Both routes share one accumulation loop (``_fill``): each ln d_k is the
+    exact integer sum of the two mantissas, rounded once half to even, the
+    value ``mpf_add`` returns.  The table holds normalised raw tuples (odd
+    mantissa); ``log_weight`` wraps one in an mpf when it is read, the loops
+    that work on tuples read them as they are (``_raw_log_weight``), and
+    ``frequency_report`` takes their float64 values (``_float_view``).
+
     The table fixes the precision of the work done with it: its methods and
     every public function that takes it as ``w`` run at ``w.precision_bits``,
     whatever the caller's ambient precision, and leave that precision as found.
@@ -101,7 +108,7 @@ class DunklWeights:
     """
 
     __slots__ = ("alpha", "n_max", "_log_d", "_ln", "_taylor", "_odd_shift", "_int_shift",
-                 "precision_bits")
+                 "_int_bound", "precision_bits")
 
     def __init__(self, alpha, n_max: int):
         self.alpha = _check_alpha(alpha)
@@ -112,7 +119,8 @@ class DunklWeights:
         self._odd_shift = mpf_add(mpf_shift(self.alpha._mpf_, 1), fone, mp.prec, round_nearest)
         _, man, exp, _ = self._odd_shift
         self._int_shift = man << exp if exp >= 0 else None  # 2 alpha + 1 when it is an integer
-        self._log_d = [mpf(0)]  # d_0 = 1; later entries fill on first read
+        self._int_bound = 1 << mp.prec  # integers below it are exact at the table's precision
+        self._log_d = [fzero]  # raw tuples; d_0 = 1, later entries fill on first read
         self._ln = {}  # ln a per value met: the int for an integer below 2^prec, else the tuple
         self._taylor = {}  # mpf_log's fixed-point Taylor sum per odd mantissa (``_ln_new``)
 
@@ -162,35 +170,64 @@ class DunklWeights:
         return ln_a
 
     def _fill(self, n: int) -> None:
-        """Extend ln d_k through k = n: ln d_k = ln d_(k-1) + ln a_k.
+        """Extend ln d_k through k = n: ln d_k = ln d_(k-1) + ln a_k, rounded once to nearest even.
 
         With 2 alpha + 1 an integer s and n + s < 2^prec, every a_k is the int
-        k or k + s exactly, and is looked up as that int.
+        k or k + s exactly, and is looked up as that int; other ratios go
+        through ``_raw_ratio`` and ``_log``.  Both operands are positive (a_1 =
+        2 alpha + 2 > 1 and a_k >= 2 after it), so the sum is the two mantissas
+        added exactly at the lower exponent and rounded half to even at prec:
+        the value ``mpf_add`` returns, whose far-offset shortcut only stands in
+        a sticky bit for the smaller operand.
         """
         prec, log_d, ln, shift = self.precision_bits, self._log_d, self._ln, self._int_shift
-        acc = log_d[-1]._mpf_
-        if shift is not None and n + shift < 1 << prec:
-            for k in range(len(log_d), n + 1):
-                a = k + shift if k & 1 else k
-                acc = mpf_add(acc, ln.get(a) or self._log_int(a), prec, round_nearest)
-                log_d.append(mp.make_mpf(acc))
-            return
+        int_keys = shift is not None and n + shift < self._int_bound
+        _, man, exp, _ = log_d[-1]
         for k in range(len(log_d), n + 1):
-            acc = mpf_add(acc, self._log(self._raw_ratio(k)), prec, round_nearest)
-            log_d.append(mp.make_mpf(acc))
+            if int_keys:
+                a = k + shift if k & 1 else k
+                _, t_man, t_exp, _ = ln.get(a) or self._log_int(a)
+            else:
+                _, t_man, t_exp, _ = self._log(self._raw_ratio(k))
+            if t_exp < exp:
+                man, exp = (man << (exp - t_exp)) + t_man, t_exp
+            else:
+                man += t_man << (t_exp - exp)
+            drop = man.bit_length() - prec
+            if drop > 0:
+                kept = man >> (drop - 1)  # the kept bits and the first dropped one
+                if kept & 1 and (kept & 2 or man & ((1 << (drop - 1)) - 1)):
+                    man = (kept >> 1) + 1
+                else:
+                    man = kept >> 1
+                exp += drop
+            if not man & 1:
+                zeros = (man & -man).bit_length() - 1
+                man, exp = man >> zeros, exp + zeros
+            log_d.append((0, man, exp, man.bit_length()))
 
-    def log_weight(self, n: int) -> mpf:
+    def _raw_log_weight(self, n: int) -> tuple:
+        """ln d_n as the table's raw normalised tuple, for loops that work on tuples."""
         if not 0 <= n <= self.n_max:
             raise IndexError(f"weight index {n} outside [0, {self.n_max}]")
         if n >= len(self._log_d):
             self._fill(n)
         return self._log_d[n]
 
+    def _float_view(self, n: int) -> np.ndarray:
+        """float(log_weight(k)) for k = 0..n, from one fill and no mpf: each raw tuple
+        rounded to nearest as ``mpf.__float__`` rounds it."""
+        self._raw_log_weight(n)
+        return np.array([to_float(t, rnd=round_nearest) for t in self._log_d[:n + 1]])
+
+    def log_weight(self, n: int) -> mpf:
+        return mp.make_mpf(self._raw_log_weight(n))
+
     def weight(self, n: int) -> mpf:
         """d_n = exp(ln d_n) at the table's precision; identically zero for n < 0."""
         if n < 0:
             return mpf(0)
-        return mp.make_mpf(mpf_exp(self.log_weight(n)._mpf_, self.precision_bits, round_nearest))
+        return mp.make_mpf(mpf_exp(self._raw_log_weight(n), self.precision_bits, round_nearest))
 
     @_at_table_precision
     def gamma_form_log_weight(self, n: int) -> mpf:
@@ -231,13 +268,13 @@ def _require_table(w: DunklWeights, top: int) -> None:
 def _shift(f: TruncatedSeries, w: DunklWeights, offset: int) -> TruncatedSeries:
     """c_i d_i / d_j at degree j = i + offset, dropping j < 0: the loop of ``apply_dunkl``
     (offset -k) and ``right_inverse`` (+n), rounded as the mpf and mpc operators round it."""
-    prec, log_weight = w.precision_bits, w.log_weight
+    prec, log_weight = w.precision_bits, w._raw_log_weight
     table: dict[int, mpc] = {}
     for i, c in f.items():
         j = i + offset
         if j < 0:
             continue
-        factor = mpf_exp(mpf_sub(log_weight(i)._mpf_, log_weight(j)._mpf_, prec, round_nearest),
+        factor = mpf_exp(mpf_sub(log_weight(i), log_weight(j), prec, round_nearest),
                          prec, round_nearest)
         table[j] = mp.make_mpc(mpc_mul_mpf(c._mpc_, factor, prec, round_nearest))
     return TruncatedSeries(table, f.trunc_degree)

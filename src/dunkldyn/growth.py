@@ -134,7 +134,7 @@ def lemma1_ratio(n: int, w: DunklWeights) -> mpf:
     prec, rnd = w.precision_bits, round_nearest
     x = mpf_add(mpf_add(w.alpha._mpf_, from_int(n), prec, rnd), fone, prec, rnd)
     x_ln_x = mpf_mul(x, w._log(x), prec, rnd)
-    exponent = mpf_sub(mpf_add(w.log_weight(n)._mpf_, x, prec, rnd), x_ln_x, prec, rnd)
+    exponent = mpf_sub(mpf_add(w._raw_log_weight(n), x, prec, rnd), x_ln_x, prec, rnd)
     return mp.make_mpf(mpf_exp(exponent, prec, rnd))
 
 

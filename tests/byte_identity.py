@@ -3,7 +3,8 @@
 ``ROWS`` is a fixed matrix of in-process ``cli.main`` calls covering all
 twelve subcommands: hc builds at five alphas with their plans read back by
 ``orbit --plan``, fhc builds at p = 1, 2 and inf with
-``frequency`` and ``decay`` on each, ``weights``, the four ``verify-*``
+``frequency`` and ``decay`` on each, ``weights`` at alpha 0.5 and at -0.49
+(whose 4097 entries fill on the tuple route), the four ``verify-*``
 commands (``verify-barnes`` at an integer and a fractional order), ``means``
 at p = 1 and 2, ``apply`` at three precisions, and the windowed C_star
 ladder of ``orbit --windows`` on an hc series and on a prime-degree fhc
@@ -54,6 +55,7 @@ ROWS = (
         ["decay", "--input", f"fhc{p}.series", "-o", f"fhc{p}-decay.csv"],
     )],
     ["weights", "--alpha", "0.5", "-o", "weights.csv"],
+    ["weights", "--alpha", "-0.49", "-o", "weights-049.csv"],
     ["verify-lemma1", "--alpha", "-0.49", "-o", "lemma1.csv"],
     ["verify-lemma3", "--q", "1.5", "--alpha", "3", "-o", "lemma3.csv"],
     ["verify-hy", "--p", "1.5", "--count", "20", "-o", "hy.csv"],

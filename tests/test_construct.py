@@ -821,6 +821,18 @@ class TestFrequencyScatter:
         assert np.array_equal(log_top, want_log_top)
         assert np.array_equal(phase, want_phase)
 
+    def test_logd_is_the_float_of_each_table_entry(self, fhc_build, monkeypatch):
+        # on a fresh alpha = 1 table of 4096 entries, as the frequency command makes it
+        f, s, _ = fhc_build
+        views = []
+        float_view = DunklWeights._float_view
+        monkeypatch.setattr(DunklWeights, "_float_view",
+                            lambda w, n: views.append(float_view(w, n)) or views[-1])
+        w = DunklWeights(1, 4096)
+        assert frequency_report(f, s, w, 2048, mpf("0.1"), mpf(1)).counts == (117, 58, 29)
+        assert len(views) == 1
+        assert np.array_equal(views[0], [float(w.log_weight(n)) for n in range(4097)])
+
     def test_peak_memory_at_fhc_defaults(self, fhc_build):
         f, s, w = fhc_build
         tracemalloc.start()

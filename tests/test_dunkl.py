@@ -203,6 +203,62 @@ class TestTaylorLogs:
         assert [w.log_weight(k)._mpf_ for k in range(4201)] == [x._mpf_ for x in log_d]
 
 
+def eager_raw_table(alpha, n_max):
+    """ln d_0..ln d_n_max as raw tuples by the eager ``mpf_add`` recurrence at the ambient
+    precision, and how many of its exact sums lie halfway between two neighbours."""
+    prec, rnd, odd_shift = mp.prec, libmp.round_nearest, 2 * alpha + 1
+    log_d, ties = [libmp.fzero], 0
+    for n in range(1, n_max + 1):
+        ln_a = mpmath.ln(mpf(n) if n % 2 == 0 else mpf(n) + odd_shift)._mpf_
+        _, man, _, bc = libmp.mpf_add(log_d[-1], ln_a)  # exact
+        drop = bc - prec
+        ties += drop > 0 and man & ((1 << drop) - 1) == 1 << (drop - 1)
+        log_d.append(libmp.mpf_add(log_d[-1], ln_a, prec, rnd))
+    return log_d, ties
+
+
+# 2 alpha + 1 an integer (the int route while the ratios stay below 2^prec), then
+# the tuple route; below 53 bits -1/2 + 2e-12 rounds to -1/2, which the table refuses
+ADDER_CASES = ([(a, b) for a in ("0", "0.5", "1", "3", "-0.49", "0.3")
+                for b in (8, 12, 16, 24, 53, 64)]
+               + [("-0.5+2e-12", b) for b in (53, 64)])
+
+
+class TestExactAdder:
+    N = 4096
+
+    @pytest.mark.parametrize("alpha_s, bits", ADDER_CASES)
+    def test_fill_equals_eager_recurrence_where_sums_tie(self, alpha_s, bits):
+        # at these precisions 6 to 152 sums per table land exactly on a midpoint, where
+        # rounding half to even and half away from zero part
+        with mpmath.workprec(bits):
+            alpha = mpf(-0.5) + mpf("2e-12") if alpha_s == "-0.5+2e-12" else mpf(alpha_s)
+            want, ties = eager_raw_table(alpha, self.N)
+            w = DunklWeights(alpha, self.N)
+        assert ties >= 6
+        order = list(range(self.N + 1))
+        random.Random(bits).shuffle(order)
+        assert [w._raw_log_weight(n) for n in order] == [want[n] for n in order]
+
+    @pytest.mark.parametrize("alpha_s", ["1", "0.3"])
+    def test_raw_reader_is_the_normalised_log_weight(self, alpha_s):
+        w = DunklWeights(mpf(alpha_s), self.N)
+        raw = [w._raw_log_weight(n) for n in range(self.N + 1)]
+        assert raw == [w.log_weight(n)._mpf_ for n in range(self.N + 1)]
+        assert raw[0] == libmp.fzero
+        assert all(sign == 0 and man & 1 and bc == man.bit_length()
+                   for sign, man, _, bc in raw[1:])
+        with pytest.raises(IndexError):
+            w._raw_log_weight(self.N + 1)
+
+    def test_float_view_equals_float_of_each_entry(self):
+        w = DunklWeights(1, self.N)
+        got = w._float_view(self.N)
+        assert len(w._log_d) == self.N + 1
+        assert np.array_equal(got, [float(w.log_weight(n)) for n in range(self.N + 1)])
+        assert np.array_equal(w._float_view(10), got[:11])
+
+
 class TestFloatLogWeights:
     N = 16384
 

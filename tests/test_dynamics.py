@@ -104,7 +104,7 @@ class TestOrbitAtZero:
         w = DunklWeights(mpf("0.5"), 128)
         f = exp_truncation(128, 128)
         orbit_at_zero(f, w, 100)
-        w._log_d[n] += mpf(2) ** -180
+        w._log_d[n] = (w.log_weight(n) + mpf(2) ** -180)._mpf_  # the table holds raw tuples
         with pytest.raises(RuntimeError, match=f"orbit cross-check failed at n={n}:"):
             orbit_at_zero(f, w, 100)
 
