@@ -397,6 +397,7 @@ def _raw_extremes(values: list) -> tuple:
 def _cmd_verify_lemma1(config: ExperimentConfig, opt: dict, write) -> None:
     n_max = opt["n"]
     w = DunklWeights(config.alpha_mp(), n_max)
+    w._raw_log_weight(n_max)  # one fill, not one per ratio
     ratios = [lemma1_ratio(n, w) for n in range(n_max + 1)]
     # 1 / x as mpf.__rtruediv__ computes it
     write("n,ratio,reciprocal",

@@ -74,8 +74,8 @@ from itertools import product
 import mpmath
 import numpy as np
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import (fone, from_int, fzero, mpc_abs, mpf_add, mpf_div, mpf_exp, mpf_gt,
-                          mpf_le, mpf_log, mpf_pow, round_nearest, to_float)
+from mpmath.libmp import (fone, from_int, fzero, mpc_abs, mpf_add, mpf_exp, mpf_gt, mpf_le,
+                          mpf_log, mpf_pow, round_nearest, to_float)
 
 from .dunkl import DunklWeights, _at_table_precision, _require_table, apply_dunkl, right_inverse
 from .growth import RateEnvelope, rate_exponent, standard_r_grid
@@ -752,6 +752,35 @@ class DensityDecayReport:
         return self.sigma[-1]
 
 
+def _div_int(t: tuple, m: int, prec: int) -> tuple:
+    """t / m rounded to nearest even at prec bits, for a raw tuple t >= 0 and an int m >= 1.
+
+    ``mpf_div(t, from_int(m), prec, round_nearest)`` is correctly rounded, so
+    its answer is unique and this is it: the integer quotient is taken with at
+    least prec + 2 bits (man 2^shift / m > 2^(bc - 1 + shift - m.bit_length())
+    >= 2^(prec + 1)), the dropped bits and the remainder decide the rounding
+    as one exact sticky value, and the result is normalised to an odd
+    mantissa.  Zero, inf and nan have no mantissa and come back as they are,
+    as mpf_div returns them for a positive divisor.
+    """
+    _, man, exp, bc = t
+    if not man:
+        return t
+    shift = max(prec + 2 + m.bit_length() - bc, 0)
+    q, rem = divmod(man << shift, m)
+    drop = q.bit_length() - prec
+    kept = q >> (drop - 1)  # the kept bits and the first dropped one
+    if kept & 1 and (kept & 2 or rem or q & ((1 << (drop - 1)) - 1)):
+        q = (kept >> 1) + 1
+    else:
+        q = kept >> 1
+    exp += drop - shift
+    if not q & 1:
+        zeros = (q & -q).bit_length() - 1
+        q, exp = q >> zeros, exp + zeros
+    return (0, q, exp, q.bit_length())
+
+
 @_at_table_precision
 def density_decay_check(f: TruncatedSeries, w: DunklWeights, q, M: int) -> DensityDecayReport:
     """sigma_m = (1/m) sum_{n<=m} (|c_n| d_n)^q next to the orbit-event density.
@@ -762,6 +791,13 @@ def density_decay_check(f: TruncatedSeries, w: DunklWeights, q, M: int) -> Densi
     frequent hypercyclicity below the critical rate.  The loop runs on raw
     libmp tuples at the table's precision, each step rounded as the mpf
     operators round it; the tests keep the mpf loop as its oracle.
+
+    sigma_m = RN(running / m) and the density RN(RN(count) / m) come from one
+    exact divider (``_div_int``).  The bound test is e <= s + slack, rounded:
+    while RN(count) <= running, RN's monotonicity gives e <= s <= RN(s + slack)
+    at every m, so the test holds without being formed.  That comparison only
+    moves where a coefficient does; at any m where it fails, the test is
+    ``mpf_le(e, mpf_add(s, slack))`` as written.
     """
     q = mpf(q)
     if not 1 <= q <= 2:
@@ -773,10 +809,12 @@ def density_decay_check(f: TruncatedSeries, w: DunklWeights, q, M: int) -> Densi
     _require_table(w, M)
     prec, rnd = w.precision_bits, round_nearest
     q = q._mpf_
+    slack = (mpf(2) ** (24 - prec))._mpf_
     sigma = []
     events = []
-    running = fzero
+    running = count = fzero  # sum of v^q; the event count as from_int rounds it
     event_count = 0
+    below = holds = True  # below: count <= running, so e <= s
     coeffs = dict(f.items())
     log_d = w._raw_log_weight
     log_d(max((n for n in coeffs if n <= M), default=0))  # one fill, not one per read
@@ -789,11 +827,13 @@ def density_decay_check(f: TruncatedSeries, w: DunklWeights, q, M: int) -> Densi
             running = mpf_add(running, mpf_pow(v, q, prec, rnd), prec, rnd)
             if mpf_gt(v, fone):
                 event_count += 1
-        n_mpf = from_int(n)
-        sigma.append(mpf_div(running, n_mpf, prec, rnd))
-        events.append(mpf_div(from_int(event_count, prec, rnd), n_mpf, prec, rnd))
-    slack = (mpf(2) ** (24 - prec))._mpf_
-    holds = all(mpf_le(e, mpf_add(s, slack, prec, rnd)) for e, s in zip(events, sigma))
+                count = from_int(event_count, prec, rnd)
+            below = mpf_le(count, running)
+        s, e = _div_int(running, n, prec), _div_int(count, n, prec)
+        sigma.append(s)
+        events.append(e)
+        if not below and holds:
+            holds = mpf_le(e, mpf_add(s, slack, prec, rnd))
     return DensityDecayReport(tuple(map(mp.make_mpf, sigma)), tuple(map(mp.make_mpf, events)),
                               holds)
 

@@ -26,7 +26,7 @@ import mpmath
 import numpy as np
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import (fone, from_int, from_man_exp, fzero, ln2_fixed, mpc_mul_mpf, mpf_add,
-                          mpf_exp, mpf_log, mpf_shift, mpf_sub, round_nearest, to_float)
+                          mpf_exp, mpf_log, mpf_shift, mpf_sub, round_nearest)
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, log_taylor_cached
 from mpmath.libmp.libmpf import lshift
 
@@ -68,6 +68,21 @@ def _gamma_form(alpha: mpf, n: int) -> mpf:
     """``DunklWeights.gamma_form_log_weight`` at the ambient precision."""
     return (n * mpmath.ln(mpf(2)) + mpmath.loggamma(mpf(n // 2) + 1)
             + mpmath.loggamma(mpf((n + 1) // 2) + alpha + 1) - mpmath.loggamma(alpha + 1))
+
+
+def _cut_to_64_bits(t: tuple) -> tuple:
+    """A raw tuple whose mantissa has more than 1023 bits, cut to 64 bits with a sticky bit.
+
+    The cut bits are or-ed into the last kept bit, 11 places below the bit
+    that decides rounding to 53 bits, so rounding the cut mantissa half to
+    even gives what rounding the full one gives.  Narrower tuples come back
+    as they are.
+    """
+    sign, man, exp, bc = t
+    if bc <= 1023:
+        return t
+    drop = bc - 64
+    return sign, man >> drop | (man & ((1 << drop) - 1) != 0), exp + drop, 64
 
 
 class DunklWeights:
@@ -215,10 +230,23 @@ class DunklWeights:
         return self._log_d[n]
 
     def _float_view(self, n: int) -> np.ndarray:
-        """float(log_weight(k)) for k = 0..n, from one fill and no mpf: each raw tuple
-        rounded to nearest as ``mpf.__float__`` rounds it."""
+        """float(log_weight(k)) for k = 0..n, from one fill and no mpf.
+
+        ``mpf.__float__`` is ``to_float(t, rnd=round_nearest)``: the mantissa
+        rounded half to even to 53 bits, then ``math.ldexp``.  ``math.ldexp``
+        converts an int mantissa with CPython's int to float conversion, which
+        rounds half to even as well, so ``math.ldexp(man, exp)`` is the same
+        value wherever the scaling is exact.  It is exact here: every entry is
+        0 or at least ln(1 + 2e-12), far above float64's subnormal range, and
+        at most a few times 10^5.  Above 1023 bits, where that conversion would
+        overflow, ``_cut_to_64_bits`` shortens the mantissa first.
+        """
         self._raw_log_weight(n)
-        return np.array([to_float(t, rnd=round_nearest) for t in self._log_d[:n + 1]])
+        entries = self._log_d[:n + 1]
+        if self.precision_bits > 1023:
+            entries = map(_cut_to_64_bits, entries)
+        ldexp = math.ldexp
+        return np.array([ldexp(man, exp) for _, man, exp, _ in entries])
 
     def log_weight(self, n: int) -> mpf:
         return mp.make_mpf(self._raw_log_weight(n))

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_int, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_loggamma,
-                          mpf_lt, mpf_mul, mpf_pos, mpf_pow, mpf_rdiv_int, mpf_shift, mpf_sub,
-                          round_nearest, to_float)
+from mpmath.libmp import (fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_log,
+                          mpf_loggamma, mpf_lt, mpf_mul, mpf_mul_int, mpf_pos, mpf_pow,
+                          mpf_rdiv_int, mpf_shift, mpf_sub, round_nearest, to_fixed, to_float)
+from mpmath.libmp.libelefun import EXP_COSH_CUTOFF
 
 from .dunkl import DunklWeights, _at_table_precision, _check_alpha, _gamma_form
 from .means import MeanParams, P_INF, conjugate_exponent, means_on_grid
@@ -43,19 +44,113 @@ with mp.workprec(DEFAULT_PRECISION_BITS):  # 0.01 is inexact: fix its bits at th
 R_GRID_MAX = mpf(400)
 R_GRID_POINTS = 256
 
+_EXP_ERR_BITS = 6  # mpf_exp's unrounded value is within 2^(6 - wp) of exp(x), relatively
+_GRID_GUARD_BITS = 30  # bits the grid's fixed-point exp(i step) carries beyond mpf_exp's wp
+
 _WALK_MAX_TERMS = 10**6
 ML_GUARD_BITS = 32
 
 
 def standard_r_grid(r_min=R_GRID_MIN, r_max=R_GRID_MAX, points=R_GRID_POINTS):
-    """Log-spaced radius grid used as the default sup surrogate."""
+    """Log-spaced radius grid used as the default sup surrogate.
+
+    Point i is ``r_min * mpmath.exp(i * step)`` with step = (ln r_max - ln
+    r_min) / (points - 1), bit for bit.  While wp = mp.prec + 14 is at most
+    EXP_COSH_CUTOFF, the exponentials come from ``_exp_multiples``: it
+    rounds a fixed-point exp(i step) itself wherever mpf_exp's error bound,
+    2^(6 - wp) relative (read from mpmath 1.3's ``libelefun.mpf_exp`` and
+    ``exp_basecase``, lines 1086-1109 and 1151-1188, and ``ln2_fixed``,
+    ``machin`` and ``constant_memo``, lines 85-170), shows the rounding
+    cannot differ, and calls mpf_exp elsewhere.  Above the cutoff every
+    point calls it.
+    """
     r_min, r_max = mpf(r_min), mpf(r_max)
     if not 0 < r_min < r_max:
         raise ValueError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
     step = (mpmath.ln(r_max) - mpmath.ln(r_min)) / (points - 1)
-    return tuple(r_min * mpmath.exp(i * step) for i in range(points))
+    prec = mp.prec
+    if prec + 14 > EXP_COSH_CUTOFF:
+        return tuple(r_min * mpmath.exp(i * step) for i in range(points))
+    r_min = r_min._mpf_
+    return tuple(mp.make_mpf(mpf_mul(r_min, e, prec, round_nearest))
+                 for e in _exp_multiples(step._mpf_, points, prec))
+
+
+def _exp_multiples(step: tuple, points: int, prec: int):
+    """mpf_exp(RN(i step), prec, round_nearest) for i = 0..points-1, RN(i step)
+    rounded as ``i * step`` rounds it; step > 0 and wp = prec + 14 <= EXP_COSH_CUTOFF.
+
+    The bound.  For x > 0 and such wp, mpmath 1.3's ``mpf_exp`` returns
+    RN(M 2^(n - wp)) with M 2^(n - wp) within 54 2^-wp of exp(x), relatively
+    (for x = 0 and x < 2^-wp it returns 1, which is RN(exp(x)) as well):
+
+    * Reduction.  Below 2 it truncates x to t = floor(x 2^wp), n = 0.  From 2
+      on (mag = exp + bc >= 2) it divides T = floor(x 2^(wp + mag)) by L =
+      ln2_fixed(wp + mag), which is within 2.1 units of ln 2 2^(wp + mag)
+      (``machin``'s three floors at 10 guard bits, then ``constant_memo``'s
+      right shift), and shifts the remainder right by mag.  With 0 <= n <
+      2^mag / ln 2, t 2^-wp is within (1 + 2.1 n + 2^mag) 2^-(wp + mag) <
+      4.3 2^-wp of x - n ln 2.
+    * ``exp_basecase(t, wp)`` sums the Taylor series of exp(xi), xi = t
+      2^-(wp + r) < 2^(1 - r), r = floor(sqrt(wp)), in P = wp + r bit fixed
+      point.  Every quantity is >= 0 and every step a floor, so each added
+      term falls short by less than 1.53 units of 2^-P; at most P / (r - 1)
+      <= 27 terms are nonzero; the terms after the loop stops sum to less
+      than 4.2 units; and s1 xi costs one unit more.  The sum is short of
+      exp(xi) >= 1 by less than 47 units.  Each of the r squarings at most
+      doubles the relative shortfall and adds 2^-P, and the final shift by r
+      loses less than one unit of 2^-wp: M 2^-wp is short of exp(t 2^-wp) by
+      less than 49 2^-wp relative.
+    * Together: 49 + 4.31 < 54 < 2^_EXP_ERR_BITS.
+
+    The steps.  p_i ~ exp(i step) 2^F is carried in F = wp + _GRID_GUARD_BITS
+    bit fixed point: p_0 = 2^F and p_(i+1) = floor(p_i q 2^-F), where q =
+    floor(exp(step) 2^F) comes from mpf_exp at qprec = min(F + 40,
+    EXP_COSH_CUTOFF - 14) bits (within 2^(1 - qprec) relative, by the bound).
+    Each step adds less than (2 + 2^(F + 1 - qprec)) 2^-F relative error.  Then
+    y = p_i exp(delta), delta = RN(i step) - i step taken exactly in integers
+    (|delta| is at most half an ulp of RN(i step); above 1/2 the point falls
+    back), from a k-term fixed-point Taylor sum that adds less than (3 k + 8)
+    2^-F.  So [y - band, y + band] holds both exp(x) 2^F and mpf_exp's
+    unrounded value.  RN is monotone: if no prec-bit rounding midpoint lies in
+    that interval, all three round alike and y is rounded directly.  With
+    band below a quarter of y's ulp at prec bits, the one midpoint within
+    reach is the one nearest y's dropped bits (below a power of two the
+    finer midpoints lie a quarter ulp or more away).  Any other point goes to
+    ``mpf_exp``, as does every point once the step error passes 2^-11.
+    """
+    rnd = round_nearest
+    wp = prec + 14
+    fbits = wp + _GRID_GUARD_BITS
+    qprec = min(fbits + 40, EXP_COSH_CUTOFF - 14)
+    q = to_fixed(mpf_exp(step, qprec, rnd), fbits)
+    per_step = 2 + (1 << max(0, fbits + 1 - qprec))  # relative error per step, units of 2^-F
+    _, s_man, s_exp, _ = step
+    shift = s_exp + fbits
+    p = 1 << fbits
+    for i in range(points):
+        x = mpf_mul_int(step, i, prec, rnd)
+        _, man, exp, _ = x
+        delta = (man << (exp - s_exp)) - i * s_man if man else 0  # units of 2^s_exp
+        delta = delta << shift if shift >= 0 else delta >> -shift
+        y, term, k, size = p, p, 1, abs(delta)
+        while term:  # y = p exp(delta): terms p |delta|^k / k!, alternating when delta < 0
+            term = (term * size >> fbits) // k
+            y += -term if delta < 0 and k & 1 else term
+            k += 1
+        err = i * per_step + 3 * k + 8  # relative error of y, units of 2^-F
+        z = y + (y >> 10) + 1  # at least exp(x) 2^F while err < 2^(F - 11)
+        band = (z >> (wp - _EXP_ERR_BITS)) + ((z >> fbits) + 1) * err
+        half = 1 << (y.bit_length() - prec - 1)
+        off = (y & ((half << 1) - 1)) - half  # y's signed distance from the midpoint of its ulp
+        proved = not (size >> (fbits - 1) or err >> (fbits - 11))  # |delta| <= 1/2, err small
+        if proved and band < half >> 1 and abs(off) > band:
+            yield from_man_exp(y, -fbits, prec, rnd)
+        else:
+            yield mpf_exp(x, prec, rnd)
+        p = p * q >> fbits
 
 
 class RateEnvelope:

@@ -60,7 +60,11 @@ class TruncatedSeries:
             n = int(n)
             if n < 0 or n > trunc_degree:
                 raise ValueError(f"coefficient index {n} outside [0, {trunc_degree}]")
-            # mpc(c) rounds to the working precision: a no-op on an mpc that fits
+            # mpc(c) rounds to the working precision: a no-op on an mpc that fits,
+            # and on a finite nonzero mpf that fits it gives (c, 0), formed here directly
+            if type(c) is mpf and c._mpf_[1] and c._mpf_[3] <= prec:
+                table[n] = mp.make_mpc((c._mpf_, fzero))
+                continue
             if type(c) is not mpc or max(c._mpc_[0][3], c._mpc_[1][3]) > prec:
                 c = mpc(c)
             if c:

@@ -329,6 +329,13 @@ class TestVerifyCommands:
         assert header == "n,ratio,reciprocal"
         assert len(rows) == 1201
 
+    def test_lemma1_fills_the_table_once(self, tmp_path, monkeypatch):
+        fills = []
+        fill = DunklWeights._fill
+        monkeypatch.setattr(DunklWeights, "_fill", lambda w, n: fills.append(n) or fill(w, n))
+        assert main(["verify-lemma1", "--n", "300", "-o", str(tmp_path / "l1.csv")]) == EXIT_OK
+        assert fills == [300]
+
     @pytest.mark.parametrize("ratio,want", [
         (lambda n: 1 + mpf(n % 7) / 100, EXIT_OK),  # both halves span [1, 1.06]
         (lambda n: mpf("1.01") if n == 64 else mpf(1), EXIT_OK),  # late max at the bound

@@ -11,7 +11,8 @@ import mpmath
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import mpf_add, round_nearest, to_float
+from mpmath.libmp import (from_int, fzero, mpf_add, mpf_div, round_down, round_nearest,
+                          round_up, to_float)
 
 from dunkldyn import construct
 from dunkldyn.construct import (
@@ -29,6 +30,7 @@ from dunkldyn.construct import (
     InfeasibleConstruction,
     _NormKernel,
     _calibrate_fillers,
+    _div_int,
     _phi_at,
     build_frequently_hypercyclic,
     build_hypercyclic,
@@ -919,6 +921,54 @@ def _density_decay_mpf(f, w, q, M):
     return [s._mpf_ for s in sigma], [e._mpf_ for e in events], holds
 
 
+def _raw(man: int, exp: int) -> tuple:
+    """The normalised raw tuple of man 2^exp, man > 0."""
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return (0, man, exp + zeros, man.bit_length())
+
+
+DIVIDER_BITS = [8, 12, 16, 24, 53, 64, 256]
+
+
+class TestExactDivider:
+    @pytest.mark.parametrize("bits", DIVIDER_BITS)
+    def test_equals_mpf_div_on_random_tuples(self, bits):
+        # the loop's operands (prec bits), wider ones, and divisors up to 2^13
+        rng = random.Random(bits)
+        for _ in range(3000):
+            width = rng.choice([1, 2, bits, bits, bits + rng.randint(1, 40)])
+            t = _raw(rng.getrandbits(width) | 1 << (width - 1), rng.randint(-300, 60))
+            m = rng.choice([rng.randint(1, 16), rng.randint(1, 8192), 1 << rng.randint(0, 13)])
+            assert _div_int(t, m, bits) == mpf_div(t, from_int(m), bits, round_nearest)
+
+    @pytest.mark.parametrize("bits", DIVIDER_BITS)
+    def test_equals_mpf_div_at_and_beside_ties(self, bits):
+        # t = m j with j odd of bits + 1 bits: t / m = j lies halfway between two
+        # neighbours at bits, where half to even and half away from zero part;
+        # t +- 1 sits just beside the tie, decided by the remainder alone
+        rng = random.Random(-bits)
+        ties = 0
+        for _ in range(1500):
+            m = rng.randint(3, 4096) | 1
+            j = rng.getrandbits(bits + 1) | 1 << bits | 1
+            for offset in (0, 1, -1):
+                t = _raw(m * j + offset, rng.randint(-80, 20))
+                got = _div_int(t, m, bits)
+                assert got == mpf_div(t, from_int(m), bits, round_nearest)
+                if offset == 0:
+                    ties += 1
+                    up = mpf_div(t, from_int(m), bits, round_up)
+                    down = mpf_div(t, from_int(m), bits, round_down)
+                    assert up != down and got in (up, down)
+        assert ties == 1500
+
+    def test_zero_inf_and_nan_come_back_as_mpf_div_gives_them(self):
+        for t in (fzero, mpf("inf")._mpf_, mpf("nan")._mpf_):
+            for m in (1, 2, 3, 4096):
+                assert _div_int(t, m, 53) == mpf_div(t, from_int(m), 53, round_nearest)
+
+
 class TestDensityDecay:
     @pytest.mark.parametrize("bits", [64, 256])
     def test_equals_mpf_operators(self, bits):
@@ -939,6 +989,35 @@ class TestDensityDecay:
                 assert [s._mpf_ for s in got.sigma] == sigma
                 assert [e._mpf_ for e in got.event_density] == events
                 assert got.bound_holds == holds
+
+    def test_bound_test_past_its_fast_path_equals_mpf_operators(self):
+        # every d_n = 1 at 8 bits, so v = |c_n|: c_1 lifts the sum to about 520, where
+        # adding v = 1.5 no longer moves it (half an ulp is 2), and the next 999 events
+        # lift the count past the sum; from there RN(count) > sum, the density may
+        # exceed sigma, and the bound test is formed in full at every m
+        with mp.workprec(8):
+            w = DunklWeights(0, 1024)
+            w._log_d = [fzero] * 1025
+            f = TruncatedSeries({1: mpf(520), **{n: mpf(1.5) for n in range(2, 1001)}},
+                                trunc_degree=1024)
+        got = density_decay_check(f, w, 1, 1024)
+        sigma, events, holds = _density_decay_mpf(f, w, 1, 1024)
+        assert [s._mpf_ for s in got.sigma] == sigma
+        assert [e._mpf_ for e in got.event_density] == events
+        assert got.bound_holds is holds is True  # the slack is 2^16 at 8 bits
+        above = [e > s for e, s in zip(got.event_density, got.sigma)]
+        assert any(above) and not all(above)
+
+    def test_nan_sum_fails_the_bound_as_the_mpf_operators_do(self):
+        # a nan coefficient makes every later sigma nan: RN(count) <= sum is false, and
+        # the full test e <= s + slack is false too
+        w = DunklWeights(0, 64)
+        f = TruncatedSeries({3: 1, 5: mpf("nan"), 9: 2}, trunc_degree=64)
+        got = density_decay_check(f, w, 2, 64)
+        sigma, events, holds = _density_decay_mpf(f, w, 2, 64)
+        assert [s._mpf_ for s in got.sigma] == sigma
+        assert [e._mpf_ for e in got.event_density] == events
+        assert got.bound_holds is holds is False
 
     def test_sparse_build_sigma_vanishes(self):
         w = DunklWeights(0, 4096)

@@ -1,5 +1,6 @@
 """Weight tables and operator actions: recurrence vs closed form, dual routes."""
 
+import math
 import random
 
 import mpmath
@@ -257,6 +258,41 @@ class TestExactAdder:
         assert len(w._log_d) == self.N + 1
         assert np.array_equal(got, [float(w.log_weight(n)) for n in range(self.N + 1)])
         assert np.array_equal(w._float_view(10), got[:11])
+
+    @pytest.mark.parametrize("bits, n", [(8, 4096), (24, 4096), (53, 4096), (256, 4096),
+                                         (2600, 512)])
+    def test_float_view_at_each_precision(self, bits, n):
+        with mpmath.workprec(bits):
+            w = DunklWeights(1, n)
+        got = w._float_view(n)
+        assert len(w._log_d) == n + 1
+        assert np.array_equal(got, [float(w.log_weight(k)) for k in range(n + 1)])
+        assert np.array_equal(w._float_view(10), got[:11])
+
+    @pytest.mark.parametrize("bits", [1024, 1100, 2600])
+    def test_float_view_of_wide_mantissas_at_and_beside_ties(self, bits):
+        # mantissas of more than 1023 bits whose first 54 bits end in a rounding tie:
+        # exact ties, and ties with one set bit far below (past the 64 bits kept),
+        # which only the sticky bit carries into the rounding
+        rng = random.Random(bits)
+        entries = [libmp.fzero]
+        for head in (1 << 52, (1 << 52) + 1, (1 << 53) - 1, *(rng.getrandbits(52) | 1 << 52
+                                                              for _ in range(40))):
+            for low in (0, 1, 1 << (bits - 70)):
+                man = (head << (bits - 53)) | 1 << (bits - 54) | low
+                zeros = (man & -man).bit_length() - 1
+                entries.append((0, man >> zeros, rng.randint(-bits - 20, -bits + 20) + zeros,
+                                (man >> zeros).bit_length()))
+        with mpmath.workprec(bits):
+            w = DunklWeights(1, len(entries) - 1)
+        w._log_d = entries
+        want = [libmp.to_float(t, rnd=libmp.round_nearest) for t in entries]
+        assert np.array_equal(w._float_view(len(entries) - 1), want)
+        # cut to 64 bits without the sticky bit, the just-above-tie entries of even head
+        # round down
+        unsticky = [math.ldexp(man >> max(bc - 64, 0), exp + max(bc - 64, 0))
+                    for _, man, exp, bc in entries]
+        assert sum(a != b for a, b in zip(unsticky, want)) >= 20
 
 
 class TestFloatLogWeights:

@@ -4,17 +4,21 @@ The band endpoints and sups below are golden values from the first
 calibration run at 256-bit precision; the tests allow at most 1% drift.
 """
 
+import math
+import random
 import time
 
 import mpmath
 import pytest
 from mpmath import libmp, mp, mpf
-from mpmath.libmp.libelefun import log_taylor_cached
+from mpmath.libmp.libelefun import EXP_COSH_CUTOFF, exp_basecase, ln2_fixed, log_taylor_cached
 
 from dunkldyn import dunkl, growth
 from dunkldyn.dunkl import DunklWeights
 from dunkldyn.growth import (
     ML_GUARD_BITS,
+    R_GRID_MAX,
+    R_GRID_MIN,
     RateEnvelope,
     _ml_peak_walk,
     barnes_asymptotic,
@@ -76,6 +80,137 @@ class TestGridAndEnvelope:
             RateEnvelope(lambda r: 1 / (1 + r)).validate_on(grid)
         with pytest.raises(ValueError, match="not growing"):
             RateEnvelope(lambda r: mpf(3)).validate_on(grid)
+
+
+def _grid_reference(r_min, r_max, points):
+    """standard_r_grid's definition at the ambient precision, as raw tuples."""
+    r_min, r_max = mpf(r_min), mpf(r_max)
+    step = (mpmath.ln(r_max) - mpmath.ln(r_min)) / (points - 1)
+    return [(r_min * mpmath.exp(i * step))._mpf_ for i in range(points)]
+
+
+# (r_min, r_max, points): the default grid, long grids over wide and narrow ranges,
+# the two-point grid, and one whose exponents pass 2^7
+GRID_RANGES = [(R_GRID_MIN, R_GRID_MAX, 256), ("0.5", "1e6", 4096), ("1", "2", 1000),
+               ("1e-5", "1e5", 777), ("3", "7", 2), ("1", "1e100", 300)]
+
+
+def _counting_mpf_exp(monkeypatch):
+    """Route growth's mpf_exp through a recorder; returns the list of its arguments."""
+    calls = []
+
+    def counting(x, prec, rnd):
+        calls.append(x)
+        return libmp.mpf_exp(x, prec, rnd)
+
+    monkeypatch.setattr(growth, "mpf_exp", counting)
+    return calls
+
+
+class TestRadiusGrid:
+    @pytest.mark.parametrize("bits", [8, 9, 12, 16, 24, 53, 64, 128, 256, 400, 512, 586, 587,
+                                      600, 1000])
+    def test_equals_its_mpf_definition(self, bits):
+        with mp.workprec(bits):
+            for r_min, r_max, points in GRID_RANGES:
+                got = standard_r_grid(mpf(r_min), mpf(r_max), points)
+                assert [r._mpf_ for r in got] == _grid_reference(r_min, r_max, points)
+
+    def test_every_point_inside_the_band_goes_to_mpf_exp(self, monkeypatch):
+        # a band as wide as the value itself leaves no point to the fixed-point rounding
+        calls = _counting_mpf_exp(monkeypatch)
+        monkeypatch.setattr(growth, "_EXP_ERR_BITS", mp.prec + 14)
+        got = standard_r_grid(points=256)
+        assert len(calls) == 1 + 256  # exp(step), then every point
+        assert [r._mpf_ for r in got] == _grid_reference(R_GRID_MIN, R_GRID_MAX, 256)
+
+    def test_few_points_fall_back_at_256_bits(self, monkeypatch):
+        # a point falls back when exp(x) lies within 2^(6 - wp) relative of a rounding
+        # midpoint, under 2^-7 of the points
+        calls = _counting_mpf_exp(monkeypatch)
+        points = fallbacks = 0
+        for r_min, r_max, n in GRID_RANGES:
+            before = len(calls)
+            standard_r_grid(mpf(r_min), mpf(r_max), n)
+            points, fallbacks = points + n, fallbacks + len(calls) - before - 1
+        assert 0 < fallbacks < points / 128
+
+    @pytest.mark.parametrize("bits, fast", [(8, True), (586, True), (587, False), (600, False),
+                                            (1000, False)])
+    def test_fixed_point_route_stops_at_the_exp_cosh_cutoff(self, monkeypatch, bits, fast):
+        used = []
+        route = growth._exp_multiples
+        monkeypatch.setattr(growth, "_exp_multiples", lambda *a: used.append(a) or route(*a))
+        with mp.workprec(bits):
+            standard_r_grid(points=8)
+        assert bool(used) == fast and EXP_COSH_CUTOFF == 600
+
+
+def _mpf_exp_unrounded(x, prec):
+    """(M, n, wp) for mpmath 1.3's mpf_exp(x, prec), x > 0, prec + 14 <= EXP_COSH_CUTOFF:
+    its value before rounding is M 2^(n - wp) (libelefun.py lines 1152-1187)."""
+    _, man, exp, bc = x
+    mag, wp = bc + exp, prec + 14
+    if mag > 1:
+        offset = exp + wp + mag
+        t = man << offset if offset >= 0 else man >> -offset
+        n, t = divmod(t, ln2_fixed(wp + mag))
+        t >>= mag
+    else:
+        offset = exp + wp
+        t = man << offset if offset >= 0 else man >> -offset
+        n = 0
+    return exp_basecase(t, wp), int(n), wp
+
+
+class TestMpfExpBound:
+    def test_the_derivation_fits_the_band(self):
+        # the figures of growth._exp_multiples' proof, recomputed at every wp it covers
+        reduction = 0.25 + 2.1 / math.log(2) + 1  # (1 + 2.1 n + 2^mag) 2^-mag, mag >= 2
+        worst = most_terms = 0
+        for wp in range(15, EXP_COSH_CUTOFF + 1):
+            r = int(wp**0.5)
+            xi2 = 2.0 ** (2 - 2 * r)  # xi^2 < (2^(1 - r))^2
+            # shortfall of each term: x2 < 1; a division by k: d / k + 1; a product
+            # with x2: 1 + xi^2 d, plus 1 for its floor
+            d, k, added, products = 1.0, 2, [], [1.0]
+            for _ in range(40):
+                d = d / k + 1
+                added.append(d)
+                d = d / (k + 1) + 1
+                added.append(d)
+                k += 2
+                d = 2 + xi2 * d
+                products.append(d)
+            terms = (wp + r) / (r - 1)  # nonzero terms: xi^m / m! >= 2^-P needs m (r - 1) < P
+            tail = 2 * max(products)  # terms after the loop stops, each ratio at most 1/2
+            sum_short = max(added) * terms + tail + 1  # + 1: the floor of s1 xi
+            basecase = sum_short + 1 + 1  # the r squarings, then the final shift
+            worst = max(worst, basecase + reduction * 1.001)
+            most_terms = max(most_terms, terms)
+            assert max(added) < 1.53 and tail < 4.2
+        assert most_terms < 28
+        assert worst < 54 <= 2**growth._EXP_ERR_BITS
+
+    def test_ln2_fixed_within_the_bound(self):
+        # the reduction's divisor, whatever precision its memo was filled at
+        with mp.workprec(3000):
+            ln2 = mpmath.ln(2)
+            for p in [*range(20, 700, 7), *range(700, 20, -13)]:
+                assert abs(ln2_fixed(p) - ln2 * 2**p) < mpf("2.1")
+
+    @pytest.mark.parametrize("bits", [8, 24, 53, 128, 256, 586])
+    def test_unrounded_value_within_the_bound(self, bits):
+        rng = random.Random(bits)
+        for _ in range(400):
+            man = rng.getrandbits(bits) | 1 << (bits - 1)
+            x = libmp.from_man_exp(man, rng.randint(-bits - 12, 9 - bits), bits)
+            m, n, wp = _mpf_exp_unrounded(x, bits)
+            assert (libmp.from_man_exp(m, n - wp, bits, libmp.round_nearest)
+                    == libmp.mpf_exp(x, bits, libmp.round_nearest))
+            with mp.workprec(3 * wp):
+                rel = abs(mpf(m) * mpf(2) ** (n - wp) / mpmath.exp(mp.make_mpf(x)) - 1)
+                assert rel * mpf(2) ** wp < 54
 
 
 class TestRateExponent:

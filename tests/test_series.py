@@ -51,6 +51,26 @@ class TestBasics:
         assert f.coeff(1)._mpc_ == mpc(c)._mpc_
         assert f.coeff(1)._mpc_ != c._mpc_
 
+    @pytest.mark.parametrize("bits", [8, 53, 256, 2600])
+    def test_mpf_coefficient_stored_as_the_mpc_of_it(self, bits):
+        # a finite nonzero mpf that fits the precision is stored as (c, 0) directly;
+        # wider, zero, infinite and nan values go through mpc(c), and zero is dropped
+        rng = random.Random(bits)
+        with mp.workprec(bits + 40):
+            wide = [mpf(rng.getrandbits(bits + 40) | 1) * mpf(2) ** rng.randint(-300, 300)
+                    for _ in range(20)]
+        with mp.workprec(bits):
+            narrow = [mpf(rng.getrandbits(bits) | 1) * mpf(2) ** rng.randint(-300, 300)
+                      for _ in range(20)]
+            values = [*narrow, *(-x for x in narrow), *wide, *(-x for x in wide),
+                      mpf(rng.uniform(-1, 1)), mpf(0), mpf("inf"), mpf("-inf"), mpf("nan")]
+            for c in values:
+                f = TruncatedSeries({3: c}, trunc_degree=4)
+                want = mpc(c)
+                assert f.n_nonzero() == (1 if want else 0)
+                assert f.coeff(3)._mpc_ == want._mpc_
+        assert any(x._mpf_[3] > bits for x in wide)
+
     def test_zero_dropped_and_nan_kept(self):
         f = TruncatedSeries({0: mpc(0), 1: mpc(mpf("nan")), 2: mpf(0)}, trunc_degree=4)
         assert [n for n, _ in f.items()] == [1]
