@@ -19,6 +19,15 @@ The lemma ratios and ``_peak_walk``, which sums both kernel sums out from near
 their largest term, run on raw libmp tuples at an explicit precision, skipping
 mpmath's per-operation wrapper; each gives the ``_mpf_`` of the mpf expression
 it replaces, bit for bit, and that expression is its oracle in the tests.
+
+The walk's steps go one layer lower, to exact integers.  A product of two raw
+tuples is the exact product of their odd mantissas, rounded once half to even
+at the walk's precision.  A quotient is an integer division carrying at least
+prec + 2 bits, so its remainder lies below the rounding bit and only decides a
+tie, as a sticky bit (``_rn``).  ``_peak_walk`` adds each term to its total
+exactly and rounds the sum the same way.  ``mpf_mul``, ``mpf_div``,
+``mpf_rdiv_int`` and ``mpf_add`` are correctly rounded at round_nearest, so
+each has one answer, and that is the one the integers give.
 """
 
 from __future__ import annotations
@@ -30,8 +39,8 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import (fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_log,
-                          mpf_loggamma, mpf_lt, mpf_mul, mpf_mul_int, mpf_pos, mpf_pow,
-                          mpf_rdiv_int, mpf_shift, mpf_sub, round_nearest, to_fixed, to_float)
+                          mpf_loggamma, mpf_lt, mpf_mul, mpf_mul_int, mpf_pos, mpf_pow, mpf_sub,
+                          round_nearest, to_fixed, to_float)
 from mpmath.libmp.libelefun import EXP_COSH_CUTOFF
 
 from .dunkl import DunklWeights, _at_table_precision, _check_alpha, _gamma_form
@@ -256,6 +265,36 @@ def mittag_leffler(z, ml_alpha, theta, beta) -> mpf:
     return _ml_peak_walk(mpmath.re(z), ml, theta, beta, mpf(2) ** (16 - mp.prec))
 
 
+def _rn(man: int, exp: int, prec: int, div: int = 1) -> tuple:
+    """RN(man 2^exp / div) at prec bits, half to even, as a normalised raw tuple; man, div >= 1.
+
+    A product of two raw tuples is passed as the exact product of their
+    mantissas (div 1) and rounded once, as ``mpf_mul`` rounds it.  For div >
+    1 the integer quotient is taken with at least prec + 2 bits (man 2^shift /
+    div >= 2^(bc - 1 + shift - div.bit_length()) >= 2^(prec + 1)), so the
+    remainder lies below the rounding bit and acts as a sticky bit: it only
+    decides a tie.  Both ``mpf_div`` and ``mpf_rdiv_int`` are correctly
+    rounded, so their answer is unique and this is it.
+    """
+    rem = 0
+    if div != 1:
+        shift = max(prec + 2 + div.bit_length() - man.bit_length(), 0)
+        man, rem = divmod(man << shift, div)
+        exp -= shift
+    drop = man.bit_length() - prec
+    if drop > 0:
+        kept = man >> (drop - 1)  # the kept bits and the first dropped one
+        if kept & 1 and (kept & 2 or rem or man & ((1 << (drop - 1)) - 1)):
+            man = (kept >> 1) + 1
+        else:
+            man = kept >> 1
+        exp += drop
+    if not man & 1:
+        zeros = (man & -man).bit_length() - 1
+        man, exp = man >> zeros, exp + zeros
+    return (0, man, exp, man.bit_length())
+
+
 def _peak_walk(n0, width, t0, side, cut_bits, wp, what) -> tuple:
     """The raw sum of positive terms t_n, n >= 0, walked out both ways from t0 = t_(n0).
 
@@ -266,22 +305,58 @@ def _peak_walk(n0, width, t0, side, cut_bits, wp, what) -> tuple:
     s rho/(1 - rho) are both below 2^-cut_bits of the running total, summed at
     wp bits.  A side walks about width terms; past _WALK_MAX_TERMS, estimated
     or walked, it raises ValueError(what).
+
+    The total is kept as an exact pair man 2^exp of at most wp significant
+    bits (t0 and every term have at most wp bits, as every caller's have).
+    Each term is added exactly, the two mantissas aligned at the lower
+    exponent, and the sum is rounded once half to even at wp bits:
+    ``mpf_add``'s value, which for such operands is correctly rounded (its
+    far-offset shortcut only stands in a sticky bit for the smaller operand).
+    A term below 2^(top - wp - 1), top the total's magnitude, is under half an
+    ulp of the total, which that rounding returns unchanged, so it is not
+    added.  "term < total 2^-cut_bits" is ``mpf_lt``'s exact answer: by
+    magnitude, and at equal magnitudes by the aligned mantissas.  Only the
+    tail test, reached near a side's end, runs on mpf operators.
     """
     too_long = ValueError(f"{what}: its walk from the peak would pass {_WALK_MAX_TERMS} terms")
     if width + min(n0, width) > _WALK_MAX_TERMS:
         raise too_long
-    total, rnd = t0, round_nearest
+    _, man, exp, _ = t0
+    rnd = round_nearest
     for up in (True, False):
         for k, (t, bound) in enumerate(side(up)):
-            if bound and mpf_lt(t, cap := mpf_shift(total, -cut_bits)):  # bound >= t
-                s, rho = bound()
-                if mpf_lt(rho, fone) and mpf_lt(mpf_mul(s, rho, wp, rnd), mpf_mul(
-                        cap, mpf_sub(fone, rho, wp, rnd), wp, rnd)):
-                    break
+            _, t_man, t_exp, t_bc = t
+            top = exp + man.bit_length()  # 2^(top - 1) <= total < 2^top
+            if bound:  # bound >= t: is t < total 2^-cut_bits?
+                gap = top - cut_bits - t_exp - t_bc  # the cap's magnitude less the term's
+                if gap:
+                    below = gap > 0
+                else:  # equal magnitudes: compare the aligned mantissas
+                    shift = t_exp + cut_bits - exp
+                    below = man > t_man << shift if shift >= 0 else man << -shift > t_man
+                if below:
+                    cap = from_man_exp(man, exp - cut_bits)
+                    s, rho = bound()
+                    if mpf_lt(rho, fone) and mpf_lt(mpf_mul(s, rho, wp, rnd), mpf_mul(
+                            cap, mpf_sub(fone, rho, wp, rnd), wp, rnd)):
+                        break
             if k == _WALK_MAX_TERMS:
                 raise too_long
-            total = mpf_add(total, t, wp, rnd)
-    return total
+            if t_exp + t_bc < top - wp:  # t < half an ulp of the total
+                continue
+            if t_exp < exp:
+                man, exp = (man << (exp - t_exp)) + t_man, t_exp
+            else:
+                man += t_man << (t_exp - exp)
+            drop = man.bit_length() - wp
+            if drop > 0:
+                kept = man >> (drop - 1)  # the kept bits and the first dropped one
+                if kept & 1 and (kept & 2 or man & ((1 << (drop - 1)) - 1)):
+                    man = (kept >> 1) + 1
+                else:
+                    man = kept >> 1
+                exp += drop
+    return from_man_exp(man, exp)
 
 
 def _up_side_outruns_cap(ln_x: float, ml: float, theta: tuple, beta: float, n0: int,
@@ -340,6 +415,13 @@ def _ml_peak_walk(x, ml, theta, beta, tol) -> mpf:
     cut is tol/2.  At other orders each g comes from that formula, so no
     rounding builds up, and the cut is tol 2^-ML_GUARD_BITS, which keeps the
     sum within an ulp of its closed form at ml = 1/2.
+
+    The integer-order step is rho = RN(x/falling) up and RN(falling/x) down,
+    each an integer quotient with its remainder as a sticky bit, then RN(g
+    rho) from the exact product of the mantissas (``_rn``): the values of
+    ``mpf_div``, ``mpf_rdiv_int`` and ``mpf_mul`` at wp.  The weight and rising
+    term formulas, the fractional-order g and the tail bounds stay on mpf;
+    only their sum and stop test take ``_peak_walk``'s integers.
     """
     prec, wp, rnd = mp.prec, mp.prec + ML_GUARD_BITS, round_nearest
     integer = isinstance(ml, int)
@@ -351,6 +433,7 @@ def _ml_peak_walk(x, ml, theta, beta, tol) -> mpf:
     what = f"Mittag-Leffler sum at z={mpmath.nstr(x, 8)} for ml_alpha={mpmath.nstr(ml, 8)}"
     weighted, rising = beta != 0, beta < 0
     x, theta, beta = x._mpf_, theta._mpf_, beta._mpf_
+    _, x_man, x_exp, _ = x
     ml_ = from_int(ml) if integer else ml._mpf_
     ln_x = mpf_log(x, wp, rnd)
 
@@ -375,11 +458,10 @@ def _ml_peak_walk(x, ml, theta, beta, tol) -> mpf:
             return (t if up or weight_max is None else mpf_mul(g, weight_max, wp, rnd)), rho
 
         while up or n > 0:
-            if integer:  # g's ratio for the step away from the peak
+            if integer:  # g's ratio for the step away from the peak, x/falling or falling/x
                 falling = math.prod(ml * (n if up else n - 1) + i for i in range(1, ml + 1))
-                rho = (mpf_div(x, from_int(falling), wp, rnd) if up
-                       else mpf_rdiv_int(falling, x, wp, rnd))
-                g_next = mpf_mul(g, rho, wp, rnd)
+                rho = _rn(x_man, x_exp, wp, falling) if up else _rn(falling, -x_exp, wp, x_man)
+                g_next = _rn(g[1] * rho[1], g[2] + rho[2], wp)
             n += 1 if up else -1
             if not integer:
                 g_next = g_at(n)
@@ -420,6 +502,13 @@ def lemma3_on_grid(radii, q, w: DunklWeights) -> list:
     below half an ulp.  A sum starts at n0 = floor(r) if width = sqrt(4 ln2
     prec r) < n0 (r > 710 at 256 bits), with t_(n0) from the closed Gamma
     form at ML_GUARD_BITS more bits, and else walks up from t_0 = 1.
+
+    A step up is RN(RN(t_n r^q) a_(n+1)^(-q)), each rounding of an exact
+    product of odd mantissas; a step down is RN(RN(t_n / r^q) / a_n^(-q)),
+    each an integer quotient of at least prec + 2 bits with its remainder as a
+    sticky bit (``_rn``).  Both are the values the mpf_mul and mpf_div calls
+    of the same expression give; the sum and its stop test are
+    ``_peak_walk``'s exact ones.
     """
     radii = [mpf(r) for r in radii]
     for r in radii:
@@ -440,18 +529,21 @@ def lemma3_on_grid(radii, q, w: DunklWeights) -> list:
             return t, ((r / n if up else (n + 2 * w.alpha + 2) / r) ** q)._mpf_
 
         while up or n > 0:
-            if up:
+            _, a_man, a_exp, _ = inv_a_q(n + 1 if up else n)
+            if up:  # RN(RN(t r^q) a_n^(-q))
                 n += 1
-                t_next = mpf_mul(mpf_mul(t, r_q, prec, rnd), inv_a_q(n), prec, rnd)
-            else:
-                t_next = mpf_div(mpf_div(t, r_q, prec, rnd), inv_a_q(n), prec, rnd)
+                _, man, exp, _ = _rn(t[1] * rq_man, t[2] + rq_exp, prec)
+                t_next = _rn(man * a_man, exp + a_exp, prec)
+            else:  # RN(RN(t / r^q) / a_n^(-q))
+                _, man, exp, _ = _rn(t[1], t[2] - rq_exp, prec, rq_man)
+                t_next = _rn(man, exp - a_exp, prec, a_man)
                 n -= 1
             yield t_next, (None if up and n <= floor_r else bound)  # up to r, rho >= 1
             t = t_next
 
     ratios = []
     for r in radii:
-        r_q, floor_r, width = (r**q)._mpf_, int(r), math.sqrt(four_l * float(r))
+        (_, rq_man, rq_exp, _), floor_r, width = (r**q)._mpf_, int(r), math.sqrt(four_l * float(r))
         n0, t0 = floor_r if width < floor_r else 0, fone  # t_0 = r^0 / d_0^q
         if n0:
             with mp.workprec(prec + ML_GUARD_BITS):

@@ -5,12 +5,14 @@ twelve subcommands: hc builds at five alphas with their plans read back by
 ``orbit --plan``, fhc builds at p = 1, 2 and inf with
 ``frequency`` and ``decay`` on each, ``weights`` at alpha 0.5 and at -0.49
 (whose 4097 entries fill on the tuple route), the four ``verify-*``
-commands (``verify-barnes`` at an integer and a fractional order), ``means``
-at p = 1 and 2, ``apply`` at three precisions, and the windowed C_star
-ladder of ``orbit --windows`` on an hc series and on a prime-degree fhc
-series, whose M_1 samples take the split transform.  Rows run in order in
-one directory, and later rows read the files earlier rows wrote.  Every name
-is fixed and relative, because the CSV banner records input and output paths.
+commands (``verify-lemma3`` also on sums walked from floor(r) > 710,
+``verify-barnes`` at an integer and a fractional order and on weighted and
+rising terms), ``means`` at p = 1 and 2, ``apply`` at three precisions, and
+the windowed C_star ladder of ``orbit --windows`` on an hc series and on a
+prime-degree fhc series, whose M_1 samples take the split transform.  Rows
+run in order in one directory, and later rows read the files earlier rows
+wrote.  Every name is fixed and relative, because the CSV banner records
+input and output paths.
 
 Each output must match ``byte_identity.json``.  Most files match by SHA-256.
 The files in ``APPROX`` take their numbers from float64 FFT sums (``means`` at
@@ -62,6 +64,12 @@ ROWS = (
     ["verify-barnes", "--r-points", "4", "-o", "barnes.csv"],
     ["verify-barnes", "--ml-alpha", "0.5", "--r-min", "10", "--r-max", "30", "--r-points", "2",
      "-o", "barnes-half.csv"],
+    ["verify-lemma3", "--r-min", "800", "--r-max", "3000", "--r-points", "8",
+     "-o", "lemma3-peak.csv"],
+    ["verify-barnes", "--ml-alpha", "2", "--beta", "1", "--theta", "0.5", "--r-points", "4",
+     "-o", "barnes-weighted.csv"],
+    ["verify-barnes", "--ml-alpha", "1", "--beta", "-1.5", "--r-min", "1000", "--r-max", "2000",
+     "--r-points", "2", "-o", "barnes-rising.csv"],
     ["means", "--input", "fhc1.series", "--p", "1", "--r-points", "64", "-o", "means1.csv"],
     ["means", "--input", "fhc2.series", "--p", "2", "-o", "means2.csv"],
     *[["apply", "--input", "fhc2.series", "--k", "3", "--precision-bits", bits,

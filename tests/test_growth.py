@@ -364,8 +364,11 @@ def _ml_from_zero(x, ml, theta, beta):
             n += 1
 
 
-def _ml_peak_walk_mpf(x, ml, theta, beta, tol):
-    """_ml_peak_walk in mpf operators: the oracle its raw-tuple walk must equal bit for bit."""
+def _ml_peak_walk_mpf(x, ml, theta, beta, tol, unrounded=False):
+    """_ml_peak_walk in mpf operators: the oracle its raw-tuple walk must equal bit for bit.
+
+    unrounded=True returns the walk's total at its ML_GUARD_BITS more bits.
+    """
     integer = isinstance(ml, int)
     cut = tol / 2 if integer else tol * mpf(2) ** -ML_GUARD_BITS
     with mp.workprec(mp.prec + ML_GUARD_BITS):
@@ -403,7 +406,7 @@ def _ml_peak_walk_mpf(x, ml, theta, beta, tol):
                         break
                 total += t_next
                 g, t = g_next, t_next
-    return +total
+    return total if unrounded else +total
 
 
 def _lemma3_mpf(radii, q, w):
@@ -642,6 +645,230 @@ class TestLemma3:
             lemma3_on_grid([mpf(1)], mpf("2.5"), w)
         with pytest.raises(ValueError):
             lemma3_on_grid([mpf(-1)], 1, w)
+
+
+def _lemma3_peak_mpf(radii, q, w):
+    """lemma3_on_grid in mpf operators, started and stopped as it walks: its bit-for-bit oracle.
+
+    It runs at the table's precision, starts at n0 = floor(r) where the
+    walk's width sqrt(4 ln2 prec r) is below n0 (t_(n0) from the closed Gamma
+    form at ML_GUARD_BITS more bits) and else at t_0 = 1, and stops a side
+    where the term and its geometric tail are below 2^-(prec + 1) of the total.
+    Returns the sums and the ratios.
+    """
+    with mp.workprec(w.precision_bits):
+        prec = mp.prec
+        a = rate_exponent(conjugate_exponent(q), w.alpha, "fhc_upper")
+        cut = mpf(2) ** -(prec + 1)
+        totals, ratios = [], []
+        for r in radii:
+            r_q, floor_r = r**q, int(r)
+            n0 = floor_r if math.sqrt(4 * prec * math.log(2) * float(r)) < floor_r else 0
+            t0 = mpf(1)
+            if n0:
+                with mp.workprec(prec + ML_GUARD_BITS):
+                    exponent = q * (n0 * mpmath.ln(r) - dunkl._gamma_form(w.alpha, n0))
+                t0 = mpmath.exp(exponent)
+            total = t0
+            for up in (True, False):
+                n, t = n0, t0
+                while up or n > 0:
+                    if up:
+                        n += 1
+                        t_next = t * r_q * mp.make_mpf(w._raw_ratio(n)) ** -q
+                    else:
+                        t_next = t / r_q / mp.make_mpf(w._raw_ratio(n)) ** -q
+                        n -= 1
+                    cap = total * cut
+                    if not (up and n <= floor_r) and t_next < cap:
+                        rho = (r / n if up else (n + 2 * w.alpha + 2) / r) ** q
+                        if rho < 1 and t * rho < cap * (1 - rho):
+                            break
+                    total += t_next
+                    t = t_next
+            totals.append(total)
+            ratios.append(mpmath.exp(mpmath.ln(total) - q * (r - a * mpmath.ln(r))))
+        return totals, ratios
+
+
+def _peak_walk_mpf(n0, width, t0, side, cut_bits, wp, what):
+    """_peak_walk with its total and stop test in libmp operators: its bit-for-bit oracle."""
+    total, rnd = t0, libmp.round_nearest
+    for up in (True, False):
+        for t, bound in side(up):
+            if bound and libmp.mpf_lt(t, cap := libmp.mpf_shift(total, -cut_bits)):
+                s, rho = bound()
+                if libmp.mpf_lt(rho, libmp.fone) and libmp.mpf_lt(
+                        libmp.mpf_mul(s, rho, wp, rnd),
+                        libmp.mpf_mul(cap, libmp.mpf_sub(libmp.fone, rho, wp, rnd), wp, rnd)):
+                    break
+            total = libmp.mpf_add(total, t, wp, rnd)
+    return total
+
+
+class _RoundingCensus:
+    """Counts, in the mpf operators, the rounding cases an exact-integer walk must get right.
+
+    A product or sum of odd mantissas lands exactly on a rounding midpoint at
+    prec bits when its exact normalised mantissa has prec + 1 bits; a quotient
+    leaves a remainder when the divisor's odd mantissa does not divide the
+    dividend's.
+    """
+
+    def __init__(self, monkeypatch):
+        self.ties = {"mul": 0, "add": 0}
+        self.inexact_quotients = 0
+        ops = mpmath.ctx_mp_python
+        for name in ("mpf_mul", "mpf_add"):
+            monkeypatch.setattr(ops, name, self._tie_counter(name[4:], getattr(libmp, name)))
+        monkeypatch.setattr(ops, "mpf_div", self._quotient_counter(
+            libmp.mpf_div, lambda s, t: s[1] % t[1]))
+        monkeypatch.setattr(ops, "mpf_rdiv_int", self._quotient_counter(
+            libmp.mpf_rdiv_int, lambda n, t: n % t[1]))
+
+    def _tie_counter(self, kind, op):
+        def counted(s, t, prec=0, rnd=libmp.round_down):
+            if prec and s[1] and t[1] and op(s, t)[3] == prec + 1:
+                self.ties[kind] += 1
+            return op(s, t, prec, rnd)
+        return counted
+
+    def _quotient_counter(self, op, remainder):
+        def counted(s, t, prec, rnd=libmp.round_down):
+            if t[1] and remainder(s, t):
+                self.inexact_quotients += 1
+            return op(s, t, prec, rnd)
+        return counted
+
+
+WALK_BITS = (8, 24, 53, 64, 256, 600)
+MPF_OPERATORS = ("mpf_mul", "mpf_add", "mpf_div", "mpf_rdiv_int")
+
+
+def _walked(monkeypatch, fn, *args):
+    """fn(*args) with the mpf operators as they are, and the raw totals its walks returned."""
+    totals, walk = [], growth._peak_walk
+    with monkeypatch.context() as bare:  # the census counts the oracle only
+        for name in MPF_OPERATORS:
+            bare.setattr(mpmath.ctx_mp_python, name, getattr(libmp, name))
+        bare.setattr(growth, "_peak_walk", lambda *a: totals.append(walk(*a)) or totals[-1])
+        return fn(*args), totals
+
+
+class TestExactIntegerWalk:
+    """Both kernel sums' exact-integer steps and total against their mpf-operator oracles.
+
+    The walks' totals are compared before their last rounding, so a one-ulp
+    difference that the ratio or the guard bits would hide still fails.
+    """
+
+    @pytest.mark.parametrize("bits", WALK_BITS)
+    def test_lemma3_equals_mpf_operators_at_every_precision(self, monkeypatch, bits):
+        # 3/4, 3 and 12 have short mantissas, so t r^q often lands on a midpoint;
+        # 2 prec walks up from n = 0, 3 prec + 7 and 5 prec + 1 from floor(r)
+        census = _RoundingCensus(monkeypatch)
+        with mp.workprec(bits):
+            radii = [mpf("0.75"), mpf(3), mpf(12), mpf(2 * bits), mpf(3 * bits + 7),
+                     mpf(5 * bits + 1)]
+            for alpha_s in ("-0.49", "0", "0.5", "3"):
+                w = DunklWeights(mpf(alpha_s), 0)
+                for q_s in ("1", "1.5", "2"):
+                    sums, ratios = _lemma3_peak_mpf(radii, mpf(q_s), w)
+                    got, totals = _walked(monkeypatch, lemma3_on_grid, radii, mpf(q_s), w)
+                    assert totals == [v._mpf_ for v in sums], (alpha_s, q_s)
+                    assert [v._mpf_ for v in got] == [v._mpf_ for v in ratios], (alpha_s, q_s)
+        assert census.ties["mul"] and census.ties["add"] and census.inexact_quotients, (
+            census.ties, census.inexact_quotients)
+
+    @pytest.mark.parametrize("bits", WALK_BITS)
+    def test_mittag_leffler_equals_mpf_operators_at_every_precision(self, monkeypatch, bits):
+        # x/falling has a short mantissa at x = 3/4, 3 and 15/4, and at x = 105 wherever
+        # falling's odd part divides 105, so g x/falling can land on a midpoint
+        census = _RoundingCensus(monkeypatch)
+        with mp.workprec(bits):
+            tol = mpf(2) ** -bits
+            for theta_s, x_s in (("1", "0.75"), ("1", "3"), ("1", "3.75"), ("1", "105"),
+                                 ("0.5", "50"), ("1", "700")):
+                x, theta = mpf(x_s), mpf(theta_s)
+                for ml in (1, 2):
+                    for beta_s in ("-1", "0", "1"):
+                        args = x, ml, theta, mpf(beta_s), tol
+                        total = _ml_peak_walk_mpf(*args, unrounded=True)
+                        got, totals = _walked(monkeypatch, _ml_peak_walk, *args)
+                        assert totals == [total._mpf_], (x_s, theta_s, ml, beta_s)
+                        assert got._mpf_ == (+total)._mpf_
+        assert census.ties["mul"] and census.ties["add"] and census.inexact_quotients, (
+            census.ties, census.inexact_quotients)
+
+
+def _hand_walk(t0, up_terms, wp=53, cut_bits=10):
+    """_peak_walk and its libmp oracle on a side that yields up_terms, then nothing.
+
+    Every term carries the bound (its own value, rho = 1/16): for a term at
+    most the cap, total 2^-cut_bits, RN(t/16) < cap 15/16, so whether the side
+    stops is decided by the exact comparison "term < cap" alone.
+    """
+    rho = libmp.from_man_exp(1, -4)
+
+    def side(up):
+        for t in (up_terms if up else ()):
+            yield t, (lambda t=t: (t, rho))
+
+    args = (0, 0, t0, side, cut_bits, wp, "hand walk")
+    return growth._peak_walk(*args), _peak_walk_mpf(*args)
+
+
+class TestPeakWalkEdges:
+    """_peak_walk's exact total and stop test on hand-built sides."""
+
+    T0 = libmp.from_man_exp((1 << 52) + 12345, 0)  # 53 bits, not a power of two
+
+    @pytest.mark.parametrize("below_ulps", [0, 1])
+    def test_term_at_the_cap_and_one_ulp_below(self, below_ulps):
+        # cap = t0 2^-10 exactly: a term equal to it is summed, one ulp below it stops the
+        # side; the term after it, t0 itself, is summed only if the side goes on
+        cap = libmp.mpf_shift(self.T0, -10)
+        ulp = libmp.from_man_exp(1, cap[2])
+        t = libmp.mpf_sub(cap, ulp, 53) if below_ulps else cap
+        after = self.T0
+        got, want = _hand_walk(self.T0, [t, after])
+        assert got == want
+        summed = libmp.mpf_add(libmp.mpf_add(self.T0, t, 53, libmp.round_nearest), after, 53,
+                               libmp.round_nearest)
+        assert (got == self.T0) == bool(below_ulps) and (got == summed) != bool(below_ulps)
+
+    def test_cap_test_aligns_a_wider_term(self):
+        # a 52-bit term of the cap's magnitude, just above and just below a 2-bit cap
+        total = libmp.from_man_exp(3, 0)
+        for delta in (1, -1):
+            t = libmp.from_man_exp((3 << 50) + delta, -60)
+            got, want = _hand_walk(total, [t])
+            assert got == want and (got == total) == (delta < 0)
+
+    @pytest.mark.parametrize("offset", [53, 54, 55, 57, 58, 120, 4000])
+    def test_far_terms_round_as_mpf_add(self, offset):
+        # a term wp + 4 or more bits below the total takes mpf_add's sticky shortcut; at
+        # offset 54 it is exactly half an ulp of an odd total, a tie that rounds up
+        total = libmp.from_man_exp((1 << 52) + 1, 0)
+        far = [libmp.from_man_exp(1, 53 - offset), libmp.from_man_exp((1 << 60) + 1, -offset - 7)]
+        for t in far:
+            got, want = _hand_walk(total, [t], cut_bits=5000)
+            assert got == want
+            assert got == libmp.mpf_add(total, t, 53, libmp.round_nearest)
+
+    def test_term_far_above_the_total(self):
+        got, want = _hand_walk(libmp.fone, [libmp.from_man_exp((1 << 52) + 3, 900)], cut_bits=4)
+        assert got == want
+
+    def test_sums_of_wide_and_narrow_terms(self):
+        # random terms around the total, each above its cap: every sum takes the exact adder
+        rng = random.Random(40)
+        for wp in (8, 53, 256):
+            terms = [libmp.from_man_exp(rng.getrandbits(wp) | 1, rng.randrange(-2 * wp, 2 * wp))
+                     for _ in range(200)]
+            got, want = _hand_walk(libmp.from_man_exp(rng.getrandbits(wp) | 1, 0), terms, wp=wp,
+                                   cut_bits=8 * wp)
+            assert got == want
 
 
 class TestGrowthProfile:
