@@ -74,13 +74,14 @@ from itertools import product
 import mpmath
 import numpy as np
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import (fone, from_int, fzero, mpc_abs, mpf_add, mpf_exp, mpf_gt, mpf_le,
-                          mpf_log, mpf_pow, round_nearest, to_float)
+from mpmath.libmp import (fone, from_int, fzero, mpc_abs, mpc_mul_mpf, mpf_add, mpf_div, mpf_exp,
+                          mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_pow, mpf_sub,
+                          round_nearest, to_float)
 
 from .dunkl import DunklWeights, _at_table_precision, _require_table, apply_dunkl, right_inverse
 from .growth import RateEnvelope, rate_exponent, standard_r_grid
 from .means import _BLOCK_ELEMENTS, _log_abs_and_phase
-from .numeric import to_decimal
+from .numeric import float_ln, to_decimal
 from .series import TruncatedSeries, read_header, read_text
 
 Polynomial = tuple  # of Fraction, low degree first, no trailing zeros
@@ -278,17 +279,23 @@ def _phi_at(env: RateEnvelope, w: DunklWeights, r) -> mpf:
 class _NormKernel:
     """Weighted norm sup_r [sum_n |y_n| r^n] r^a / (env(r) e^r) over a radius grid.
 
-    Holds ln r, the penalty a ln r - ln env(r) - r, logd = ln d_n as the
+    Holds r, ln r, the penalty a ln r - ln env(r) - r, logd = ln d_n as the
     caller passes it (``w.float_log_weights``) and log_env, ln of env_vals =
     env on r_grid, as float64 arrays; all work stays in the log domain, so
     nothing overflows.
+
+    The float64 inputs are fixed bit for bit: r is float(r), and ln r and
+    log_env are float(mpmath.ln(x)) of the mpf x at the working precision,
+    the float64 of its prec-bit log.  ``numeric.float_ln`` gives those
+    floats, mostly by rounding a 96-bit log where it provably rounds to the
+    same float64, so a build at any precision places its blocks as before.
     """
 
     def __init__(self, logd: np.ndarray, env_vals, a, r_grid):
-        self.ln_r = np.array([float(mpmath.ln(r)) for r in r_grid])
-        self.log_env = np.array([float(mpmath.ln(v)) for v in env_vals])
-        r_vals = np.array([float(r) for r in r_grid])
-        self.pen = float(a) * self.ln_r - self.log_env - r_vals
+        self.ln_r = np.array([float_ln(r) for r in r_grid])
+        self.log_env = np.array([float_ln(v) for v in env_vals])
+        self.r = np.array([float(r) for r in r_grid])
+        self.pen = float(a) * self.ln_r - self.log_env - self.r
         self.logd = logd
 
     def factor_table(self) -> np.ndarray:
@@ -336,40 +343,48 @@ def _calibrate_fillers(w: DunklWeights, env: RateEnvelope, r_grid, log_env: np.n
     far from the new peak from zeroing gamma.  The total touches _FILLER_SAT *
     env near every surviving ramp radius and exceeds it by at most about 1%.
 
-    A float64 screen of ln mode, ln cap (log_env: ln env on r_grid) and q =
-    running / cap sends to the mpf room (cap - running) / mode only points
-    within _SCREEN_MARGIN (1e-6) of the least screened room or with 1 - q <
-    _SCREEN_SLACK (1e-3), where it cancels; mpf also decides significance
-    within _SCREEN_MARGIN of the cutoff.  The screen errs by ~1e-9 elsewhere.
-    The mpf running total at a point is replayed, rv = rv + gamma_j mode_j in
-    placement order, modes memoised per (P, point): bit-identical to a full pass.
+    A float64 screen of ln mode, ln cap (log_env: ln env on r_grid, given as
+    mpf radii or as their float64 values) and q = running / cap sends to the
+    mpf room (cap - running) / mode only points within _SCREEN_MARGIN (1e-6)
+    of the least screened room or with 1 - q < _SCREEN_SLACK (1e-3), where it
+    cancels; mpf also decides significance within _SCREEN_MARGIN of the
+    cutoff.  The screen errs by ~1e-9 elsewhere.  The mpf running total at a
+    point is replayed, rv = rv + gamma_j mode_j in placement order, modes
+    memoised per (P, point): bit-identical to a full pass.  Modes, caps and
+    rooms are raw tuples, each operation rounded as the mpf operators round
+    it: mode = exp((P + alpha + 1) ln x - x), cap = mpf(_FILLER_SAT) env(x).
     """
+    prec, rnd = mp.prec, round_nearest
     ramp = []
     P = _FILLER_CAP_DEGREE
     while P >= _FILLER_BASE_DEGREE:
         ramp.append(P)
         nxt = math.floor(P / _FILLER_RATIO)
         P = nxt if nxt < P else P - 1
-    on_grid = dict(zip((float(r) for r in r_grid), log_env))
+    on_grid = dict(zip(map(float, r_grid), log_env))
     points = sorted(set(on_grid) | {float(P + w.alpha + 1) for P in ramp})
     r, ln_r = np.array(points), np.log(points)
     ln_cap = math.log(_FILLER_SAT) + np.array([on_grid[x] if x in on_grid else
-                                               float(mpmath.ln(env(mpf(repr(x))))) for x in points])
-    exact, modes = {}, {}  # point -> mpf (r, ln r, cap); (P, point) -> mpf mode
+                                               float_ln(env(mpf(repr(x)))) for x in points])
+    sat, alpha = mpf(_FILLER_SAT)._mpf_, w.alpha._mpf_
+    exact, modes = {}, {}  # point -> raw (r, ln r, cap); (P, point) -> raw mode
+    exponents = {P: mpf_add(mpf_add(alpha, from_int(P), prec, rnd), fone, prec, rnd) for P in ramp}
 
     def mode(P, i):
         if i not in exact:
             x = mpf(repr(points[i]))
-            exact[i] = (x, mpmath.ln(x), mpf(_FILLER_SAT) * env(x))
+            exact[i] = (x._mpf_, mpf_log(x._mpf_, prec, rnd), mpf_mul(sat, env(x)._mpf_, prec, rnd))
         if (P, i) not in modes:
-            modes[P, i] = mpmath.exp((P + w.alpha + 1) * exact[i][1] - exact[i][0])
+            x, ln_x, _ = exact[i]
+            modes[P, i] = mpf_exp(mpf_sub(mpf_mul(exponents[P], ln_x, prec, rnd), x, prec, rnd),
+                                  prec, rnd)
         return modes[P, i]
 
     def room(P, i):
-        mv, rv = mode(P, i), mpf(0)
+        mv, rv = mode(P, i), fzero
         for Pj, gj in placed:
-            rv = rv + gj * mode(Pj, i)
-        return (exact[i][2] - rv) / mv
+            rv = mpf_add(rv, mpf_mul(gj._mpf_, mode(Pj, i), prec, rnd), prec, rnd)
+        return mpf_div(mpf_sub(exact[i][2], rv, prec, rnd), mv, prec, rnd)
 
     significance = mpf("0.01")
     placed, q = [], np.zeros(r.size)  # q: running / cap
@@ -379,17 +394,22 @@ def _calibrate_fillers(w: DunklWeights, env: RateEnvelope, r_grid, log_env: np.n
         significant = rel > 0
         top = np.flatnonzero(rel >= math.log(100) - _SCREEN_MARGIN)
         for i in np.flatnonzero(np.abs(rel) <= _SCREEN_MARGIN):  # the mpf peak decides
-            significant[i] = not mode(P, i) < max(mode(P, j) for j in top) * significance
+            peak = max(mp.make_mpf(mode(P, j)) for j in top)
+            significant[i] = not mp.make_mpf(mode(P, i)) < peak * significance
         cancels = q > 1 - _SCREEN_SLACK
         ln_room = np.where(significant & ~cancels, ln_cap - ln_mode
                            + np.log1p(-np.minimum(q, 1 - _SCREEN_SLACK)), np.inf)
         near = np.isfinite(ln_room) & (ln_room <= ln_room.min() + _SCREEN_MARGIN)
-        gamma = min((room(P, i) for i in np.flatnonzero(significant & cancels | near)),
-                    default=None)
-        if gamma is None or gamma <= 0:
+        gamma = None
+        for i in np.flatnonzero(significant & cancels | near):
+            g = room(P, i)
+            if gamma is None or mpf_lt(g, gamma):
+                gamma = g
+        if gamma is None or mpf_le(gamma, fzero):
             continue
+        gamma = mp.make_mpf(gamma)
         placed.append((P, gamma))
-        q += np.exp(float(mpmath.ln(gamma)) + ln_mode - ln_cap)
+        q += np.exp(float_ln(gamma) + ln_mode - ln_cap)
     placed.sort()
     return tuple(P for P, _ in placed), tuple(g for _, g in placed)
 
@@ -442,7 +462,7 @@ def build_hypercyclic(
 
     kernel = _NormKernel(w.float_log_weights(trunc_degree), env_vals, w.alpha + 1, grid)
     if cfg.saturate_envelope:
-        filler_degrees, filler_coeffs = _calibrate_fillers(w, env, grid, kernel.log_env)
+        filler_degrees, filler_coeffs = _calibrate_fillers(w, env, kernel.r, kernel.log_env)
     else:
         filler_degrees, filler_coeffs = (), ()
 
@@ -619,15 +639,19 @@ def build_frequently_hypercyclic(
     # the smallest feasible m_0 (total_norm falls as m_0 grows)
     m_0 = 1 + bisect.bisect_left(range(1, hi), True, key=lambda m: total_norm(m) <= NORM_BUDGET)
 
+    # every block S^n Q_j in one loop, each coefficient as right_inverse forms it:
+    # c_i exp(ln d_i - ln d_(i+n)) at degree i + n
     schedule = schedule_at(m_0)
+    prec, rnd, log_d = w.precision_bits, round_nearest, w._raw_log_weight
     coeffs: dict[int, mpc] = {}
     for j, q in enumerate(targets, start=1):
-        target = poly_to_series(q, trunc_degree)
+        terms = [(i, log_d(i), c._mpc_) for i, c in poly_to_series(q, trunc_degree).items()]
         for n in schedule.positions(j):
-            block = dict(right_inverse(target, w, n).items())
-            if not coeffs.keys().isdisjoint(block):
-                raise AssertionError("dyadic schedule produced an overlap")
-            coeffs.update(block)
+            for i, log_d_i, c in terms:
+                if i + n in coeffs:
+                    raise AssertionError("dyadic schedule produced an overlap")
+                factor = mpf_exp(mpf_sub(log_d_i, log_d(i + n), prec, rnd), prec, rnd)
+                coeffs[i + n] = mp.make_mpc(mpc_mul_mpf(c, factor, prec, rnd))
     return TruncatedSeries(coeffs, trunc_degree), schedule
 
 

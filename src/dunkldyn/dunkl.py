@@ -30,6 +30,7 @@ from mpmath.libmp import (fone, from_int, from_man_exp, fzero, ln2_fixed, mpc_mu
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, log_taylor_cached
 from mpmath.libmp.libmpf import lshift
 
+from .numeric import mirrors_mpmath
 from .series import TruncatedSeries
 
 ALPHA_BOUNDARY_GAP = 1e-12
@@ -153,12 +154,14 @@ class DunklWeights:
         ln2_fixed(wp), -wp, prec)``.  The Taylor sum depends on o alone, so it
         is taken once per odd mantissa and the same integer is rounded here.
         Every other a (1, powers of two, 1 < a < 2, and wp above
-        LOG_TAYLOR_PREC) goes to ``mpf_log`` itself.
+        LOG_TAYLOR_PREC), and every a under an mpmath other than
+        ``numeric.MIRRORED_MPMATH``, goes to ``mpf_log`` itself.
         """
         sign, man, exp, bc = a
         prec = self.precision_bits
         wp, mag = prec + 20, exp + bc
-        if sign or man <= 1 or not 2 <= mag <= _LOG_LN2_ONLY_MAG or wp > LOG_TAYLOR_PREC:
+        if (sign or man <= 1 or not 2 <= mag <= _LOG_LN2_ONLY_MAG or wp > LOG_TAYLOR_PREC
+                or not mirrors_mpmath()):
             return mpf_log(a, prec, round_nearest)
         taylor = self._taylor.get(man)
         if taylor is None:
@@ -269,17 +272,24 @@ class DunklWeights:
 
         k ln 2 + lgamma(floor(k/2)+1) + lgamma(floor((k+1)/2)+alpha+1) - lgamma(alpha+1),
         with one ``math.lgamma`` per half-index gathered by index; entry 0 is
-        exactly 0.  It does not read the mpf table and does not depend on
-        mp.prec.  Against float(log_weight(k)) it is within 3.2 units of
-        2^-52 max(1, |ln d_k|): 7.3e-12 absolute up to k = 4096, 2.9e-11 up
-        to 16384.
+        exactly 0.  At an integer alpha below n/2, j + alpha + 1 is the exact
+        float64 of an even half-index's argument, so the odd half is the even
+        table read alpha places on and each lgamma is taken once.  It does not
+        read the mpf table and does not depend on mp.prec.  Against
+        float(log_weight(k)) it is within 3.2 units of 2^-52 max(1, |ln d_k|):
+        7.3e-12 absolute up to k = 4096, 2.9e-11 up to 16384.
         """
         if not 0 <= n <= self.n_max:
             raise IndexError(f"weight index {n} outside [0, {self.n_max}]")
-        alpha = float(self.alpha)
-        lg_alpha = math.lgamma(alpha + 1)
-        even = np.array([math.lgamma(j + 1) for j in range(n // 2 + 1)])
-        odd = np.array([math.lgamma(j + alpha + 1) - lg_alpha for j in range((n + 1) // 2 + 1)])
+        alpha, half, odd_half = float(self.alpha), n // 2 + 1, (n + 1) // 2 + 1
+        if alpha.is_integer() and alpha < half:
+            shift = int(alpha)
+            lg = np.array([math.lgamma(j + 1) for j in range(max(half, odd_half + shift))])
+            even, odd = lg[:half], lg[shift:shift + odd_half] - lg[shift]
+        else:
+            lg_alpha = math.lgamma(alpha + 1)
+            even = np.array([math.lgamma(j + 1) for j in range(half)])
+            odd = np.array([math.lgamma(j + alpha + 1) - lg_alpha for j in range(odd_half)])
         k = np.arange(n + 1)
         return k * math.log(2.0) + even[k // 2] + odd[(k + 1) // 2]
 

@@ -38,14 +38,15 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_log,
-                          mpf_loggamma, mpf_lt, mpf_mul, mpf_mul_int, mpf_pos, mpf_pow, mpf_sub,
-                          round_nearest, to_fixed, to_float)
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_e, mpf_exp,
+                          mpf_gt, mpf_log, mpf_loggamma, mpf_lt, mpf_mul, mpf_mul_int, mpf_pos,
+                          mpf_pow, mpf_sub, round_nearest, to_fixed, to_float)
 from mpmath.libmp.libelefun import EXP_COSH_CUTOFF
 
 from .dunkl import DunklWeights, _at_table_precision, _check_alpha, _gamma_form
 from .means import MeanParams, P_INF, conjugate_exponent, means_on_grid
-from .numeric import DEFAULT_PRECISION_BITS
+from .numeric import (DEFAULT_PRECISION_BITS, ML_MIN_PREC, R_GRID_MIN_PREC, mirrors_mpmath,
+                      require_precision)
 from .series import TruncatedSeries
 
 with mp.workprec(DEFAULT_PRECISION_BITS):  # 0.01 is inexact: fix its bits at the default
@@ -70,9 +71,11 @@ def standard_r_grid(r_min=R_GRID_MIN, r_max=R_GRID_MAX, points=R_GRID_POINTS):
     2^(6 - wp) relative (read from mpmath 1.3's ``libelefun.mpf_exp`` and
     ``exp_basecase``, lines 1086-1109 and 1151-1188, and ``ln2_fixed``,
     ``machin`` and ``constant_memo``, lines 85-170), shows the rounding
-    cannot differ, and calls mpf_exp elsewhere.  Above the cutoff every
-    point calls it.
+    cannot differ, and calls mpf_exp elsewhere.  Above the cutoff, or under
+    an mpmath other than ``numeric.MIRRORED_MPMATH``, every point calls it.
+    A precision below ``numeric.R_GRID_MIN_PREC`` is refused.
     """
+    require_precision(R_GRID_MIN_PREC, "standard_r_grid")
     r_min, r_max = mpf(r_min), mpf(r_max)
     if not 0 < r_min < r_max:
         raise ValueError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
@@ -80,7 +83,7 @@ def standard_r_grid(r_min=R_GRID_MIN, r_max=R_GRID_MAX, points=R_GRID_POINTS):
         raise ValueError(f"need at least 2 grid points, got {points}")
     step = (mpmath.ln(r_max) - mpmath.ln(r_min)) / (points - 1)
     prec = mp.prec
-    if prec + 14 > EXP_COSH_CUTOFF:
+    if prec + 14 > EXP_COSH_CUTOFF or not mirrors_mpmath():
         return tuple(r_min * mpmath.exp(i * step) for i in range(points))
     r_min = r_min._mpf_
     return tuple(mp.make_mpf(mpf_mul(r_min, e, prec, round_nearest))
@@ -162,6 +165,17 @@ def _exp_multiples(step: tuple, points: int, prec: int):
         p = p * q >> fbits
 
 
+def _ln_e_plus(r: mpf) -> mpf:
+    """ln(e + r) as ``mpmath.ln(mpmath.e + r)`` rounds it: e at mp.prec, then
+    mpf_add and mpf_log, each to nearest.  Where e + r < 0, mpmath.ln's
+    complex value is returned, as that expression returns it."""
+    prec = mp.prec
+    s = mpf_add(mpf_e(prec, round_nearest), r._mpf_, prec, round_nearest)
+    if s[0]:
+        return mpmath.ln(mp.make_mpf(s))
+    return mp.make_mpf(mpf_log(s, prec, round_nearest))
+
+
 class RateEnvelope:
     """A phi: positive, nondecreasing and escaping comparison function of r.
 
@@ -177,19 +191,26 @@ class RateEnvelope:
         self.label = label
 
     def __call__(self, r) -> mpf:
-        return mpf(self._fn(mpf(r)))
+        """mpf(fn(mpf(r))); an mpf within the working precision, which mpf()
+        would return unchanged, is passed on as it is."""
+        prec = mp.prec
+        if type(r) is not mpf or r._mpf_[3] > prec:
+            r = mpf(r)
+        v = self._fn(r)
+        return v if type(v) is mpf and v._mpf_[3] <= prec else mpf(v)
 
     @classmethod
     def log_growth(cls) -> "RateEnvelope":
         """phi(r) = ln(e + r): monotone, positive at 0, unbounded."""
-        return cls(lambda r: mpmath.ln(mpmath.e + r), "ln(e+r)")
+        return cls(_ln_e_plus, "ln(e+r)")
 
     def validate_on(self, r_grid) -> list:
         """Check positivity and growth; return env(r) over r_grid."""
         vals = [self(r) for r in r_grid]
-        if any(not v > 0 for v in vals):
+        raw = [v._mpf_ for v in vals]
+        if not all(mpf_gt(v, fzero) for v in raw):
             raise ValueError(f"envelope {self.label!r} not positive on the grid")
-        if any(b < a for a, b in zip(vals, vals[1:])) or not vals[-1] > vals[0]:
+        if any(mpf_lt(b, a) for a, b in zip(raw, raw[1:])) or not mpf_gt(raw[-1], raw[0]):
             raise ValueError(f"envelope {self.label!r} not growing on the grid")
         return vals
 
@@ -246,11 +267,14 @@ def mittag_leffler(z, ml_alpha, theta, beta) -> mpf:
     """E(z) = sum_n z^n / ((n+theta)^beta Gamma(ml_alpha n + 1)) for real z > 0.
 
     It takes no weight table, so prec is the caller's ambient precision; the
-    sum is accurate to about tol = 2^(16-prec) relative.  z must be real,
-    finite and > 0: there every term is positive, and ``_ml_peak_walk`` sums
-    outward from the largest.  Any other z, and a sum whose walk would pass
-    _WALK_MAX_TERMS terms, raise ValueError.
+    sum is accurate to about tol = 2^(16-prec) relative, a promise that says
+    something only from ``numeric.ML_MIN_PREC`` (17) bits, so a lower prec
+    is refused.  z must be real, finite and > 0: there every term is
+    positive, and ``_ml_peak_walk`` sums outward from the largest.  Any other
+    z, and a sum whose walk would pass _WALK_MAX_TERMS terms, raise
+    ValueError.
     """
+    require_precision(ML_MIN_PREC, "mittag_leffler")
     ml_alpha = mpf(ml_alpha)
     if not 0 < ml_alpha <= 2:
         raise ValueError(f"ml_alpha must lie in (0, 2], got {ml_alpha}")

@@ -168,7 +168,13 @@ class HausdorffYoungResult(NamedTuple):
 
 
 def _float_ln(x: mpf) -> float:
-    """ln x in float64 for x > 0, without forming x as a float."""
+    """ln x in float64 for x > 0, without forming x as a float.
+
+    A selection estimate, not float(mpmath.ln(x)): math.log of the mantissa
+    and exp ln 2 are each rounded in float64 and then added, so the last
+    bits can differ.  Where
+    the exact float64 of the log is needed, ``numeric.float_ln`` gives it.
+    """
     man, exp = x.man_exp
     return math.log(man) + exp * _LN2
 

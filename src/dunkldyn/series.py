@@ -23,7 +23,8 @@ the header's ``precision_bits``, bit for bit, but mostly without calling it:
 fixed-point 5^-k and rounds it there when that value is provably farther
 than about 2^-(bits+5) relative from every rounding midpoint.  Text outside
 its ASCII grammar, a decimal whose exponent net of its fraction digits is not
-negative, and a decimal that close to a midpoint go to ``from_str``.
+negative, and a decimal that close to a midpoint go to ``from_str``, as does
+every decimal under an mpmath other than ``numeric.MIRRORED_MPMATH``.
 ``read_text`` and ``read_header`` read this format and ``construct``'s
 ``dunklplan v1`` alike.
 """
@@ -37,7 +38,7 @@ import mpmath
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_str, fzero, round_nearest
 
-from .numeric import to_decimal
+from .numeric import mirrors_mpmath, to_decimal
 
 DEFAULT_TRUNC_DEGREE = 4096
 _ZERO = mpc(0)  # every missing coefficient; mpc values are immutable
@@ -282,8 +283,11 @@ def _decimal_reader(bits: int):
     grid lies that near (across a power of two the nearest midpoint is 2^(s-2)
     or 2^s away), and Y rounded to nearest is from_str's tuple, also at a
     binade edge.  Every other decimal, text outside the grammar and k <= 0 go
-    to ``from_str``.
+    to ``from_str``, and so does every text under an mpmath release whose
+    ``from_str`` this bound was not read from (``numeric.mirrors_mpmath``).
     """
+    if not mirrors_mpmath():
+        return lambda text: from_str(text, bits, round_nearest)
     width = bits + _GUARD_BITS
     squares = [((1 << (width + 2)) // 5, -(width + 2))]  # (man, exp) of 5^(-2^j), man W bits
 

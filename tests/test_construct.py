@@ -14,7 +14,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import (from_int, fzero, mpf_add, mpf_div, round_down, round_nearest,
                           round_up, to_float)
 
-from dunkldyn import construct
+from dunkldyn import construct, growth
 from dunkldyn.construct import (
     _BUDGET_TIGHTEN,
     _FILLER_BASE_DEGREE,
@@ -434,6 +434,80 @@ def _sampled_envelope():
     return RateEnvelope(fn, "sampled[5]")
 
 
+KERNEL_BITS = [64, 128, 256, 1024, 2600]
+
+
+def _kernel_grids(bits):
+    """The default grid, a 2-point grid, a 300-point grid to r = 1000, and the default
+    grid taken at bits + 70, so that its radii are wider than bits."""
+    with mp.workprec(bits):
+        grids = [standard_r_grid(), standard_r_grid(points=2),
+                 standard_r_grid(r_max=1000, points=300)]
+    with mp.workprec(bits + 70):
+        grids.append(standard_r_grid())
+    return grids
+
+
+def _kernel_envelopes():
+    return [RateEnvelope.log_growth(), RateEnvelope(lambda r: mpmath.sqrt(r) + 1, "sqrt(r)+1"),
+            _sampled_envelope()]
+
+
+class TestEnvelopeAndKernelInputs:
+    """The envelope calls and the kernel's float64 inputs against the expressions
+    they replace, bit for bit."""
+
+    @pytest.mark.parametrize("bits", KERNEL_BITS)
+    def test_envelope_values_equal_their_mpf_expressions(self, bits):
+        grids = _kernel_grids(bits)
+        radii = [r for grid in grids for r in grid] + [mpf(3), 2.5, "0.7", mpmath.pi]
+        with mp.workprec(bits):
+            for env in _kernel_envelopes():
+                want = [mpf(env._fn(mpf(r)))._mpf_ for r in radii]
+                assert [env(r)._mpf_ for r in radii] == want, env
+                for grid in grids:
+                    assert ([v._mpf_ for v in env.validate_on(grid)]
+                            == [mpf(env._fn(mpf(r)))._mpf_ for r in grid])
+            ln_e_plus = [mpmath.ln(mpmath.e + r)._mpf_ for r in map(mpf, radii)]
+            assert [growth._ln_e_plus(mpf(r))._mpf_ for r in radii] == ln_e_plus
+
+    def test_ln_e_plus_of_a_radius_below_minus_e_is_complex(self):
+        # as mpmath.ln(mpmath.e + r) is, so an envelope call refuses it as before
+        r = mpf(-5)
+        assert growth._ln_e_plus(r) == mpmath.ln(mpmath.e + r)
+        with pytest.raises(TypeError):
+            RateEnvelope.log_growth()(r)
+
+    @pytest.mark.parametrize("bits", KERNEL_BITS)
+    def test_kernel_inputs_equal_their_mpf_expressions(self, bits):
+        alphas = ["-0.49", "0", "0.5", "1", "3"] if bits <= 1024 else ["0.5"]
+        for grid in _kernel_grids(bits):
+            with mp.workprec(bits):
+                for env in _kernel_envelopes():
+                    env_vals = env.validate_on(grid)
+                    ln_r = np.array([float(mpmath.ln(r)) for r in grid])
+                    log_env = np.array([float(mpmath.ln(v)) for v in env_vals])
+                    r_vals = np.array([float(r) for r in grid])
+                    for alpha_s in alphas:
+                        a = mpf(alpha_s) + 1
+                        kernel = _NormKernel(np.zeros(1), env_vals, a, grid)
+                        assert np.array_equal(kernel.ln_r, ln_r)
+                        assert np.array_equal(kernel.log_env, log_env)
+                        assert np.array_equal(kernel.r, r_vals)
+                        assert np.array_equal(kernel.pen, float(a) * ln_r - log_env - r_vals)
+
+    @pytest.mark.parametrize("points", [256, 2])
+    def test_fillers_from_the_kernels_float_grid_equal_those_from_the_mpf_grid(self, points):
+        w = DunklWeights(mpf("0.5"), 64)
+        env = RateEnvelope.log_growth()
+        grid = standard_r_grid(points=points)
+        kernel = _NormKernel(w.float_log_weights(64), env.validate_on(grid), w.alpha + 1, grid)
+        got = _calibrate_fillers(w, env, kernel.r, kernel.log_env)
+        want = _calibrate_fillers(w, env, grid, _log_env(env, grid))
+        assert got[0] == want[0]
+        assert [g._mpf_ for g in got[1]] == [g._mpf_ for g in want[1]]
+
+
 class TestFillerCalibration:
     """The float64-screened filler ladder against the all-points mpf reference."""
 
@@ -663,6 +737,28 @@ class TestFhcBuilder:
         env = RateEnvelope.log_growth()
         with pytest.raises(InfeasibleConstruction):
             build_frequently_hypercyclic(w, 1, env, 3, trunc_degree=96)
+
+    @pytest.mark.parametrize("bits, trunc, alphas", [
+        (64, 1024, ["-0.49", "0", "0.5", "1", "3"]),
+        (128, 1024, ["-0.49", "0", "0.5", "1", "3"]),
+        (256, 4096, ["-0.49", "0", "0.5", "1", "3"]),
+        (1024, 1024, ["-0.49", "0", "0.5", "1", "3"]),
+        (2600, 512, ["-0.49", "1"]),
+    ])
+    def test_one_loop_assembly_equals_the_per_block_right_inverse(self, bits, trunc, alphas):
+        env = RateEnvelope.log_growth()
+        with mp.workprec(bits):
+            for alpha_s in alphas:
+                w = DunklWeights(mpf(alpha_s), trunc)
+                f, s = build_frequently_hypercyclic(w, 2, env, 3, trunc_degree=trunc)
+                coeffs = {}
+                for j, q in enumerate(s.targets, start=1):
+                    target = poly_to_series(q, trunc)
+                    for n in s.positions(j):
+                        block = dict(right_inverse(target, w, n).items())
+                        assert coeffs.keys().isdisjoint(block)
+                        coeffs.update(block)
+                assert _coefficient_bits(f) == _coefficient_bits(TruncatedSeries(coeffs, trunc))
 
     def test_coefficients_follow_schedule(self):
         w = DunklWeights(1, 4096)

@@ -321,6 +321,22 @@ class TestFloatLogWeights:
         assert len(w._log_d) == 1
 
 
+    @pytest.mark.parametrize("alpha_s", ["-0.49", "0", "0.5", "1", "3", "7", "40"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 13, 14, 80, 4096])
+    def test_equals_the_two_comprehension_table(self, alpha_s, n):
+        # the odd half read off the even table at integer alpha (below n/2) gives the
+        # bits of one lgamma per half-index of each half
+        w = DunklWeights(mpf(alpha_s), n)
+        alpha = float(w.alpha)
+        lg_alpha = math.lgamma(alpha + 1)
+        even = np.array([math.lgamma(j + 1) for j in range(n // 2 + 1)])
+        odd = np.array([math.lgamma(j + alpha + 1) - lg_alpha for j in range((n + 1) // 2 + 1)])
+        k = np.arange(n + 1)
+        want = k * math.log(2.0) + even[k // 2] + odd[(k + 1) // 2]
+        got = w.float_log_weights(n)
+        assert got.tobytes() == want.tobytes()
+
+
 def coefficient_bits(f: TruncatedSeries) -> list:
     """(n, raw mpc tuple) of every nonzero coefficient: equal lists are equal bit for bit."""
     return [(n, c._mpc_) for n, c in f.items()]

@@ -108,7 +108,7 @@ def _counting_mpf_exp(monkeypatch):
 
 
 class TestRadiusGrid:
-    @pytest.mark.parametrize("bits", [8, 9, 12, 16, 24, 53, 64, 128, 256, 400, 512, 586, 587,
+    @pytest.mark.parametrize("bits", [9, 12, 16, 24, 53, 64, 128, 256, 400, 512, 586, 587,
                                       600, 1000])
     def test_equals_its_mpf_definition(self, bits):
         with mp.workprec(bits):
@@ -135,7 +135,7 @@ class TestRadiusGrid:
             points, fallbacks = points + n, fallbacks + len(calls) - before - 1
         assert 0 < fallbacks < points / 128
 
-    @pytest.mark.parametrize("bits, fast", [(8, True), (586, True), (587, False), (600, False),
+    @pytest.mark.parametrize("bits, fast", [(9, True), (586, True), (587, False), (600, False),
                                             (1000, False)])
     def test_fixed_point_route_stops_at_the_exp_cosh_cutoff(self, monkeypatch, bits, fast):
         used = []
@@ -144,6 +144,34 @@ class TestRadiusGrid:
         with mp.workprec(bits):
             standard_r_grid(points=8)
         assert bool(used) == fast and EXP_COSH_CUTOFF == 600
+
+
+    @pytest.mark.parametrize("bits, last", [(2, 32), (4, 224), (8, 412)])
+    def test_precisions_below_its_floor_are_refused(self, bits, last):
+        # there the default grid's definition ends at 32, 224 and 412, not at 400
+        with mp.workprec(bits):
+            assert mpf(_grid_reference(R_GRID_MIN, R_GRID_MAX, 256)[-1]) == last
+            with pytest.raises(ValueError, match="at least 9 bits") as err:
+                standard_r_grid()
+        assert "\n" not in str(err.value)
+
+    def test_floor_is_the_least_precision_with_an_ordered_close_grid(self):
+        # the scan behind R_GRID_MIN_PREC: from 9 bits on, and at no precision below,
+        # the default grid strictly increases and each point lies within one grid
+        # spacing, exp(step) - 1 relative, of r_min exp(i step) taken at 300 bits
+        with mp.workprec(300):
+            step = (mpmath.ln(R_GRID_MAX) - mpmath.ln(mpf("0.01"))) / 255
+            exact = [mpf("0.01") * mpmath.exp(i * step) for i in range(256)]
+            spacing = mpmath.expm1(step)
+        good = []
+        for bits in range(2, 33):
+            with mp.workprec(bits):
+                grid = [mpf(t) for t in _grid_reference(R_GRID_MIN, R_GRID_MAX, 256)]
+            with mp.workprec(300):
+                good.append(all(b > a for a, b in zip(grid, grid[1:]))
+                            and all(abs(g / e - 1) < spacing for g, e in zip(grid, exact)))
+        assert good == [bits >= growth.R_GRID_MIN_PREC for bits in range(2, 33)]
+        assert growth.R_GRID_MIN_PREC == 9
 
 
 def _mpf_exp_unrounded(x, prec):
@@ -334,6 +362,22 @@ class TestMittagLeffler:
                     r, ml_alpha, 1, beta
                 )
                 assert mpf("0.95") <= ratio <= mpf("1.05")
+
+    @pytest.mark.parametrize("bits", [8, 14, 15, 16])
+    def test_precisions_below_its_floor_are_refused(self, bits):
+        # at 8 and 14 bits the walk's width came out complex and raised TypeError; at 15
+        # and 16 bits it returned 0.60 and 0.70 of e^50 under a tol of 2 and 1
+        with mp.workprec(bits):
+            with pytest.raises(ValueError, match="at least 17 bits") as err:
+                mittag_leffler(50, 1, 1, 0)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("bits", [17, 18, 24, 32])
+    def test_from_its_floor_the_sum_is_within_tol(self, bits):
+        with mp.workprec(bits):
+            got = mittag_leffler(50, 1, 1, 0)
+        assert growth.ML_MIN_PREC == 17
+        assert abs(got / mpmath.exp(50) - 1) <= mpf(2) ** (16 - bits)
 
     def test_barnes_formula_shape(self):
         # E ~ alpha^{beta-1} r^{-beta/alpha} e^{r^{1/alpha}}: check the log
